@@ -24,7 +24,9 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -301,7 +303,16 @@ def cmd_unroll(args) -> int:
 _CSV_HEADER = "testId,size,processes,ifs,defs,strategy,timeMs,nodes,badloops,verdict"
 
 
-def _bench_one(test_id, params, strategy_name, net):
+@functools.lru_cache(maxsize=1)
+def _bench_network(params: GenParams) -> Network:
+    return epp(amend(generate(params)))
+
+
+def _bench_one(test_id, params, strategy_name):
+    """One CSV row.  Runs in a worker process under --jobs, so it builds its
+    own network: terms cache string hashes, which differ between processes,
+    so a network must not be pickled across."""
+    net = _bench_network(params)
     strategy = Strategy(strategy_name, params.seed)
     started = time.perf_counter()
     result = extract(net, strategy=strategy)
@@ -328,15 +339,19 @@ def _bench_one(test_id, params, strategy_name, net):
 
 def cmd_bench(args) -> int:
     out = _outdir(args)
-    jobs = []
-    for test_id, params in _corpus(_rows_arg(args), args.scale, args.seed):
-        net = epp(amend(generate(params)))
-        for name in STRATEGY_NAMES:
-            jobs.append((test_id, params, name, net))
-    rows = []
+    jobs = [
+        (test_id, params, name)
+        for test_id, params in _corpus(_rows_arg(args), args.scale, args.seed)
+        for name in STRATEGY_NAMES
+    ]
     if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda j: _bench_one(*j), jobs))
+        # Worker processes, not threads: a job timed on a thread would
+        # count the time it waits for the interpreter lock.  Spawned, not
+        # forked: a fork of a process that runs threads can deadlock.
+        spawn = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(args.jobs, spawn) as pool:
+            futures = [pool.submit(_bench_one, *j) for j in jobs]
+            rows = [f.result() for f in futures]
     else:
         rows = [_bench_one(*j) for j in jobs]
     path = out / "bench.csv"

@@ -52,7 +52,7 @@ from .semantics import (
     enabled_steps,
     pretty_action,
 )
-from .strategies import Strategy, group_units, order_steps
+from .strategies import Strategy, order_steps
 
 
 class Outcome(Enum):
@@ -216,8 +216,7 @@ class _Builder:
                 node.deadlock = True
                 self.saw_deadlock = True
             return Outcome.OK
-        ordered = order_steps(steps, self.strategy, node.an, self.rng)
-        for unit in group_units(ordered):
+        for unit in order_steps(steps, self.strategy, node.an, self.rng):
             if len(unit) == 1:
                 out = self.build_communication(node, unit[0])
             else:

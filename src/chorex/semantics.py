@@ -10,6 +10,14 @@ Two labelled transition systems live here:
   live, unmarked, non-service process takes part in an action the whole
   marking is erased (services stay marked forever).
 
+  Successors are lazy: a step is listed with its label and the
+  continuations of its one or two participants, and its successor state
+  is built when the search first asks for it.  An annotated network
+  carries its live set, so building a successor touches only the
+  participants: their terms, the network hash, the live set and the
+  marking are all updated from them; nothing is re-sorted, rehashed or
+  rescanned over every process.
+
 * `chor_enabled` — actions of a choreography body executable up to the
   swap relation, computed with a blocked-set scan instead of rewriting:
   an action deeper in the body is enabled when no process it involves is
@@ -60,14 +68,19 @@ class ElseAction:
     expr: str
 
 
-def process_names_of(action) -> frozenset:
-    """Processes taking part in an action."""
+def participants(action) -> tuple:
+    """Processes taking part in an action, actor first."""
     match action:
         case ComAction(p, _, q, _) | SelAction(p, q, _):
-            return frozenset((p, q))
+            return (p, q)
         case ThenAction(p, _) | ElseAction(p, _):
-            return frozenset((p,))
+            return (p,)
     raise TypeError(f"not an action: {action!r}")
+
+
+def process_names_of(action) -> frozenset:
+    """Processes taking part in an action."""
+    return frozenset(participants(action))
 
 
 def pretty_action(action) -> str:
@@ -89,22 +102,25 @@ def pretty_action(action) -> str:
 class AnnotatedNetwork:
     """A network plus its marking.
 
-    `marked` only ever contains live processes (dead ones are scrubbed on
-    construction so that structurally equal states compare equal) plus no
-    one else; `services` are the processes that count as permanently
-    marked and are exempt from the termination test.
+    `live` is the set of processes that have not terminated.  `marked`
+    only ever contains live processes (dead ones are scrubbed on
+    construction so that structurally equal states compare equal);
+    `services` are the processes that count as permanently marked and are
+    exempt from the termination test.
     """
 
-    __slots__ = ("net", "marked", "services", "_hash")
+    __slots__ = ("net", "live", "marked", "services", "_hash")
 
     def __init__(self, net: sp.Network, marked: frozenset, services: frozenset):
-        live = {p for p, t in net.processes.items() if t.is_live()}
+        live = frozenset(p for p, t in net.processes.items() if t.is_live())
+        self._init(net, live, frozenset((marked | services) & live), services)
+
+    def _init(self, net, live, marked, services):
         self.net = net
-        self.marked = frozenset((marked | services) & live)
+        self.live = live
+        self.marked = marked
         self.services = services
-        object.__setattr__(
-            self, "_hash", hash((net._hash, self.marked, services))
-        )
+        self._hash = hash((net._hash, marked, services))
 
     def __eq__(self, other):
         if self is other:
@@ -123,13 +139,10 @@ class AnnotatedNetwork:
     def __hash__(self):
         return self._hash
 
-    def live_names(self):
-        return [p for p, t in self.net.processes.items() if t.is_live()]
-
     @property
     def white(self) -> bool:
         """True iff no live non-service process is marked."""
-        return not (self.marked - self.services)
+        return self.marked <= self.services
 
     @property
     def terminal(self) -> bool:
@@ -138,10 +151,7 @@ class AnnotatedNetwork:
         Services are allowed to keep spinning; a network where only
         services can still act counts as successfully terminated.
         """
-        return all(
-            p in self.services or not t.is_live()
-            for p, t in self.net.processes.items()
-        )
+        return self.live <= self.services
 
     def __repr__(self):
         return f"AnnotatedNetwork({self.net!r}, marked={sorted(self.marked)})"
@@ -152,28 +162,58 @@ def annotate(net: sp.Network, services=frozenset()) -> AnnotatedNetwork:
     return AnnotatedNetwork(net, frozenset(), frozenset(services))
 
 
-@dataclass(frozen=True, slots=True)
 class Step:
-    label: object
-    successor: AnnotatedNetwork
+    """One enabled reduction: its label, and its successor built on demand.
+
+    Until `successor` is first read, a step holds only the state it leaves
+    and the continuations of its participants (actor first).  The first
+    read builds the successor from those one or two processes alone,
+    caches it, and drops the inputs.
+    """
+
+    __slots__ = ("label", "_source", "_conts", "_successor")
+
+    def __init__(self, label, source: AnnotatedNetwork, conts: tuple):
+        self.label = label
+        self._source = source
+        self._conts = conts
+        self._successor = None
+
+    @property
+    def successor(self) -> AnnotatedNetwork:
+        succ = self._successor
+        if succ is None:
+            succ = self._successor = _successor(
+                self._source, participants(self.label), self._conts
+            )
+            self._source = self._conts = None
+        return succ
+
+    def __repr__(self):
+        return f"Step({pretty_action(self.label)})"
 
 
-def _next_marking(an: AnnotatedNetwork, action) -> frozenset:
-    touched = process_names_of(action)
-    waiting = {
-        p
-        for p, t in an.net.processes.items()
-        if t.is_live() and p not in an.marked and p not in an.services
-    }
-    if waiting <= touched:
-        return frozenset()  # erase the marking: everyone had their turn
-    return an.marked | touched
+def _successor(an: AnnotatedNetwork, touched: tuple, conts: tuple) -> AnnotatedNetwork:
+    """The state after `touched` move on to `conts`.
 
-
-def _mk_step(an: AnnotatedNetwork, action, updates: dict) -> Step:
-    succ_net = an.net.replace(updates)
-    marked = _next_marking(an, action)
-    return Step(action, AnnotatedNetwork(succ_net, marked, an.services))
+    Only the participants change, so the live set, the marking and the
+    network are all updated from them.  The marking is erased when the
+    participants are all the live, unmarked processes there are (the
+    marked set includes every live service, so those are never waiting).
+    """
+    procs = an.net.processes
+    updates = {p: procs[p].with_main(b) for p, b in zip(touched, conts)}
+    net = an.net.replace(updates)
+    died = [p for p, t in updates.items() if not t.is_live()]
+    live = an.live.difference(died) if died else an.live
+    waiting_touched = sum(1 for p in touched if p not in an.marked)
+    if len(an.live) - len(an.marked) == waiting_touched:
+        marked = an.services & live  # everyone had their turn
+    else:
+        marked = an.marked.union(touched).difference(died)
+    succ = AnnotatedNetwork.__new__(AnnotatedNetwork)
+    succ._init(net, live, marked, an.services)
+    return succ
 
 
 def enabled_steps(an: AnnotatedNetwork) -> list:
@@ -181,59 +221,36 @@ def enabled_steps(an: AnnotatedNetwork) -> list:
 
     Conditionals contribute their Then and Else steps adjacently, in that
     order.  The listing order is deterministic (processes in name order).
+    No successor is built here: see `Step`.
     """
-    net = an.net
+    procs = an.net.processes
     steps = []
-    for p, term in net.processes.items():
+    for p, term in procs.items():
         head = term.head_behaviour()
-        match head:
-            case sp.Send(q, expr, cont):
-                partner = net.processes.get(q)
-                if partner is None:
-                    continue
-                qhead = partner.head_behaviour()
-                if isinstance(qhead, sp.Receive) and qhead.frm == p:
-                    action = ComAction(p, expr, q, qhead.var)
-                    steps.append(
-                        _mk_step(
-                            an,
-                            action,
-                            {
-                                p: term.with_main(cont),
-                                q: partner.with_main(qhead.cont),
-                            },
-                        )
-                    )
-            case sp.Select(q, label, cont):
-                partner = net.processes.get(q)
-                if partner is None:
-                    continue
-                qhead = partner.head_behaviour()
-                if (
-                    isinstance(qhead, sp.Offer)
-                    and qhead.frm == p
-                    and qhead.has_label(label)
-                ):
-                    action = SelAction(p, q, label)
-                    steps.append(
-                        _mk_step(
-                            an,
-                            action,
-                            {
-                                p: term.with_main(cont),
-                                q: partner.with_main(qhead.branch(label)),
-                            },
-                        )
-                    )
-            case sp.Cond(expr, then, orelse):
-                steps.append(
-                    _mk_step(an, ThenAction(p, expr), {p: term.with_main(then)})
-                )
-                steps.append(
-                    _mk_step(an, ElseAction(p, expr), {p: term.with_main(orelse)})
-                )
-            case _:
-                pass
+        kind = type(head)
+        if kind is sp.Send:
+            partner = procs.get(head.to)
+            if partner is None:
+                continue
+            qhead = partner.head_behaviour()
+            if type(qhead) is sp.Receive and qhead.frm == p:
+                action = ComAction(p, head.expr, head.to, qhead.var)
+                steps.append(Step(action, an, (head.cont, qhead.cont)))
+        elif kind is sp.Select:
+            partner = procs.get(head.to)
+            if partner is None:
+                continue
+            qhead = partner.head_behaviour()
+            if (
+                type(qhead) is sp.Offer
+                and qhead.frm == p
+                and qhead.has_label(head.label)
+            ):
+                action = SelAction(p, head.to, head.label)
+                steps.append(Step(action, an, (head.cont, qhead.branch(head.label))))
+        elif kind is sp.Cond:
+            steps.append(Step(ThenAction(p, head.expr), an, (head.then,)))
+            steps.append(Step(ElseAction(p, head.expr), an, (head.orelse,)))
     return steps
 
 

@@ -7,8 +7,15 @@ a binary conditional, procedure calls, and the terminated behaviour.
 
 Expressions are never evaluated here: they are carried around as opaque
 token strings and compared by string equality.  All terms are immutable,
-hash-consed-ish (each node caches its hash and node count at construction),
-and safe to share between threads.
+cache their hash and node count at construction, and are safe to share
+between threads.
+
+The two updates the extraction search makes on every step are
+incremental.  `ProcessTerm.with_main` shares its procedure dict and the
+precomputed hash and size of that environment, so it costs O(1).
+`Network.replace` copies the already name-sorted map and adjusts an
+order-independent hash (a sum of per-process hashes) by the processes it
+swaps, so it costs no hashing beyond the updated processes.
 """
 
 from __future__ import annotations
@@ -193,7 +200,7 @@ class Cond(Behaviour):
 class ProcessTerm:
     """A set of procedure definitions together with a main behaviour."""
 
-    __slots__ = ("procedures", "main", "_hash", "size", "_head")
+    __slots__ = ("procedures", "main", "_hash", "size", "_head", "_env")
 
     def __init__(self, procedures, main: Behaviour):
         if isinstance(procedures, dict):
@@ -203,17 +210,21 @@ class ProcessTerm:
         names = [x for x, _ in items]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate procedure names: {names}")
-        self.procedures = dict(items)
+        env = (
+            hash(tuple((x, b._hash) for x, b in items)),
+            sum(b.size for _, b in items),
+        )
+        self._init(dict(items), env, main)
+
+    def _init(self, procedures: dict, env: tuple, main: Behaviour):
+        # `env` is (hash, size) of `procedures`, shared by every term that
+        # shares the dict.
+        self.procedures = procedures
         self.main = main
-        object.__setattr__(
-            self,
-            "_hash",
-            hash(tuple((x, b._hash) for x, b in items) + (main._hash,)),
-        )
-        object.__setattr__(
-            self, "size", main.size + sum(b.size for _, b in items)
-        )
-        object.__setattr__(self, "_head", None)
+        self._env = env
+        self._hash = hash((env[0], main._hash))
+        self.size = env[1] + main.size
+        self._head = None
 
     def head_behaviour(self) -> Behaviour:
         """Main behaviour with leading procedure calls chased away.
@@ -243,7 +254,10 @@ class ProcessTerm:
             return True
         if type(other) is not ProcessTerm or self._hash != other._hash:
             return False
-        return self.main == other.main and self.procedures == other.procedures
+        return self.main == other.main and (
+            self.procedures is other.procedures
+            or self.procedures == other.procedures
+        )
 
     def __ne__(self, other):
         return not self.__eq__(other)
@@ -255,7 +269,9 @@ class ProcessTerm:
         """Same procedure environment, different main behaviour."""
         if main is self.main:
             return self
-        return ProcessTerm(self.procedures, main)
+        term = ProcessTerm.__new__(ProcessTerm)
+        term._init(self.procedures, self._env, main)
+        return term
 
     def __repr__(self):
         return f"ProcessTerm({self.procedures!r}, {self.main!r})"
@@ -264,11 +280,20 @@ class ProcessTerm:
 TERMINATED = ProcessTerm({}, NIL)
 
 
+_HASH_MASK = (1 << 63) - 1
+
+
+def _slot_hash(name: str, term: ProcessTerm) -> int:
+    return hash((name, term._hash))
+
+
 class Network:
     """A nonempty map from process names to process terms.
 
     Terminated processes stay in the map (as ⟨∅, Nil⟩-like terms); node
-    identity during extraction compares the full map.
+    identity during extraction compares the full map.  The map is kept in
+    name order; the hash is the sum, modulo 2**63, of one hash per
+    (name, term) slot, so swapping a term adjusts it in O(1).
     """
 
     __slots__ = ("processes", "_hash")
@@ -277,10 +302,8 @@ class Network:
         if not processes:
             raise ValueError("network must contain at least one process")
         self.processes = dict(sorted(processes.items()))
-        object.__setattr__(
-            self,
-            "_hash",
-            hash(tuple((p, t._hash) for p, t in self.processes.items())),
+        self._hash = (
+            sum(_slot_hash(p, t) for p, t in self.processes.items()) & _HASH_MASK
         )
 
     def __eq__(self, other):
@@ -305,8 +328,17 @@ class Network:
     def replace(self, updates: dict) -> "Network":
         """New network with some terms swapped out."""
         procs = dict(self.processes)
-        procs.update(updates)
-        return Network(procs)
+        h = self._hash
+        for p, t in updates.items():
+            old = procs.get(p)
+            if old is None:  # a new name: sort it in
+                return Network({**procs, **updates})
+            h += _slot_hash(p, t) - _slot_hash(p, old)
+            procs[p] = t
+        net = Network.__new__(Network)
+        net.processes = procs
+        net._hash = h & _HASH_MASK
+        return net
 
     def restrict(self, names) -> "Network":
         """Sub-network over the given process names."""

@@ -1,9 +1,11 @@
 """Step-ordering heuristics for the extraction search.
 
 A strategy turns the list of enabled steps of a node into the order in
-which the engine will try them.  Orderings are total preorders; ties keep
-the canonical enumeration order (process name, then constructor), so every
-strategy is fully deterministic given its seed.
+which the engine will try them, as a list of units (see `group_units`).
+Orderings are total preorders; ties keep the canonical enumeration order
+(process name, then constructor), so every strategy is fully deterministic
+given its seed.  Sort keys read step labels and the current marking only,
+so ordering never builds a successor state.
 
 The two halves of a conditional (its then and else steps) always travel
 together: they receive identical sort keys and random shuffles permute
@@ -23,7 +25,7 @@ from .semantics import (
     SelAction,
     Step,
     ThenAction,
-    process_names_of,
+    participants,
 )
 
 STRATEGY_NAMES = (
@@ -77,13 +79,11 @@ def _is_interaction(step: Step) -> bool:
 
 
 def _largest_main(step: Step, an: AnnotatedNetwork) -> int:
-    return max(
-        an.net[p].main.size for p in process_names_of(step.label)
-    )
+    return max(an.net[p].main.size for p in participants(step.label))
 
 
 def _touches_unmarked(step: Step, an: AnnotatedNetwork) -> bool:
-    return bool(process_names_of(step.label) - an.marked)
+    return not an.marked.issuperset(participants(step.label))
 
 
 def _secondary_selections(step: Step) -> int:
@@ -96,7 +96,8 @@ def _secondary_selections(step: Step) -> int:
 
 
 def order_steps(steps: list, strategy: Strategy, an: AnnotatedNetwork, rng=None) -> list:
-    """Permutation of `steps` in the order the strategy wants them tried."""
+    """The units of `steps` (see `group_units`) in the order the strategy
+    wants them tried."""
     units = group_units(steps)
     name = strategy.name
 
@@ -143,4 +144,4 @@ def order_steps(steps: list, strategy: Strategy, an: AnnotatedNetwork, rng=None)
         units.sort(key=lambda u: 0 if _touches_unmarked(head(u), an) else 1)
     # Random: already shuffled; anything else: canonical order as given.
 
-    return [step for unit in units for step in unit]
+    return units

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end, in-process."""
 
+import csv
 import json
 
 import pytest
@@ -266,6 +267,22 @@ class TestCorpusCommands:
         )
         assert len(lines) == 1 + 40  # 4 points x 10 strategies
         assert all(line.endswith(",ok") for line in lines[1:])
+
+    def test_bench_jobs_write_the_same_rows(self, run, tmp_path):
+        """--jobs 2 runs the jobs in worker processes; only the timings
+        may differ from a --jobs 1 run."""
+        tables = []
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / f"jobs{jobs}"
+            rc, _, _ = run(
+                "bench", "ifs", "--out", str(out_dir), "--scale", "0.1", "--jobs", jobs
+            )
+            assert rc == 0
+            rows = list(csv.reader((out_dir / "bench.csv").open()))
+            time_col = rows[0].index("timeMs")
+            tables.append([r[:time_col] + r[time_col + 1 :] for r in rows])
+        assert len(tables[0]) == 1 + 40
+        assert tables[0] == tables[1]
 
     def test_gen_runs_are_reproducible(self, run, tmp_path):
         a = tmp_path / "a"

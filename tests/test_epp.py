@@ -168,3 +168,25 @@ def test_offer_absorbs_its_restrictions(branches):
     for label in branches:
         part = sp.Offer("q", {label: branches[label]})
         assert merge(whole, part) == whole
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=MergeError,
+    reason="known fault: epp.merge cannot merge an offer with a procedure call "
+    "that an extraction leaves in the other branch of a conditional",
+)
+def test_extraction_of_a_projection_projects_again():
+    """procedures-k3-r0 at seed 0: project, extract, print, parse, project.
+    The second projection fails with "process p1 at conditional on p2.e4:
+    cannot merge offer {thenL} from p2 with call X5"."""
+    from chorex.extraction import extract
+    from chorex.parser import parse_program, pretty
+    from chorex.testgen import GenParams, amend, generate
+
+    c = amend(generate(GenParams(size=20, processes=5, ifs=8, defs=3, seed=0)))
+    result = extract(epp(c))
+    assert result.ok
+    program = parse_program(pretty(result.program))
+    for component in program.components:
+        epp(component)

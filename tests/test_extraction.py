@@ -294,3 +294,25 @@ def test_result_counters_cover_all_components(n1):
     assert result.nodes_created == sum(c.seg.created for c in result.components)
     assert result.failure is None
     assert all(c.outcome is Outcome.OK for c in result.components)
+
+
+def test_successors_are_built_only_when_tried(monkeypatch):
+    """processes-k20-r0 (100 processes): the search builds a successor
+    state only for steps it tries, not for every enabled step of a node.
+    Building them all took 3,411 networks for 501 nodes."""
+    from chorex.epp import epp
+    from chorex.testgen import GenParams, amend, generate
+
+    net = epp(amend(generate(GenParams(size=500, processes=100, seed=0))))
+    built = []
+    replace = sp.Network.replace
+
+    def counted(self, updates):
+        built.append(len(updates))
+        return replace(self, updates)
+
+    monkeypatch.setattr(sp.Network, "replace", counted)
+    result = extract(net, strategy=Strategy("InteractionsFirst"))
+    assert result.ok
+    assert result.nodes_created == 501
+    assert len(built) <= 1.1 * result.nodes_created

@@ -3,6 +3,19 @@
 import pytest
 
 from chorex import cc, sp
+from chorex.parser import parse_network
+from chorex.semantics import (
+    AnnotatedNetwork,
+    ComAction,
+    ElseAction,
+    SelAction,
+    ThenAction,
+    annotate,
+    enabled_steps,
+    process_names_of,
+)
+
+from conftest import N1_TEXT, N2_TEXT, N3_TEXT, RANKED_LOOP_NET_TEXT, SIGNON_NET_TEXT
 
 
 class TestBehaviourBasics:
@@ -101,6 +114,125 @@ class TestNetwork:
         assert n2["p"] == sp.TERMINATED
         assert n["p"] == t  # original untouched
         assert set(n.restrict(["q"]).names()) == {"q"}
+
+
+def _fresh(n: sp.Network) -> sp.Network:
+    """The same network built from scratch, sharing no term objects."""
+    return sp.Network(
+        {p: sp.ProcessTerm(dict(t.procedures), t.main) for p, t in n.processes.items()}
+    )
+
+
+class TestIncrementalUpdates:
+    """The O(1) update paths must agree with building from scratch, hash
+    included: a mismatch would only show as states that stop meeting in
+    the search's node table, with no error."""
+
+    T = sp.ProcessTerm(
+        {"X": sp.Send("q", "e", sp.Call("X"))}, sp.Receive("q", "x", sp.Call("X"))
+    )
+    NET = sp.Network({"p": T, "q": sp.TERMINATED, "r": T.with_main(sp.Call("X"))})
+
+    @pytest.mark.parametrize(
+        "updates",
+        [
+            {"q": T},
+            {"p": sp.TERMINATED, "r": T},
+            {"r": sp.TERMINATED},
+            {"p": T},
+            {"s": T},
+        ],
+        ids=["one", "two", "terminate", "same-term", "new-name"],
+    )
+    def test_replace_equals_rebuilding(self, updates):
+        n = self.NET
+        got = n.replace(updates)
+        want = sp.Network({**n.processes, **updates})
+        assert got == want and hash(got) == hash(want)
+        assert list(got.names()) == list(want.names())
+        assert got == _fresh(want) and hash(got) == hash(_fresh(want))
+
+    def test_replace_round_trip_restores_hash(self):
+        n = self.NET
+        there = n.replace({"p": sp.TERMINATED, "q": self.T})
+        back = there.replace({"p": n["p"], "q": n["q"]})
+        assert back == n and hash(back) == hash(n)
+
+    @pytest.mark.parametrize(
+        "main", [sp.NIL, sp.Call("X"), sp.Send("q", "f", sp.Cond("c", sp.NIL, sp.NIL))]
+    )
+    def test_with_main_equals_rebuilding(self, main):
+        t = self.T
+        got = t.with_main(main)
+        want = sp.ProcessTerm(t.procedures, main)
+        assert got == want and hash(got) == hash(want)
+        assert got.size == want.size
+        assert got.procedures is t.procedures  # shared, not copied
+
+
+def _eager_successor(an, label):
+    """A step's successor by the rule the search used before successors
+    became lazy: rebuild every term and the network, and recompute the
+    live and waiting sets."""
+    net = an.net
+    match label:
+        case ComAction(p, _, q, _):
+            after = {p: net[p].head_behaviour().cont, q: net[q].head_behaviour().cont}
+        case SelAction(p, q, l):
+            after = {
+                p: net[p].head_behaviour().cont,
+                q: net[q].head_behaviour().branch(l),
+            }
+        case ThenAction(p, _):
+            after = {p: net[p].head_behaviour().then}
+        case ElseAction(p, _):
+            after = {p: net[p].head_behaviour().orelse}
+    updates = {p: sp.ProcessTerm(dict(net[p].procedures), b) for p, b in after.items()}
+    succ_net = sp.Network({**net.processes, **updates})
+    touched = process_names_of(label)
+    waiting = {
+        p
+        for p, t in net.processes.items()
+        if t.is_live() and p not in an.marked and p not in an.services
+    }
+    marked = frozenset() if waiting <= touched else an.marked | touched
+    return AnnotatedNetwork(succ_net, marked, an.services)
+
+
+@pytest.mark.parametrize(
+    "text, services",
+    [
+        (N1_TEXT, ()),
+        (N2_TEXT, ()),
+        (N3_TEXT, ()),
+        (SIGNON_NET_TEXT, ()),
+        (SIGNON_NET_TEXT, ("w",)),
+        (RANKED_LOOP_NET_TEXT, ("r",)),
+    ],
+    ids=["N1", "N2", "N3", "signon", "signon-service", "ranked-service"],
+)
+def test_lazy_successors_equal_eager_ones(text, services):
+    """Every step of every reachable state: the lazily built successor
+    equals the eagerly built one, marking and live set included."""
+    root = annotate(parse_network(text), services)
+    seen = {root}
+    frontier = [root]
+    steps = 0
+    while frontier:
+        an = frontier.pop()
+        for step in enabled_steps(an):
+            want = _eager_successor(an, step.label)
+            got = step.successor
+            assert got is step.successor  # built once, then cached
+            assert got == want and hash(got) == hash(want)
+            assert got.marked == want.marked
+            assert got.live == want.live
+            assert got.net.names() == want.net.names()
+            steps += 1
+            if got not in seen:
+                seen.add(got)
+                frontier.append(got)
+    assert steps > 0
 
 
 class TestChoreographyTerms:

@@ -21,8 +21,8 @@ t { main { if c then stop else stop } }
 
 def _ordered(name, an=None, rng=None, seed=0):
     an = an or annotate(MIX)
-    steps = enabled_steps(an)
-    return [pretty_action(s.label) for s in order_steps(steps, Strategy(name, seed), an, rng)]
+    units = order_steps(enabled_steps(an), Strategy(name, seed), an, rng)
+    return [pretty_action(s.label) for unit in units for s in unit]
 
 
 COM, SEL, THEN, ELSE = "p.e -> q.x", "r -> s[go]", "if t.c then", "if t.c else"
