@@ -7,36 +7,17 @@ termination, and a distinguished deadlock term used to report groups of
 processes that got stuck during extraction.
 
 A program is a parallel composition of choreographies over pairwise
-disjoint sets of process names.
+disjoint sets of process names.  Body constructors derive from
+`term.Term`, which walks, folds and compares them without recursion.
 """
 
 from __future__ import annotations
 
+from .term import Term, subterms
 
-class ChoreographyBody:
-    __slots__ = ("_hash", "size")
 
-    _hash: int
-    size: int
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other) or self._hash != other._hash:
-            return False
-        return self._fields() == other._fields()
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __hash__(self):
-        return self._hash
-
-    def _fields(self):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"{type(self).__name__}{self._fields()!r}"
+class ChoreographyBody(Term):
+    __slots__ = ()
 
 
 class Nil(ChoreographyBody):
@@ -45,14 +26,8 @@ class Nil(ChoreographyBody):
     __slots__ = ()
 
     def __init__(self):
-        object.__setattr__(self, "_hash", hash(("cc.Nil",)))
-        object.__setattr__(self, "size", 1)
-
-    def _fields(self):
-        return ()
-
-    def __repr__(self):
-        return "cc.Nil()"
+        self._hash = hash(("cc.Nil",))
+        self.size = 1
 
 
 NIL = Nil()
@@ -64,14 +39,8 @@ class Deadlock(ChoreographyBody):
     __slots__ = ()
 
     def __init__(self):
-        object.__setattr__(self, "_hash", hash(("cc.Deadlock",)))
-        object.__setattr__(self, "size", 1)
-
-    def _fields(self):
-        return ()
-
-    def __repr__(self):
-        return "cc.Deadlock()"
+        self._hash = hash(("cc.Deadlock",))
+        self.size = 1
 
 
 DEADLOCK = Deadlock()
@@ -83,10 +52,10 @@ class Call(ChoreographyBody):
 
     def __init__(self, name: str):
         self.name = name
-        object.__setattr__(self, "_hash", hash(("cc.Call", name)))
-        object.__setattr__(self, "size", 1)
+        self._hash = hash(("cc.Call", name))
+        self.size = 1
 
-    def _fields(self):
+    def _label(self):
         return (self.name,)
 
 
@@ -104,13 +73,17 @@ class Com(ChoreographyBody):
         self.receiver = receiver
         self.var = var
         self.cont = cont
-        object.__setattr__(
-            self, "_hash", hash(("cc.Com", sender, expr, receiver, var, cont._hash))
-        )
-        object.__setattr__(self, "size", 1 + cont.size)
+        self._hash = hash(("cc.Com", sender, expr, receiver, var, cont._hash))
+        self.size = 1 + cont.size
 
-    def _fields(self):
-        return (self.sender, self.expr, self.receiver, self.var, self.cont)
+    def _label(self):
+        return (self.sender, self.expr, self.receiver, self.var)
+
+    def children(self):
+        return (self.cont,)
+
+    def rebuild(self, children):
+        return Com(self.sender, self.expr, self.receiver, self.var, *children)
 
 
 class Sel(ChoreographyBody):
@@ -126,13 +99,17 @@ class Sel(ChoreographyBody):
         self.receiver = receiver
         self.label = label
         self.cont = cont
-        object.__setattr__(
-            self, "_hash", hash(("cc.Sel", sender, receiver, label, cont._hash))
-        )
-        object.__setattr__(self, "size", 1 + cont.size)
+        self._hash = hash(("cc.Sel", sender, receiver, label, cont._hash))
+        self.size = 1 + cont.size
 
-    def _fields(self):
-        return (self.sender, self.receiver, self.label, self.cont)
+    def _label(self):
+        return (self.sender, self.receiver, self.label)
+
+    def children(self):
+        return (self.cont,)
+
+    def rebuild(self, children):
+        return Sel(self.sender, self.receiver, self.label, *children)
 
 
 class Cond(ChoreographyBody):
@@ -146,13 +123,17 @@ class Cond(ChoreographyBody):
         self.expr = expr
         self.then = then
         self.orelse = orelse
-        object.__setattr__(
-            self, "_hash", hash(("cc.Cond", process, expr, then._hash, orelse._hash))
-        )
-        object.__setattr__(self, "size", 1 + then.size + orelse.size)
+        self._hash = hash(("cc.Cond", process, expr, then._hash, orelse._hash))
+        self.size = 1 + then.size + orelse.size
 
-    def _fields(self):
-        return (self.process, self.expr, self.then, self.orelse)
+    def _label(self):
+        return (self.process, self.expr)
+
+    def children(self):
+        return (self.then, self.orelse)
+
+    def rebuild(self, children):
+        return Cond(self.process, self.expr, *children)
 
 
 class Choreography:
@@ -234,24 +215,12 @@ class Program:
 def body_process_names(body: ChoreographyBody) -> frozenset:
     """Process names occurring in a choreography body."""
     out = set()
-    stack = [body]
-    while stack:
-        node = stack.pop()
-        match node:
-            case Com(p, _, q, _, cont):
-                out.add(p)
-                out.add(q)
-                stack.append(cont)
-            case Sel(p, q, _, cont):
-                out.add(p)
-                out.add(q)
-                stack.append(cont)
-            case Cond(p, _, then, orelse):
-                out.add(p)
-                stack.append(then)
-                stack.append(orelse)
-            case _:
-                pass
+    for node in subterms(body):
+        if isinstance(node, (Com, Sel)):
+            out.add(node.sender)
+            out.add(node.receiver)
+        elif isinstance(node, Cond):
+            out.add(node.process)
     return frozenset(out)
 
 

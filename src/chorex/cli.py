@@ -43,7 +43,7 @@ from .parser import (
     pretty,
     pretty_behaviour,
 )
-from .sp import Call as SpCall, Network
+from .sp import Network
 from .strategies import STRATEGY_NAMES, Strategy
 from .testgen import FuzzParams, GenParams, amend, fuzz, generate, unroll
 from .wellformed import check_guardedness, check_well_formed
@@ -122,17 +122,10 @@ def cmd_extract(args) -> int:
         _err("extraction contains deadlocks; stuck processes:")
         for leaf in remainders:
             for p in sorted(leaf):
-                _err(f"  {p}: {_remainder_text(leaf[p])}")
+                _err(f"  {p}: {pretty_behaviour(leaf[p].head_behaviour())}")
         if args.strict:
             return 1
     return 0
-
-
-def _remainder_text(term) -> str:
-    body = term.main
-    while isinstance(body, SpCall):
-        body = term.procedures[body.name]
-    return pretty_behaviour(body)
 
 
 # --- project -------------------------------------------------------------

@@ -9,7 +9,10 @@ merge is defined for every process.
 
 from __future__ import annotations
 
+from functools import partial
+
 from . import cc, sp
+from .term import fold
 
 
 class MergeError(Exception):
@@ -56,73 +59,78 @@ def merge(a: sp.Behaviour, b: sp.Behaviour) -> sp.Behaviour:
 
     Offers union their branches (shared labels merge recursively); every
     other constructor requires an identical head and merges its
-    continuations pointwise.
+    continuations pointwise.  Pairs are merged off an explicit stack,
+    then and offer branches in order, and each merged node is rebuilt
+    once its children are done.
     """
-    match (a, b):
-        case (sp.Nil(), sp.Nil()):
-            return a
-        case (sp.Call(x), sp.Call(y)) if x == y:
-            return a
-        case (sp.Send(q1, e1, c1), sp.Send(q2, e2, c2)) if q1 == q2 and e1 == e2:
-            return sp.Send(q1, e1, merge(c1, c2))
-        case (sp.Receive(p1, x1, c1), sp.Receive(p2, x2, c2)) if (
-            p1 == p2 and x1 == x2
-        ):
-            return sp.Receive(p1, x1, merge(c1, c2))
-        case (sp.Select(q1, l1, c1), sp.Select(q2, l2, c2)) if (
-            q1 == q2 and l1 == l2
-        ):
-            return sp.Select(q1, l1, merge(c1, c2))
-        case (sp.Offer(p1, br1), sp.Offer(p2, br2)) if p1 == p2:
-            left = dict(br1)
-            right = dict(br2)
-            out = {}
-            for label in left.keys() | right.keys():
-                if label in left and label in right:
-                    out[label] = merge(left[label], right[label])
-                else:
-                    out[label] = left.get(label) or right[label]
-            return sp.Offer(p1, out)
-        case (sp.Cond(e1, t1, o1), sp.Cond(e2, t2, o2)) if e1 == e2:
-            return sp.Cond(e1, merge(t1, t2), merge(o1, o2))
-    raise MergeError(a, b)
+    done = []  # merged subterms, in completion order
+    todo = [(a, b)]  # pairs to merge, and (None, (build, arity)) markers
+    while todo:
+        x, y = todo.pop()
+        if x is None:
+            build, arity = y
+            kids = done[len(done) - arity :]
+            del done[len(done) - arity :]
+            done.append(build(kids))
+        elif x is y:  # every term merges with itself into itself
+            done.append(x)
+        elif type(x) is sp.Offer and type(y) is sp.Offer and x.frm == y.frm:
+            left = dict(x.branches)
+            right = dict(y.branches)
+            labels = sorted(left.keys() | right.keys())
+            todo.append((None, (partial(_offer, x.frm, labels), len(labels))))
+            for l in reversed(labels):
+                todo.append((left.get(l) or right[l], right.get(l) or left[l]))
+        elif type(x) is type(y) and x._label() == y._label():
+            kids = x.children()
+            if kids:
+                todo.append((None, (x.rebuild, len(kids))))
+                todo.extend(reversed(list(zip(kids, y.children()))))
+            else:
+                done.append(x)
+        else:
+            raise MergeError(x, y)
+    return done[0]
+
+
+def _offer(frm: str, labels: list, branches: list) -> sp.Offer:
+    return sp.Offer(frm, zip(labels, branches))
 
 
 def project_body(body: cc.ChoreographyBody, r: str) -> sp.Behaviour:
     """Project one choreography body onto process r."""
-    match body:
-        case cc.Nil():
-            return sp.NIL
-        case cc.Deadlock():
-            raise ValueError("deadlock terms cannot be projected")
-        case cc.Call(x):
-            return sp.Call(x)
-        case cc.Com(p, e, q, x, cont):
-            rest = project_body(cont, r)
-            if r == p:
-                return sp.Send(q, e, rest)
-            if r == q:
-                return sp.Receive(p, x, rest)
-            return rest
-        case cc.Sel(p, q, label, cont):
-            rest = project_body(cont, r)
-            if r == p:
-                return sp.Select(q, label, rest)
-            if r == q:
-                return sp.Offer(p, {label: rest})
-            return rest
-        case cc.Cond(p, e, then, orelse):
-            pthen = project_body(then, r)
-            pelse = project_body(orelse, r)
-            if r == p:
-                return sp.Cond(e, pthen, pelse)
+
+    def project(node, kids):
+        kind = type(node)
+        if kind is cc.Com:
+            if r == node.sender:
+                return sp.Send(node.receiver, node.expr, kids[0])
+            if r == node.receiver:
+                return sp.Receive(node.sender, node.var, kids[0])
+            return kids[0]
+        if kind is cc.Sel:
+            if r == node.sender:
+                return sp.Select(node.receiver, node.label, kids[0])
+            if r == node.receiver:
+                return sp.Offer(node.sender, {node.label: kids[0]})
+            return kids[0]
+        if kind is cc.Cond:
+            if r == node.process:
+                return sp.Cond(node.expr, *kids)
             try:
-                return merge(pthen, pelse)
+                return merge(*kids)
             except MergeError as err:
-                raise err.at(
-                    f"process {r} at conditional on {p}.{e}"
-                ) from None
-    raise TypeError(f"not a choreography body: {body!r}")
+                where = f"process {r} at conditional on {node.process}.{node.expr}"
+                raise err.at(where) from None
+        if kind is cc.Nil:
+            return sp.NIL
+        if kind is cc.Call:
+            return sp.Call(node.name)
+        if kind is cc.Deadlock:
+            raise ValueError("deadlock terms cannot be projected")
+        raise TypeError(f"not a choreography body: {node!r}")
+
+    return fold(body, project)
 
 
 def _collapse_call_cycles(procedures: dict, main: sp.Behaviour) -> sp.ProcessTerm:

@@ -27,16 +27,14 @@ When the search succeeds, nodes with more than one incoming edge (and a
 root with any) become recursive procedure definitions, their incoming
 edges become calls, and the resulting acyclic graph is read off into a
 choreography.  Networks whose communication graph is disconnected are
-split and extracted per component (concurrently unless disabled), then
-recomposed as a parallel program.
+split and extracted per component, one component after another on the
+caller's thread, then recomposed as a parallel program.
 """
 
 from __future__ import annotations
 
 import graphlib
 import random
-import sys
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,6 +51,7 @@ from .semantics import (
     pretty_action,
 )
 from .strategies import Strategy, order_steps
+from .term import fold, subterms
 
 
 class Outcome(Enum):
@@ -201,65 +200,89 @@ def loop_is_valid(
     return whites >= 1
 
 
-class _Builder:
-    def __init__(self, seg: Seg, strategy: Strategy, rng):
-        self.seg = seg
-        self.stack = PathStack()
-        self.strategy = strategy
-        self.rng = rng
-        self.saw_deadlock = False
+def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
+    """Depth-first construction of the graph below `seg.root`.
 
-    def build_graph(self, node: SegNode) -> Outcome:
+    Returns the search's outcome and whether it saw a deadlocked leaf.
+    The search runs in a loop over an explicit stack: one entry per open
+    node (a node whose steps are being tried), kept in parallel lists of
+    the node, its ordered units, the unit and the step being tried, the
+    journal mark from before the unit (a failed else branch rolls the
+    then branch back to it) and the mark from before the child node in
+    progress (a child that fails is rolled back to it).  `result` is
+    None while a step is to be tried at the top entry; otherwise it is
+    the outcome of the top entry's current step.
+    """
+    stack = PathStack()
+    nodes, units, unit_at, step_at, unit_mark, edge_mark = [], [], [], [], [], []
+    saw_deadlock = False
+
+    def open_node(node):
+        """Push an entry for `node`, or settle it as a leaf (OK)."""
+        nonlocal saw_deadlock
         steps = enabled_steps(node.an)
         if not steps:
             if not node.an.terminal:
                 node.deadlock = True
-                self.saw_deadlock = True
+                saw_deadlock = True
             return Outcome.OK
-        for unit in order_steps(steps, self.strategy, node.an, self.rng):
-            if len(unit) == 1:
-                out = self.build_communication(node, unit[0])
-            else:
-                out = self.build_conditional(node, unit[0], unit[1])
-            if out is Outcome.OK:
-                return Outcome.OK
-            if out is Outcome.FAIL:
-                return Outcome.FAIL
-        return Outcome.FAIL  # nothing but rejected loops
+        stack.push(node)
+        nodes.append(node)
+        units.append(order_steps(steps, strategy, node.an, rng))
+        unit_at.append(0)
+        step_at.append(0)
+        unit_mark.append(0)
+        edge_mark.append(0)
+        return None
 
-    def build_communication(self, node: SegNode, step) -> Outcome:
-        return self._build_edge(node, step, node.path)
-
-    def build_conditional(self, node: SegNode, then_step, else_step) -> Outcome:
-        mark = self.seg.mark()
-        out = self._build_edge(node, then_step, node.path + "0")
-        if out is not Outcome.OK:
-            return out
-        out = self._build_edge(node, else_step, node.path + "1")
-        if out is not Outcome.OK:
-            self.seg.rollback(mark)  # delete everything the then branch built
-            return out
-        return Outcome.OK
-
-    def _build_edge(self, node: SegNode, step, child_path: str) -> Outcome:
-        target = self.seg.find_loop_candidate(step.successor, child_path)
-        if target is not None:
-            entry = self.stack.entry_of(target)
-            assert entry is not None, "loop candidate must lie on the DFS path"
-            if loop_is_valid(entry, self.stack.top, target.white):
-                self.seg.add_edge(node, step.label, target)
-                return Outcome.OK
-            self.seg.badloops += 1
-            return Outcome.BADLOOP
-        mark = self.seg.mark()
-        fresh = self.seg.add_node(step.successor, child_path)
-        self.seg.add_edge(node, step.label, fresh)
-        self.stack.push(fresh)
-        out = self.build_graph(fresh)
-        self.stack.pop()
-        if out is not Outcome.OK:
-            self.seg.rollback(mark)
-        return out
+    result = open_node(seg.root)
+    while nodes:
+        node = nodes[-1]
+        unit = units[-1][unit_at[-1]]
+        if result is None:  # try the current step
+            j = step_at[-1]
+            if j == 0:
+                unit_mark[-1] = seg.mark()
+            step = unit[j]
+            path = node.path if len(unit) == 1 else node.path + "01"[j]
+            target = seg.find_loop_candidate(step.successor, path)
+            if target is not None:
+                entry = stack.entry_of(target)
+                assert entry is not None, "loop candidate must lie on the DFS path"
+                if loop_is_valid(entry, stack.top, target.white):
+                    seg.add_edge(node, step.label, target)
+                    result = Outcome.OK
+                else:
+                    seg.badloops += 1
+                    result = Outcome.BADLOOP
+                continue
+            edge_mark[-1] = seg.mark()
+            fresh = seg.add_node(step.successor, path)
+            seg.add_edge(node, step.label, fresh)
+            result = open_node(fresh)  # OK for a leaf: its edge is done
+            continue
+        # `result` is the outcome of step `step_at` of the current unit.
+        if result is Outcome.OK and len(unit) == 2 and step_at[-1] == 0:
+            step_at[-1] = 1  # then branch done: now the else branch
+            result = None
+            continue
+        if result is not Outcome.OK and step_at[-1] == 1:
+            seg.rollback(unit_mark[-1])  # delete what the then branch built
+        if result is Outcome.BADLOOP:
+            unit_at[-1] += 1
+            step_at[-1] = 0
+            if unit_at[-1] < len(units[-1]):
+                result = None
+                continue
+            result = Outcome.FAIL  # nothing but rejected loops
+        # The node is settled with `result`: close its entry and report
+        # the outcome to its parent, as the outcome of the parent's step.
+        for column in (nodes, units, unit_at, step_at, unit_mark, edge_mark):
+            column.pop()
+        stack.pop()
+        if nodes and result is not Outcome.OK:
+            seg.rollback(edge_mark[-1])
+    return result, saw_deadlock
 
 
 # ------------------------------------------------------- graph verification
@@ -377,31 +400,37 @@ def unroll_graph(seg: Seg):
 
 
 def build_choreography(seg: Seg, names: dict, dag_edges: dict) -> cc.Choreography:
-    def read_target(tgt):
-        kind, payload = tgt
-        if kind == "call":
-            return cc.Call(payload)
-        return read(payload)
+    """Read the unrolled graph off into a choreography.
 
-    def read(node: SegNode) -> cc.ChoreographyBody:
+    Below each loop node and the root, `dag_edges` is a tree whose leaves
+    are calls, so one fold over edge targets reads each body.
+    """
+
+    def children(target):
+        kind, node = target
+        return [tgt for _, tgt in dag_edges[node]] if kind == "node" else ()
+
+    def read(target, conts) -> cc.ChoreographyBody:
+        kind, node = target
+        if kind == "call":
+            return cc.Call(node)
         es = dag_edges[node]
         if not es:
             return cc.DEADLOCK if node.deadlock else cc.NIL
-        if len(es) == 1:
-            label, tgt = es[0]
-            cont = read_target(tgt)
-            match label:
-                case ComAction(p, e, q, x):
-                    return cc.Com(p, e, q, x, cont)
-                case SelAction(p, q, l):
-                    return cc.Sel(p, q, l, cont)
-            raise AssertionError(f"unexpected edge label {label!r}")
-        (l1, t1), (_, t2) = es
-        return cc.Cond(l1.process, l1.expr, read_target(t1), read_target(t2))
+        match es[0][0]:
+            case ComAction(p, e, q, x):
+                return cc.Com(p, e, q, x, *conts)
+            case SelAction(p, q, l):
+                return cc.Sel(p, q, l, *conts)
+            case ThenAction(p, e):
+                return cc.Cond(p, e, *conts)
+        raise AssertionError(f"unexpected edge label {es[0][0]!r}")
 
-    procedures = {name: read(node) for node, name in names.items()}
+    procedures = {name: fold(("node", node), read, children) for node, name in names.items()}
     main = (
-        cc.Call(names[seg.root]) if seg.root in names else read(seg.root)
+        cc.Call(names[seg.root])
+        if seg.root in names
+        else fold(("node", seg.root), read, children)
     )
     return cc.Choreography(procedures, main)
 
@@ -448,20 +477,7 @@ def node_bound(n: sp.Network) -> int:
     for term in n.processes.values():
         product *= term.size
         for body in [term.main, *term.procedures.values()]:
-            stack = [body]
-            while stack:
-                node = stack.pop()
-                match node:
-                    case sp.Cond(_, t, o):
-                        conds += 1
-                        stack.append(t)
-                        stack.append(o)
-                    case sp.Send(_, _, c) | sp.Receive(_, _, c) | sp.Select(_, _, c):
-                        stack.append(c)
-                    case sp.Offer(_, branches):
-                        stack.extend(b for _, b in branches)
-                    case _:
-                        pass
+            conds += sum(type(node) is sp.Cond for node in subterms(body))
     return (2 ** len(n.processes)) * product * (2 ** conds)
 
 
@@ -580,10 +596,7 @@ def _extract_component(
     net: sp.Network, services: frozenset, strategy: Strategy, rng
 ) -> ComponentResult:
     seg = Seg(annotate(net, services))
-    builder = _Builder(seg, strategy, rng)
-    builder.stack.push(seg.root)
-    outcome = builder.build_graph(seg.root)
-    builder.stack.pop()
+    outcome, saw_deadlock = build_graph(seg, strategy, rng)
     assert len(seg.created_keys) <= node_bound(net), "node bound exceeded"
     choreography = None
     if outcome is Outcome.OK:
@@ -596,45 +609,8 @@ def _extract_component(
         outcome=outcome,
         seg=seg,
         choreography=choreography,
-        saw_deadlock=builder.saw_deadlock,
+        saw_deadlock=saw_deadlock,
     )
-
-
-_STACK_SIZES = (512 * 1024 * 1024, 256 * 1024 * 1024, 64 * 1024 * 1024, 0)
-
-
-def _spawn_worker(job):
-    """Run a job in a thread with a large stack (deep DFS recursion)."""
-    box = {}
-
-    def runner():
-        try:
-            box["value"] = job()
-        except BaseException as err:  # noqa: BLE001 - reraised in caller
-            box["error"] = err
-
-    thread = None
-    for size in _STACK_SIZES:
-        try:
-            if size:
-                threading.stack_size(size)
-            thread = threading.Thread(target=runner, daemon=True)
-            thread.start()
-            break
-        except (ValueError, RuntimeError, OSError):
-            continue
-    if thread is None:  # pragma: no cover - last resort
-        runner()
-        thread = None
-
-    def wait():
-        if thread is not None:
-            thread.join()
-        if "error" in box:
-            raise box["error"]
-        return box["value"]
-
-    return wait
 
 
 def extract(
@@ -647,35 +623,22 @@ def extract(
 
     `services` are processes allowed to run forever without being served
     in every loop (they start marked and stay marked).  With `parallel`
-    the network is split into communication-graph components extracted
-    concurrently; without it the whole network is explored as one
-    component.
+    the network is split into communication-graph components, which are
+    extracted one after another on the caller's thread; without it the
+    whole network is explored as one component.
     """
     services = frozenset(services)
     missing = services - n.processes.keys()
     if missing:
         raise ValueError(f"services not in network: {sorted(missing)}")
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 1_000_000))
-
     if parallel:
         groups = connected_components(communication_graph(n))
     else:
         groups = [sorted(n.processes)]
-
-    jobs = []
+    results = []
     for i, names in enumerate(groups):
-        sub = n.restrict(names)
-        comp_services = services & set(names)
         rng = random.Random(f"{strategy.seed}:{strategy.name}:{i}")
-        jobs.append(
-            lambda sub=sub, cs=comp_services, rng=rng: _extract_component(
-                sub, cs, strategy, rng
-            )
+        results.append(
+            _extract_component(n.restrict(names), services & set(names), strategy, rng)
         )
-
-    if parallel and len(jobs) > 1:
-        waiters = [_spawn_worker(job) for job in jobs]
-        results = [w() for w in waiters]
-    else:
-        results = [_spawn_worker(job)() for job in jobs]
     return ExtractionResult(results)

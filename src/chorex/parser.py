@@ -27,7 +27,10 @@ parse(pretty(v)) is structurally equal to v.
 
 from __future__ import annotations
 
+from functools import partial
+
 from . import cc, sp
+from .term import subterms
 
 KEYWORDS = {"stop", "deadlock", "main", "def", "if", "then", "else", "continue"}
 
@@ -186,81 +189,108 @@ class _Scanner:
         return expr
 
 
+# ------------------------------------------------------------------- terms
+
+
+def _parse_term(sc: _Scanner, head):
+    """Parse one behaviour or choreography body, without recursion.
+
+    `head(sc)` reads the tokens that open one constructor and returns
+    ("prefix", build) for a prefix whose continuation follows,
+    ("cond", build) after `if .. then`, ("offer", (name, label)) after
+    `name&{ label:`, or ("leaf", term).  Prefixes collect in a list until
+    a leaf closes them; conditionals and offers wait on a stack of frames
+    for their branches.
+    """
+    # A frame: [outer prefixes, kind, build or (offer name, label), branches]
+    frames = []
+    prefixes = []
+    while True:
+        kind, value = head(sc)
+        if kind == "prefix":
+            prefixes.append(value)
+            continue
+        if kind != "leaf":
+            frames.append([prefixes, kind, value, []])
+            prefixes = []
+            continue
+        term = value
+        while True:
+            for build in reversed(prefixes):
+                term = build(term)
+            if not frames:
+                return term
+            frame = frames[-1]
+            prefixes, kind, value, branches = frame
+            if kind == "cond":
+                branches.append(term)
+                if len(branches) == 1:
+                    if not sc.try_keyword("else"):
+                        sc.error("expected 'else'")
+                    break
+                sc.try_keyword("continue")  # optional, carries no meaning
+                term = value(*branches)
+            else:
+                name, label = value
+                branches.append((label, term))
+                if sc.try_take(","):
+                    frame[2] = (name, _branch_label(sc, branches))
+                    break
+                sc.expect("}")
+                term = sp.Offer(name, branches)
+            frames.pop()
+        prefixes = []
+
+
+def _branch_label(sc: _Scanner, branches) -> str:
+    at = sc.pos
+    label = sc.ident("label")
+    if any(l == label for l, _ in branches):
+        sc.error(f"duplicate branch label {label!r}", at)
+    sc.expect(":")
+    return label
+
+
 # ---------------------------------------------------------------- networks
 
 
-def _parse_behaviour(sc: _Scanner) -> sp.Behaviour:
+def _behaviour_head(sc: _Scanner):
     if sc.try_keyword("stop"):
-        return sp.NIL
+        return "leaf", sp.NIL
     if sc.try_keyword("if"):
         expr = sc.expression("then")
         if not sc.try_keyword("then"):
             sc.error("expected 'then'")
-        then = _parse_behaviour(sc)
-        if not sc.try_keyword("else"):
-            sc.error("expected 'else'")
-        orelse = _parse_behaviour(sc)
-        sc.try_keyword("continue")  # optional, carries no meaning
-        return sp.Cond(expr, then, orelse)
-
+        return "cond", partial(sp.Cond, expr)
     name = sc.ident("process or procedure name")
     if sc.try_take("!"):
         sc.expect("<")
         expr = sc.expression(">")
         sc.expect(">")
         sc.expect(";")
-        return sp.Send(name, expr, _parse_behaviour(sc))
+        return "prefix", partial(sp.Send, name, expr)
     if sc.try_take("?"):
         var = sc.ident("variable name")
         sc.expect(";")
-        return sp.Receive(name, var, _parse_behaviour(sc))
+        return "prefix", partial(sp.Receive, name, var)
     if sc.try_take("+"):
         label = sc.ident("label")
         sc.expect(";")
-        return sp.Select(name, label, _parse_behaviour(sc))
+        return "prefix", partial(sp.Select, name, label)
     if sc.try_take("&"):
         sc.expect("{")
-        branches = []
-        while True:
-            at = sc.pos
-            label = sc.ident("label")
-            if any(l == label for l, _ in branches):
-                sc.error(f"duplicate branch label {label!r}", at)
-            sc.expect(":")
-            branches.append((label, _parse_behaviour(sc)))
-            if not sc.try_take(","):
-                break
-        sc.expect("}")
-        return sp.Offer(name, branches)
-    return sp.Call(name)
+        return "offer", (name, _branch_label(sc, ()))
+    return "leaf", sp.Call(name)
 
 
 def _check_behaviour(sc: _Scanner, owner: str, term: sp.ProcessTerm, at):
     """Reject self-communication and unresolved calls inside one process."""
-    bodies = [term.main, *term.procedures.values()]
-    while bodies:
-        b = bodies.pop()
-        match b:
-            case sp.Send(to, _, knt) | sp.Select(to, _, knt):
-                if to == owner:
-                    sc.error(f"process {owner!r} communicates with itself", at)
-                bodies.append(knt)
-            case sp.Receive(frm, _, knt):
-                if frm == owner:
-                    sc.error(f"process {owner!r} communicates with itself", at)
-                bodies.append(knt)
-            case sp.Offer(frm, branches):
-                if frm == owner:
-                    sc.error(f"process {owner!r} communicates with itself", at)
-                bodies.extend(body for _, body in branches)
-            case sp.Cond(_, then, orelse):
-                bodies.append(then)
-                bodies.append(orelse)
-            case sp.Call(x):
-                if x not in term.procedures:
-                    sc.error(f"call to undefined procedure {x!r} in {owner!r}", at)
-            case _:
-                pass
+    for body in (term.main, *term.procedures.values()):
+        for node in subterms(body):
+            if node.peer == owner:
+                sc.error(f"process {owner!r} communicates with itself", at)
+            if type(node) is sp.Call and node.name not in term.procedures:
+                sc.error(f"call to undefined procedure {node.name!r} in {owner!r}", at)
 
 
 def _parse_process_def(sc: _Scanner):
@@ -275,12 +305,12 @@ def _parse_process_def(sc: _Scanner):
         if x in procedures:
             sc.error(f"duplicate procedure {x!r} in process {name!r}", x_at)
         sc.expect("{")
-        procedures[x] = _parse_behaviour(sc)
+        procedures[x] = _parse_term(sc, _behaviour_head)
         sc.expect("}")
     if not sc.try_keyword("main"):
         sc.error("expected 'main'")
     sc.expect("{")
-    main = _parse_behaviour(sc)
+    main = _parse_term(sc, _behaviour_head)
     sc.expect("}")
     sc.expect("}")
     term = sp.ProcessTerm(procedures, main)
@@ -307,23 +337,18 @@ def parse_network(text: str) -> sp.Network:
 # ------------------------------------------------------------ choreographies
 
 
-def _parse_body(sc: _Scanner) -> cc.ChoreographyBody:
+def _body_head(sc: _Scanner):
     if sc.try_keyword("stop"):
-        return cc.NIL
+        return "leaf", cc.NIL
     if sc.try_keyword("deadlock"):
-        return cc.DEADLOCK
+        return "leaf", cc.DEADLOCK
     if sc.try_keyword("if"):
         p = sc.ident("process name")
         sc.expect(".")
         expr = sc.expression("then")
         if not sc.try_keyword("then"):
             sc.error("expected 'then'")
-        then = _parse_body(sc)
-        if not sc.try_keyword("else"):
-            sc.error("expected 'else'")
-        orelse = _parse_body(sc)
-        sc.try_keyword("continue")
-        return cc.Cond(p, expr, then, orelse)
+        return "cond", partial(cc.Cond, p, expr)
 
     sc.skip_ws()
     at = sc.pos
@@ -337,7 +362,7 @@ def _parse_body(sc: _Scanner) -> cc.ChoreographyBody:
         sc.expect(";")
         if name == q:
             sc.error(f"process {name!r} communicates with itself", at)
-        return cc.Com(name, expr, q, var, _parse_body(sc))
+        return "prefix", partial(cc.Com, name, expr, q, var)
     if sc.try_take("->"):
         q = sc.ident("process name")
         sc.expect("[")
@@ -346,25 +371,8 @@ def _parse_body(sc: _Scanner) -> cc.ChoreographyBody:
         sc.expect(";")
         if name == q:
             sc.error(f"process {name!r} selects at itself", at)
-        return cc.Sel(name, q, label, _parse_body(sc))
-    return cc.Call(name)
-
-
-def _collect_calls(body: cc.ChoreographyBody, out: set):
-    stack = [body]
-    while stack:
-        node = stack.pop()
-        match node:
-            case cc.Call(x):
-                out.add(x)
-            case cc.Com(_, _, _, _, knt) | cc.Sel(_, _, _, knt):
-                stack.append(knt)
-            case cc.Cond(_, _, then, orelse):
-                stack.append(then)
-                stack.append(orelse)
-            case _:
-                pass
-    return out
+        return "prefix", partial(cc.Sel, name, q, label)
+    return "leaf", cc.Call(name)
 
 
 def _parse_one_choreography(sc: _Scanner) -> cc.Choreography:
@@ -376,7 +384,7 @@ def _parse_one_choreography(sc: _Scanner) -> cc.Choreography:
         if x in procedures:
             sc.error(f"duplicate procedure {x!r}", x_at)
         sc.expect("{")
-        body = _parse_body(sc)
+        body = _parse_term(sc, _body_head)
         sc.expect("}")
         if isinstance(body, cc.Call):
             sc.error(f"procedure {x!r} is an unguarded call to {body.name!r}", x_at)
@@ -384,12 +392,14 @@ def _parse_one_choreography(sc: _Scanner) -> cc.Choreography:
     if not sc.try_keyword("main"):
         sc.error("expected 'def' or 'main'")
     sc.expect("{")
-    main = _parse_body(sc)
+    main = _parse_term(sc, _body_head)
     sc.expect("}")
-    calls = set()
-    _collect_calls(main, calls)
-    for body in procedures.values():
-        _collect_calls(body, calls)
+    calls = {
+        node.name
+        for body in (main, *procedures.values())
+        for node in subterms(body)
+        if type(node) is cc.Call
+    }
     for x in sorted(calls - procedures.keys()):
         sc.error(f"call to undefined procedure {x!r}", start)
     return cc.Choreography(procedures, main)
@@ -415,24 +425,44 @@ def parse_program(text: str) -> cc.Program:
 # ------------------------------------------------------------------ pretty
 
 
+def _render(term, pieces: dict) -> str:
+    """Print a term without recursion.  `pieces[type(node)](node)` gives
+    the text that opens `node` and what follows it: strings and subterms,
+    in reverse print order, ready to push on the stack."""
+    out = []
+    stack = [term]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            text, rest = pieces[type(item)](item)
+            out.append(text)
+            stack += rest
+    return "".join(out)
+
+
+def _offer_pieces(b: sp.Offer) -> tuple:
+    rest = [" }"]
+    for i in range(len(b.branches) - 1, -1, -1):
+        label, body = b.branches[i]
+        rest += (body, f", {label}: " if i else f"{label}: ")
+    return f"{b.frm}&{{ ", rest
+
+
+_BEHAVIOUR_PIECES = {
+    sp.Nil: lambda b: ("stop", ()),
+    sp.Call: lambda b: (b.name, ()),
+    sp.Send: lambda b: (f"{b.to}!<{b.expr}>; ", (b.cont,)),
+    sp.Receive: lambda b: (f"{b.frm}?{b.var}; ", (b.cont,)),
+    sp.Select: lambda b: (f"{b.to}+{b.label}; ", (b.cont,)),
+    sp.Offer: _offer_pieces,
+    sp.Cond: lambda b: (f"if {b.expr} then ", (b.orelse, " else ", b.then)),
+}
+
+
 def pretty_behaviour(b: sp.Behaviour) -> str:
-    match b:
-        case sp.Nil():
-            return "stop"
-        case sp.Call(x):
-            return x
-        case sp.Send(to, expr, knt):
-            return f"{to}!<{expr}>; {pretty_behaviour(knt)}"
-        case sp.Receive(frm, var, knt):
-            return f"{frm}?{var}; {pretty_behaviour(knt)}"
-        case sp.Select(to, label, knt):
-            return f"{to}+{label}; {pretty_behaviour(knt)}"
-        case sp.Offer(frm, branches):
-            inner = ", ".join(f"{l}: {pretty_behaviour(body)}" for l, body in branches)
-            return f"{frm}&{{ {inner} }}"
-        case sp.Cond(expr, then, orelse):
-            return f"if {expr} then {pretty_behaviour(then)} else {pretty_behaviour(orelse)}"
-    raise TypeError(f"not a behaviour: {b!r}")
+    return _render(b, _BEHAVIOUR_PIECES)
 
 
 def _pretty_process(name: str, term: sp.ProcessTerm) -> str:
@@ -444,21 +474,18 @@ def _pretty_process(name: str, term: sp.ProcessTerm) -> str:
     return " ".join(parts)
 
 
+_BODY_PIECES = {
+    cc.Nil: lambda c: ("stop", ()),
+    cc.Deadlock: lambda c: ("deadlock", ()),
+    cc.Call: lambda c: (c.name, ()),
+    cc.Com: lambda c: (f"{c.sender}.{c.expr} -> {c.receiver}.{c.var}; ", (c.cont,)),
+    cc.Sel: lambda c: (f"{c.sender} -> {c.receiver}[{c.label}]; ", (c.cont,)),
+    cc.Cond: lambda c: (f"if {c.process}.{c.expr} then ", (c.orelse, " else ", c.then)),
+}
+
+
 def pretty_body(body: cc.ChoreographyBody) -> str:
-    match body:
-        case cc.Nil():
-            return "stop"
-        case cc.Deadlock():
-            return "deadlock"
-        case cc.Call(x):
-            return x
-        case cc.Com(p, expr, q, var, knt):
-            return f"{p}.{expr} -> {q}.{var}; {pretty_body(knt)}"
-        case cc.Sel(p, q, label, knt):
-            return f"{p} -> {q}[{label}]; {pretty_body(knt)}"
-        case cc.Cond(p, expr, then, orelse):
-            return f"if {p}.{expr} then {pretty_body(then)} else {pretty_body(orelse)}"
-    raise TypeError(f"not a choreography body: {body!r}")
+    return _render(body, _BODY_PIECES)
 
 
 def _pretty_choreography(c: cc.Choreography) -> str:

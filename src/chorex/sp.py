@@ -5,6 +5,9 @@ of named procedure definitions with a main behaviour.  Behaviours are the
 usual communication prefixes (send, receive, label selection, label offer),
 a binary conditional, procedure calls, and the terminated behaviour.
 
+Behaviour constructors derive from `term.Term`, which walks, folds and
+compares them without recursion (see `term`).
+
 Expressions are never evaluated here: they are carried around as opaque
 token strings and compared by string equality.  All terms are immutable,
 cache their hash and node count at construction, and are safe to share
@@ -20,34 +23,15 @@ swaps, so it costs no hashing beyond the updated processes.
 
 from __future__ import annotations
 
+from .term import Term, subterms
 
-class Behaviour:
+
+class Behaviour(Term):
     """Base class for process behaviours."""
 
-    __slots__ = ("_hash", "size")
+    __slots__ = ()
 
-    _hash: int
-    size: int  # number of constructor nodes in this subtree
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other) or self._hash != other._hash:
-            return False
-        return self._fields() == other._fields()
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __hash__(self):
-        return self._hash
-
-    def _fields(self):
-        raise NotImplementedError
-
-    def __repr__(self):
-        name = type(self).__name__
-        return f"{name}{self._fields()!r}"
+    peer = None  # the other process of a communication constructor
 
 
 class Nil(Behaviour):
@@ -56,14 +40,8 @@ class Nil(Behaviour):
     __slots__ = ()
 
     def __init__(self):
-        object.__setattr__(self, "_hash", hash(("Nil",)))
-        object.__setattr__(self, "size", 1)
-
-    def _fields(self):
-        return ()
-
-    def __repr__(self):
-        return "Nil()"
+        self._hash = hash(("Nil",))
+        self.size = 1
 
 
 NIL = Nil()
@@ -77,10 +55,10 @@ class Call(Behaviour):
 
     def __init__(self, name: str):
         self.name = name
-        object.__setattr__(self, "_hash", hash(("Call", name)))
-        object.__setattr__(self, "size", 1)
+        self._hash = hash(("Call", name))
+        self.size = 1
 
-    def _fields(self):
+    def _label(self):
         return (self.name,)
 
 
@@ -94,11 +72,19 @@ class Send(Behaviour):
         self.to = to
         self.expr = expr
         self.cont = cont
-        object.__setattr__(self, "_hash", hash(("Send", to, expr, cont._hash)))
-        object.__setattr__(self, "size", 1 + cont.size)
+        self._hash = hash(("Send", to, expr, cont._hash))
+        self.size = 1 + cont.size
 
-    def _fields(self):
-        return (self.to, self.expr, self.cont)
+    peer = property(lambda self: self.to)
+
+    def _label(self):
+        return (self.to, self.expr)
+
+    def children(self):
+        return (self.cont,)
+
+    def rebuild(self, children):
+        return Send(self.to, self.expr, *children)
 
 
 class Receive(Behaviour):
@@ -111,11 +97,19 @@ class Receive(Behaviour):
         self.frm = frm
         self.var = var
         self.cont = cont
-        object.__setattr__(self, "_hash", hash(("Receive", frm, var, cont._hash)))
-        object.__setattr__(self, "size", 1 + cont.size)
+        self._hash = hash(("Receive", frm, var, cont._hash))
+        self.size = 1 + cont.size
 
-    def _fields(self):
-        return (self.frm, self.var, self.cont)
+    peer = property(lambda self: self.frm)
+
+    def _label(self):
+        return (self.frm, self.var)
+
+    def children(self):
+        return (self.cont,)
+
+    def rebuild(self, children):
+        return Receive(self.frm, self.var, *children)
 
 
 class Select(Behaviour):
@@ -128,11 +122,19 @@ class Select(Behaviour):
         self.to = to
         self.label = label
         self.cont = cont
-        object.__setattr__(self, "_hash", hash(("Select", to, label, cont._hash)))
-        object.__setattr__(self, "size", 1 + cont.size)
+        self._hash = hash(("Select", to, label, cont._hash))
+        self.size = 1 + cont.size
 
-    def _fields(self):
-        return (self.to, self.label, self.cont)
+    peer = property(lambda self: self.to)
+
+    def _label(self):
+        return (self.to, self.label)
+
+    def children(self):
+        return (self.cont,)
+
+    def rebuild(self, children):
+        return Select(self.to, self.label, *children)
 
 
 class Offer(Behaviour):
@@ -158,15 +160,19 @@ class Offer(Behaviour):
             raise ValueError(f"duplicate branch labels in offer: {labels}")
         self.frm = frm
         self.branches = tuple(items)
-        object.__setattr__(
-            self,
-            "_hash",
-            hash(("Offer", frm) + tuple((l, b._hash) for l, b in self.branches)),
-        )
-        object.__setattr__(self, "size", 1 + sum(b.size for _, b in self.branches))
+        self._hash = hash(("Offer", frm) + tuple((l, b._hash) for l, b in self.branches))
+        self.size = 1 + sum(b.size for _, b in self.branches)
 
-    def _fields(self):
-        return (self.frm, self.branches)
+    peer = property(lambda self: self.frm)
+
+    def _label(self):
+        return (self.frm, tuple(l for l, _ in self.branches))
+
+    def children(self):
+        return tuple(b for _, b in self.branches)
+
+    def rebuild(self, children):
+        return Offer(self.frm, zip([l for l, _ in self.branches], children))
 
     def branch(self, label: str) -> Behaviour:
         for l, b in self.branches:
@@ -188,13 +194,17 @@ class Cond(Behaviour):
         self.expr = expr
         self.then = then
         self.orelse = orelse
-        object.__setattr__(
-            self, "_hash", hash(("Cond", expr, then._hash, orelse._hash))
-        )
-        object.__setattr__(self, "size", 1 + then.size + orelse.size)
+        self._hash = hash(("Cond", expr, then._hash, orelse._hash))
+        self.size = 1 + then.size + orelse.size
 
-    def _fields(self):
-        return (self.expr, self.then, self.orelse)
+    def _label(self):
+        return (self.expr,)
+
+    def children(self):
+        return (self.then, self.orelse)
+
+    def rebuild(self, children):
+        return Cond(self.expr, *children)
 
 
 class ProcessTerm:
@@ -348,33 +358,9 @@ class Network:
         return f"Network({self.processes!r})"
 
 
-def behaviour_eq(a: Behaviour, b: Behaviour) -> bool:
-    """Syntactic equality of behaviours (offer branches label-sorted)."""
-    return a == b
-
-
 def mentioned_processes(b: Behaviour) -> frozenset:
     """All process names that occur in communication constructors of `b`."""
-    out = set()
-    stack = [b]
-    while stack:
-        node = stack.pop()
-        match node:
-            case Send(to, _, cont) | Select(to, _, cont):
-                out.add(to)
-                stack.append(cont)
-            case Receive(frm, _, cont):
-                out.add(frm)
-                stack.append(cont)
-            case Offer(frm, branches):
-                out.add(frm)
-                stack.extend(body for _, body in branches)
-            case Cond(_, then, orelse):
-                stack.append(then)
-                stack.append(orelse)
-            case _:
-                pass
-    return frozenset(out)
+    return frozenset(node.peer for node in subterms(b) if node.peer is not None)
 
 
 def term_mentioned_processes(t: ProcessTerm) -> frozenset:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import sp
 from .semantics import (
     AnnotatedNetwork,
     ComAction,
@@ -95,53 +94,49 @@ def _secondary_selections(step: Step) -> int:
     return 2
 
 
+def _unmarked_last(step: Step, an: AnnotatedNetwork) -> int:
+    return 0 if _touches_unmarked(step, an) else 1
+
+
+def _conditionals_last(step: Step, an: AnnotatedNetwork) -> int:
+    return 0 if _is_interaction(step) else 1
+
+
+# Sort key of each strategy, on the head step of a unit; None keeps the
+# order as given (canonical, or shuffled for the random strategies).
+_SORT_KEYS = {
+    "Random": None,
+    "LongestFirst": lambda step, an: -_largest_main(step, an),
+    "ShortestFirst": _largest_main,
+    "InteractionsFirst": _conditionals_last,
+    "ConditionalsFirst": lambda step, an: 1 - _conditionals_last(step, an),
+    "UnmarkedFirst": _unmarked_last,
+    "UnmarkedThenInteractions": lambda step, an: (
+        _unmarked_last(step, an),
+        _conditionals_last(step, an),
+    ),
+    "UnmarkedThenSelections": lambda step, an: (
+        _unmarked_last(step, an),
+        _secondary_selections(step),
+    ),
+    "UnmarkedThenConditionals": lambda step, an: (
+        _unmarked_last(step, an),
+        1 - _conditionals_last(step, an),
+    ),
+    "UnmarkedThenRandom": _unmarked_last,
+}
+
+
 def order_steps(steps: list, strategy: Strategy, an: AnnotatedNetwork, rng=None) -> list:
     """The units of `steps` (see `group_units`) in the order the strategy
-    wants them tried."""
+    wants them tried: shuffled first for the random strategies, then
+    stably sorted by the strategy's key."""
     units = group_units(steps)
-    name = strategy.name
-
-    if name in ("Random", "UnmarkedThenRandom"):
+    if strategy.name in ("Random", "UnmarkedThenRandom"):
         if rng is None:
             rng = random.Random(f"{strategy.seed}:orphan")
         rng.shuffle(units)
-
-    def head(unit):
-        return unit[0]
-
-    if name == "LongestFirst":
-        units.sort(key=lambda u: -_largest_main(head(u), an))
-    elif name == "ShortestFirst":
-        units.sort(key=lambda u: _largest_main(head(u), an))
-    elif name == "InteractionsFirst":
-        units.sort(key=lambda u: 0 if _is_interaction(head(u)) else 1)
-    elif name == "ConditionalsFirst":
-        units.sort(key=lambda u: 1 if _is_interaction(head(u)) else 0)
-    elif name == "UnmarkedFirst":
-        units.sort(key=lambda u: 0 if _touches_unmarked(head(u), an) else 1)
-    elif name == "UnmarkedThenInteractions":
-        units.sort(
-            key=lambda u: (
-                0 if _touches_unmarked(head(u), an) else 1,
-                0 if _is_interaction(head(u)) else 1,
-            )
-        )
-    elif name == "UnmarkedThenSelections":
-        units.sort(
-            key=lambda u: (
-                0 if _touches_unmarked(head(u), an) else 1,
-                _secondary_selections(head(u)),
-            )
-        )
-    elif name == "UnmarkedThenConditionals":
-        units.sort(
-            key=lambda u: (
-                0 if _touches_unmarked(head(u), an) else 1,
-                1 if _is_interaction(head(u)) else 0,
-            )
-        )
-    elif name == "UnmarkedThenRandom":
-        units.sort(key=lambda u: 0 if _touches_unmarked(head(u), an) else 1)
-    # Random: already shuffled; anything else: canonical order as given.
-
+    key = _SORT_KEYS[strategy.name]
+    if key is not None:
+        units.sort(key=lambda unit: key(unit[0], an))
     return units

@@ -1,0 +1,156 @@
+"""The traversal kernel shared by both term languages.
+
+Behaviours (`sp`) and choreography bodies (`cc`) are trees whose
+constructors derive from `Term`.  Each constructor names its children,
+left to right (`children`), and builds a copy of itself over other
+children (`rebuild`).  Every walk over a term is written once, here, as a
+loop over an explicit stack: the paper's grid holds chains of 2,100
+actions, deeper than Python's default recursion limit.
+
+* `subterms` — every subterm, pre-order;
+* `positions` — the same, each with its path of child indices;
+* `fold` — bottom-up, one call per subterm with its children's results;
+* `subterm_at` / `replace_at` — read or replace the subterm at a path.
+
+Equality is structural and iterative too.  Terms cache their hash, so
+`==` first tries identity, then the type and the hash, before it walks
+the pairs of subterms.
+"""
+
+from __future__ import annotations
+
+
+class Term:
+    """Base class of behaviour and choreography constructors."""
+
+    __slots__ = ("_hash", "size")
+
+    _hash: int
+    size: int  # number of constructor nodes in this subtree
+
+    def children(self) -> tuple:
+        return ()
+
+    def rebuild(self, children) -> "Term":
+        """This constructor over other children (a leaf returns itself)."""
+        return self
+
+    def _label(self) -> tuple:
+        """Everything but the children: equal terms have equal labels."""
+        return ()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(self) is not type(other) or self._hash != other._hash:
+            return False
+        a, b = self, other
+        pending = []  # pairs of later siblings still to compare
+        while True:
+            if a is not b:
+                if (
+                    type(a) is not type(b)
+                    or a._hash != b._hash
+                    or a._label() != b._label()
+                ):
+                    return False
+                kids = a.children()
+                if kids:
+                    others = b.children()
+                    if len(kids) > 1:
+                        pending.extend(zip(kids[1:], others[1:]))
+                    a, b = kids[0], others[0]
+                    continue
+            if not pending:
+                return True
+            a, b = pending.pop()
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return fold(self, _repr)
+
+
+def _repr(term: Term, children) -> str:
+    fields = [*map(repr, term._label()), *children]
+    return f"{type(term).__name__}({', '.join(fields)})"
+
+
+def subterms(term: Term):
+    """Every subterm of `term`, itself first, in pre-order (children left
+    to right)."""
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children()))
+
+
+def positions(term: Term):
+    """(path, subterm) pairs in pre-order; a path lists child indices from
+    `term` down."""
+    stack = [((), term)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        kids = node.children()
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((path + (i,), kids[i]))
+
+
+def subterm_at(term: Term, path) -> Term:
+    for i in path:
+        term = term.children()[i]
+    return term
+
+
+def replace_at(term: Term, path, new: Term) -> Term:
+    """`term` with the subterm at `path` replaced by `new`."""
+    spine = []
+    for i in path:
+        spine.append(term)
+        term = term.children()[i]
+    for node, i in zip(reversed(spine), reversed(path)):
+        kids = list(node.children())
+        kids[i] = new
+        new = node.rebuild(kids)
+    return new
+
+
+def fold(root, f, children=None):
+    """Bottom-up: `f(node, results)` for every node, where `results` are
+    the values of its children, left to right; returns the root's value.
+
+    Nodes are visited in post-order, children left to right, which is
+    the order a recursive walk would visit them in.  `children` maps a
+    node to its children; it defaults to the terms' own, and other graphs
+    that are trees below the root can pass theirs.
+
+    A pre-order walk that takes the right child first, reversed, is that
+    post-order; the results of a node's children are then the topmost
+    values on the result stack.
+    """
+    order = []
+    arities = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        kids = node.children() if children is None else children(node)
+        order.append(node)
+        arities.append(len(kids))
+        stack.extend(kids)
+    out = []
+    for node, arity in zip(reversed(order), reversed(arities)):
+        if arity == 0:
+            out.append(f(node, ()))
+        elif arity == 1:
+            out.append(f(node, (out.pop(),)))
+        else:
+            results = out[-arity:]
+            del out[-arity:]
+            out.append(f(node, results))
+    return out[0]

@@ -24,6 +24,7 @@ from . import sp
 from .cc import Call, Choreography, Com, Cond, Sel, choreography_process_names
 from .epp import MergeError, epp, merge, project_body
 from .sp import Network, ProcessTerm
+from .term import fold, positions, replace_at, subterm_at, subterms
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,9 @@ class _Fresh:
         return f"L{self.l}"
 
 
+_BODY, _COND, _PAIR = "body", "cond", "pair"  # _Gen.body's pending work
+
+
 def _def_name(i):
     return f"X{i + 1}"
 
@@ -113,19 +117,43 @@ class _Gen:
         return Call(self.names[k - 1])
 
     def body(self, actions, conds, def_top=False):
-        if actions == 0 and conds == 0:
-            # A procedure body must not be a bare call.
-            return cc.NIL if def_top else self._terminal()
-        if self.rng.random() < conds / (actions + conds):
-            p = self.rng.choice(self.procs)
-            ta, ea = self._split(actions)
-            tc, ec = self._split(conds - 1)
-            return Cond(p, self.fresh.expr(), self.body(ta, tc), self.body(ea, ec))
-        a, b = self._pair()
-        cont = self.body(actions - 1, conds)
-        if self.rng.getrandbits(1):
-            return Com(a, self.fresh.expr(), b, self.fresh.var(), cont)
-        return Sel(a, b, self.fresh.label(), cont)
+        """Draw a body, in the order a recursive generator would draw.
+
+        A conditional draws its process, both budget splits and its
+        guard before its branches, then builds the then branch first; an
+        interaction draws its pair before its continuation and its kind
+        and fresh names after it.  Pending work sits on an explicit stack:
+        (_BODY, actions, conds) to draw, (_COND, p, expr) and
+        (_PAIR, a, b) to build from finished bodies.
+        """
+        if def_top and actions == 0 and conds == 0:
+            return cc.NIL  # a procedure body must not be a bare call
+        rng, fresh = self.rng, self.fresh
+        done = []
+        todo = [(_BODY, actions, conds)]
+        while todo:
+            kind, x, y = todo.pop()
+            if kind is _BODY:
+                if x == 0 and y == 0:
+                    done.append(self._terminal())
+                elif rng.random() < y / (x + y):
+                    p = rng.choice(self.procs)
+                    ta, ea = self._split(x)
+                    tc, ec = self._split(y - 1)
+                    todo.append((_COND, p, fresh.expr()))
+                    todo.append((_BODY, ea, ec))
+                    todo.append((_BODY, ta, tc))
+                else:
+                    todo.append((_PAIR, *self._pair()))
+                    todo.append((_BODY, x - 1, y))
+            elif kind is _COND:
+                orelse = done.pop()
+                done.append(Cond(x, y, done.pop(), orelse))
+            elif rng.getrandbits(1):
+                done.append(Com(x, fresh.expr(), y, fresh.var(), done.pop()))
+            else:
+                done.append(Sel(x, y, fresh.label(), done.pop()))
+        return done[0]
 
     def build(self):
         buckets = self.p.defs + 1  # main plus one per procedure
@@ -144,19 +172,7 @@ class _Gen:
 
 
 def _called_names(body):
-    out = set()
-    stack = [body]
-    while stack:
-        b = stack.pop()
-        match b:
-            case Call(name):
-                out.add(name)
-            case Com(cont=k) | Sel(cont=k):
-                stack.append(k)
-            case Cond(then=t, orelse=e):
-                stack.append(t)
-                stack.append(e)
-    return out
+    return {node.name for node in subterms(body) if isinstance(node, Call)}
 
 
 def _all_reachable(c: Choreography) -> bool:
@@ -169,33 +185,6 @@ def _all_reachable(c: Choreography) -> bool:
         seen.add(name)
         frontier |= _called_names(c.procedures[name]) - seen
     return seen == set(c.procedures)
-
-
-def _nil_leaf_paths(body, path=()):
-    match body:
-        case Com(cont=k) | Sel(cont=k):
-            yield from _nil_leaf_paths(k, path + (0,))
-        case Cond(then=t, orelse=e):
-            yield from _nil_leaf_paths(t, path + (0,))
-            yield from _nil_leaf_paths(e, path + (1,))
-        case cc.Nil():
-            yield path
-
-
-def _set_leaf(body, path, new):
-    if not path:
-        return new
-    i, rest = path[0], path[1:]
-    match body:
-        case Com(s, e, r, v, k):
-            return Com(s, e, r, v, _set_leaf(k, rest, new))
-        case Sel(s, r, l, k):
-            return Sel(s, r, l, _set_leaf(k, rest, new))
-        case Cond(p, e, t, o):
-            if i == 0:
-                return Cond(p, e, _set_leaf(t, rest, new), o)
-            return Cond(p, e, t, _set_leaf(o, rest, new))
-    raise AssertionError("path walked off the body")
 
 
 def _generate_connected(params: GenParams, attempt=0):
@@ -213,7 +202,7 @@ def _generate_connected(params: GenParams, attempt=0):
     bodies = {"main": c.main, **c.procedures}
     free = {}
     for owner, body in bodies.items():
-        paths = list(_nil_leaf_paths(body))
+        paths = [path for path, node in positions(body) if isinstance(node, cc.Nil)]
         if owner != "main":
             # A procedure body must not collapse to a bare call.
             paths = [p for p in paths if p != ()]
@@ -227,13 +216,13 @@ def _generate_connected(params: GenParams, attempt=0):
             return None
         host = rng.choice(hosts)
         slot = free[host].pop(rng.randrange(len(free[host])))
-        bodies[host] = _set_leaf(bodies[host], slot, Call(name))
+        bodies[host] = replace_at(bodies[host], slot, Call(name))
         reachable.append(name)
     for owner, paths in free.items():
         for slot in paths:
             k = rng.randrange(len(gen.names) + 1)
             if k:
-                bodies[owner] = _set_leaf(bodies[owner], slot, Call(gen.names[k - 1]))
+                bodies[owner] = replace_at(bodies[owner], slot, Call(gen.names[k - 1]))
     return Choreography({x: bodies[x] for x in c.procedures}, bodies["main"])
 
 
@@ -264,28 +253,28 @@ def generate(params: GenParams) -> Choreography:
 
 
 def _amend_body(body, universe):
-    match body:
-        case Com(s, e, r, v, cont):
-            return Com(s, e, r, v, _amend_body(cont, universe))
-        case Sel(s, r, l, cont):
-            return Sel(s, r, l, _amend_body(cont, universe))
-        case Cond(p, e, then, orelse):
-            then = _amend_body(then, universe)
-            orelse = _amend_body(orelse, universe)
-            need = []
-            for r in universe:
-                if r == p:
-                    continue
-                try:
-                    merge(project_body(then, r), project_body(orelse, r))
-                except MergeError:
-                    need.append(r)
-            for r in reversed(need):
-                then = Sel(p, r, "thenL", then)
-                orelse = Sel(p, r, "elseL", orelse)
-            return Cond(p, e, then, orelse)
-        case _:
-            return body
+    """Below every conditional, select a branch label at each process
+    whose two branch projections do not merge."""
+
+    def amend_node(node, kids):
+        if not isinstance(node, Cond):
+            return node.rebuild(kids)
+        p = node.process
+        then, orelse = kids
+        need = []
+        for r in universe:
+            if r == p:
+                continue
+            try:
+                merge(project_body(then, r), project_body(orelse, r))
+            except MergeError:
+                need.append(r)
+        for r in reversed(need):
+            then = Sel(p, r, "thenL", then)
+            orelse = Sel(p, r, "elseL", orelse)
+        return Cond(p, node.expr, then, orelse)
+
+    return fold(body, amend_node)
 
 
 def amend(c: Choreography) -> Choreography:
@@ -310,63 +299,44 @@ def amend(c: Choreography) -> Choreography:
 
 def _inline_calls(body, name, replacement):
     """Replace every Call(name) in body with replacement (one round)."""
-    match body:
-        case Call(n) if n == name:
+
+    def inline(node, kids):
+        if isinstance(node, Call) and node.name == name:
             return replacement
-        case Com(s, e, r, v, cont):
-            return Com(s, e, r, v, _inline_calls(cont, name, replacement))
-        case Sel(s, r, l, cont):
-            return Sel(s, r, l, _inline_calls(cont, name, replacement))
-        case Cond(p, e, t, o):
-            return Cond(p, e, _inline_calls(t, name, replacement), _inline_calls(o, name, replacement))
-        case _:
-            return body
+        return node.rebuild(kids)
+
+    return fold(body, inline)
 
 
 def _swap_cond_cond(body, rng):
-    match body:
-        case Com(s, e, r, v, cont):
-            return Com(s, e, r, v, _swap_cond_cond(cont, rng))
-        case Sel(s, r, l, cont):
-            return Sel(s, r, l, _swap_cond_cond(cont, rng))
-        case Cond(p, e, then, orelse):
-            then = _swap_cond_cond(then, rng)
-            orelse = _swap_cond_cond(orelse, rng)
+    """Swap a conditional with the two equal conditionals under it."""
+
+    def swap(node, kids):
+        if isinstance(node, Cond):
+            then, orelse = kids
             match (then, orelse):
                 case (Cond(q1, f1, a, b), Cond(q2, f2, c, d)) if (
-                    q1 == q2 and f1 == f2 and q1 != p and rng.random() < 0.5
+                    q1 == q2 and f1 == f2 and q1 != node.process and rng.random() < 0.5
                 ):
-                    return Cond(q1, f1, Cond(p, e, a, c), Cond(p, e, b, d))
-            return Cond(p, e, then, orelse)
-        case _:
-            return body
+                    return Cond(q1, f1, node.rebuild((a, c)), node.rebuild((b, d)))
+        return node.rebuild(kids)
+
+    return fold(body, swap)
 
 
 def _push_eta(body, rng):
-    match body:
-        case Cond(p, e, then, orelse):
-            return Cond(p, e, _push_eta(then, rng), _push_eta(orelse, rng))
-        case Com() | Sel():
-            cont = _push_eta(body.cont, rng)
-            match cont:
+    """Push an interaction into both branches of the conditional after it."""
+
+    def push(node, kids):
+        if isinstance(node, (Com, Sel)):
+            match kids[0]:
                 case Cond(p, e, then, orelse) if (
-                    p not in {body.sender, body.receiver} and rng.random() < 0.5
+                    p not in {node.sender, node.receiver} and rng.random() < 0.5
                 ):
-                    return Cond(
-                        p,
-                        e,
-                        _copy_with_cont(body, then),
-                        _copy_with_cont(body, orelse),
-                    )
-            return _copy_with_cont(body, cont)
-        case _:
-            return body
+                    return Cond(p, e, node.rebuild((then,)), node.rebuild((orelse,)))
+        return node.rebuild(kids)
 
-
-def _copy_with_cont(prefix, cont):
-    if isinstance(prefix, Com):
-        return Com(prefix.sender, prefix.expr, prefix.receiver, prefix.var, cont)
-    return Sel(prefix.sender, prefix.receiver, prefix.label, cont)
+    return fold(body, push)
 
 
 def inject_inefficiency(c: Choreography, seed=0) -> Choreography:
@@ -401,102 +371,29 @@ def inject_inefficiency(c: Choreography, seed=0) -> Choreography:
 # --- network fuzzing -----------------------------------------------------
 
 
-def _occurrences(b, path=()):
+def _occurrences(b):
     """Preorder paths of every action constructor in a behaviour.
 
     An action here is anything that is not Nil and not a bare call:
     sends, receives, selections, offers, and conditionals all count.
     """
-    match b:
-        case sp.Send(cont=k) | sp.Receive(cont=k) | sp.Select(cont=k):
-            yield path
-            yield from _occurrences(k, path + (0,))
-        case sp.Offer(branches=branches):
-            yield path
-            for i, (_, branch) in enumerate(branches):
-                yield from _occurrences(branch, path + (i,))
-        case sp.Cond(then=t, orelse=e):
-            yield path
-            yield from _occurrences(t, path + (0,))
-            yield from _occurrences(e, path + (1,))
-
-
-def _at(b, path):
-    for i in path:
-        match b:
-            case sp.Send(cont=k) | sp.Receive(cont=k) | sp.Select(cont=k):
-                b = k
-            case sp.Offer(branches=branches):
-                b = branches[i][1]
-            case sp.Cond(then=t, orelse=e):
-                b = t if i == 0 else e
-    return b
-
-
-def _replace(b, path, new):
-    if not path:
-        return new
-    i, rest = path[0], path[1:]
-    match b:
-        case sp.Send(to, e, k):
-            return sp.Send(to, e, _replace(k, rest, new))
-        case sp.Receive(frm, v, k):
-            return sp.Receive(frm, v, _replace(k, rest, new))
-        case sp.Select(to, l, k):
-            return sp.Select(to, l, _replace(k, rest, new))
-        case sp.Offer(frm, branches):
-            out = list(branches)
-            label, branch = out[i]
-            out[i] = (label, _replace(branch, rest, new))
-            return sp.Offer(frm, out)
-        case sp.Cond(e, t, o):
-            if i == 0:
-                return sp.Cond(e, _replace(t, rest, new), o)
-            return sp.Cond(e, t, _replace(o, rest, new))
-    raise AssertionError("path walked off the term")
+    return [path for path, node in positions(b) if node.children()]
 
 
 def _delete_at(b, path):
     """Delete the action at path: a prefix keeps its continuation, an
     offer keeps its first branch, a conditional keeps its then branch."""
-    node = _at(b, path)
-    match node:
-        case sp.Send(cont=k) | sp.Receive(cont=k) | sp.Select(cont=k):
-            return _replace(b, path, k)
-        case sp.Offer(branches=branches):
-            return _replace(b, path, branches[0][1])
-        case sp.Cond(then=t):
-            return _replace(b, path, t)
-    raise AssertionError("not an action")
+    return replace_at(b, path, subterm_at(b, path).children()[0])
 
 
-def _prefix_with_cont(node, cont):
-    match node:
-        case sp.Send(to, e, _):
-            return sp.Send(to, e, cont)
-        case sp.Receive(frm, v, _):
-            return sp.Receive(frm, v, cont)
-        case sp.Select(to, l, _):
-            return sp.Select(to, l, cont)
-    raise AssertionError("not a prefix")
+_PREFIXES = (sp.Send, sp.Receive, sp.Select)
 
 
-def _successor_slot(node):
-    """Where the structurally next action of node lives: its continuation
-    for a prefix, the first branch for an offer, the then branch for a
-    conditional.  Returns (child, rebuild) with rebuild(new_child)."""
-    match node:
-        case sp.Send() | sp.Receive() | sp.Select():
-            return node.cont, lambda k: _prefix_with_cont(node, k)
-        case sp.Offer(frm, branches):
-            def rebuild(k, frm=frm, branches=branches):
-                out = list(branches)
-                out[0] = (out[0][0], k)
-                return sp.Offer(frm, out)
-            return branches[0][1], rebuild
-        case sp.Cond(e, t, o):
-            return t, lambda k: sp.Cond(e, k, o)
-    raise AssertionError("not an action")
+def _with_first_child(node, child):
+    """`node` with `child` in the slot of its structurally next action:
+    the continuation of a prefix, the first branch of an offer, the then
+    branch of a conditional."""
+    return node.rebuild((child, *node.children()[1:]))
 
 
 def _swap_at(b, path):
@@ -509,22 +406,22 @@ def _swap_at(b, path):
     conditional swapped with a leading prefix of its first/then branch
     pulls that prefix out in front.  Anything else is left unchanged.
     """
-    node = _at(b, path)
-    succ, rebuild = _successor_slot(node)
-    if not isinstance(succ, (sp.Send, sp.Receive, sp.Select, sp.Offer, sp.Cond)):
+    node = subterm_at(b, path)
+    succ = node.children()[0]
+    if not succ.children():
         return _delete_at(b, path)
-    prefix_node = isinstance(node, (sp.Send, sp.Receive, sp.Select))
-    prefix_succ = isinstance(succ, (sp.Send, sp.Receive, sp.Select))
+    prefix_node = isinstance(node, _PREFIXES)
+    prefix_succ = isinstance(succ, _PREFIXES)
     if prefix_node and prefix_succ:
-        swapped = _prefix_with_cont(succ, _prefix_with_cont(node, succ.cont))
-        return _replace(b, path, swapped)
+        swapped = succ.rebuild((node.rebuild(succ.children()),))
+        return replace_at(b, path, swapped)
     if prefix_node:
         # Push the prefix into the successor slot of the offer/conditional.
-        inner, rebuild_succ = _successor_slot(succ)
-        return _replace(b, path, rebuild_succ(_prefix_with_cont(node, inner)))
+        inner = succ.children()[0]
+        return replace_at(b, path, _with_first_child(succ, node.rebuild((inner,))))
     if prefix_succ:
         # Pull the leading prefix of the first/then branch out in front.
-        return _replace(b, path, _prefix_with_cont(succ, rebuild(succ.cont)))
+        return replace_at(b, path, succ.rebuild((_with_first_child(node, succ.cont),)))
     return b
 
 
@@ -566,53 +463,14 @@ def fuzz(n: Network, params: FuzzParams) -> Network:
 # --- unrolling -----------------------------------------------------------
 
 
-def _behaviour_replace_one_call(b, name, replacement, which, counter):
-    """Replace the `which`-th (preorder) Call(name) occurrence."""
-    match b:
-        case sp.Call(n) if n == name:
-            counter[0] += 1
-            if counter[0] - 1 == which:
-                return replacement
-            return b
-        case sp.Send(to, e, k):
-            return sp.Send(to, e, _behaviour_replace_one_call(k, name, replacement, which, counter))
-        case sp.Receive(frm, v, k):
-            return sp.Receive(frm, v, _behaviour_replace_one_call(k, name, replacement, which, counter))
-        case sp.Select(to, l, k):
-            return sp.Select(to, l, _behaviour_replace_one_call(k, name, replacement, which, counter))
-        case sp.Offer(frm, branches):
-            out = []
-            for label, branch in branches:
-                out.append((label, _behaviour_replace_one_call(branch, name, replacement, which, counter)))
-            return sp.Offer(frm, out)
-        case sp.Cond(e, t, o):
-            t = _behaviour_replace_one_call(t, name, replacement, which, counter)
-            o = _behaviour_replace_one_call(o, name, replacement, which, counter)
-            return sp.Cond(e, t, o)
-        case _:
-            return b
-
-
 def _call_sites(term: ProcessTerm):
-    sites = []
-
-    def scan(owner, b):
-        match b:
-            case sp.Call(name):
-                sites.append((owner, name))
-            case sp.Send(cont=k) | sp.Receive(cont=k) | sp.Select(cont=k):
-                scan(owner, k)
-            case sp.Offer(branches=branches):
-                for _, branch in branches:
-                    scan(owner, branch)
-            case sp.Cond(then=t, orelse=e):
-                scan(owner, t)
-                scan(owner, e)
-
-    scan("main", term.main)
-    for name in sorted(term.procedures):
-        scan(name, term.procedures[name])
-    return sites
+    """(owner, path) of every call, main first, each body in preorder."""
+    return [
+        (owner, path)
+        for owner, body in [("main", term.main), *sorted(term.procedures.items())]
+        for path, node in positions(body)
+        if isinstance(node, sp.Call)
+    ]
 
 
 def _action_chain(body):
@@ -647,30 +505,21 @@ def _rotate_loop(term: ProcessTerm, rng):
     rotated = chain[j:] + chain[:j]
     body = sp.Call(name)
     for prefix in reversed(rotated):
-        body = _prefix_with_cont(prefix, body)
+        body = prefix.rebuild((body,))
 
     def entry(cont):
         for prefix in reversed(chain[:j]):
-            cont = _prefix_with_cont(prefix, cont)
+            cont = prefix.rebuild((cont,))
         return cont
 
     def fix(owner, b):
         # Prepend the skipped prefix at every call site outside the loop body.
-        match b:
-            case sp.Call(n) if n == name and owner != name:
+        def visit(node, kids):
+            if isinstance(node, sp.Call) and node.name == name and owner != name:
                 return entry(sp.Call(name))
-            case sp.Send(to, e, k):
-                return sp.Send(to, e, fix(owner, k))
-            case sp.Receive(frm, v, k):
-                return sp.Receive(frm, v, fix(owner, k))
-            case sp.Select(to, l, k):
-                return sp.Select(to, l, fix(owner, k))
-            case sp.Offer(frm, branches):
-                return sp.Offer(frm, [(l, fix(owner, br)) for l, br in branches])
-            case sp.Cond(e, t, o):
-                return sp.Cond(e, fix(owner, t), fix(owner, o))
-            case _:
-                return b
+            return node.rebuild(kids)
+
+        return fold(b, visit)
 
     procedures = {}
     for x, b in term.procedures.items():
@@ -693,22 +542,12 @@ def unroll(n: Network, seed=0) -> Network:
         sites = _call_sites(term)
         if not sites:
             break
-        site = rng.randrange(len(sites))
-        owner, name = sites[site]
-        # Rank of this site among the owner's calls to the same procedure,
-        # so the preorder replacement hits exactly the chosen occurrence.
-        which = sum(
-            1 for o, nm in sites[:site] if o == owner and nm == name
-        )
-        body = term.procedures[name]
+        owner, path = sites[rng.randrange(len(sites))]
+        host = term.main if owner == "main" else term.procedures[owner]
+        unfolded = replace_at(host, path, term.procedures[subterm_at(host, path).name])
         if owner == "main":
-            term = ProcessTerm(
-                term.procedures,
-                _behaviour_replace_one_call(term.main, name, body, which, [0]),
-            )
+            term = ProcessTerm(term.procedures, unfolded)
         else:
-            procs = dict(term.procedures)
-            procs[owner] = _behaviour_replace_one_call(procs[owner], name, body, which, [0])
-            term = ProcessTerm(procs, term.main)
+            term = ProcessTerm({**term.procedures, owner: unfolded}, term.main)
     term = _rotate_loop(term, rng)
     return n.replace({victim: term})

@@ -12,6 +12,7 @@ nothing to validate about them; that check is intentionally skipped.
 from __future__ import annotations
 
 from . import sp
+from .term import subterms
 
 
 class CheckReport:
@@ -36,23 +37,6 @@ class CheckReport:
         return f"CheckReport(ok={self.ok}, violations={self.violations!r})"
 
 
-def _subterms(b: sp.Behaviour):
-    stack = [b]
-    while stack:
-        node = stack.pop()
-        yield node
-        match node:
-            case sp.Send(_, _, cont) | sp.Receive(_, _, cont) | sp.Select(_, _, cont):
-                stack.append(cont)
-            case sp.Offer(_, branches):
-                stack.extend(body for _, body in branches)
-            case sp.Cond(_, then, orelse):
-                stack.append(then)
-                stack.append(orelse)
-            case _:
-                pass
-
-
 def check_well_formed(n: sp.Network) -> CheckReport:
     violations = []
     for name, term in n.processes.items():
@@ -60,28 +44,17 @@ def check_well_formed(n: sp.Network) -> CheckReport:
         bodies.extend((f"def {x}", b) for x, b in term.procedures.items())
         for where, body in bodies:
             loc = f"{name}/{where}"
-            for node in _subterms(body):
-                match node:
-                    case sp.Send(to=peer) | sp.Select(to=peer):
-                        if peer == name:
-                            violations.append(
-                                ("self-communication", loc,
-                                 f"process {name} communicates with itself")
-                            )
-                    case sp.Receive(frm=peer) | sp.Offer(frm=peer):
-                        if peer == name:
-                            violations.append(
-                                ("self-communication", loc,
-                                 f"process {name} communicates with itself")
-                            )
-                    case sp.Call(x):
-                        if x not in term.procedures:
-                            violations.append(
-                                ("unresolved-call", loc,
-                                 f"call to undefined procedure {x}")
-                            )
-                    case _:
-                        pass
+            for node in subterms(body):
+                if node.peer == name:
+                    violations.append(
+                        ("self-communication", loc,
+                         f"process {name} communicates with itself")
+                    )
+                elif isinstance(node, sp.Call) and node.name not in term.procedures:
+                    violations.append(
+                        ("unresolved-call", loc,
+                         f"call to undefined procedure {node.name}")
+                    )
     # Duplicate definitions cannot survive the map representation, but a
     # report slot exists so parser-level duplicates share the same shape.
     return CheckReport(violations)
@@ -94,7 +67,7 @@ def _reachable_procedures(term: sp.ProcessTerm):
     frontier = [term.main]
     while frontier:
         body = frontier.pop()
-        for node in _subterms(body):
+        for node in subterms(body):
             if isinstance(node, sp.Call) and node.name not in seen:
                 if node.name in term.procedures:
                     seen.add(node.name)

@@ -1,0 +1,199 @@
+"""Seeded outputs pinned across commits.
+
+For a few points of the paper's grid at generator seed 0 (parameters as
+in `bench/workloads.grid_points`), every text the toolkit prints from
+them is reduced to a sha256 digest: the amended choreography and its
+projection, the extraction under all ten strategies (or the failure
+text), the fuzz and unroll variants and their extractions, the
+inefficiency injection, and one `to_dot` graph.  A refactor that keeps
+the behaviour keeps every digest.
+"""
+
+import hashlib
+
+import pytest
+
+from chorex.epp import epp
+from chorex.extraction import extract
+from chorex.parser import pretty
+from chorex.strategies import STRATEGY_NAMES, Strategy
+from chorex.testgen import (
+    FuzzParams,
+    GenParams,
+    amend,
+    fuzz,
+    generate,
+    inject_inefficiency,
+    unroll,
+)
+
+POINTS = {
+    "size-k5-r0": GenParams(size=250, processes=6, seed=0),
+    "processes-k2-r0": GenParams(size=500, processes=10, seed=0),
+    "ifs-k2-r0": GenParams(size=50, processes=6, ifs=20, seed=0),
+    "ifs-defs-j2k1-r0": GenParams(size=200, processes=5, ifs=2, defs=5, seed=0),
+    "procedures-k3-r1": GenParams(size=20, processes=5, ifs=8, defs=3, seed=1),
+}
+
+FUZZ_GRID = ((1, 0), (0, 1), (2, 2))
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _extraction_text(net, strategy=Strategy()) -> str:
+    result = extract(net, strategy=strategy)
+    return pretty(result.program) if result.ok else str(result.failure)
+
+
+def digests(point: str) -> dict:
+    params = POINTS[point]
+    chor = amend(generate(params))
+    net = epp(chor)
+    out = {"amend": pretty(chor), "epp": pretty(net)}
+    for name in STRATEGY_NAMES:
+        out[f"extract:{name}"] = _extraction_text(net, Strategy(name, 0))
+    for d, s in FUZZ_GRID:
+        variant = fuzz(net, FuzzParams(deletions=d, swaps=s, seed=params.seed))
+        out[f"fuzz:d{d}s{s}"] = pretty(variant)
+        out[f"extract-fuzz:d{d}s{s}"] = _extraction_text(variant)
+    unrolled = unroll(net, seed=params.seed)
+    out["unroll"] = pretty(unrolled)
+    out["extract-unroll"] = _extraction_text(unrolled)
+    out["inject_inefficiency"] = pretty(inject_inefficiency(chor, seed=params.seed))
+    return {key: _digest(text) for key, text in out.items()}
+
+
+def dot_digest() -> str:
+    net = epp(amend(generate(POINTS["ifs-k2-r0"])))
+    return _digest(extract(net).to_dot())
+
+
+EXPECTED = {
+    "size-k5-r0": {
+        "amend": "3e7177bd85975614",
+        "epp": "b64765445a8e655d",
+        "extract:Random": "88b2b255dedb6d8c",
+        "extract:LongestFirst": "d33887f202fabd55",
+        "extract:ShortestFirst": "7cca50021c2b0a5a",
+        "extract:InteractionsFirst": "4264b97d753786d9",
+        "extract:ConditionalsFirst": "4264b97d753786d9",
+        "extract:UnmarkedFirst": "92d69b69bcf96327",
+        "extract:UnmarkedThenInteractions": "92d69b69bcf96327",
+        "extract:UnmarkedThenSelections": "65e4dc6d3b7a7731",
+        "extract:UnmarkedThenConditionals": "92d69b69bcf96327",
+        "extract:UnmarkedThenRandom": "16830db55f0b9e84",
+        "fuzz:d1s0": "8f147a40898753bd",
+        "extract-fuzz:d1s0": "5a4a521a3067f66e",
+        "fuzz:d0s1": "d0e5013d12fb6c7a",
+        "extract-fuzz:d0s1": "5a4a521a3067f66e",
+        "fuzz:d2s2": "389313d6a38a06e2",
+        "extract-fuzz:d2s2": "b87fea431a74da39",
+        "unroll": "b64765445a8e655d",
+        "extract-unroll": "4264b97d753786d9",
+        "inject_inefficiency": "3e7177bd85975614",
+    },
+    "processes-k2-r0": {
+        "amend": "fb19b972c154417e",
+        "epp": "328711923f9053d3",
+        "extract:Random": "cc165fdeb6505b1a",
+        "extract:LongestFirst": "19a42b9b94b1d4c6",
+        "extract:ShortestFirst": "a1cbdafa820d089f",
+        "extract:InteractionsFirst": "d5ccad73f6c509d8",
+        "extract:ConditionalsFirst": "d5ccad73f6c509d8",
+        "extract:UnmarkedFirst": "821fd22b51f8e50b",
+        "extract:UnmarkedThenInteractions": "821fd22b51f8e50b",
+        "extract:UnmarkedThenSelections": "d923d8326d311507",
+        "extract:UnmarkedThenConditionals": "821fd22b51f8e50b",
+        "extract:UnmarkedThenRandom": "f927427c84799fe6",
+        "fuzz:d1s0": "26d6eef33a57a8df",
+        "extract-fuzz:d1s0": "a0fa3cdbb43343da",
+        "fuzz:d0s1": "c1ea4ba1e5c0158b",
+        "extract-fuzz:d0s1": "a0fa3cdbb43343da",
+        "fuzz:d2s2": "a03e9a40afc995e5",
+        "extract-fuzz:d2s2": "3a3f660811aa19ec",
+        "unroll": "328711923f9053d3",
+        "extract-unroll": "d5ccad73f6c509d8",
+        "inject_inefficiency": "fb19b972c154417e",
+    },
+    "ifs-k2-r0": {
+        "amend": "6ba1c215b479b5a2",
+        "epp": "82d36455ba27d0cb",
+        "extract:Random": "48a22f80eb26a89c",
+        "extract:LongestFirst": "8805ac5209a4b323",
+        "extract:ShortestFirst": "12e42ef5afe43a21",
+        "extract:InteractionsFirst": "55b23fab9fd39e44",
+        "extract:ConditionalsFirst": "92d8aeb946e37140",
+        "extract:UnmarkedFirst": "3234b54cd5b25802",
+        "extract:UnmarkedThenInteractions": "857eafc3eaaa071c",
+        "extract:UnmarkedThenSelections": "fb3603bc237ee5b4",
+        "extract:UnmarkedThenConditionals": "b9c9038ffa657944",
+        "extract:UnmarkedThenRandom": "c1bbde6c8dea3ff3",
+        "fuzz:d1s0": "a3340f96234007ed",
+        "extract-fuzz:d1s0": "4d5100e482a24bcf",
+        "fuzz:d0s1": "caf3abdd9082bede",
+        "extract-fuzz:d0s1": "8174cbcfdd27bc23",
+        "fuzz:d2s2": "bab0b3dd5f9689e0",
+        "extract-fuzz:d2s2": "91805bb727121401",
+        "unroll": "82d36455ba27d0cb",
+        "extract-unroll": "55b23fab9fd39e44",
+        "inject_inefficiency": "b74b2874b9a47fb6",
+    },
+    "ifs-defs-j2k1-r0": {
+        "amend": "b45d9b03ca69f5e6",
+        "epp": "e37b42297d43da89",
+        "extract:Random": "1ac5e064322a4251",
+        "extract:LongestFirst": "352ad4efbd555cde",
+        "extract:ShortestFirst": "8705693e1be66a09",
+        "extract:InteractionsFirst": "f812bcf761ee77fd",
+        "extract:ConditionalsFirst": "f812bcf761ee77fd",
+        "extract:UnmarkedFirst": "bb4577bf17b2af25",
+        "extract:UnmarkedThenInteractions": "bb4577bf17b2af25",
+        "extract:UnmarkedThenSelections": "f32c3452a2774471",
+        "extract:UnmarkedThenConditionals": "bb4577bf17b2af25",
+        "extract:UnmarkedThenRandom": "2f27de4b78445be6",
+        "fuzz:d1s0": "d2a1cb2b7795d63a",
+        "extract-fuzz:d1s0": "85a94cc95aacd71b",
+        "fuzz:d0s1": "ebdbf7d0cae69bf3",
+        "extract-fuzz:d0s1": "889fa045bd02058d",
+        "fuzz:d2s2": "eebb452f8c5c5535",
+        "extract-fuzz:d2s2": "34cd2d4490ab4dda",
+        "unroll": "6126f7116a08ed7a",
+        "extract-unroll": "f812bcf761ee77fd",
+        "inject_inefficiency": "1cf0ffa6a6f2a311",
+    },
+    "procedures-k3-r1": {
+        "amend": "de45a8fbcf8c30f8",
+        "epp": "83e343c6b25ded1f",
+        "extract:Random": "61c8be4297c29677",
+        "extract:LongestFirst": "a2e7e91283ee3b95",
+        "extract:ShortestFirst": "af8a961ca6824837",
+        "extract:InteractionsFirst": "efd877ab4f39e67e",
+        "extract:ConditionalsFirst": "7b7b5d6ca6ecfc64",
+        "extract:UnmarkedFirst": "fa3e19edac785701",
+        "extract:UnmarkedThenInteractions": "4c8cf0adbb805c8f",
+        "extract:UnmarkedThenSelections": "8f6cc7c5018480dd",
+        "extract:UnmarkedThenConditionals": "bbe3ff1ef2b586de",
+        "extract:UnmarkedThenRandom": "2a966e93e48e9061",
+        "fuzz:d1s0": "02e0febb38198efb",
+        "extract-fuzz:d1s0": "5fb648dde1d2f52a",
+        "fuzz:d0s1": "02e0febb38198efb",
+        "extract-fuzz:d0s1": "5fb648dde1d2f52a",
+        "fuzz:d2s2": "d923e0f8672c2cda",
+        "extract-fuzz:d2s2": "bf9fd242aee484ac",
+        "unroll": "cf7c187c9e79e6a4",
+        "extract-unroll": "507b2bfae0766619",
+        "inject_inefficiency": "baa1eeac63e3cb39",
+    },
+    "dot": "67d65d595a2a7f4c",
+}
+
+
+@pytest.mark.parametrize("point", sorted(POINTS))
+def test_seeded_outputs_are_unchanged(point):
+    assert digests(point) == EXPECTED[point]
+
+
+def test_dot_output_is_unchanged():
+    assert dot_digest() == EXPECTED["dot"]
