@@ -340,7 +340,8 @@ def cmd_bench(args) -> int:
     if args.jobs > 1:
         # Worker processes, not threads: a job timed on a thread would
         # count the time it waits for the interpreter lock.  Spawned, not
-        # forked: a fork of a process that runs threads can deadlock.
+        # forked: a worker starts from a fresh import, with none of the
+        # caller's state, the same on every platform.
         spawn = multiprocessing.get_context("spawn")
         with concurrent.futures.ProcessPoolExecutor(args.jobs, spawn) as pool:
             futures = [pool.submit(_bench_one, *j) for j in jobs]

@@ -115,73 +115,55 @@ def _unfold_top(chors, config):
     return (tuple(out), changed)
 
 
-def _interaction_head(body):
-    if isinstance(body, (Com, Sel)):
-        return body
+def _same_head(lconf, rconf, kinds):
+    """The first (i, j) such that lconf[i] and rconf[j] are the same
+    constructor, one of `kinds`, over the same label; None if none is."""
+    for i, lb in enumerate(lconf):
+        if type(lb) in kinds:
+            kind, label = type(lb), lb._label()
+            for j, rb in enumerate(rconf):
+                if type(rb) is kind and rb._label() == label:
+                    return i, j
     return None
 
 
-def _same_head(a, b):
-    if isinstance(a, Com) and isinstance(b, Com):
-        return (a.sender, a.expr, a.receiver, a.var) == (b.sender, b.expr, b.receiver, b.var)
-    if isinstance(a, Sel) and isinstance(b, Sel):
-        return (a.sender, a.receiver, a.label) == (b.sender, b.receiver, b.label)
-    return False
-
-
-def _normalise(left: _Side, right: _Side, pair, seen_local=None):
+def _normalise(left: _Side, right: _Side, pair):
     """Rewrite a pair into zero or more smaller equivalent pairs.
 
-    Returns a list of pairs.  A local seen-set guards against cycling
-    through unfold/strip on self-similar loops.
+    Returns a list of pairs.  A split's else pair waits on a stack until
+    its then pair is done, and one seen-set for all of them guards
+    against cycling through unfold/strip on self-similar loops.
     """
-    if seen_local is None:
-        seen_local = set()
-    lconf, rconf = pair
-    while True:
-        key = (lconf, rconf)
-        if key in seen_local:
-            return [key]
-        seen_local.add(key)
-        lconf, lch = _unfold_top(left.chors, lconf)
-        rconf, rch = _unfold_top(right.chors, rconf)
-        if lch or rch:
-            continue
-        # Strip one pair of identical interaction heads, if present.
-        stripped = False
-        for i, lb in enumerate(lconf):
-            head = _interaction_head(lb)
-            if head is None:
+    out = []
+    seen = set()
+    todo = [pair]
+    while todo:
+        lconf, rconf = todo.pop()
+        while (key := (lconf, rconf)) not in seen:
+            seen.add(key)
+            lconf, lch = _unfold_top(left.chors, lconf)
+            rconf, rch = _unfold_top(right.chors, rconf)
+            if lch or rch:
                 continue
-            for j, rb in enumerate(rconf):
-                rhead = _interaction_head(rb)
-                if rhead is not None and _same_head(head, rhead):
-                    lconf = lconf[:i] + (lb.cont,) + lconf[i + 1 :]
-                    rconf = rconf[:j] + (rb.cont,) + rconf[j + 1 :]
-                    stripped = True
-                    break
-            if stripped:
+            # Strip one pair of identical interaction heads if there is
+            # one, else split a conditional guarded identically on both
+            # sides and go on with its then pair.
+            found = _same_head(lconf, rconf, (Com, Sel)) or _same_head(lconf, rconf, (Cond,))
+            if found is None:
                 break
-        if stripped:
-            continue
-        # Split a conditional guarded identically on both sides.
-        for i, lb in enumerate(lconf):
-            if not isinstance(lb, Cond):
-                continue
-            for j, rb in enumerate(rconf):
-                if isinstance(rb, Cond) and (rb.process, rb.expr) == (lb.process, lb.expr):
-                    then_pair = (
-                        lconf[:i] + (lb.then,) + lconf[i + 1 :],
-                        rconf[:j] + (rb.then,) + rconf[j + 1 :],
+            i, j = found
+            lkids, rkids = lconf[i].children(), rconf[j].children()
+            if len(lkids) == 2:
+                todo.append(
+                    (
+                        lconf[:i] + (lkids[1],) + lconf[i + 1 :],
+                        rconf[:j] + (rkids[1],) + rconf[j + 1 :],
                     )
-                    else_pair = (
-                        lconf[:i] + (lb.orelse,) + lconf[i + 1 :],
-                        rconf[:j] + (rb.orelse,) + rconf[j + 1 :],
-                    )
-                    return _normalise(left, right, then_pair, seen_local) + _normalise(
-                        left, right, else_pair, seen_local
-                    )
-        return [(lconf, rconf)]
+                )
+            lconf = lconf[:i] + (lkids[0],) + lconf[i + 1 :]
+            rconf = rconf[:j] + (rkids[0],) + rconf[j + 1 :]
+        out.append((lconf, rconf))
+    return out
 
 
 def _simulate(left: _Side, right: _Side, budget: SimBudget) -> SimResult:

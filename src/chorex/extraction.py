@@ -87,8 +87,11 @@ class Seg:
     """
 
     def __init__(self, root_an: AnnotatedNetwork):
-        self.nodes = {}  # (an, path) -> SegNode
-        self.by_state = {}  # an -> [SegNode], in creation order
+        # (an, path) -> SegNode.  Iteration follows uid order: uids only
+        # grow, and `add_node` appends to the end of the dict (also when it
+        # creates again a node that `rollback` deleted), so the nodes are
+        # walked in creation order without a sort.
+        self.nodes = {}
         self.edges = {}  # SegNode -> [(label, SegNode)]
         self.journal = []
         self.created = 0
@@ -104,7 +107,6 @@ class Seg:
         node = SegNode(an, path, self._next_uid)
         self._next_uid += 1
         self.nodes[key] = node
-        self.by_state.setdefault(an, []).append(node)
         self.edges[node] = []
         self.journal.append(("node", node))
         self.created += 1
@@ -126,19 +128,20 @@ class Seg:
             else:
                 node = payload
                 del self.nodes[(node.an, node.path)]
-                siblings = self.by_state[node.an]
-                assert siblings[-1] is node
-                siblings.pop()
-                if not siblings:
-                    del self.by_state[node.an]
                 del self.edges[node]
                 self.deleted += 1
 
     def find_loop_candidate(self, an: AnnotatedNetwork, path: str):
         """The unique existing node with this state whose choice path is a
-        prefix of `path`, if any."""
+        prefix of `path`, if any.
+
+        A (state, path) pair names at most one node, so probing the nodes
+        at every prefix of `path` finds all the candidates.
+        """
         candidates = [
-            n for n in self.by_state.get(an, ()) if path.startswith(n.path)
+            node
+            for k in range(len(path) + 1)
+            if (node := self.nodes.get((an, path[:k]))) is not None
         ]
         assert len(candidates) <= 1, "duplicate loop candidates"
         return candidates[0] if candidates else None
@@ -288,29 +291,26 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
 # ------------------------------------------------------- graph verification
 
 
-def _iter_nodes(seg: Seg):
-    return sorted(seg.nodes.values(), key=lambda n: n.uid)
+def _assert_acyclic(successors: dict, message: str):
+    """Raise AssertionError(`message`) if the graph that maps each node to
+    its successors has a cycle.  (The sorter reads the lists as
+    predecessors: that reverses every edge and keeps every cycle.)"""
+    try:
+        graphlib.TopologicalSorter(successors).prepare()
+    except graphlib.CycleError as err:  # pragma: no cover - engine bug guard
+        raise AssertionError(f"{message}: {err}")
 
 
 def verify_seg(seg: Seg):
     """Independent whole-graph check of the accepted result.
 
     Out-degrees must be 0 (leaves), 1 (an interaction) or 2 (a then/else
-    pair over the same guard); all nodes reachable from the root; and the
-    subgraph induced by non-white nodes must be acyclic, which is
-    equivalent to every cycle containing a white node.
+    pair over the same guard), and the subgraph induced by non-white
+    nodes must be acyclic, which is equivalent to every cycle containing
+    a white node.  That every node is reachable from the root is checked
+    by `unroll_graph`, which walks the graph from the root anyway.
     """
-    reachable = set()
-    frontier = [seg.root]
-    while frontier:
-        n = frontier.pop()
-        if n in reachable:
-            continue
-        reachable.add(n)
-        frontier.extend(dst for _, dst in seg.edges[n])
-    assert len(reachable) == len(seg.nodes), "unreachable nodes survive"
-
-    for node in _iter_nodes(seg):
+    for node in seg.nodes.values():
         es = seg.edges[node]
         if len(es) == 0:
             assert node.deadlock or node.an.terminal, "bare internal node"
@@ -327,43 +327,32 @@ def verify_seg(seg: Seg):
         else:
             raise AssertionError("out-degree above 2")
 
-    ts = graphlib.TopologicalSorter()
-    for node in _iter_nodes(seg):
-        if node.white:
-            continue
-        ts.add(node)
-        for _, dst in seg.edges[node]:
-            if not dst.white:
-                ts.add(dst, node)
-    try:
-        ts.prepare()
-    except graphlib.CycleError as err:  # pragma: no cover - engine bug guard
-        raise AssertionError(f"accepted graph has an all-marked cycle: {err}")
+    _assert_acyclic(
+        {
+            node: [dst for _, dst in seg.edges[node] if not dst.white]
+            for node in seg.nodes.values()
+            if not node.white
+        },
+        "accepted graph has an all-marked cycle",
+    )
 
 
 # --------------------------------------------------- unrolling and read-off
 
 
-def unroll_graph(seg: Seg):
-    """Split loop nodes into procedure definitions plus call leaves.
+def unroll_graph(seg: Seg) -> dict:
+    """Name the loop nodes, which become procedure definitions.
 
     Loop nodes are those with more than one incoming edge, or the root if
-    it has any.  They are named X1, X2, … in depth-first discovery order.
-    Returns (names, dag_edges) where dag_edges maps each node to its edge
-    list with loop-node targets replaced by ("call", name); the remaining
-    graph is verified to be acyclic.
+    it has any.  They are named X1, X2, … in depth-first discovery order;
+    the result maps each loop node to its name.  Every node must be
+    reachable from the root, and the graph without the edges into loop
+    nodes (each reads off as a call) must be acyclic.
     """
     indegree = {}
-    for node in _iter_nodes(seg):
-        for _, dst in seg.edges[node]:
+    for es in seg.edges.values():
+        for _, dst in es:
             indegree[dst] = indegree.get(dst, 0) + 1
-
-    loop_nodes = {
-        node
-        for node in seg.nodes.values()
-        if indegree.get(node, 0) > 1
-        or (node is seg.root and indegree.get(node, 0) >= 1)
-    }
 
     names = {}
     visited = set()
@@ -373,50 +362,41 @@ def unroll_graph(seg: Seg):
         if node in visited:
             continue
         visited.add(node)
-        if node in loop_nodes:
+        if indegree.get(node, 0) > (0 if node is seg.root else 1):
             names[node] = f"X{len(names) + 1}"
         frontier.extend(dst for _, dst in reversed(seg.edges[node]))
-    assert len(visited) == len(seg.nodes)
+    assert len(visited) == len(seg.nodes), "unreachable nodes survive"
 
-    dag_edges = {}
-    for node in visited:
-        dag_edges[node] = [
-            (label, ("call", names[dst]) if dst in loop_nodes else ("node", dst))
-            for label, dst in seg.edges[node]
-        ]
-
-    ts = graphlib.TopologicalSorter()
-    for node in _iter_nodes(seg):
-        ts.add(node)
-        for _, tgt in dag_edges[node]:
-            if tgt[0] == "node":
-                ts.add(tgt[1], node)
-    try:
-        ts.prepare()
-    except graphlib.CycleError as err:  # pragma: no cover - engine bug guard
-        raise AssertionError(f"loop splitting left a cycle: {err}")
-
-    return names, dag_edges
+    _assert_acyclic(
+        {
+            node: [dst for _, dst in es if dst not in names]
+            for node, es in seg.edges.items()
+        },
+        "loop splitting left a cycle",
+    )
+    return names
 
 
-def build_choreography(seg: Seg, names: dict, dag_edges: dict) -> cc.Choreography:
-    """Read the unrolled graph off into a choreography.
+def build_choreography(seg: Seg, names: dict) -> cc.Choreography:
+    """Read the graph off into a choreography.
 
-    Below each loop node and the root, `dag_edges` is a tree whose leaves
-    are calls, so one fold over edge targets reads each body.
+    An edge into a loop node reads as a call of its procedure: the fold
+    sees the node's name (a string) in place of the node.  Below each
+    loop node and the root the graph is then a tree whose leaves are
+    calls, so one fold reads each body.
     """
 
     def children(target):
-        kind, node = target
-        return [tgt for _, tgt in dag_edges[node]] if kind == "node" else ()
+        if type(target) is str:
+            return ()
+        return [names.get(dst, dst) for _, dst in seg.edges[target]]
 
     def read(target, conts) -> cc.ChoreographyBody:
-        kind, node = target
-        if kind == "call":
-            return cc.Call(node)
-        es = dag_edges[node]
+        if type(target) is str:
+            return cc.Call(target)
+        es = seg.edges[target]
         if not es:
-            return cc.DEADLOCK if node.deadlock else cc.NIL
+            return cc.DEADLOCK if target.deadlock else cc.NIL
         match es[0][0]:
             case ComAction(p, e, q, x):
                 return cc.Com(p, e, q, x, *conts)
@@ -426,12 +406,9 @@ def build_choreography(seg: Seg, names: dict, dag_edges: dict) -> cc.Choreograph
                 return cc.Cond(p, e, *conts)
         raise AssertionError(f"unexpected edge label {es[0][0]!r}")
 
-    procedures = {name: fold(("node", node), read, children) for node, name in names.items()}
-    main = (
-        cc.Call(names[seg.root])
-        if seg.root in names
-        else fold(("node", seg.root), read, children)
-    )
+    procedures = {name: fold(node, read, children) for node, name in names.items()}
+    # A loop node at the root reads as a call of its procedure.
+    main = fold(names.get(seg.root, seg.root), read, children)
     return cc.Choreography(procedures, main)
 
 
@@ -494,7 +471,7 @@ class ComponentResult:
     def deadlock_remainders(self) -> list:
         """For each deadlock leaf: the stuck processes and their terms."""
         out = []
-        for node in _iter_nodes(self.seg):
+        for node in self.seg.nodes.values():
             if node.deadlock:
                 out.append(
                     {
@@ -570,7 +547,7 @@ class ExtractionResult:
         lines = ["digraph seg {", "  node [shape=box];"]
         ids = {}
         for comp in self.components:
-            for node in _iter_nodes(comp.seg):
+            for node in comp.seg.nodes.values():
                 ids[node] = f"n{len(ids)}"
                 marking = " ".join(
                     f"{p}={'1' if p in node.an.marked else '0'}"
@@ -582,7 +559,7 @@ class ExtractionResult:
                 )
                 lines.append(f'  {ids[node]} [label="{label}"];')
         for comp in self.components:
-            for node in _iter_nodes(comp.seg):
+            for node in comp.seg.nodes.values():
                 for action, dst in comp.seg.edges[node]:
                     lines.append(
                         f'  {ids[node]} -> {ids[dst]} '
@@ -601,8 +578,7 @@ def _extract_component(
     choreography = None
     if outcome is Outcome.OK:
         verify_seg(seg)
-        names, dag_edges = unroll_graph(seg)
-        choreography = build_choreography(seg, names, dag_edges)
+        choreography = build_choreography(seg, unroll_graph(seg))
     return ComponentResult(
         processes=tuple(sorted(net.processes)),
         services=services,

@@ -23,7 +23,6 @@ from .semantics import (
     ElseAction,
     SelAction,
     Step,
-    ThenAction,
     participants,
 )
 
@@ -57,20 +56,16 @@ def group_units(steps: list) -> list:
     """Group steps into schedulable units, pairing Then with Else.
 
     Returns a list of tuples of steps: singletons for interactions, pairs
-    for conditionals (then first).
+    for conditionals (then first).  `steps` comes in `enabled_steps`
+    order, which lists each Else step right after its Then step.
     """
     units = []
-    pending = {}
     for step in steps:
-        match step.label:
-            case ThenAction(p, e):
-                pending[(p, e)] = len(units)
-                units.append([step])
-            case ElseAction(p, e):
-                units[pending[(p, e)]].append(step)
-            case _:
-                units.append([step])
-    return [tuple(u) for u in units]
+        if type(step.label) is ElseAction:
+            units[-1] += (step,)  # the unit of its Then step
+        else:
+            units.append((step,))
+    return units
 
 
 def _is_interaction(step: Step) -> bool:

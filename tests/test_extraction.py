@@ -68,6 +68,30 @@ class TestSegJournal:
         assert seg.find_loop_candidate(b, "1") is None  # diverged branch
         assert seg.find_loop_candidate(a, "") is seg.root
 
+    def test_duplicate_loop_candidates_are_refused(self):
+        a, b = self._root()
+        seg = Seg(a)
+        seg.add_node(b, "0")
+        seg.add_node(b, "01")
+        with pytest.raises(AssertionError, match="duplicate loop candidates"):
+            seg.find_loop_candidate(b, "011")
+
+    def test_nodes_stay_in_creation_order_across_rollback(self):
+        # The graph is walked in `seg.nodes` order (the dot output too),
+        # which must be uid order without a sort.
+        a, b = self._root()
+        seg = Seg(a)
+        seg.add_node(b, "0")
+        mark = seg.mark()
+        seg.add_node(b, "1")
+        seg.add_node(a, "1")
+        seg.rollback(mark)
+        seg.add_node(a, "1")
+        seg.add_node(b, "1")
+        uids = [n.uid for n in seg.nodes.values()]
+        assert all(x < y for x, y in zip(uids, uids[1:]))
+        assert len(uids) == 4
+
 
 class _FakeNode:
     """Stands in for a graph node; the stack only reads `.white`."""
@@ -246,7 +270,7 @@ class TestGraphShape:
     def test_unroll_names_follow_discovery_order(self, ranked_loop_net, signon_net):
         for net, expected in ((ranked_loop_net, ["X1"]), (signon_net, ["X1"])):
             comp = extract(net, services={"r"} if net is ranked_loop_net else frozenset()).components[0]
-            names, _ = unroll_graph(comp.seg)
+            names = unroll_graph(comp.seg)
             assert sorted(names.values()) == expected
 
     def test_two_phase_loop_gets_two_procedure_names(self):

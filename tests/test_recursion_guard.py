@@ -1,4 +1,4 @@
-"""No function in `src/chorex` may recurse, except the few listed below.
+"""No function in `src/chorex` may recurse, except those listed below.
 
 Terms and search graphs as deep as the paper's grid (2,100 actions in a
 chain) exceed Python's default recursion limit, so every traversal is a
@@ -17,7 +17,6 @@ SOURCE = Path(chorex.__file__).parent
 # (module, function) -> why its recursion is allowed to stay.
 ALLOWED = {
     ("semantics", "_scan"): "its rewrite is ROADMAP item 4 (fast equivalence)",
-    ("equiv", "_normalise"): "its depth is bounded by nested conditionals",
 }
 
 
