@@ -139,7 +139,7 @@ class Cond(ChoreographyBody):
 class Choreography:
     """Procedure definitions plus a main body."""
 
-    __slots__ = ("procedures", "main", "_hash")
+    __slots__ = ("procedures", "main", "_hash", "_process_names")
 
     def __init__(self, procedures, main):
         if isinstance(procedures, dict):
@@ -162,6 +162,7 @@ class Choreography:
             "_hash",
             hash(tuple((x, b._hash) for x, b in items) + (main._hash,)),
         )
+        self._process_names = None  # filled by `choreography_process_names`
 
     def __eq__(self, other):
         if self is other:
@@ -225,7 +226,12 @@ def body_process_names(body: ChoreographyBody) -> frozenset:
 
 
 def choreography_process_names(c: Choreography) -> frozenset:
-    out = set(body_process_names(c.main))
-    for body in c.procedures.values():
-        out |= body_process_names(body)
-    return frozenset(out)
+    """Process names occurring in the main body or a procedure of `c`,
+    computed once per choreography."""
+    names = c._process_names
+    if names is None:
+        names = set(body_process_names(c.main))
+        for body in c.procedures.values():
+            names |= body_process_names(body)
+        names = c._process_names = frozenset(names)
+    return names

@@ -106,13 +106,16 @@ def _unfold_top(chors, config):
     Procedure bodies are never bare calls themselves, so one pass per
     component suffices.
     """
-    changed = False
+    for body in config:
+        if type(body) is Call:
+            break
+    else:
+        return (config, False)
     out = list(config)
     for i, body in enumerate(out):
-        if isinstance(body, Call):
+        if type(body) is Call:
             out[i] = chors[i].procedures[body.name]
-            changed = True
-    return (tuple(out), changed)
+    return (tuple(out), True)
 
 
 def _same_head(lconf, rconf, kinds):

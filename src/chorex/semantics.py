@@ -24,6 +24,17 @@ Two labelled transition systems live here:
   "blocked" by an earlier action or by a conditional it sits under, and
   an action under a conditional must be enabled in both branches.
 
+  The scan is a loop over an explicit stack, one entry per conditional
+  branch being scanned, and it stops as soon as the blocked set covers
+  every process of the choreography.  That cut-off loses nothing: the
+  blocked set only grows deeper in the body, every action involves at
+  least one process, and an action is listed only if none of its
+  processes is blocked; a conditional's branches inherit the blocked
+  set, so they list nothing either, and neither does their
+  intersection.  Bodies that `chor_enabled` is given are the
+  choreography's own bodies or successors of them, so their processes
+  are the choreography's, computed once per choreography.
+
 Markings quantify over live processes only: a process that has terminated
 can never take part in any action again, so it is exempt both from the
 reset condition and from the all-unmarked ("white") test.  Without that
@@ -257,59 +268,90 @@ def enabled_steps(an: AnnotatedNetwork) -> list:
 # ------------------------------------------------- choreography transitions
 
 
-def _action_of_head(body):
-    match body:
-        case cc.Com(p, e, q, x, cont):
-            return ComAction(p, e, q, x), cont
-        case cc.Sel(p, q, l, cont):
-            return SelAction(p, q, l), cont
-    return None, None
+def _under(heads: list, body):
+    """`body` under the communication and selection `heads`, outermost first."""
+    for head in reversed(heads):
+        body = head.rebuild((body,))
+    return body
 
 
-def _scan(procedures: dict, body, blocked: frozenset, visiting: frozenset):
-    """Actions enabled in `body` given already-blocked processes.
+def _chain(procedures: dict, names: frozenset, body, blocked: frozenset, visiting: frozenset):
+    """Actions enabled along one chain of `body`, up to its conditional.
 
-    `visiting` holds (procedure, blocked) pairs on the current unfolding
-    spine; revisiting one would rescan the same body under the same
-    constraints and can be cut off.
+    Walks the communications, selections and calls at the top of `body`
+    and lists their enabled actions, each successor rebuilt under the
+    heads passed on the way.  A generator: at a conditional it yields a
+    scan request `(branch, blocked, visiting)` for the then branch and
+    then for the else branch, is sent each branch's actions in reply, and
+    keeps the actions both branches list.  It stops once `blocked` covers
+    `names`.  `visiting` holds the (procedure, blocked) pairs unfolded on
+    the way here; reaching one again would rescan the same body under the
+    same constraints, so the chain ends there.
     """
-    match body:
-        case cc.Nil() | cc.Deadlock():
-            return []
-        case cc.Call(x):
-            key = (x, blocked)
-            if key in visiting:
-                return []
-            return _scan(procedures, procedures[x], blocked, visiting | {key})
-        case cc.Com(p, _, q, _, cont) | cc.Sel(p, q, _, cont):
-            action, cont = _action_of_head(body)
-            out = []
+    heads = []
+    out = []
+    blocked = set(blocked)
+    while not blocked >= names:
+        kind = type(body)
+        if kind is cc.Com or kind is cc.Sel:
+            p, q = body.sender, body.receiver
             if p not in blocked and q not in blocked:
-                out.append((action, cont))
-            inner_blocked = blocked | {p, q}
-            rebuild = (
-                (lambda c: cc.Com(body.sender, body.expr, body.receiver, body.var, c))
-                if isinstance(body, cc.Com)
-                else (lambda c: cc.Sel(body.sender, body.receiver, body.label, c))
-            )
-            for a, succ in _scan(procedures, cont, inner_blocked, visiting):
-                out.append((a, rebuild(succ)))
-            return out
-        case cc.Cond(p, e, then, orelse):
-            out = []
+                if kind is cc.Com:
+                    action = ComAction(p, body.expr, q, body.var)
+                else:
+                    action = SelAction(p, q, body.label)
+                out.append((action, _under(heads, body.cont)))
+            heads.append(body)
+            blocked.add(p)
+            blocked.add(q)
+            body = body.cont
+        elif kind is cc.Call:
+            key = (body.name, frozenset(blocked))
+            if key in visiting:
+                break
+            visiting = visiting | {key}
+            body = procedures[body.name]
+        elif kind is cc.Cond:
+            p, e = body.process, body.expr
             if p not in blocked:
-                out.append((ThenAction(p, e), then))
-                out.append((ElseAction(p, e), orelse))
-            inner_blocked = blocked | {p}
-            then_res = _scan(procedures, then, inner_blocked, visiting)
+                out.append((ThenAction(p, e), _under(heads, body.then)))
+                out.append((ElseAction(p, e), _under(heads, body.orelse)))
+            blocked.add(p)
+            inner = frozenset(blocked)
+            then_res = yield body.then, inner, visiting
             else_res = {}
-            for a, succ in _scan(procedures, orelse, inner_blocked, visiting):
+            for a, succ in (yield body.orelse, inner, visiting):
                 else_res.setdefault(a, succ)
             for a, then_succ in then_res:
                 if a in else_res:
-                    out.append((a, cc.Cond(p, e, then_succ, else_res[a])))
-            return out
-    raise TypeError(f"not a choreography body: {body!r}")
+                    out.append((a, _under(heads, cc.Cond(p, e, then_succ, else_res[a]))))
+            break
+        elif kind is cc.Nil or kind is cc.Deadlock:
+            break
+        else:
+            raise TypeError(f"not a choreography body: {body!r}")
+    return out
+
+
+def _scan(procedures: dict, names: frozenset, body) -> list:
+    """Actions enabled in `body`, each with its successor, duplicates kept.
+
+    An explicit stack of `_chain` scans, one per conditional branch being
+    scanned; each finished scan's actions are sent to the scan below it.
+    """
+    stack = [_chain(procedures, names, body, frozenset(), frozenset())]
+    sent = None
+    while True:
+        try:
+            branch = stack[-1].send(sent)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            sent = done.value
+        else:
+            stack.append(_chain(procedures, names, *branch))
+            sent = None
 
 
 def chor_enabled(c: cc.Choreography, body=None) -> list:
@@ -318,11 +360,13 @@ def chor_enabled(c: cc.Choreography, body=None) -> list:
     The successor has the fired action removed at every position where it
     was matched — in both branches when it was pulled out of a
     conditional.  Duplicate labels keep their first (shallowest)
-    occurrence.
+    occurrence.  `body` defaults to `c.main`; any other body must use
+    only `c`'s processes, as its procedures and every successor listed
+    here do.
     """
     if body is None:
         body = c.main
-    raw = _scan(c.procedures, body, frozenset(), frozenset())
+    raw = _scan(c.procedures, cc.choreography_process_names(c), body)
     out = []
     seen = set()
     for action, succ in raw:

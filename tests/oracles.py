@@ -14,7 +14,9 @@ import sys
 from chorex import cc
 from chorex.epp import epp
 from chorex.semantics import (
+    ComAction,
     ElseAction,
+    SelAction,
     ThenAction,
     annotate,
     chor_enabled,
@@ -120,3 +122,74 @@ def compare_chor_vs_network(c: cc.Choreography, depth: int, rng):
         (net_succ,) = [s.successor for s in enabled_steps(an) if s.label == action]
         an = net_succ
     return compared
+
+
+def _action_of_head(body):
+    match body:
+        case cc.Com(p, e, q, x, cont):
+            return ComAction(p, e, q, x), cont
+        case cc.Sel(p, q, l, cont):
+            return SelAction(p, q, l), cont
+    return None, None
+
+
+def _scan(procedures: dict, body, blocked: frozenset, visiting: frozenset):
+    """Reference scan: every action of `body` whose processes are not
+    blocked, by plain structural recursion over the whole body.
+
+    `visiting` holds (procedure, blocked) pairs on the current unfolding
+    spine; revisiting one would rescan the same body under the same
+    constraints and can be cut off.
+    """
+    match body:
+        case cc.Nil() | cc.Deadlock():
+            return []
+        case cc.Call(x):
+            key = (x, blocked)
+            if key in visiting:
+                return []
+            return _scan(procedures, procedures[x], blocked, visiting | {key})
+        case cc.Com(p, _, q, _, cont) | cc.Sel(p, q, _, cont):
+            action, cont = _action_of_head(body)
+            out = []
+            if p not in blocked and q not in blocked:
+                out.append((action, cont))
+            inner_blocked = blocked | {p, q}
+            rebuild = (
+                (lambda c: cc.Com(body.sender, body.expr, body.receiver, body.var, c))
+                if isinstance(body, cc.Com)
+                else (lambda c: cc.Sel(body.sender, body.receiver, body.label, c))
+            )
+            for a, succ in _scan(procedures, cont, inner_blocked, visiting):
+                out.append((a, rebuild(succ)))
+            return out
+        case cc.Cond(p, e, then, orelse):
+            out = []
+            if p not in blocked:
+                out.append((ThenAction(p, e), then))
+                out.append((ElseAction(p, e), orelse))
+            inner_blocked = blocked | {p}
+            then_res = _scan(procedures, then, inner_blocked, visiting)
+            else_res = {}
+            for a, succ in _scan(procedures, orelse, inner_blocked, visiting):
+                else_res.setdefault(a, succ)
+            for a, then_succ in then_res:
+                if a in else_res:
+                    out.append((a, cc.Cond(p, e, then_succ, else_res[a])))
+            return out
+    raise TypeError(f"not a choreography body: {body!r}")
+
+
+def reference_chor_enabled(c: cc.Choreography, body=None) -> list:
+    """`semantics.chor_enabled` as a recursive scan to the end of every
+    branch: the same list, in the same order, for bodies of at most a few
+    hundred actions."""
+    if body is None:
+        body = c.main
+    out = []
+    seen = set()
+    for action, succ in _scan(c.procedures, body, frozenset(), frozenset()):
+        if action not in seen:
+            seen.add(action)
+            out.append((action, succ))
+    return out

@@ -23,6 +23,7 @@ PIPELINE = """
 import sys
 from chorex import sp
 from chorex.epp import epp
+from chorex.equiv import SimBudget, bisimilar
 from chorex.extraction import extract
 from chorex.parser import parse_network, parse_program, pretty
 from chorex.testgen import (
@@ -72,11 +73,35 @@ for defs in (0, 2):
         # projection differs from the input; extracting it again is a
         # fixpoint.
         assert pretty(extract(back).program) == text
+    assert bisimilar(chor, result.program, SimBudget(max_pairs=3000)).verdict == "yes"
     for d, s in ((1, 0), (0, 1), (2, 2)):
         parse_network(pretty(fuzz(net, FuzzParams(deletions=d, swaps=s, seed=0))))
     parse_network(pretty(unroll(net, seed=0)))
     print(defs, "ok")
 assert sys.getrecursionlimit() == limit
+"""
+
+# One independent action behind, or ahead of, a long chain of another
+# pair's actions: each side must find the other's first action at the far
+# end of its chain.
+SWAPPED = """
+import sys
+from chorex import cc
+from chorex.equiv import SimBudget, bisimilar
+
+depth, max_pairs = map(int, sys.argv[1:])
+
+
+def chain(n, body):
+    for _ in range(n):
+        body = cc.Com("p", "e", "q", "x", body)
+    return body
+
+
+left = cc.Choreography({}, chain(depth, cc.Com("r", "e", "s", "y", cc.NIL)))
+right = cc.Choreography({}, cc.Com("r", "e", "s", "y", chain(depth, cc.NIL)))
+sim = bisimilar(left, right, SimBudget(max_pairs=max_pairs))
+print(sim.verdict, sim.pairs_explored)
 """
 
 STATE = """
@@ -111,6 +136,11 @@ def _run(script: str, *args) -> str:
 
 def test_the_full_size_row_runs_every_layer_at_the_default_limit():
     assert _run(PIPELINE).split() == ["0", "ok", "2", "ok"]
+
+
+def test_bisimilarity_finds_an_action_behind_a_long_chain():
+    assert _run(SWAPPED, "1500", "10").split() == ["exhausted", "20"]
+    assert _run(SWAPPED, "300", "5000").split() == ["yes", "602"]
 
 
 def test_gen_writes_the_whole_size_row(tmp_path):

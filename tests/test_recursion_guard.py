@@ -15,9 +15,7 @@ import chorex
 SOURCE = Path(chorex.__file__).parent
 
 # (module, function) -> why its recursion is allowed to stay.
-ALLOWED = {
-    ("semantics", "_scan"): "its rewrite is ROADMAP item 4 (fast equivalence)",
-}
+ALLOWED = {}
 
 
 # Methods of the builtin containers: `self.entries.pop()` calls a list's

@@ -5,7 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chorex import sp
+from chorex import equiv, sp
+from chorex.epp import epp
+from chorex.equiv import SimBudget, bisimilar
+from chorex.extraction import extract
 from chorex.parser import parse_choreography, parse_network
 from chorex.semantics import (
     AnnotatedNetwork,
@@ -208,6 +211,33 @@ class TestChorEnabled:
     def test_deadlock_has_no_actions(self):
         c = parse_choreography("main { deadlock }")
         assert chor_enabled(c) == []
+
+
+def test_chor_enabled_matches_the_reference_scan_on_round_trips(monkeypatch):
+    """Every body the round trip's bisimilarity check reaches, on the first
+    records of the acceptance corpus stream, lists the same actions with
+    the same successors, in the same order, as a full recursive scan."""
+    checked = []
+
+    def checking(c, body=None):
+        got = chor_enabled(c, body)
+        assert got == oracles.reference_chor_enabled(c, body), body
+        checked.append(body)
+        return got
+
+    monkeypatch.setattr(equiv, "chor_enabled", checking)
+    rng = random.Random("corpus:roundtrip")
+    for i in range(13):
+        size = rng.randint(5, 50)
+        procs = rng.randint(2, 6)
+        ifs = min(rng.randint(0, 10), size)
+        defs = rng.randint(0, 3)
+        chor = amend(
+            generate(GenParams(size=size, processes=procs, ifs=ifs, defs=defs, seed=i))
+        )
+        program = extract(epp(chor)).program
+        assert bisimilar(chor, program, SimBudget(max_pairs=3000)).verdict == "yes"
+    assert len(checked) > 3000
 
 
 class TestDualRoute:
