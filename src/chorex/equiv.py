@@ -19,6 +19,18 @@ recursive call closes:
 Each rewrite preserves the verdict: a stripped head is enabled on both
 sides and has a unique successor, and the split conditional can only be
 matched by its own then/else actions.
+
+A check (one `_simulate` call) interns every pair it meets as a node of
+its rewrite graph and computes each node's rewrite step once, as the
+nodes that step leads to; the graph lives as long as the check.
+Normalising a pair follows those pointers from a seen-set that is new on
+every call, and stops at a normal form or at the first node already seen
+in that call.  That is exactly where rewriting the terms from scratch
+stops (`tests/oracles.reference_normalise`): a step depends only on the
+pair and the two fixed procedure environments, and two pairs are one
+node exactly when they are equal, so both walks meet the same pairs in
+the same order and return the same list.  Verdicts, pair counts and
+witnesses therefore do not depend on the graph.
 """
 
 from __future__ import annotations
@@ -130,42 +142,90 @@ def _same_head(lconf, rconf, kinds):
     return None
 
 
-def _normalise(left: _Side, right: _Side, pair):
+class _Node:
+    """One (left, right) configuration pair of a check, interned.
+
+    `steps` is None until `_normalise` first rewrites the pair, then the
+    nodes its one rewrite step leads to (`_rewrite`): none for a normal
+    form, one for an unfold or a strip, a then node and an else node for
+    a split.  `settled` is set once `_simulate` has met the node as a
+    normal form: it is then explored or skipped as trivially equal, and
+    never looked at again.
+    """
+
+    __slots__ = ("lconf", "rconf", "steps", "settled")
+
+    def __init__(self, lconf, rconf):
+        self.lconf = lconf
+        self.rconf = rconf
+        self.steps = None
+        self.settled = False
+
+
+class _Graph:
+    """The rewrite graph of one `_simulate` call: its two sides and every
+    pair met so far, each interned as one `_Node`."""
+
+    __slots__ = ("left", "right", "nodes")
+
+    def __init__(self, left: _Side, right: _Side):
+        self.left = left
+        self.right = right
+        self.nodes = {}
+
+    def node(self, lconf, rconf) -> _Node:
+        node = self.nodes.get(key := (lconf, rconf))
+        if node is None:
+            node = self.nodes[key] = _Node(lconf, rconf)
+        return node
+
+
+def _rewrite(graph: _Graph, node: _Node) -> tuple:
+    """The nodes that the one rewrite step of `node` leads to.
+
+    Unfold top-level calls if there are any; else strip one pair of
+    identical interaction heads if there is one; else split a conditional
+    guarded identically on both sides into its then and else pairs.
+    """
+    lconf, lch = _unfold_top(graph.left.chors, node.lconf)
+    rconf, rch = _unfold_top(graph.right.chors, node.rconf)
+    if lch or rch:
+        return (graph.node(lconf, rconf),)
+    found = _same_head(lconf, rconf, (Com, Sel)) or _same_head(lconf, rconf, (Cond,))
+    if found is None:
+        return ()
+    i, j = found
+    lkids, rkids = lconf[i].children(), rconf[j].children()
+    return tuple(
+        graph.node(lconf[:i] + (lkid,) + lconf[i + 1 :], rconf[:j] + (rkid,) + rconf[j + 1 :])
+        for lkid, rkid in zip(lkids, rkids)
+    )
+
+
+def _normalise(graph: _Graph, node: _Node) -> list:
     """Rewrite a pair into zero or more smaller equivalent pairs.
 
-    Returns a list of pairs.  A split's else pair waits on a stack until
-    its then pair is done, and one seen-set for all of them guards
-    against cycling through unfold/strip on self-similar loops.
+    Returns a list of nodes.  A split's else node waits on a stack until
+    its then node is done, and one seen-set for all of them, new on every
+    call, guards against cycling through unfold/strip on self-similar
+    loops.  Each node's step is computed once per check (`_rewrite`).
     """
     out = []
     seen = set()
-    todo = [pair]
+    todo = [node]
     while todo:
-        lconf, rconf = todo.pop()
-        while (key := (lconf, rconf)) not in seen:
-            seen.add(key)
-            lconf, lch = _unfold_top(left.chors, lconf)
-            rconf, rch = _unfold_top(right.chors, rconf)
-            if lch or rch:
-                continue
-            # Strip one pair of identical interaction heads if there is
-            # one, else split a conditional guarded identically on both
-            # sides and go on with its then pair.
-            found = _same_head(lconf, rconf, (Com, Sel)) or _same_head(lconf, rconf, (Cond,))
-            if found is None:
+        node = todo.pop()
+        while node not in seen:
+            seen.add(node)
+            steps = node.steps
+            if steps is None:
+                steps = node.steps = _rewrite(graph, node)
+            if not steps:
                 break
-            i, j = found
-            lkids, rkids = lconf[i].children(), rconf[j].children()
-            if len(lkids) == 2:
-                todo.append(
-                    (
-                        lconf[:i] + (lkids[1],) + lconf[i + 1 :],
-                        rconf[:j] + (rkids[1],) + rconf[j + 1 :],
-                    )
-                )
-            lconf = lconf[:i] + (lkids[0],) + lconf[i + 1 :]
-            rconf = rconf[:j] + (rkids[0],) + rconf[j + 1 :]
-        out.append((lconf, rconf))
+            if len(steps) == 2:
+                todo.append(steps[1])
+            node = steps[0]
+        out.append(node)
     return out
 
 
@@ -173,7 +233,7 @@ def _simulate(left: _Side, right: _Side, budget: SimBudget) -> SimResult:
     """Does the right side simulate the left side?"""
     envs_equal = left.chors == right.chors
     started = time.perf_counter()
-    seen = set()
+    graph = _Graph(left, right)
     work = deque([(left.initial, right.initial)])
     explored = 0
     while work:
@@ -182,17 +242,17 @@ def _simulate(left: _Side, right: _Side, budget: SimBudget) -> SimResult:
         if budget.max_millis is not None:
             if (time.perf_counter() - started) * 1000.0 > budget.max_millis:
                 return SimResult("exhausted", explored)
-        raw = work.popleft()
-        for lconf, rconf in _normalise(left, right, raw):
+        for node in _normalise(graph, graph.node(*work.popleft())):
+            if node.settled:
+                continue
+            node.settled = True
+            lconf, rconf = node.lconf, node.rconf
             if envs_equal and lconf == rconf:
                 continue
-            if (lconf, rconf) in seen:
-                continue
-            seen.add((lconf, rconf))
             explored += 1
-            rsteps = {}
-            for label, succ in right.steps(rconf):
-                rsteps.setdefault(label, succ)
+            # A program's components have disjoint processes, and
+            # `chor_enabled` lists no label twice, so neither does a side.
+            rsteps = dict(right.steps(rconf))
             for label, lsucc in left.steps(lconf):
                 rsucc = rsteps.get(label)
                 if rsucc is None:

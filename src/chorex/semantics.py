@@ -283,10 +283,13 @@ def _chain(procedures: dict, names: frozenset, body, blocked: frozenset, visitin
     heads passed on the way.  A generator: at a conditional it yields a
     scan request `(branch, blocked, visiting)` for the then branch and
     then for the else branch, is sent each branch's actions in reply, and
-    keeps the actions both branches list.  It stops once `blocked` covers
-    `names`.  `visiting` holds the (procedure, blocked) pairs unfolded on
-    the way here; reaching one again would rescan the same body under the
-    same constraints, so the chain ends there.
+    keeps the actions both branches list.  No scan lists a label twice
+    (once it lists an action, that action's processes stay blocked for
+    the rest of the scan), so a branch's actions can go into a dict.  It
+    stops once `blocked` covers `names`.  `visiting` holds the
+    (procedure, blocked) pairs unfolded on the way here; reaching one
+    again would rescan the same body under the same constraints, so the
+    chain ends there.
     """
     heads = []
     out = []
@@ -319,9 +322,7 @@ def _chain(procedures: dict, names: frozenset, body, blocked: frozenset, visitin
             blocked.add(p)
             inner = frozenset(blocked)
             then_res = yield body.then, inner, visiting
-            else_res = {}
-            for a, succ in (yield body.orelse, inner, visiting):
-                else_res.setdefault(a, succ)
+            else_res = dict((yield body.orelse, inner, visiting))
             for a, then_succ in then_res:
                 if a in else_res:
                     out.append((a, _under(heads, cc.Cond(p, e, then_succ, else_res[a]))))
@@ -334,7 +335,7 @@ def _chain(procedures: dict, names: frozenset, body, blocked: frozenset, visitin
 
 
 def _scan(procedures: dict, names: frozenset, body) -> list:
-    """Actions enabled in `body`, each with its successor, duplicates kept.
+    """Actions enabled in `body`, each with its successor.
 
     An explicit stack of `_chain` scans, one per conditional branch being
     scanned; each finished scan's actions are sent to the scan below it.
@@ -359,18 +360,11 @@ def chor_enabled(c: cc.Choreography, body=None) -> list:
 
     The successor has the fired action removed at every position where it
     was matched — in both branches when it was pulled out of a
-    conditional.  Duplicate labels keep their first (shallowest)
-    occurrence.  `body` defaults to `c.main`; any other body must use
-    only `c`'s processes, as its procedures and every successor listed
-    here do.
+    conditional.  No label is listed twice: once the scan lists an
+    action, its processes stay blocked for the rest of the scan.  `body`
+    defaults to `c.main`; any other body must use only `c`'s processes,
+    as its procedures and every successor listed here do.
     """
     if body is None:
         body = c.main
-    raw = _scan(c.procedures, cc.choreography_process_names(c), body)
-    out = []
-    seen = set()
-    for action, succ in raw:
-        if action not in seen:
-            seen.add(action)
-            out.append((action, succ))
-    return out
+    return _scan(c.procedures, cc.choreography_process_names(c), body)

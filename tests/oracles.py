@@ -4,7 +4,8 @@ Nothing here shares code with the search in `chorex.extraction`: the
 loop test below is a literal scan over a stack segment, and the graph
 search is a plain existential recursion that tries every alternative
 instead of pruning.  Disagreements with the engine are findings, not
-test bugs.
+test bugs.  The bisimilarity checker's pair rewriting has an oracle here
+too: `reference_normalise` rewrites every pair from scratch.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import sys
 
 from chorex import cc
+from chorex.cc import Call, Com, Cond, Sel
 from chorex.epp import epp
 from chorex.semantics import (
     ComAction,
@@ -192,4 +194,77 @@ def reference_chor_enabled(c: cc.Choreography, body=None) -> list:
         if action not in seen:
             seen.add(action)
             out.append((action, succ))
+    return out
+
+
+def _unfold_top(chors, config):
+    """Replace bare top-level Call bodies by the named procedure body.
+
+    Procedure bodies are never bare calls themselves, so one pass per
+    component suffices.
+    """
+    for body in config:
+        if type(body) is Call:
+            break
+    else:
+        return (config, False)
+    out = list(config)
+    for i, body in enumerate(out):
+        if type(body) is Call:
+            out[i] = chors[i].procedures[body.name]
+    return (tuple(out), True)
+
+
+def _same_head(lconf, rconf, kinds):
+    """The first (i, j) such that lconf[i] and rconf[j] are the same
+    constructor, one of `kinds`, over the same label; None if none is."""
+    for i, lb in enumerate(lconf):
+        if type(lb) in kinds:
+            kind, label = type(lb), lb._label()
+            for j, rb in enumerate(rconf):
+                if type(rb) is kind and rb._label() == label:
+                    return i, j
+    return None
+
+
+def reference_normalise(left, right, pair):
+    """Rewrite a pair into zero or more smaller equivalent pairs.
+
+    Returns a list of pairs.  A split's else pair waits on a stack until
+    its then pair is done, and one seen-set for all of them guards
+    against cycling through unfold/strip on self-similar loops.
+
+    `equiv._normalise` as it was before the rewrite graph: every call
+    rewrites from an empty seen-set, with nothing shared between calls.
+    `left` and `right` need only a `chors` tuple each.
+    """
+    out = []
+    seen = set()
+    todo = [pair]
+    while todo:
+        lconf, rconf = todo.pop()
+        while (key := (lconf, rconf)) not in seen:
+            seen.add(key)
+            lconf, lch = _unfold_top(left.chors, lconf)
+            rconf, rch = _unfold_top(right.chors, rconf)
+            if lch or rch:
+                continue
+            # Strip one pair of identical interaction heads if there is
+            # one, else split a conditional guarded identically on both
+            # sides and go on with its then pair.
+            found = _same_head(lconf, rconf, (Com, Sel)) or _same_head(lconf, rconf, (Cond,))
+            if found is None:
+                break
+            i, j = found
+            lkids, rkids = lconf[i].children(), rconf[j].children()
+            if len(lkids) == 2:
+                todo.append(
+                    (
+                        lconf[:i] + (lkids[1],) + lconf[i + 1 :],
+                        rconf[:j] + (rkids[1],) + rconf[j + 1 :],
+                    )
+                )
+            lconf = lconf[:i] + (lkids[0],) + lconf[i + 1 :]
+            rconf = rconf[:j] + (rkids[0],) + rconf[j + 1 :]
+        out.append((lconf, rconf))
     return out

@@ -1,12 +1,17 @@
 """Bounded similarity / bisimilarity checking between choreographies."""
 
+import random
+
 import pytest
 
+from chorex import equiv
+from chorex.epp import epp
 from chorex.equiv import SimBudget, SimResult, bisimilar, can_simulate
 from chorex.extraction import extract
 from chorex.parser import parse_choreography, parse_network
 from chorex.testgen import GenParams, amend, generate
 
+import oracles
 from conftest import (
     N3_CHOR_TEXT,
     N3_TEXT,
@@ -137,8 +142,93 @@ def test_generated_choreographies_are_self_bisimilar():
 def test_extraction_round_trip_on_small_samples():
     for seed in (0, 7, 23):
         c = amend(generate(GenParams(size=15, processes=3, ifs=1, defs=2, seed=seed)))
-        from chorex.epp import epp
-
         result = extract(epp(c))
         assert result.ok
         assert bisimilar(c, result.program, SimBudget()).verdict == "yes"
+
+
+def _corpus_roundtrip(indices):
+    """(index, choreography) for the given records of the acceptance
+    corpus stream, as the `roundtrip` benchmark draws them."""
+    wanted = set(indices)
+    rng = random.Random("corpus:roundtrip")
+    for i in range(max(wanted) + 1):
+        size = rng.randint(5, 50)
+        procs = rng.randint(2, 6)
+        ifs = min(rng.randint(0, 10), size)
+        defs = rng.randint(0, 3)
+        if i in wanted:
+            params = GenParams(size=size, processes=procs, ifs=ifs, defs=defs, seed=i)
+            yield i, amend(generate(params))
+
+
+def _pairs(nodes):
+    return [(node.lconf, node.rconf) for node in nodes]
+
+
+def _reference(graph, node):
+    return oracles.reference_normalise(graph.left, graph.right, (node.lconf, node.rconf))
+
+
+class TestNormalise:
+    """`_normalise` follows a check's rewrite graph, yet returns what a
+    rewrite from scratch returns, in the same order."""
+
+    @staticmethod
+    def _graph(left_text, right_text):
+        left = equiv._Side((parse_choreography(left_text),))
+        right = equiv._Side((parse_choreography(right_text),))
+        graph = equiv._Graph(left, right)
+        return graph, graph.node(left.initial, right.initial)
+
+    @staticmethod
+    def _normalised_twice(graph, node):
+        """The second call finds every step already computed, and must
+        still walk from an empty seen-set."""
+        want = _reference(graph, node)
+        first = equiv._normalise(graph, node)
+        assert _pairs(first) == want
+        assert equiv._normalise(graph, node) == first
+        return first
+
+    def test_a_self_similar_loop_stops_at_the_pair_it_started_from(self):
+        graph, start = self._graph(
+            "def X { p.e -> q.x; X } main { X }", "def Y { p.e -> q.x; Y } main { Y }"
+        )
+        assert self._normalised_twice(graph, start) == [start]
+
+    def test_a_split_whose_else_pair_was_seen_gives_that_pair(self):
+        graph, start = self._graph(
+            "def X { if p.c then p.e -> q.x; X else X } main { X }",
+            "def Y { if p.c then p.e -> q.x; Y else Y } main { Y }",
+        )
+        assert self._normalised_twice(graph, start) == [start, start]
+
+    def test_matches_the_reference_on_round_trips(self, monkeypatch):
+        """Every raw pair that `bisimilar` (both simulation directions)
+        reaches on the first records of the acceptance corpus stream."""
+        real = equiv._normalise
+        checked = []
+
+        def checking(graph, node):
+            got = real(graph, node)
+            assert _pairs(got) == _reference(graph, node), (node.lconf, node.rconf)
+            checked.append(node)
+            return got
+
+        monkeypatch.setattr(equiv, "_normalise", checking)
+        for i, chor in _corpus_roundtrip(range(13)):
+            program = extract(epp(chor)).program
+            assert bisimilar(chor, program, SimBudget(max_pairs=3000)).verdict == "yes", i
+        assert len(checked) > 2000
+
+
+def test_heavy_round_trip_records_keep_their_pair_counts():
+    """The corpus records the `roundtrip` benchmark leaves out for their
+    cost: same verdicts and pair counts as a rewrite from scratch gave."""
+    budget = SimBudget(max_pairs=3000)
+    got = {}
+    for i, chor in _corpus_roundtrip((14, 41, 44, 59)):
+        sim = bisimilar(chor, extract(epp(chor)).program, budget)
+        got[i] = (sim.verdict, sim.pairs_explored)
+    assert got == {14: ("yes", 784), 41: ("yes", 410), 44: ("yes", 4558), 59: ("yes", 826)}
