@@ -13,6 +13,7 @@ import hashlib
 
 import pytest
 
+from chorex.cli import main as cli_main
 from chorex.epp import epp
 from chorex.extraction import extract
 from chorex.parser import pretty
@@ -197,3 +198,55 @@ def test_seeded_outputs_are_unchanged(point):
 
 def test_dot_output_is_unchanged():
     assert dot_digest() == EXPECTED["dot"]
+
+
+def corpus_digests(command: str, out, monkeypatch, capsys) -> dict:
+    """Run `chorex COMMAND ifs --out OUT --scale 0.1` at the default seed
+    and digest every file it writes, plus its stdout."""
+    monkeypatch.delenv("CHOREX_SEED", raising=False)
+    assert cli_main([command, "ifs", "--out", str(out), "--scale", "0.1"]) == 0
+    stdout = capsys.readouterr().out.replace(str(out), "OUT")
+    files = {p.name: _digest(p.read_text()) for p in sorted(out.iterdir())}
+    return {"stdout": _digest(stdout), **files}
+
+
+CORPUS_EXPECTED = {
+    "gen": {
+        "stdout": "641d2e2290ffd303",
+        "ifs-k1-r0.cc": "92660d5aaa88cd82",
+        "ifs-k2-r0.cc": "f9657ac056c196c9",
+        "ifs-k3-r0.cc": "44512a647c3c0dc2",
+        "ifs-k4-r0.cc": "cb0db775713826d7",
+        "manifest.json": "a206920000f24001",
+    },
+    "fuzz": {
+        "stdout": "838ca579032c7a50",
+        "ifs-k1-r0-d0s1.sp": "bf5f87b541f16b5f",
+        "ifs-k1-r0-d1s0.sp": "c45bb2900a4cd2db",
+        "ifs-k1-r0-d2s2.sp": "3a740723fcef87ad",
+        "ifs-k2-r0-d0s1.sp": "4b619a3219b5d54d",
+        "ifs-k2-r0-d1s0.sp": "295f2539305ba782",
+        "ifs-k2-r0-d2s2.sp": "a18b4faa0c9e08ea",
+        "ifs-k3-r0-d0s1.sp": "e9909a0d4ae69ed3",
+        "ifs-k3-r0-d1s0.sp": "e9909a0d4ae69ed3",
+        "ifs-k3-r0-d2s2.sp": "67a32fa130cfa43c",
+        "ifs-k4-r0-d0s1.sp": "18a8a89ceb48a2ab",
+        "ifs-k4-r0-d1s0.sp": "084b32fa66e06192",
+        "ifs-k4-r0-d2s2.sp": "e7651adfc4c8efb0",
+        "manifest.json": "0a93e013073055b0",
+    },
+    "unroll": {
+        "stdout": "ea1243e518586ed3",
+        "ifs-k1-r0-unrolled.sp": "844385b552df1644",
+        "ifs-k2-r0-unrolled.sp": "4a8bf42ad25f5b5a",
+        "ifs-k3-r0-unrolled.sp": "69a81a063ef06df5",
+        "ifs-k4-r0-unrolled.sp": "18a8a89ceb48a2ab",
+        "manifest.json": "34e6dd96434f4570",
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["gen", "fuzz", "unroll"])
+def test_corpus_commands_write_the_same_files(command, tmp_path, monkeypatch, capsys):
+    got = corpus_digests(command, tmp_path, monkeypatch, capsys)
+    assert got == CORPUS_EXPECTED[command]
