@@ -46,7 +46,7 @@ from .parser import (
 from .sp import Network
 from .strategies import STRATEGY_NAMES, Strategy
 from .testgen import FuzzParams, GenParams, amend, fuzz, generate, unroll
-from .wellformed import check_guardedness, check_well_formed
+from .wellformed import check_guardedness
 
 
 def _default_seed() -> int:
@@ -79,7 +79,8 @@ def _parse_or_exit(parse, text: str, path: str):
 
 
 def _check_or_exit(net: Network) -> None:
-    problems = check_well_formed(net).violations + check_guardedness(net).violations
+    # `parse_network` has already rejected ill-formed networks.
+    problems = check_guardedness(net).violations
     if problems:
         for kind, where, description in problems:
             _err(f"{kind} in {where}: {description}")
@@ -216,81 +217,62 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_manifest(out: Path, entries):
-    out.joinpath("manifest.json").write_text(json.dumps(entries, indent=2) + "\n")
-
-
-def cmd_gen(args) -> int:
-    out = _outdir(args)
-    entries = []
-    for test_id, params in _corpus(_rows_arg(args), args.scale, args.seed):
-        c = amend(generate(params))
-        name = f"{test_id}.cc"
-        out.joinpath(name).write_text(pretty(c) + "\n")
-        entries.append(
-            {
-                "testId": test_id,
-                "file": name,
-                "params": {
-                    "size": params.size,
-                    "processes": params.processes,
-                    "ifs": params.ifs,
-                    "defs": params.defs,
-                },
-                "seed": params.seed,
-                "expectedVerdict": "extractable",
-            }
-        )
-    _write_manifest(out, entries)
-    print(f"wrote {len(entries)} choreographies to {out}")
-    return 0
+def _gen_files(test_id, params):
+    sizes = {
+        "size": params.size,
+        "processes": params.processes,
+        "ifs": params.ifs,
+        "defs": params.defs,
+    }
+    yield test_id, amend(generate(params)), {"params": sizes}, "extractable"
 
 
 _FUZZ_GRID = ((0, 1), (1, 0), (2, 2))
 
 
-def cmd_fuzz(args) -> int:
+def _fuzz_files(test_id, params):
+    net = epp(amend(generate(params)))
+    for d, s in _FUZZ_GRID:
+        variant = fuzz(net, FuzzParams(deletions=d, swaps=s, seed=params.seed))
+        verdict = "unextractable-likely" if d else "unknown"
+        yield f"{test_id}-d{d}s{s}", variant, {"deletions": d, "swaps": s}, verdict
+
+
+def _unroll_files(test_id, params):
+    net = unroll(epp(amend(generate(params))), seed=params.seed)
+    yield f"{test_id}-unrolled", net, {}, "extractable"
+
+
+def _write_corpus(files, suffix: str, what: str, args) -> int:
+    """Write the corpus for `args` and its manifest.json.
+
+    `files(test_id, params)` yields one (file id, term, manifest fields,
+    expected verdict) per file of a corpus point; the term is written to
+    `<file id><suffix>` and listed in the manifest, in order.
+    """
     out = _outdir(args)
     entries = []
     for test_id, params in _corpus(_rows_arg(args), args.scale, args.seed):
-        net = epp(amend(generate(params)))
-        for d, s in _FUZZ_GRID:
-            variant = fuzz(net, FuzzParams(deletions=d, swaps=s, seed=params.seed))
-            name = f"{test_id}-d{d}s{s}.sp"
-            out.joinpath(name).write_text(pretty(variant) + "\n")
+        for file_id, term, fields, verdict in files(test_id, params):
+            name = file_id + suffix
+            out.joinpath(name).write_text(pretty(term) + "\n")
             entries.append(
                 {
-                    "testId": f"{test_id}-d{d}s{s}",
+                    "testId": file_id,
                     "file": name,
-                    "deletions": d,
-                    "swaps": s,
+                    **fields,
                     "seed": params.seed,
-                    "expectedVerdict": "unextractable-likely" if d else "unknown",
+                    "expectedVerdict": verdict,
                 }
             )
-    _write_manifest(out, entries)
-    print(f"wrote {len(entries)} fuzzed networks to {out}")
+    out.joinpath("manifest.json").write_text(json.dumps(entries, indent=2) + "\n")
+    print(f"wrote {len(entries)} {what} to {out}")
     return 0
 
 
-def cmd_unroll(args) -> int:
-    out = _outdir(args)
-    entries = []
-    for test_id, params in _corpus(_rows_arg(args), args.scale, args.seed):
-        net = unroll(epp(amend(generate(params))), seed=params.seed)
-        name = f"{test_id}-unrolled.sp"
-        out.joinpath(name).write_text(pretty(net) + "\n")
-        entries.append(
-            {
-                "testId": f"{test_id}-unrolled",
-                "file": name,
-                "seed": params.seed,
-                "expectedVerdict": "extractable",
-            }
-        )
-    _write_manifest(out, entries)
-    print(f"wrote {len(entries)} unrolled networks to {out}")
-    return 0
+cmd_gen = functools.partial(_write_corpus, _gen_files, ".cc", "choreographies")
+cmd_fuzz = functools.partial(_write_corpus, _fuzz_files, ".sp", "fuzzed networks")
+cmd_unroll = functools.partial(_write_corpus, _unroll_files, ".sp", "unrolled networks")
 
 
 _CSV_HEADER = "testId,size,processes,ifs,defs,strategy,timeMs,nodes,badloops,verdict"

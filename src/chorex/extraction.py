@@ -147,81 +147,49 @@ class Seg:
         return candidates[0] if candidates else None
 
 
-@dataclass(frozen=True, slots=True)
-class PathStackEntry:
-    node: SegNode
-    white: bool
-    white_below: int  # white nodes strictly below this entry
+class _Frame:
+    """One open node of the search: a node whose steps are being tried.
 
-
-class PathStack:
-    def __init__(self):
-        self.entries = []
-        self._index = {}
-
-    def push(self, node: SegNode) -> PathStackEntry:
-        if self.entries:
-            top = self.entries[-1]
-            below = top.white_below + (1 if top.white else 0)
-        else:
-            below = 0
-        entry = PathStackEntry(node, node.white, below)
-        self.entries.append(entry)
-        self._index[node] = entry
-        return entry
-
-    def pop(self):
-        entry = self.entries.pop()
-        del self._index[entry.node]
-
-    @property
-    def top(self) -> PathStackEntry:
-        return self.entries[-1]
-
-    def entry_of(self, node: SegNode):
-        return self._index.get(node)
-
-
-def loop_is_valid(
-    target_entry: PathStackEntry,
-    top_entry: PathStackEntry,
-    target_node_white: bool,
-) -> bool:
-    """True iff the cycle being closed contains a white node.
-
-    The counters make this O(1): whites strictly below the top, plus the
-    top itself, minus whites strictly below the target, counts the white
-    nodes on the stack segment from the target up to and including the
-    top.  The target's own whiteness is part of the difference.
+    It holds the node's ordered units, the unit and the step being tried,
+    the journal mark from before the unit (a failed else branch rolls the
+    then branch back to it), the mark from before the child node in
+    progress (a child that fails is rolled back to it), and `whites`, the
+    number of white nodes on the depth-first path from the root up to and
+    including this node.
     """
-    assert target_entry.white == target_node_white
-    whites = (
-        top_entry.white_below
-        + (1 if top_entry.white else 0)
-        - target_entry.white_below
-    )
-    return whites >= 1
+
+    __slots__ = ("node", "units", "unit_at", "step_at", "unit_mark", "edge_mark", "whites")
+
+    def __init__(self, node: SegNode, units, whites: int):
+        self.node = node
+        self.units = units
+        self.unit_at = 0
+        self.step_at = 0
+        self.unit_mark = 0
+        self.edge_mark = 0
+        self.whites = whites
 
 
 def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
     """Depth-first construction of the graph below `seg.root`.
 
     Returns the search's outcome and whether it saw a deadlocked leaf.
-    The search runs in a loop over an explicit stack: one entry per open
-    node (a node whose steps are being tried), kept in parallel lists of
-    the node, its ordered units, the unit and the step being tried, the
-    journal mark from before the unit (a failed else branch rolls the
-    then branch back to it) and the mark from before the child node in
-    progress (a child that fails is rolled back to it).  `result` is
-    None while a step is to be tried at the top entry; otherwise it is
-    the outcome of the top entry's current step.
+    The search runs in a loop over one explicit stack of `_Frame`s, one
+    per open node, and a dict from each open node to its frame.  `result`
+    is None while a step is to be tried at the top frame; otherwise it is
+    the outcome of the top frame's current step.
+
+    A closing edge onto `target` is valid iff the cycle it closes holds a
+    white node.  The cycle is the path from `target` up to the top, so
+    its white nodes number `top.whites - frame(target).whites` plus one
+    if `target` is white: an O(1) test.
     """
-    stack = PathStack()
-    nodes, units, unit_at, step_at, unit_mark, edge_mark = [], [], [], [], [], []
+    stack = []
+    frame_of = {}
     saw_deadlock = False
 
-    def open_node(node):
-        """Push an entry for `node`, or settle it as a leaf (OK)."""
+    def open_node(node, whites_above):
+        """Push a frame for `node`, or settle it as a leaf (OK)."""
         nonlocal saw_deadlock
         steps = enabled_steps(node.an)
         if not steps:
@@ -229,76 +197,63 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
                 node.deadlock = True
                 saw_deadlock = True
             return Outcome.OK
-        stack.push(node)
-        nodes.append(node)
-        units.append(order_steps(steps, strategy, node.an, rng))
-        unit_at.append(0)
-        step_at.append(0)
-        unit_mark.append(0)
-        edge_mark.append(0)
+        units = order_steps(steps, strategy, node.an, rng)
+        frame = _Frame(node, units, whites_above + node.white)
+        stack.append(frame)
+        frame_of[node] = frame
         return None
 
-    result = open_node(seg.root)
-    while nodes:
-        node = nodes[-1]
-        unit = units[-1][unit_at[-1]]
+    result = open_node(seg.root, 0)
+    while stack:
+        top = stack[-1]
+        node = top.node
+        unit = top.units[top.unit_at]
         if result is None:  # try the current step
-            j = step_at[-1]
+            j = top.step_at
             if j == 0:
-                unit_mark[-1] = seg.mark()
+                top.unit_mark = seg.mark()
             step = unit[j]
             path = node.path if len(unit) == 1 else node.path + "01"[j]
             target = seg.find_loop_candidate(step.successor, path)
             if target is not None:
-                entry = stack.entry_of(target)
-                assert entry is not None, "loop candidate must lie on the DFS path"
-                if loop_is_valid(entry, stack.top, target.white):
+                frame = frame_of.get(target)
+                assert frame is not None, "loop candidate must lie on the DFS path"
+                if top.whites - frame.whites + target.white >= 1:
                     seg.add_edge(node, step.label, target)
                     result = Outcome.OK
                 else:
                     seg.badloops += 1
                     result = Outcome.BADLOOP
                 continue
-            edge_mark[-1] = seg.mark()
+            top.edge_mark = seg.mark()
             fresh = seg.add_node(step.successor, path)
             seg.add_edge(node, step.label, fresh)
-            result = open_node(fresh)  # OK for a leaf: its edge is done
+            result = open_node(fresh, top.whites)  # OK for a leaf: its edge is done
             continue
         # `result` is the outcome of step `step_at` of the current unit.
-        if result is Outcome.OK and len(unit) == 2 and step_at[-1] == 0:
-            step_at[-1] = 1  # then branch done: now the else branch
+        if result is Outcome.OK and len(unit) == 2 and top.step_at == 0:
+            top.step_at = 1  # then branch done: now the else branch
             result = None
             continue
-        if result is not Outcome.OK and step_at[-1] == 1:
-            seg.rollback(unit_mark[-1])  # delete what the then branch built
+        if result is not Outcome.OK and top.step_at == 1:
+            seg.rollback(top.unit_mark)  # delete what the then branch built
         if result is Outcome.BADLOOP:
-            unit_at[-1] += 1
-            step_at[-1] = 0
-            if unit_at[-1] < len(units[-1]):
+            top.unit_at += 1
+            top.step_at = 0
+            if top.unit_at < len(top.units):
                 result = None
                 continue
             result = Outcome.FAIL  # nothing but rejected loops
-        # The node is settled with `result`: close its entry and report
+        # The node is settled with `result`: close its frame and report
         # the outcome to its parent, as the outcome of the parent's step.
-        for column in (nodes, units, unit_at, step_at, unit_mark, edge_mark):
-            column.pop()
         stack.pop()
-        if nodes and result is not Outcome.OK:
-            seg.rollback(edge_mark[-1])
+        del frame_of[node]
+        if stack and result is not Outcome.OK:
+            seg.rollback(stack[-1].edge_mark)
     return result, saw_deadlock
 
 
 # ------------------------------------------------------- graph verification
-
-
-def _assert_acyclic(successors: dict, message: str):
-    """Raise AssertionError(`message`) if the graph that maps each node to
-    its successors has a cycle.  (The sorter reads the lists as
-    predecessors: that reverses every edge and keeps every cycle.)"""
-    try:
-        graphlib.TopologicalSorter(successors).prepare()
-    except graphlib.CycleError as err:  # pragma: no cover - engine bug guard
-        raise AssertionError(f"{message}: {err}")
 
 
 def verify_seg(seg: Seg):
@@ -327,14 +282,17 @@ def verify_seg(seg: Seg):
         else:
             raise AssertionError("out-degree above 2")
 
-    _assert_acyclic(
-        {
-            node: [dst for _, dst in seg.edges[node] if not dst.white]
-            for node in seg.nodes.values()
-            if not node.white
-        },
-        "accepted graph has an all-marked cycle",
-    )
+    # The sorter reads the lists as predecessors: that reverses every
+    # edge and keeps every cycle.
+    marked = {
+        node: [dst for _, dst in seg.edges[node] if not dst.white]
+        for node in seg.nodes.values()
+        if not node.white
+    }
+    try:
+        graphlib.TopologicalSorter(marked).prepare()
+    except graphlib.CycleError as err:  # pragma: no cover - engine bug guard
+        raise AssertionError(f"accepted graph has an all-marked cycle: {err}")
 
 
 # --------------------------------------------------- unrolling and read-off
@@ -346,8 +304,14 @@ def unroll_graph(seg: Seg) -> dict:
     Loop nodes are those with more than one incoming edge, or the root if
     it has any.  They are named X1, X2, … in depth-first discovery order;
     the result maps each loop node to its name.  Every node must be
-    reachable from the root, and the graph without the edges into loop
-    nodes (each reads off as a call) must be acyclic.
+    reachable from the root.
+
+    That check also makes the graph without the edges into loop nodes
+    (each reads off as a call) acyclic, so the read-off terminates.  On a
+    cycle of that graph every node is unnamed and has an incoming edge on
+    the cycle.  An unnamed non-root node has in-degree at most 1 and an
+    unnamed root has in-degree 0, so no edge enters the cycle from outside
+    and its nodes are unreachable from the root.
     """
     indegree = {}
     for es in seg.edges.values():
@@ -366,14 +330,6 @@ def unroll_graph(seg: Seg) -> dict:
             names[node] = f"X{len(names) + 1}"
         frontier.extend(dst for _, dst in reversed(seg.edges[node]))
     assert len(visited) == len(seg.nodes), "unreachable nodes survive"
-
-    _assert_acyclic(
-        {
-            node: [dst for _, dst in es if dst not in names]
-            for node, es in seg.edges.items()
-        },
-        "loop splitting left a cycle",
-    )
     return names
 
 

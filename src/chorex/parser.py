@@ -19,6 +19,9 @@ definitions joined by `|`.  `#` starts a line comment.  Expressions are
 opaque: runs of identifier-ish characters and/or balanced parenthesized
 groups, captured verbatim and never interpreted.
 
+`parse_network` raises the first well-formedness violation of each
+process (`wellformed.process_violations`) at the start of its definition.
+
 Both branches of a conditional are complete behaviours; there is no
 joined continuation (the optional trailing `continue` keyword is accepted
 and ignored).  Pretty-printing is deterministic and round-trips:
@@ -31,6 +34,7 @@ from functools import partial
 
 from . import cc, sp
 from .term import subterms
+from .wellformed import process_violations
 
 KEYWORDS = {"stop", "deadlock", "main", "def", "if", "then", "else", "continue"}
 
@@ -283,16 +287,6 @@ def _behaviour_head(sc: _Scanner):
     return "leaf", sp.Call(name)
 
 
-def _check_behaviour(sc: _Scanner, owner: str, term: sp.ProcessTerm, at):
-    """Reject self-communication and unresolved calls inside one process."""
-    for body in (term.main, *term.procedures.values()):
-        for node in subterms(body):
-            if node.peer == owner:
-                sc.error(f"process {owner!r} communicates with itself", at)
-            if type(node) is sp.Call and node.name not in term.procedures:
-                sc.error(f"call to undefined procedure {node.name!r} in {owner!r}", at)
-
-
 def _parse_process_def(sc: _Scanner):
     sc.skip_ws()
     at = sc.pos
@@ -314,7 +308,8 @@ def _parse_process_def(sc: _Scanner):
     sc.expect("}")
     sc.expect("}")
     term = sp.ProcessTerm(procedures, main)
-    _check_behaviour(sc, name, term, at)
+    for _, _, description in process_violations(name, term):
+        sc.error(description, at)  # the first violation, if any
     return name, term, at
 
 

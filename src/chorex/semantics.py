@@ -89,11 +89,6 @@ def participants(action) -> tuple:
     raise TypeError(f"not an action: {action!r}")
 
 
-def process_names_of(action) -> frozenset:
-    """Processes taking part in an action."""
-    return frozenset(participants(action))
-
-
 def pretty_action(action) -> str:
     match action:
         case ComAction(p, e, q, x):

@@ -1,9 +1,11 @@
 """Pre-extraction validation of networks.
 
 Two passes: structural well-formedness (no self-communication, no calls to
-undefined procedures, no duplicate definitions) and guardedness (no
-reachable procedure unfolds forever through bare calls).  Violations are
-data, not exceptions, so a caller can report all of them at once.
+undefined procedures) and guardedness (no reachable procedure unfolds
+forever through bare calls).  Violations are data, not exceptions, so a
+caller can report all of them at once.  `parse_network` raises the first
+well-formedness violation of each process it reads, so a parsed network
+is always well formed.
 
 Guard expressions are opaque strings and are never evaluated, so there is
 nothing to validate about them; that check is intentionally skipped.
@@ -37,27 +39,26 @@ class CheckReport:
         return f"CheckReport(ok={self.ok}, violations={self.violations!r})"
 
 
+def process_violations(name: str, term: sp.ProcessTerm):
+    """Yield the well-formedness violations of process `name`, main first
+    and then each definition in order, as (kind, where, description)."""
+    bodies = [("main", term.main)]
+    bodies.extend((f"def {x}", b) for x, b in term.procedures.items())
+    for where, body in bodies:
+        loc = f"{name}/{where}"
+        for node in subterms(body):
+            if node.peer == name:
+                yield ("self-communication", loc,
+                       f"process {name} communicates with itself")
+            elif type(node) is sp.Call and node.name not in term.procedures:
+                yield ("unresolved-call", loc,
+                       f"call to undefined procedure {node.name!r}")
+
+
 def check_well_formed(n: sp.Network) -> CheckReport:
-    violations = []
-    for name, term in n.processes.items():
-        bodies = [("main", term.main)]
-        bodies.extend((f"def {x}", b) for x, b in term.procedures.items())
-        for where, body in bodies:
-            loc = f"{name}/{where}"
-            for node in subterms(body):
-                if node.peer == name:
-                    violations.append(
-                        ("self-communication", loc,
-                         f"process {name} communicates with itself")
-                    )
-                elif isinstance(node, sp.Call) and node.name not in term.procedures:
-                    violations.append(
-                        ("unresolved-call", loc,
-                         f"call to undefined procedure {node.name}")
-                    )
-    # Duplicate definitions cannot survive the map representation, but a
-    # report slot exists so parser-level duplicates share the same shape.
-    return CheckReport(violations)
+    return CheckReport(
+        v for name, term in n.processes.items() for v in process_violations(name, term)
+    )
 
 
 def _reachable_procedures(term: sp.ProcessTerm):

@@ -1,11 +1,12 @@
 """Slow reference implementations used to cross-check the engine.
 
 Nothing here shares code with the search in `chorex.extraction`: the
-loop test below is a literal scan over a stack segment, and the graph
-search is a plain existential recursion that tries every alternative
-instead of pruning.  Disagreements with the engine are findings, not
-test bugs.  The bisimilarity checker's pair rewriting has an oracle here
-too: `reference_normalise` rewrites every pair from scratch.
+graph search is a plain existential recursion that tries every
+alternative instead of pruning, and its loop test is a literal scan of
+the closing segment for a white node.  Disagreements with the engine are
+findings, not test bugs.  The bisimilarity checker's pair rewriting has
+an oracle here too: `reference_normalise` rewrites every pair from
+scratch.
 """
 
 from __future__ import annotations
@@ -24,16 +25,6 @@ from chorex.semantics import (
     chor_enabled,
     enabled_steps,
 )
-
-
-def segment_has_white(stack_whiteness, target_index):
-    """Reference loop test: scan the closing segment for a white node.
-
-    `stack_whiteness` is the whiteness of every node on the search stack,
-    bottom first; the segment runs from the closing target up to and
-    including the current top.
-    """
-    return any(stack_whiteness[target_index:])
 
 
 def _units(steps):

@@ -1,21 +1,17 @@
 """The execution-graph search: journalling, loop validity, read-off, and
 whole-network extraction against hand-checked results."""
 
-import random
-
 import pytest
 
 from chorex import sp
 from chorex.extraction import (
     ExtractionResult,
     Outcome,
-    PathStack,
     Seg,
     Strategy,
     communication_graph,
     connected_components,
     extract,
-    loop_is_valid,
     node_bound,
     unroll_graph,
     verify_seg,
@@ -93,48 +89,37 @@ class TestSegJournal:
         assert len(uids) == 4
 
 
-class _FakeNode:
-    """Stands in for a graph node; the stack only reads `.white`."""
+class TestLoopClosure:
+    """A closing edge is accepted iff the cycle it closes holds a white
+    node.  Rejected closures, counted in `badloops`, are checked in
+    `TestFixtures` (two loops as one component, the starved receiver)."""
 
-    def __init__(self, white):
-        self.white = white
+    def test_closure_onto_a_white_node_is_accepted(self):
+        # Both processes act at once, so the marking resets at every step
+        # and the loop closes on the white root itself.
+        net = parse_network("p { def X { q!<e>; X } main { X } } | q { def Y { p?x; Y } main { Y } }")
+        result = extract(net)
+        assert pretty(result.program) == "def X1 { p.e -> q.x; X1 } main { X1 }"
+        seg = result.components[0].seg
+        assert seg.root.white and seg.edges[seg.root][0][1] is seg.root
+        assert result.badloops == 0
 
-
-class TestLoopValidity:
-    def _stack(self, whiteness):
-        stack = PathStack()
-        nodes = [_FakeNode(w) for w in whiteness]
-        for node in nodes:
-            stack.push(node)
-        return stack, nodes
-
-    def test_white_target_makes_loop_valid(self):
-        stack, nodes = self._stack([True, False, False])
-        assert loop_is_valid(stack.entry_of(nodes[0]), stack.top, True)
-
-    def test_all_marked_segment_is_invalid(self):
-        stack, nodes = self._stack([True, False, False])
-        assert not loop_is_valid(stack.entry_of(nodes[1]), stack.top, False)
-
-    def test_white_top_counts(self):
-        stack, nodes = self._stack([False, False, True])
-        assert loop_is_valid(stack.entry_of(nodes[0]), stack.top, False)
-
-    def test_self_loop_on_marked_node(self):
-        stack, nodes = self._stack([True, False])
-        assert not loop_is_valid(stack.entry_of(nodes[1]), stack.top, False)
-
-    def test_counter_matches_direct_scan_on_random_stacks(self):
-        rng = random.Random("loops:module")
-        for _ in range(300):
-            whiteness = [rng.random() < 0.4 for _ in range(rng.randint(1, 30))]
-            stack, nodes = self._stack(whiteness)
-            target = rng.randrange(len(nodes))
-            expected = oracles.segment_has_white(whiteness, target)
-            got = loop_is_valid(
-                stack.entry_of(nodes[target]), stack.top, whiteness[target]
-            )
-            assert got == expected
+    def test_closure_onto_a_marked_node_through_a_white_one_is_accepted(self):
+        # The loop closes on a marked node; the white node on the cycle is
+        # the one the closing edge leaves.
+        net = parse_network(
+            "p { def X { r!<b>; q!<a>; X } main { q!<c>; X } } |"
+            " q { def Y { p?x; Y } main { Y } } | r { def Z { p?y; Z } main { Z } }"
+        )
+        result = extract(net)
+        assert pretty(result.program) == (
+            "def X1 { p.b -> r.y; p.a -> q.x; X1 } main { p.c -> q.x; X1 }"
+        )
+        seg = result.components[0].seg
+        target, top = list(seg.nodes.values())[1:]
+        assert not target.white and top.white
+        assert seg.edges[top][0][1] is target
+        assert result.badloops == 0
 
 
 class TestComponents:
@@ -288,6 +273,16 @@ class TestGraphShape:
             " main { X1 }"
         )
         assert result.nodes_created == 5 and result.badloops == 0
+
+    def test_unreachable_cycle_is_refused(self):
+        # A 2-cycle that no edge enters: without the edges into loop nodes
+        # it is the graph's only cycle, and reachability alone rejects it.
+        seg = Seg(annotate(parse_network("p { main { q!<e>; stop } } | q { main { p?x; stop } }")))
+        x, y = seg.add_node(seg.root.an, "0"), seg.add_node(seg.root.an, "1")
+        seg.add_edge(x, "lbl", y)
+        seg.add_edge(y, "lbl", x)
+        with pytest.raises(AssertionError, match="unreachable nodes survive"):
+            unroll_graph(seg)
 
     def test_dot_export_lists_every_node_and_edge(self, n2):
         result = extract(n2)

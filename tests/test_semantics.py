@@ -19,8 +19,8 @@ from chorex.semantics import (
     annotate,
     chor_enabled,
     enabled_steps,
+    participants,
     pretty_action,
-    process_names_of,
 )
 from chorex.testgen import GenParams, amend, generate
 
@@ -126,7 +126,7 @@ def test_marking_reset_matches_definition(seed):
         if not steps:
             break
         step = rng.choice(steps)
-        touched = process_names_of(step.label)
+        touched = frozenset(participants(step.label))
         waiting = {
             p
             for p, t in an.net.processes.items()
@@ -263,9 +263,9 @@ class TestDualRoute:
 
 def test_action_helpers():
     com = ComAction("p", "e", "q", "x")
-    assert process_names_of(com) == frozenset({"p", "q"})
-    assert process_names_of(SelAction("p", "q", "l")) == frozenset({"p", "q"})
-    assert process_names_of(ThenAction("p", "e")) == frozenset({"p"})
+    assert participants(com) == ("p", "q")
+    assert participants(SelAction("p", "q", "l")) == ("p", "q")
+    assert participants(ThenAction("p", "e")) == ("p",)
     assert pretty_action(ElseAction("p", "e")) == "if p.e else"
     with pytest.raises(TypeError):
-        process_names_of("not an action")
+        participants("not an action")

@@ -12,7 +12,7 @@ from chorex.semantics import (
     ThenAction,
     annotate,
     enabled_steps,
-    process_names_of,
+    participants,
 )
 
 from conftest import N1_TEXT, N2_TEXT, N3_TEXT, RANKED_LOOP_NET_TEXT, SIGNON_NET_TEXT
@@ -189,7 +189,7 @@ def _eager_successor(an, label):
             after = {p: net[p].head_behaviour().orelse}
     updates = {p: sp.ProcessTerm(dict(net[p].procedures), b) for p, b in after.items()}
     succ_net = sp.Network({**net.processes, **updates})
-    touched = process_names_of(label)
+    touched = frozenset(participants(label))
     waiting = {
         p
         for p, t in net.processes.items()

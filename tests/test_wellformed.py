@@ -36,7 +36,7 @@ def test_self_offer_in_procedure_is_flagged():
 def test_undefined_call_is_flagged():
     report = check_well_formed(_net(p=sp.ProcessTerm({}, sp.Call("X"))))
     assert report.violations == [
-        ("unresolved-call", "p/main", "call to undefined procedure X")
+        ("unresolved-call", "p/main", "call to undefined procedure 'X'")
     ]
 
 
