@@ -1,10 +1,56 @@
 """The traversal kernel shared by behaviours and choreography bodies."""
 
+import pytest
+
 from chorex import cc, sp
-from chorex.term import fold, positions, replace_at, subterm_at, subterms
+from chorex.term import Term, fold, positions, replace_at, subterm_at, subterms
 
 OFFER = sp.Offer("p", {"b": sp.Call("X"), "a": sp.Send("q", "e", sp.NIL)})
 TERM = sp.Cond("g", OFFER, sp.Receive("r", "x", sp.NIL))
+
+# Each constructor's fields, in declaration (and positional) order.
+FIELDS = {
+    sp.Call: ("name",),
+    sp.Send: ("to", "expr", "cont"),
+    sp.Receive: ("frm", "var", "cont"),
+    sp.Select: ("to", "label", "cont"),
+    sp.Offer: ("frm", "branches"),
+    sp.Cond: ("expr", "then", "orelse"),
+    cc.Call: ("name",),
+    cc.Com: ("sender", "expr", "receiver", "var", "cont"),
+    cc.Sel: ("sender", "receiver", "label", "cont"),
+    cc.Cond: ("process", "expr", "then", "orelse"),
+}
+
+
+def _every_sp_constructor():
+    return sp.Cond(
+        "g",
+        sp.Offer("p", {"b": sp.Call("X"), "a": sp.Send("q", "e", sp.NIL)}),
+        sp.Select("s", "l", sp.Receive("r", "x", sp.NIL)),
+    )
+
+
+def _every_cc_constructor():
+    return cc.Cond(
+        "p",
+        "g",
+        cc.Com("p", "e", "q", "x", cc.Sel("q", "r", "l", cc.Call("X"))),
+        cc.Cond("q", "h", cc.NIL, cc.DEADLOCK),
+    )
+
+
+EVERY = pytest.mark.parametrize(
+    "make", [_every_sp_constructor, _every_cc_constructor], ids=["sp", "cc"]
+)
+
+
+def _constructors(module):
+    return {
+        c
+        for c in vars(module).values()
+        if isinstance(c, type) and issubclass(c, Term) and not c.__subclasses__()
+    }
 
 
 def _chain(n, last):
@@ -37,6 +83,76 @@ def test_paths_read_and_replace_subterms():
 def test_rebuild_keeps_the_label():
     assert fold(TERM, lambda node, kids: node.rebuild(kids)) == TERM
     assert OFFER.rebuild((sp.NIL, sp.NIL)) == sp.Offer("p", {"a": sp.NIL, "b": sp.NIL})
+
+
+@pytest.mark.parametrize("module", [sp, cc], ids=["sp", "cc"])
+def test_the_terms_below_use_every_constructor(module):
+    make = {sp: _every_sp_constructor, cc: _every_cc_constructor}[module]
+    assert {type(node) for node in subterms(make())} == _constructors(module)
+    assert _constructors(module) - {type(module.NIL), cc.Deadlock} <= FIELDS.keys()
+
+
+@EVERY
+def test_every_constructor_rebuilds_itself(make):
+    term = make()
+    assert fold(term, lambda node, kids: node.rebuild(kids)) == term
+
+
+@EVERY
+def test_positional_patterns_bind_fields_in_declaration_order(make):
+    for node in subterms(make()):
+        fields = FIELDS.get(type(node))
+        if fields is None:  # a leaf singleton
+            continue
+        assert type(node).__match_args__ == fields
+        values = tuple(getattr(node, f) for f in fields)
+        assert type(node)(*values) == node
+        assert type(node)(**dict(zip(fields, values))) == node
+    match make():
+        case cc.Cond(p, e, cc.Com(_, _, _, _, cc.Sel(q, r, l, k)), orelse):
+            assert (p, e, q, r, l, k) == ("p", "g", "q", "r", "l", cc.Call("X"))
+            assert orelse == cc.Cond("q", "h", cc.NIL, cc.DEADLOCK)
+        case sp.Cond(e, sp.Offer(frm, branches), sp.Select(to, l, sp.Receive(cont=k))):
+            assert (e, frm, to, l, k) == ("g", "p", "s", "l", sp.NIL)
+            assert [l for l, _ in branches] == ["a", "b"]
+        case other:
+            pytest.fail(f"no pattern matched {other!r}")
+
+
+@EVERY
+def test_size_counts_the_nodes(make):
+    for node in subterms(make()):
+        assert node.size == sum(1 for _ in subterms(node))
+
+
+def _relabelled(node, field):
+    """`node` with the label `field` changed, or None if that field is a
+    subterm."""
+    fields = FIELDS[type(node)]
+    values = dict((f, getattr(node, f)) for f in fields)
+    if isinstance(values[field], str):
+        values[field] += "'"
+    elif field == "branches":  # rename the offer's first label
+        (label, body), *rest = values[field]
+        values[field] = [(label + "'", body), *rest]
+    else:
+        return None
+    return type(node)(**values)
+
+
+@EVERY
+def test_equal_terms_hash_equal_and_every_label_counts(make):
+    term = make()
+    twin = make()
+    assert term is not twin and term == twin and hash(term) == hash(twin)
+    changed = 0
+    for path, node in positions(term):
+        for field in FIELDS.get(type(node), ()):
+            other = _relabelled(node, field)
+            if other is not None:
+                assert replace_at(term, path, other) != term, (path, field)
+                changed += 1
+    assert changed >= 10
 
 
 def test_equality_walks_deep_terms_without_recursion():
