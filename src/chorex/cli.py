@@ -32,7 +32,7 @@ import sys
 import time
 from pathlib import Path
 
-from .cc import Program
+from .cc import Program, choreography_process_names
 from .epp import MergeError, epp
 from .equiv import SimBudget, bisimilar
 from .extraction import extract
@@ -135,8 +135,9 @@ def cmd_extract(args) -> int:
 def _project_program(prog: Program) -> dict:
     terms = {}
     for component in prog.components:
-        net = epp(component)
-        terms.update(net.processes)
+        # A component that mentions no process projects to nothing.
+        if choreography_process_names(component):
+            terms.update(epp(component).processes)
     return terms
 
 
@@ -147,9 +148,9 @@ def cmd_project(args) -> int:
     except MergeError as exc:
         _err(f"not projectable: merge failed at {exc.location}")
         return 1
-    except ValueError:
-        # A choreography that mentions no process projects to nothing.
-        terms = {}
+    except ValueError as exc:  # a deadlock term
+        _err(f"not projectable: {exc}")
+        return 1
     if terms:
         print(pretty(Network(terms)))
     return 0
@@ -342,6 +343,13 @@ def cmd_bench(args) -> int:
 # --- argument parsing ----------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, not {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="chorex", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
@@ -364,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="check two choreographies for bisimilarity")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--budget", type=int, default=100_000, help="max pairs")
+    p.add_argument("--budget", type=_positive_int, default=100_000, help="max pairs")
     p.add_argument("--millis", type=float, default=None, help="max wall time")
     p.set_defaults(run=cmd_equiv)
 

@@ -410,11 +410,20 @@ def parse_choreography(text: str) -> cc.Choreography:
 
 def parse_program(text: str) -> cc.Program:
     sc = _Scanner(text)
-    components = [_parse_one_choreography(sc)]
-    while not sc.at_end():
+    components = []
+    seen = set()
+    while True:
+        sc.skip_ws()
+        at = sc.pos
+        c = _parse_one_choreography(sc)
+        names = cc.choreography_process_names(c)
+        if seen & names:
+            sc.error(f"components share process names: {sorted(seen & names)}", at)
+        seen |= names
+        components.append(c)
+        if sc.at_end():
+            return cc.Program(components)
         sc.expect("||")
-        components.append(_parse_one_choreography(sc))
-    return cc.Program(components)
 
 
 # ------------------------------------------------------------------ pretty

@@ -22,6 +22,9 @@ from conftest import (
 )
 
 
+SHARED_PROCESS_TEXT = "main { p.e -> q.x; stop } || main { q.e -> r.y; stop }"
+
+
 @pytest.fixture
 def run(capsys):
     def go(*argv):
@@ -177,6 +180,26 @@ class TestProject:
         assert rc == 0
         assert out == ""
 
+    def test_component_without_processes_is_skipped(self, run, tmp_path):
+        f = _write(tmp_path, "c.cc", "main { p.e -> q.x; stop } || main { stop }")
+        rc, out, err = run("project", f)
+        assert rc == 0
+        want = parse_network("p { main { q!<e>; stop } } | q { main { p?x; stop } }")
+        assert out == pretty(want) + "\n"
+
+    def test_deadlock_is_not_projectable(self, run, tmp_path):
+        f = _write(tmp_path, "c.cc", "main { p.e -> q.x; deadlock }")
+        rc, out, err = run("project", f)
+        assert rc == 1
+        assert out == ""
+        assert err == "not projectable: deadlock terms cannot be projected\n"
+
+    def test_components_sharing_a_process_are_a_parse_error(self, run, tmp_path):
+        f = _write(tmp_path, "c.cc", SHARED_PROCESS_TEXT)
+        rc, out, err = run("project", f)
+        assert (rc, out) == (2, "")
+        assert err == f"{f}:1:30: components share process names: ['q']\n"
+
 
 class TestEquiv:
     def test_yes(self, run, tmp_path):
@@ -201,6 +224,19 @@ class TestEquiv:
         rc, out, _ = run("equiv", a, b, "--budget", "1")
         assert rc == 3
         assert json.loads(out)["verdict"] == "exhausted"
+
+    def test_components_sharing_a_process_are_a_parse_error(self, run, tmp_path):
+        a = _write(tmp_path, "a.cc", SHARED_PROCESS_TEXT)
+        rc, out, err = run("equiv", a, a)
+        assert (rc, out) == (2, "")
+        assert "components share process names" in err
+
+    def test_budget_must_be_positive(self, tmp_path, capsys):
+        a = _write(tmp_path, "a.cc", TWO_LOOPS_VARIANT_A)
+        with pytest.raises(SystemExit) as exc:
+            main(["equiv", a, a, "--budget", "0"])
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
 
 
 class TestCorpusCommands:

@@ -95,6 +95,13 @@ class TestErrors:
             1, 21, "'||' joins programs",
         )
 
+    def test_components_sharing_a_process(self):
+        self._fails(
+            parse_program,
+            "main { p.e -> q.x; stop } || main { q.e -> r.y; stop }",
+            1, 30, "components share process names: ['q']",
+        )
+
     def test_self_communication(self):
         self._fails(parse_network, "p { main { p?x; stop } }", 1, 1, "communicates with itself")
 
