@@ -122,14 +122,14 @@ _SORT_KEYS = {
 }
 
 
-def order_steps(steps: list, strategy: Strategy, an: AnnotatedNetwork, rng=None) -> list:
+def order_steps(
+    steps: list, strategy: Strategy, an: AnnotatedNetwork, rng: random.Random
+) -> list:
     """The units of `steps` (see `group_units`) in the order the strategy
-    wants them tried: shuffled first for the random strategies, then
-    stably sorted by the strategy's key."""
+    wants them tried: shuffled first by `rng` for the random strategies,
+    then stably sorted by the strategy's key."""
     units = group_units(steps)
     if strategy.name in ("Random", "UnmarkedThenRandom"):
-        if rng is None:
-            rng = random.Random(f"{strategy.seed}:orphan")
         rng.shuffle(units)
     key = _SORT_KEYS[strategy.name]
     if key is not None:

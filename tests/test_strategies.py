@@ -21,6 +21,7 @@ t { main { if c then stop else stop } }
 
 def _ordered(name, an=None, rng=None, seed=0):
     an = an or annotate(MIX)
+    rng = rng or random.Random(seed)
     units = order_steps(enabled_steps(an), Strategy(name, seed), an, rng)
     return [pretty_action(s.label) for unit in units for s in unit]
 
