@@ -8,12 +8,14 @@ processes that got stuck during extraction.
 
 A program is a parallel composition of choreographies over pairwise
 disjoint sets of process names.  Body constructors derive from
-`term.Term`, which walks, folds and compares them without recursion.
+`term.Term` and declare only their fields; the kernel writes the rest
+(see `term`).  `Com` and `Sel` add a guard against a process talking to
+itself, and the leaves `Nil` and `Deadlock` are written by hand.
 """
 
 from __future__ import annotations
 
-from .term import Term, subterms
+from .term import Term, sorted_procedures, subterms
 
 
 class ChoreographyBody(Term):
@@ -48,92 +50,38 @@ DEADLOCK = Deadlock()
 
 class Call(ChoreographyBody):
     __slots__ = ("name",)
-    __match_args__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("cc.Call", name))
-        self.size = 1
-
-    def _label(self):
-        return (self.name,)
+    KIDS = ()
 
 
 class Com(ChoreographyBody):
     """`p.e -> q.x; cont` — p sends the value of e, q stores it in x."""
 
     __slots__ = ("sender", "expr", "receiver", "var", "cont")
-    __match_args__ = ("sender", "expr", "receiver", "var", "cont")
+    KIDS = ("cont",)
 
     def __init__(self, sender, expr, receiver, var, cont):
         if sender == receiver:
             raise ValueError(f"self-communication at {sender!r}")
-        self.sender = sender
-        self.expr = expr
-        self.receiver = receiver
-        self.var = var
-        self.cont = cont
-        self._hash = hash(("cc.Com", sender, expr, receiver, var, cont._hash))
-        self.size = 1 + cont.size
-
-    def _label(self):
-        return (self.sender, self.expr, self.receiver, self.var)
-
-    def children(self):
-        return (self.cont,)
-
-    def rebuild(self, children):
-        return Com(self.sender, self.expr, self.receiver, self.var, *children)
+        self._init(sender, expr, receiver, var, cont)
 
 
 class Sel(ChoreographyBody):
     """`p -> q[l]; cont` — p selects branch l at q."""
 
     __slots__ = ("sender", "receiver", "label", "cont")
-    __match_args__ = ("sender", "receiver", "label", "cont")
+    KIDS = ("cont",)
 
     def __init__(self, sender, receiver, label, cont):
         if sender == receiver:
             raise ValueError(f"self-selection at {sender!r}")
-        self.sender = sender
-        self.receiver = receiver
-        self.label = label
-        self.cont = cont
-        self._hash = hash(("cc.Sel", sender, receiver, label, cont._hash))
-        self.size = 1 + cont.size
-
-    def _label(self):
-        return (self.sender, self.receiver, self.label)
-
-    def children(self):
-        return (self.cont,)
-
-    def rebuild(self, children):
-        return Sel(self.sender, self.receiver, self.label, *children)
+        self._init(sender, receiver, label, cont)
 
 
 class Cond(ChoreographyBody):
     """`if p.e then .. else ..` — p branches on its local expression e."""
 
     __slots__ = ("process", "expr", "then", "orelse")
-    __match_args__ = ("process", "expr", "then", "orelse")
-
-    def __init__(self, process, expr, then, orelse):
-        self.process = process
-        self.expr = expr
-        self.then = then
-        self.orelse = orelse
-        self._hash = hash(("cc.Cond", process, expr, then._hash, orelse._hash))
-        self.size = 1 + then.size + orelse.size
-
-    def _label(self):
-        return (self.process, self.expr)
-
-    def children(self):
-        return (self.then, self.orelse)
-
-    def rebuild(self, children):
-        return Cond(self.process, self.expr, *children)
+    KIDS = ("then", "orelse")
 
 
 class Choreography:
@@ -142,13 +90,7 @@ class Choreography:
     __slots__ = ("procedures", "main", "_hash", "_process_names")
 
     def __init__(self, procedures, main):
-        if isinstance(procedures, dict):
-            items = sorted(procedures.items())
-        else:
-            items = sorted(procedures)
-        names = [x for x, _ in items]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate procedure names: {names}")
+        items = sorted_procedures(procedures)
         for x, body in items:
             if isinstance(body, Call):
                 raise ValueError(
@@ -157,11 +99,7 @@ class Choreography:
                 )
         self.procedures = dict(items)
         self.main = main
-        object.__setattr__(
-            self,
-            "_hash",
-            hash(tuple((x, b._hash) for x, b in items) + (main._hash,)),
-        )
+        self._hash = hash(tuple((x, b._hash) for x, b in items) + (main._hash,))
         self._process_names = None  # filled by `choreography_process_names`
 
     def __eq__(self, other):
@@ -170,9 +108,6 @@ class Choreography:
         if type(other) is not Choreography or self._hash != other._hash:
             return False
         return self.main == other.main and self.procedures == other.procedures
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return self._hash
@@ -202,9 +137,6 @@ class Program:
 
     def __eq__(self, other):
         return type(other) is Program and self.components == other.components
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash(self.components)

@@ -139,9 +139,6 @@ class AnnotatedNetwork:
             and self.net == other.net
         )
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return self._hash
 

@@ -5,8 +5,10 @@ of named procedure definitions with a main behaviour.  Behaviours are the
 usual communication prefixes (send, receive, label selection, label offer),
 a binary conditional, procedure calls, and the terminated behaviour.
 
-Behaviour constructors derive from `term.Term`, which walks, folds and
-compares them without recursion (see `term`).
+Behaviour constructors derive from `term.Term`.  Each declares its fields
+and which of them are subterms, and the kernel writes its initialiser,
+label, children and rebuild (see `term`).  `Offer`, whose branches are
+sorted (label, behaviour) pairs, and the leaf `Nil` are written by hand.
 
 Expressions are never evaluated here: they are carried around as opaque
 token strings and compared by string equality.  All terms are immutable,
@@ -23,7 +25,7 @@ swaps, so it costs no hashing beyond the updated processes.
 
 from __future__ import annotations
 
-from .term import Term, subterms
+from .term import Term, sorted_procedures, subterms
 
 
 class Behaviour(Term):
@@ -40,7 +42,7 @@ class Nil(Behaviour):
     __slots__ = ()
 
     def __init__(self):
-        self._hash = hash(("Nil",))
+        self._hash = hash(("sp.Nil",))
         self.size = 1
 
 
@@ -51,90 +53,34 @@ class Call(Behaviour):
     """Invocation of a named procedure."""
 
     __slots__ = ("name",)
-    __match_args__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("Call", name))
-        self.size = 1
-
-    def _label(self):
-        return (self.name,)
+    KIDS = ()
 
 
 class Send(Behaviour):
     """Send the value of expression `e` to process `to`, then continue."""
 
     __slots__ = ("to", "expr", "cont")
-    __match_args__ = ("to", "expr", "cont")
-
-    def __init__(self, to: str, expr: str, cont: Behaviour):
-        self.to = to
-        self.expr = expr
-        self.cont = cont
-        self._hash = hash(("Send", to, expr, cont._hash))
-        self.size = 1 + cont.size
+    KIDS = ("cont",)
 
     peer = property(lambda self: self.to)
-
-    def _label(self):
-        return (self.to, self.expr)
-
-    def children(self):
-        return (self.cont,)
-
-    def rebuild(self, children):
-        return Send(self.to, self.expr, *children)
 
 
 class Receive(Behaviour):
     """Receive a value from process `frm` into variable `var`, then continue."""
 
     __slots__ = ("frm", "var", "cont")
-    __match_args__ = ("frm", "var", "cont")
-
-    def __init__(self, frm: str, var: str, cont: Behaviour):
-        self.frm = frm
-        self.var = var
-        self.cont = cont
-        self._hash = hash(("Receive", frm, var, cont._hash))
-        self.size = 1 + cont.size
+    KIDS = ("cont",)
 
     peer = property(lambda self: self.frm)
-
-    def _label(self):
-        return (self.frm, self.var)
-
-    def children(self):
-        return (self.cont,)
-
-    def rebuild(self, children):
-        return Receive(self.frm, self.var, *children)
 
 
 class Select(Behaviour):
     """Select branch label `label` at process `to`, then continue."""
 
     __slots__ = ("to", "label", "cont")
-    __match_args__ = ("to", "label", "cont")
-
-    def __init__(self, to: str, label: str, cont: Behaviour):
-        self.to = to
-        self.label = label
-        self.cont = cont
-        self._hash = hash(("Select", to, label, cont._hash))
-        self.size = 1 + cont.size
+    KIDS = ("cont",)
 
     peer = property(lambda self: self.to)
-
-    def _label(self):
-        return (self.to, self.label)
-
-    def children(self):
-        return (self.cont,)
-
-    def rebuild(self, children):
-        return Select(self.to, self.label, *children)
 
 
 class Offer(Behaviour):
@@ -149,10 +95,7 @@ class Offer(Behaviour):
     __match_args__ = ("frm", "branches")
 
     def __init__(self, frm: str, branches):
-        if isinstance(branches, dict):
-            items = sorted(branches.items())
-        else:
-            items = sorted(branches)
+        items = sorted(branches.items() if isinstance(branches, dict) else branches)
         if not items:
             raise ValueError("offer must have at least one branch")
         labels = [l for l, _ in items]
@@ -160,7 +103,7 @@ class Offer(Behaviour):
             raise ValueError(f"duplicate branch labels in offer: {labels}")
         self.frm = frm
         self.branches = tuple(items)
-        self._hash = hash(("Offer", frm) + tuple((l, b._hash) for l, b in self.branches))
+        self._hash = hash(("sp.Offer", frm) + tuple((l, b._hash) for l, b in self.branches))
         self.size = 1 + sum(b.size for _, b in self.branches)
 
     peer = property(lambda self: self.frm)
@@ -188,23 +131,7 @@ class Cond(Behaviour):
     """Conditional on an opaque expression."""
 
     __slots__ = ("expr", "then", "orelse")
-    __match_args__ = ("expr", "then", "orelse")
-
-    def __init__(self, expr: str, then: Behaviour, orelse: Behaviour):
-        self.expr = expr
-        self.then = then
-        self.orelse = orelse
-        self._hash = hash(("Cond", expr, then._hash, orelse._hash))
-        self.size = 1 + then.size + orelse.size
-
-    def _label(self):
-        return (self.expr,)
-
-    def children(self):
-        return (self.then, self.orelse)
-
-    def rebuild(self, children):
-        return Cond(self.expr, *children)
+    KIDS = ("then", "orelse")
 
 
 class ProcessTerm:
@@ -213,13 +140,7 @@ class ProcessTerm:
     __slots__ = ("procedures", "main", "_hash", "size", "_head", "_env")
 
     def __init__(self, procedures, main: Behaviour):
-        if isinstance(procedures, dict):
-            items = sorted(procedures.items())
-        else:
-            items = sorted(procedures)
-        names = [x for x, _ in items]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate procedure names: {names}")
+        items = sorted_procedures(procedures)
         env = (
             hash(tuple((x, b._hash) for x, b in items)),
             sum(b.size for _, b in items),
@@ -252,7 +173,7 @@ class ProcessTerm:
                     f"unguarded recursion while unfolding {self.main!r}"
                 )
                 head = self.procedures[head.name]
-            object.__setattr__(self, "_head", head)
+            self._head = head
         return head
 
     def is_live(self) -> bool:
@@ -268,9 +189,6 @@ class ProcessTerm:
             self.procedures is other.procedures
             or self.procedures == other.procedures
         )
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return self._hash
@@ -322,9 +240,6 @@ class Network:
         if type(other) is not Network or self._hash != other._hash:
             return False
         return self.processes == other.processes
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return self._hash

@@ -1,11 +1,17 @@
-"""The traversal kernel shared by both term languages.
+"""The term kernel shared by both term languages.
 
 Behaviours (`sp`) and choreography bodies (`cc`) are trees whose
-constructors derive from `Term`.  Each constructor names its children,
-left to right (`children`), and builds a copy of itself over other
-children (`rebuild`).  Every walk over a term is written once, here, as a
-loop over an explicit stack: the paper's grid holds chains of 2,100
-actions, deeper than Python's default recursion limit.
+constructors derive from `Term`.  A constructor is declared once: its
+`__slots__` list its fields, labels first and subterms last, and `KIDS`
+names the subterm fields.  From that, `Term.__init_subclass__` writes the
+constructor's initialiser, which caches the hash and the node count,
+`_label` (the label fields), `children` (the subterms, left to right),
+`rebuild` (the same constructor over other children) and
+`__match_args__`.
+
+Every walk over a term is written once, here, as a loop over an explicit
+stack: the paper's grid holds chains of 2,100 actions, deeper than
+Python's default recursion limit.
 
 * `subterms` — every subterm, pre-order;
 * `positions` — the same, each with its path of child indices;
@@ -27,6 +33,11 @@ class Term:
 
     _hash: int
     size: int  # number of constructor nodes in this subtree
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "KIDS" in cls.__dict__:
+            _declare(cls)
 
     def children(self) -> tuple:
         return ()
@@ -65,14 +76,63 @@ class Term:
                 return True
             a, b = pending.pop()
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
         return fold(self, _repr)
+
+
+def _declare(cls) -> None:
+    """Write the methods of constructor `cls` from its fields, as
+    `collections.namedtuple` does, so that no call loops over them.
+    `_init` is also `__init__` unless `cls` defines its own, which then
+    calls `_init`; any method `cls` defines is kept, and a leaf keeps
+    `Term`'s `children` and `rebuild`."""
+    fields, kids = cls.__slots__, cls.KIDS
+    labels = fields[: len(fields) - len(kids)]
+    assert fields[len(labels) :] == kids, f"{cls.__name__}: subterm fields go last"
+    tag = f"{cls.__module__.rpartition('.')[2]}.{cls.__name__}"
+
+    def own(names):
+        return "".join(f"self.{f}, " for f in names)
+
+    hashed = ", ".join([repr(tag), *labels, *(f"{k}._hash" for k in kids)])
+    source = [
+        f"def _init(self, {', '.join(fields)}):",
+        *(f"    self.{f} = {f}" for f in fields),
+        f"    self._hash = hash(({hashed},))",
+        f"    self.size = {' + '.join(['1', *(f'{k}.size' for k in kids)])}",
+        "def _label(self):",
+        f"    return ({own(labels)})",
+    ]
+    if kids:
+        source += [
+            "def children(self):",
+            f"    return ({own(kids)})",
+            "def rebuild(self, children):",
+            f"    return {cls.__name__}({own(labels)}*children)",
+        ]
+    methods = {}
+    code = compile("\n".join(source), f"<{tag}>", "exec")
+    exec(code, {"hash": hash, cls.__name__: cls}, methods)
+    methods["__init__"] = methods["_init"]
+    for name, method in methods.items():
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    cls.__match_args__ = fields
+
+
+def sorted_procedures(procedures) -> list:
+    """The (name, body) pairs of a procedure dict or pair list, by name;
+    a name given twice is a ValueError."""
+    items = procedures.items() if isinstance(procedures, dict) else procedures
+    items = sorted(items, key=lambda item: item[0])
+    names = [x for x, _ in items]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate procedure names: {names}")
+    return items
 
 
 def _repr(term: Term, children) -> str:

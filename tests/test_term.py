@@ -1,5 +1,8 @@
 """The traversal kernel shared by behaviours and choreography bodies."""
 
+import dis
+import sys
+
 import pytest
 
 from chorex import cc, sp
@@ -161,3 +164,35 @@ def test_equality_walks_deep_terms_without_recursion():
     c = _chain(100_000, cc.DEADLOCK)
     assert a != c
     assert fold(a, lambda node, kids: 1 + sum(kids)) == a.size
+
+
+# The kernel writes constructor methods at class creation, where the
+# recursion guard's reading of the source cannot see them; so read
+# their code.  A call instruction there may only call what a
+# LOAD_GLOBAL put on the stack, and that may only be `hash` or the
+# constructor itself; attributes may only be its fields, `_hash` and
+# `size`.
+_CALLS = {"CALL", "CALL_FUNCTION", "CALL_FUNCTION_EX", "CALL_KW", "CALL_METHOD"}
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda c: f"{c.__module__}.{c.__name__}")
+def test_generated_methods_call_only_hash_and_their_class(cls):
+    source = sys.modules[cls.__module__].__file__
+    generated = {
+        name: f.__code__
+        for name, f in vars(cls).items()
+        if callable(f) and hasattr(f, "__code__") and f.__code__.co_filename != source
+    }
+    if cls is sp.Offer:  # written by hand
+        assert not generated
+        return
+    assert {"_init", "_label"} <= generated.keys()
+    for name, code in generated.items():
+        ops = list(dis.get_instructions(code))
+        loaded = [op.argval for op in ops if op.opname == "LOAD_GLOBAL"]
+        assert set(loaded) <= {"hash", cls.__name__}, name
+        assert sum(op.opname in _CALLS for op in ops) == len(loaded), name
+        assert set(code.co_names) <= {*loaded, *cls.__slots__, "_hash", "size"}, name
+        assert not code.co_freevars and not any(
+            hasattr(c, "co_code") for c in code.co_consts
+        ), name
