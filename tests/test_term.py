@@ -84,7 +84,8 @@ def test_paths_read_and_replace_subterms():
 
 
 def test_rebuild_keeps_the_label():
-    assert fold(TERM, lambda node, kids: node.rebuild(kids)) == TERM
+    for term in (TERM, _every_sp_constructor(), _every_cc_constructor()):
+        assert fold(term, lambda node, kids: node.rebuild(kids)) == term
     assert OFFER.rebuild((sp.NIL, sp.NIL)) == sp.Offer("p", {"a": sp.NIL, "b": sp.NIL})
 
 
@@ -93,12 +94,6 @@ def test_the_terms_below_use_every_constructor(module):
     make = {sp: _every_sp_constructor, cc: _every_cc_constructor}[module]
     assert {type(node) for node in subterms(make())} == _constructors(module)
     assert _constructors(module) - {type(module.NIL), cc.Deadlock} <= FIELDS.keys()
-
-
-@EVERY
-def test_every_constructor_rebuilds_itself(make):
-    term = make()
-    assert fold(term, lambda node, kids: node.rebuild(kids)) == term
 
 
 @EVERY
