@@ -15,9 +15,15 @@ Choreographies (`.cc` files)::
         | if p.e then C else C
 
 Programs are choreographies joined by `||`; networks are process
-definitions joined by `|`.  `#` starts a line comment.  Expressions are
-opaque: runs of identifier-ish characters and/or balanced parenthesized
-groups, captured verbatim and never interpreted.
+definitions joined by `|`.
+
+Tokens: after any whitespace and `#` line comments, the next token is
+`->`, `||`, a word (a run of `[A-Za-z0-9_']`) or any other single
+character.  A name is a word that starts with a letter and has no `'`.
+Spaces are needed only between two words.  Expressions are opaque: words
+and balanced parenthesized groups, captured verbatim (a group with
+everything inside it, `#` included) and joined without what lies between
+them; they are never interpreted.
 
 `parse_network` raises the first well-formedness violation of each
 process (`wellformed.process_violations`) at the start of its definition.
@@ -30,6 +36,7 @@ parse(pretty(v)) is structurally equal to v.
 
 from __future__ import annotations
 
+import re
 from functools import partial
 
 from . import cc, sp
@@ -38,9 +45,11 @@ from .wellformed import process_violations
 
 KEYWORDS = {"stop", "deadlock", "main", "def", "if", "then", "else", "continue"}
 
-_IDENT_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
-_IDENT_CHARS = _IDENT_START | set("0123456789_")
-_EXPR_CHARS = _IDENT_CHARS | {"'"}
+# Whitespace and comments, then one token: a word, or `->`, `||` or any
+# other single character.  The token is optional, so the end of the input
+# reads as None; a required one would backtrack into a trailing comment
+# (possessive quantifiers, which would stop that, need Python 3.11).
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(?:([A-Za-z0-9_']+)|(->|\|\||.))?")
 
 
 class SourceSpan:
@@ -72,108 +81,68 @@ class ParseError(Exception):
 
 
 class _Scanner:
+    """One token of lookahead: `tok` (None at the end of the input) starts
+    at offset `at`, `word` is `tok` if it is a word, and `end` is the
+    offset just after the last token taken."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self._read(0)
 
-    def span(self, pos=None) -> SourceSpan:
-        pos = self.pos if pos is None else pos
+    def _read(self, pos: int):
+        """Take the input up to `pos` and read the token after it."""
+        self.end = pos
+        m = _TOKEN.match(self.text, pos)
+        self.word, self.tok, self.next = m[1], m[1] or m[2], m.end()
+        self.at = self.next - len(self.tok) if self.tok else self.next
+
+    def span(self, pos: int) -> SourceSpan:
         line = self.text.count("\n", 0, pos) + 1
-        last_nl = self.text.rfind("\n", 0, pos)
-        return SourceSpan(line, pos - last_nl, pos)
+        return SourceSpan(line, pos - self.text.rfind("\n", 0, pos), pos)
 
     def error(self, message: str, pos=None):
-        raise ParseError(message, self.span(pos))
+        raise ParseError(message, self.span(self.at if pos is None else pos))
 
-    def skip_ws(self):
-        text, n = self.text, len(self.text)
-        while self.pos < n:
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif ch == "#":
-                nl = text.find("\n", self.pos)
-                self.pos = n if nl < 0 else nl + 1
-            else:
-                return
+    def _found(self) -> str:
+        return repr(self.text[self.at : self.at + 12] or "end of input")
 
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+    def take(self):
+        tok = self.tok
+        self._read(self.next)
+        return tok
 
-    def peek(self, s: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(s, self.pos)
+    def try_take(self, tok: str) -> bool:
+        if self.tok != tok:
+            return False
+        self._read(self.next)
+        return True
 
-    def try_take(self, s: str) -> bool:
-        if self.peek(s):
-            self.pos += len(s)
-            return True
-        return False
-
-    def expect(self, s: str):
-        if not self.try_take(s):
-            got = self.text[self.pos : self.pos + 12] or "end of input"
-            self.error(f"expected {s!r}, found {got!r}")
-
-    def peek_word(self):
-        """The identifier starting at the cursor, or None."""
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] not in _IDENT_START:
-            return None
-        j = self.pos + 1
-        while j < len(self.text) and self.text[j] in _IDENT_CHARS:
-            j += 1
-        return self.text[self.pos : j]
-
-    def try_keyword(self, kw: str) -> bool:
-        if self.peek_word() == kw:
-            self.pos += len(kw)
-            return True
-        return False
+    def expect(self, tok: str):
+        if not self.try_take(tok):
+            self.error(f"expected {tok!r}, found {self._found()}")
 
     def ident(self, what="identifier") -> str:
-        word = self.peek_word()
-        if word is None:
-            got = self.text[self.pos : self.pos + 12] or "end of input"
-            self.error(f"expected {what}, found {got!r}")
+        word = self.word
         if word in KEYWORDS:
             self.error(f"expected {what}, found keyword {word!r}")
-        self.pos += len(word)
-        return word
+        if not word or not word[0].isalpha() or "'" in word:
+            self.error(f"expected {what}, found {self._found()}")
+        return self.take()
 
     def expression(self, stop: str) -> str:
-        """Capture an opaque expression.
-
-        `stop` selects the terminator: ">" (send argument), "then"
-        (conditional guard) or "->" (communication arrow).  Atoms and
-        balanced parenthesized groups are captured verbatim; surrounding
-        whitespace is dropped.
-        """
-        self.skip_ws()
-        start = self.pos
+        """Read an opaque expression and the `stop` token after it: ">"
+        (send argument), "then" (conditional guard) or "->" (communication
+        arrow).  Words and balanced parenthesized groups are kept verbatim,
+        a `#` inside parentheses too, and joined without what lies between
+        them."""
+        start = self.at
         parts = []
-        text, n = self.text, len(self.text)
-        while True:
-            self.skip_ws()
-            if stop == "then" and self.peek_word() == "then":
-                break
-            if self.pos >= n:
-                self.error(f"unterminated expression (expected {stop!r})", start)
-            ch = text[self.pos]
-            if stop == ">" and ch == ">":
-                break
-            if stop == "->" and ch == "-":
-                break
-            if ch in _EXPR_CHARS:
-                j = self.pos
-                while j < n and text[j] in _EXPR_CHARS:
-                    j += 1
-                parts.append(text[self.pos : j])
-                self.pos = j
-            elif ch == "(":
-                depth, j = 0, self.pos
-                while j < n:
+        while self.tok != stop:
+            if self.word:
+                parts.append(self.take())
+            elif self.tok == "(":
+                text, depth, j = self.text, 0, self.at
+                while j < len(text):
                     if text[j] == "(":
                         depth += 1
                     elif text[j] == ")":
@@ -182,15 +151,17 @@ class _Scanner:
                             break
                     j += 1
                 if depth != 0:
-                    self.error("unbalanced parentheses in expression", self.pos)
-                parts.append(text[self.pos : j + 1])
-                self.pos = j + 1
+                    self.error("unbalanced parentheses in expression")
+                parts.append(text[self.at : j + 1])
+                self._read(j + 1)
+            elif self.tok is None:
+                self.error(f"unterminated expression (expected {stop!r})", start)
             else:
-                self.error(f"unexpected character {ch!r} in expression")
-        expr = "".join(parts)
-        if not expr:
+                self.error(f"unexpected character {self.tok[0]!r} in expression")
+        if not parts:
             self.error("empty expression", start)
-        return expr
+        self.take()
+        return "".join(parts)
 
 
 # ------------------------------------------------------------------- terms
@@ -229,10 +200,9 @@ def _parse_term(sc: _Scanner, head):
             if kind == "cond":
                 branches.append(term)
                 if len(branches) == 1:
-                    if not sc.try_keyword("else"):
-                        sc.error("expected 'else'")
+                    sc.expect("else")
                     break
-                sc.try_keyword("continue")  # optional, carries no meaning
+                sc.try_take("continue")  # optional, carries no meaning
                 term = value(*branches)
             else:
                 name, label = value
@@ -247,7 +217,7 @@ def _parse_term(sc: _Scanner, head):
 
 
 def _branch_label(sc: _Scanner, branches) -> str:
-    at = sc.pos
+    at = sc.end
     label = sc.ident("label")
     if any(l == label for l, _ in branches):
         sc.error(f"duplicate branch label {label!r}", at)
@@ -255,22 +225,43 @@ def _branch_label(sc: _Scanner, branches) -> str:
     return label
 
 
+def _procedures_and_main(sc: _Scanner, head):
+    """Read `def X { .. } .. main { .. }`, each body by `_parse_term`.
+
+    A choreography procedure that is a bare call is an error here; in a
+    network that is for `wellformed.check_guardedness` to judge.
+    """
+    procedures = {}
+    while sc.try_take("def"):
+        x_at = sc.end
+        x = sc.ident("procedure name")
+        if x in procedures:
+            sc.error(f"duplicate procedure {x!r}", x_at)
+        sc.expect("{")
+        procedures[x] = body = _parse_term(sc, head)
+        sc.expect("}")
+        if type(body) is cc.Call:
+            sc.error(f"procedure {x!r} is an unguarded call to {body.name!r}", x_at)
+    if not sc.try_take("main"):
+        sc.error("expected 'def' or 'main'")
+    sc.expect("{")
+    main = _parse_term(sc, head)
+    sc.expect("}")
+    return procedures, main
+
+
 # ---------------------------------------------------------------- networks
 
 
 def _behaviour_head(sc: _Scanner):
-    if sc.try_keyword("stop"):
+    if sc.try_take("stop"):
         return "leaf", sp.NIL
-    if sc.try_keyword("if"):
-        expr = sc.expression("then")
-        if not sc.try_keyword("then"):
-            sc.error("expected 'then'")
-        return "cond", partial(sp.Cond, expr)
+    if sc.try_take("if"):
+        return "cond", partial(sp.Cond, sc.expression("then"))
     name = sc.ident("process or procedure name")
     if sc.try_take("!"):
         sc.expect("<")
         expr = sc.expression(">")
-        sc.expect(">")
         sc.expect(";")
         return "prefix", partial(sp.Send, name, expr)
     if sc.try_take("?"):
@@ -287,70 +278,43 @@ def _behaviour_head(sc: _Scanner):
     return "leaf", sp.Call(name)
 
 
-def _parse_process_def(sc: _Scanner):
-    sc.skip_ws()
-    at = sc.pos
-    name = sc.ident("process name")
-    sc.expect("{")
-    procedures = {}
-    while sc.try_keyword("def"):
-        x_at = sc.pos
-        x = sc.ident("procedure name")
-        if x in procedures:
-            sc.error(f"duplicate procedure {x!r} in process {name!r}", x_at)
-        sc.expect("{")
-        procedures[x] = _parse_term(sc, _behaviour_head)
-        sc.expect("}")
-    if not sc.try_keyword("main"):
-        sc.error("expected 'main'")
-    sc.expect("{")
-    main = _parse_term(sc, _behaviour_head)
-    sc.expect("}")
-    sc.expect("}")
-    term = sp.ProcessTerm(procedures, main)
-    for _, _, description in process_violations(name, term):
-        sc.error(description, at)  # the first violation, if any
-    return name, term, at
-
-
 def parse_network(text: str) -> sp.Network:
     sc = _Scanner(text)
     processes = {}
     while True:
-        name, term, at = _parse_process_def(sc)
+        at = sc.at
+        name = sc.ident("process name")
+        sc.expect("{")
+        term = sp.ProcessTerm(*_procedures_and_main(sc, _behaviour_head))
+        sc.expect("}")
+        for _, _, description in process_violations(name, term):
+            sc.error(description, at)  # the first violation, if any
         if name in processes:
             sc.error(f"duplicate process {name!r}", at)
         processes[name] = term
-        if sc.at_end():
-            break
-        if sc.peek("||"):
+        if sc.tok is None:
+            return sp.Network(processes)
+        if sc.tok == "||":
             sc.error("'||' joins programs; use '|' between processes")
         sc.expect("|")
-    return sp.Network(processes)
 
 
 # ------------------------------------------------------------ choreographies
 
 
 def _body_head(sc: _Scanner):
-    if sc.try_keyword("stop"):
+    if sc.try_take("stop"):
         return "leaf", cc.NIL
-    if sc.try_keyword("deadlock"):
+    if sc.try_take("deadlock"):
         return "leaf", cc.DEADLOCK
-    if sc.try_keyword("if"):
+    if sc.try_take("if"):
         p = sc.ident("process name")
         sc.expect(".")
-        expr = sc.expression("then")
-        if not sc.try_keyword("then"):
-            sc.error("expected 'then'")
-        return "cond", partial(cc.Cond, p, expr)
-
-    sc.skip_ws()
-    at = sc.pos
+        return "cond", partial(cc.Cond, p, sc.expression("then"))
+    at = sc.at
     name = sc.ident("process or procedure name")
     if sc.try_take("."):
         expr = sc.expression("->")
-        sc.expect("->")
         q = sc.ident("process name")
         sc.expect(".")
         var = sc.ident("variable name")
@@ -371,24 +335,8 @@ def _body_head(sc: _Scanner):
 
 
 def _parse_one_choreography(sc: _Scanner) -> cc.Choreography:
-    procedures = {}
-    start = sc.pos
-    while sc.try_keyword("def"):
-        x_at = sc.pos
-        x = sc.ident("procedure name")
-        if x in procedures:
-            sc.error(f"duplicate procedure {x!r}", x_at)
-        sc.expect("{")
-        body = _parse_term(sc, _body_head)
-        sc.expect("}")
-        if isinstance(body, cc.Call):
-            sc.error(f"procedure {x!r} is an unguarded call to {body.name!r}", x_at)
-        procedures[x] = body
-    if not sc.try_keyword("main"):
-        sc.error("expected 'def' or 'main'")
-    sc.expect("{")
-    main = _parse_term(sc, _body_head)
-    sc.expect("}")
+    start = sc.at
+    procedures, main = _procedures_and_main(sc, _body_head)
     calls = {
         node.name
         for body in (main, *procedures.values())
@@ -403,7 +351,7 @@ def _parse_one_choreography(sc: _Scanner) -> cc.Choreography:
 def parse_choreography(text: str) -> cc.Choreography:
     sc = _Scanner(text)
     out = _parse_one_choreography(sc)
-    if not sc.at_end():
+    if sc.tok is not None:
         sc.error("trailing input after choreography (use parse_program for '||')")
     return out
 
@@ -413,15 +361,14 @@ def parse_program(text: str) -> cc.Program:
     components = []
     seen = set()
     while True:
-        sc.skip_ws()
-        at = sc.pos
+        at = sc.at
         c = _parse_one_choreography(sc)
         names = cc.choreography_process_names(c)
         if seen & names:
             sc.error(f"components share process names: {sorted(seen & names)}", at)
         seen |= names
         components.append(c)
-        if sc.at_end():
+        if sc.tok is None:
             return cc.Program(components)
         sc.expect("||")
 
@@ -469,15 +416,6 @@ def pretty_behaviour(b: sp.Behaviour) -> str:
     return _render(b, _BEHAVIOUR_PIECES)
 
 
-def _pretty_process(name: str, term: sp.ProcessTerm) -> str:
-    parts = [name, "{"]
-    for x in sorted(term.procedures):
-        parts.append(f"def {x} {{ {pretty_behaviour(term.procedures[x])} }}")
-    parts.append(f"main {{ {pretty_behaviour(term.main)} }}")
-    parts.append("}")
-    return " ".join(parts)
-
-
 _BODY_PIECES = {
     cc.Nil: lambda c: ("stop", ()),
     cc.Deadlock: lambda c: ("deadlock", ()),
@@ -492,21 +430,21 @@ def pretty_body(body: cc.ChoreographyBody) -> str:
     return _render(body, _BODY_PIECES)
 
 
-def _pretty_choreography(c: cc.Choreography) -> str:
-    parts = []
-    for x in sorted(c.procedures):
-        parts.append(f"def {x} {{ {pretty_body(c.procedures[x])} }}")
-    parts.append(f"main {{ {pretty_body(c.main)} }}")
+def _pretty_procedures(procedures, main, pieces) -> str:
+    """`def X { .. } .. main { .. }`, procedures in name order."""
+    parts = [f"def {x} {{ {_render(procedures[x], pieces)} }}" for x in sorted(procedures)]
+    parts.append(f"main {{ {_render(main, pieces)} }}")
     return " ".join(parts)
 
 
 def pretty(value) -> str:
     if isinstance(value, sp.Network):
         return " | ".join(
-            _pretty_process(p, t) for p, t in value.processes.items()
+            f"{p} {{ {_pretty_procedures(t.procedures, t.main, _BEHAVIOUR_PIECES)} }}"
+            for p, t in value.processes.items()
         )
     if isinstance(value, cc.Choreography):
-        return _pretty_choreography(value)
+        return _pretty_procedures(value.procedures, value.main, _BODY_PIECES)
     if isinstance(value, cc.Program):
-        return " || ".join(_pretty_choreography(c) for c in value.components)
+        return " || ".join(map(pretty, value.components))
     raise TypeError(f"cannot pretty-print {type(value).__name__}")

@@ -1,5 +1,7 @@
 """Grammar coverage, error reporting, and print/parse round-trips."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,7 @@ from chorex.parser import (
     pretty_body,
 )
 
-from conftest import N1_TEXT, SIGNON_NET_TEXT
+from conftest import N1_TEXT, SIGNON_CHOR_TEXT, SIGNON_NET_TEXT
 
 
 def test_parses_send_receive_pairs(n1):
@@ -71,6 +73,47 @@ def test_choreography_terms():
 def test_program_composition():
     prog = parse_program("main { p.e -> q.x; stop } || main { r.e -> s.x; stop }")
     assert len(prog.components) == 2
+
+
+class TestLexer:
+    """Spaces are needed only between two words, and a comment may stand
+    between any two tokens outside parentheses."""
+
+    # A parenthesized group counts as one token: its text is kept verbatim.
+    _TOKENS = re.compile(r"\([^()]*\)|->|\|\||[A-Za-z0-9_']+|\S")
+    _WORDS = re.compile(r"[A-Za-z0-9_']+")
+
+    def _variants(self, text):
+        tokens = self._TOKENS.findall(text)
+        squeezed = tokens[0]
+        for before, token in zip(tokens, tokens[1:]):
+            between = before[-1] + token[0]
+            squeezed += (" " if self._WORDS.fullmatch(between) else "") + token
+        return squeezed, "# note\n".join(tokens)
+
+    def test_network_variants_parse_alike(self):
+        original = parse_network(SIGNON_NET_TEXT)
+        squeezed, commented = self._variants(SIGNON_NET_TEXT)
+        assert squeezed.startswith("u{def X{a!<cred>;a&{ok:w?t;stop,ko:X}}main{X}}|")
+        assert "if check(c)then u+ok;" in squeezed
+        assert commented.count("# note") > 80
+        assert parse_network(squeezed) == original
+        assert parse_network(commented) == original
+
+    def test_choreography_variants_parse_alike(self):
+        original = parse_choreography(SIGNON_CHOR_TEXT)
+        squeezed, commented = self._variants(SIGNON_CHOR_TEXT)
+        assert squeezed.startswith("def X{u.cred->a.c;if a.check(c)then a->u[ok];")
+        assert parse_choreography(squeezed) == original
+        assert parse_choreography(commented) == original
+
+    def test_comment_inside_parentheses_is_kept(self):
+        net = parse_network("p { main { q!<f(a # b)>; stop } }")
+        assert net["p"].main.expr == "f(a # b)"
+
+    def test_arrow_without_spaces(self):
+        c = parse_choreography("main { p.e->q.x; stop }")
+        assert c.main == cc.Com("p", "e", "q", "x", cc.NIL)
 
 
 class TestErrors:
