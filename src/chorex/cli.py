@@ -12,11 +12,12 @@ Subcommands:
 
 Exit codes: 0 success; 1 extraction/projection/verdict failure
 (no valid graph, merge error, verdict "no", or a deadlocked extraction
-under --strict); 2 unreadable input, parse error, or check failure;
-3 equivalence check exhausted its budget.
+under --strict); 2 unreadable input, parse error, check failure, or a
+bad option or CHOREX_SEED; 3 equivalence check exhausted its budget.
 
-The default seed comes from the CHOREX_SEED environment variable when
-set.  Identical inputs, flags, and seed give byte-identical stdout.
+The default seed comes from the CHOREX_SEED environment variable, an
+integer, when set.  Identical inputs, flags, and seed give byte-identical
+stdout.
 """
 
 from __future__ import annotations
@@ -50,7 +51,11 @@ from .wellformed import check_guardedness
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("CHOREX_SEED", "0"))
+    text = os.environ.get("CHOREX_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise SystemExit(_exit_with(f"CHOREX_SEED must be an integer, not {text!r}", 2))
 
 
 def _err(msg: str):
@@ -343,11 +348,18 @@ def cmd_bench(args) -> int:
 # --- argument parsing ----------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
+def _positive(value):
+    if not value > 0:  # nor is nan
         raise argparse.ArgumentTypeError(f"must be positive, not {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _positive(int(text))
+
+
+def _positive_float(text: str) -> float:
+    return _positive(float(text))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -373,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--budget", type=_positive_int, default=100_000, help="max pairs")
-    p.add_argument("--millis", type=float, default=None, help="max wall time")
+    p.add_argument("--millis", type=_positive_float, default=None, help="max wall time")
     p.set_defaults(run=cmd_equiv)
 
     for name, runner, blurb in (
@@ -388,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scale", type=float, default=1.0)
         p.add_argument("--seed", type=int, default=_default_seed())
         if name == "bench":
-            p.add_argument("--jobs", type=int, default=1)
+            p.add_argument("--jobs", type=_positive_int, default=1)
         p.set_defaults(run=runner)
 
     return top

@@ -58,6 +58,8 @@ class SimBudget:
     def __post_init__(self):
         if self.max_pairs <= 0:
             raise ValueError("max_pairs must be positive")
+        if self.max_millis is not None and not self.max_millis > 0:
+            raise ValueError("max_millis must be positive")
 
 
 class SimResult:

@@ -29,12 +29,6 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_json(self):
-        return [
-            {"kind": kind, "where": where, "description": description}
-            for kind, where, description in self.violations
-        ]
-
     def __repr__(self):
         return f"CheckReport(ok={self.ok}, violations={self.violations!r})"
 

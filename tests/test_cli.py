@@ -156,6 +156,16 @@ class TestExtract:
         assert rc == 0
         assert json.loads(stats_path.read_text())["seed"] == 7
 
+    def test_seed_from_environment_must_be_an_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CHOREX_SEED", "abc")
+        f = _write(tmp_path, "net.sp", N2_TEXT)
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", f])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "CHOREX_SEED must be an integer, not 'abc'\n"
+
 
 class TestProject:
     def test_projection_round_trips_the_sign_on(self, run, tmp_path):
@@ -238,6 +248,22 @@ class TestEquiv:
         assert exc.value.code == 2
         assert "--budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("millis", ["0", "-5", "nan", "x"])
+    def test_millis_must_be_positive(self, tmp_path, capsys, millis):
+        a = _write(tmp_path, "a.cc", TWO_LOOPS_VARIANT_A)
+        with pytest.raises(SystemExit) as exc:
+            main(["equiv", a, a, "--millis", millis])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--millis" in captured.err
+
+    def test_positive_millis_is_a_budget(self, run, tmp_path):
+        a = _write(tmp_path, "a.cc", TWO_LOOPS_VARIANT_A)
+        rc, out, _ = run("equiv", a, a, "--millis", "1000")
+        assert rc == 0
+        assert json.loads(out)["verdict"] == "yes"
+
 
 class TestCorpusCommands:
     def test_gen_writes_files_and_manifest(self, run, tmp_path):
@@ -319,6 +345,15 @@ class TestCorpusCommands:
             tables.append([r[:time_col] + r[time_col + 1 :] for r in rows])
         assert len(tables[0]) == 1 + 40
         assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_bench_jobs_must_be_positive(self, tmp_path, capsys, jobs):
+        out_dir = tmp_path / "bench"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "ifs", "--out", str(out_dir), "--scale", "0.1", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_gen_runs_are_reproducible(self, run, tmp_path):
         a = tmp_path / "a"

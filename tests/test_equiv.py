@@ -37,6 +37,11 @@ class TestBudget:
         with pytest.raises(ValueError):
             SimBudget(max_pairs=-5)
 
+    @pytest.mark.parametrize("millis", [0, -5, 0.0, float("nan")])
+    def test_time_budget_must_be_positive(self, millis):
+        with pytest.raises(ValueError, match="max_millis"):
+            SimBudget(max_millis=millis)
+
 
 class TestVerdicts:
     def test_identical_choreographies_explore_nothing(self):
@@ -116,7 +121,8 @@ class TestExhaustion:
     def test_wall_clock_budget(self):
         a = parse_choreography(TWO_LOOPS_VARIANT_A)
         b = parse_choreography(TWO_LOOPS_VARIANT_B)
-        result = bisimilar(a, b, SimBudget(max_pairs=10, max_millis=0))
+        # A picosecond: spent before the first pair is explored.
+        result = bisimilar(a, b, SimBudget(max_pairs=10, max_millis=1e-9))
         assert result.verdict == "exhausted"
         assert result.pairs_explored == 0
 

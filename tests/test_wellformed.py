@@ -74,10 +74,9 @@ class TestGuardedness:
         assert check_guardedness(_net(p=term)).ok
 
 
-def test_report_json_shape():
+def test_report_ok_and_repr():
     report = CheckReport([("kind", "p/main", "something happened")])
-    assert report.to_json() == [
-        {"kind": "kind", "where": "p/main", "description": "something happened"}
-    ]
+    assert not report.ok
+    assert report.violations == [("kind", "p/main", "something happened")]
     assert CheckReport().ok
     assert "ok=True" in repr(CheckReport())
