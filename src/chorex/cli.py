@@ -55,7 +55,7 @@ def _default_seed() -> int:
     try:
         return int(text)
     except ValueError:
-        raise SystemExit(_exit_with(f"CHOREX_SEED must be an integer, not {text!r}", 2))
+        raise SystemExit(_exit_with(f"CHOREX_SEED must be an integer, not {text!r}", 2)) from None
 
 
 def _err(msg: str):
@@ -349,7 +349,7 @@ def cmd_bench(args) -> int:
 
 
 def _positive(value):
-    if not value > 0:  # nor is nan
+    if not value > 0:  # false for nan too
         raise argparse.ArgumentTypeError(f"must be positive, not {value}")
     return value
 

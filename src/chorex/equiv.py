@@ -49,7 +49,8 @@ class SimBudget:
     """Resource cap for a similarity check.
 
     max_pairs bounds the number of (normalised) pairs explored;
-    max_millis, when not None, bounds wall-clock time.
+    max_millis, when not None, bounds wall-clock time.  Both must be
+    positive.
     """
 
     max_pairs: int = 100_000
