@@ -6,14 +6,15 @@ alternative instead of pruning, and its loop test is a literal scan of
 the closing segment for a white node.  Disagreements with the engine are
 findings, not test bugs.  The bisimilarity checker's pair rewriting has
 an oracle here too: `reference_normalise` rewrites every pair from
-scratch.
+scratch, and `reference_epp` projects one process at a time by plain
+recursion, with its own merge.
 """
 
 from __future__ import annotations
 
 import sys
 
-from chorex import cc
+from chorex import cc, sp
 from chorex.cc import Call, Com, Cond, Sel
 from chorex.epp import epp
 from chorex.semantics import (
@@ -259,3 +260,122 @@ def reference_normalise(left, right, pair):
             rconf = rconf[:j] + (rkids[0],) + rconf[j + 1 :]
         out.append((lconf, rconf))
     return out
+
+
+class ReferenceMergeFailure(Exception):
+    """Where and between which two behaviours a reference merge failed."""
+
+    def __init__(self, location, left, right):
+        super().__init__(location)
+        self.location = location
+        self.left = left
+        self.right = right
+
+
+class _Clash(Exception):
+    pass
+
+
+def _reference_merge(a, b):
+    """Merge two behaviours by recursion, children left to right and offer
+    labels in sorted order; raises _Clash with the first pair that
+    differs in its head."""
+    if type(a) is sp.Offer and type(b) is sp.Offer and a.frm == b.frm:
+        left, right = dict(a.branches), dict(b.branches)
+        merged = {}
+        for label in sorted(left.keys() | right.keys()):
+            if label in left and label in right:
+                merged[label] = _reference_merge(left[label], right[label])
+            else:
+                merged[label] = left.get(label) or right[label]
+        return sp.Offer(a.frm, merged)
+    if type(a) is not type(b) or a._label() != b._label():
+        raise _Clash(a, b)
+    kids = [_reference_merge(x, y) for x, y in zip(a.children(), b.children())]
+    return a.rebuild(kids) if kids else a
+
+
+def _reference_project(body, r):
+    """Project `body` onto `r`; branches are projected then before else,
+    and a conditional merges after both, so the first failure raised is
+    the first in post-order."""
+    match body:
+        case cc.Nil():
+            return sp.NIL
+        case cc.Call(x):
+            return sp.Call(x)
+        case cc.Com(p, e, q, x, cont):
+            k = _reference_project(cont, r)
+            if r == p:
+                return sp.Send(q, e, k)
+            return sp.Receive(p, x, k) if r == q else k
+        case cc.Sel(p, q, label, cont):
+            k = _reference_project(cont, r)
+            if r == p:
+                return sp.Select(q, label, k)
+            return sp.Offer(p, {label: k}) if r == q else k
+        case cc.Cond(p, e, then, orelse):
+            t = _reference_project(then, r)
+            f = _reference_project(orelse, r)
+            if r == p:
+                return sp.Cond(e, t, f)
+            try:
+                return _reference_merge(t, f)
+            except _Clash as clash:
+                left, right = clash.args
+                where = f"process {r} at conditional on {p}.{e}"
+                raise ReferenceMergeFailure(where, left, right) from None
+    raise TypeError(f"not a projectable body: {body!r}")
+
+
+def _dead_procedures(procedures: dict) -> set:
+    """Procedures that reach themselves through bare calls alone."""
+    dead = set()
+    for name in procedures:
+        seen = set()
+        body = procedures[name]
+        while type(body) is sp.Call and body.name not in seen:
+            if body.name == name:
+                dead.add(name)
+                break
+            seen.add(body.name)
+            body = procedures.get(body.name)
+    return dead
+
+
+def reference_epp(c: cc.Choreography) -> sp.Network:
+    """Project `c` onto each of its processes in name order, each body
+    (procedures by name, then main) on its own.
+
+    Raises ReferenceMergeFailure for the first conditional that does not
+    project.  Recursion depth grows with the length of a body, so the
+    recursion limit is raised for the call and restored after it.
+    """
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 50_000))
+    try:
+        universe = set()
+        for body in (c.main, *c.procedures.values()):
+            for node in _nodes(body):
+                if isinstance(node, (cc.Com, cc.Sel)):
+                    universe |= {node.sender, node.receiver}
+                elif isinstance(node, cc.Cond):
+                    universe.add(node.process)
+        terms = {}
+        for r in sorted(universe):
+            procedures = {x: _reference_project(b, r) for x, b in c.procedures.items()}
+            main = _reference_project(c.main, r)
+            for x in _dead_procedures(procedures):
+                procedures[x] = sp.NIL
+            terms[r] = sp.ProcessTerm(procedures, main)
+        return sp.Network(terms)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _nodes(body):
+    stack = [body]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children())

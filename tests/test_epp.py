@@ -7,7 +7,11 @@ from chorex import sp
 from chorex.epp import MergeError, describe_head, epp, merge, project_body, project_process
 from chorex.parser import parse_choreography, parse_network
 
+from chorex.testgen import GenParams, amend, generate
+
+import oracles
 from conftest import RANKED_LOOP_CHOR_TEXT, SIGNON_NET_TEXT
+from test_golden import POINTS
 
 
 def test_projecting_the_signon_choreography_recovers_the_network(signon_chor):
@@ -49,6 +53,67 @@ def test_unprojectable_conditional_reports_location():
         epp(c)
     assert err.value.location == "process r at conditional on q.(x=y)"
     assert "cannot merge" in str(err.value)
+
+
+def test_merge_error_names_the_first_process_not_the_first_conditional():
+    # c fails at the inner conditional, which a bottom-up walk meets
+    # first; b, first in name order, fails at the outer one.
+    c = parse_choreography(
+        "main { if a.u then b.e -> a.x; if a.v then c.f -> a.y; stop else stop"
+        " else stop }"
+    )
+    with pytest.raises(MergeError) as err:
+        epp(c)
+    assert str(err.value) == (
+        "process b at conditional on a.u: cannot merge send e to a with stop"
+    )
+
+
+def test_merge_error_names_a_procedure_before_main():
+    # b fails in main and in X, c only in main: b's failure in X is named.
+    c = parse_choreography(
+        "def X { if a.w then b.g -> a.z; stop else stop }"
+        " main { if a.u then c.e -> b.x; X else X }"
+    )
+    with pytest.raises(MergeError) as err:
+        epp(c)
+    assert str(err.value) == (
+        "process b at conditional on a.w: cannot merge send g to a with stop"
+    )
+
+
+def _assert_epp_matches_reference(c):
+    try:
+        expected = oracles.reference_epp(c)
+    except oracles.ReferenceMergeFailure as failure:
+        with pytest.raises(MergeError) as err:
+            epp(c)
+        assert err.value.location == failure.location
+        assert (err.value.left, err.value.right) == (failure.left, failure.right)
+    else:
+        assert epp(c) == expected
+
+
+@pytest.mark.parametrize("point", sorted(POINTS))
+def test_epp_matches_the_reference_on_golden_points(point):
+    raw = generate(POINTS[point])
+    _assert_epp_matches_reference(raw)
+    _assert_epp_matches_reference(amend(raw))
+
+
+def test_epp_matches_the_reference_on_seeded_draws():
+    for seed in range(30):
+        size = 4 + (seed * 7) % 40
+        params = GenParams(
+            size=size,
+            processes=2 + seed % 5,
+            ifs=min(size, seed % 6),
+            defs=seed % 4,
+            seed=seed,
+        )
+        raw = generate(params)
+        _assert_epp_matches_reference(raw)
+        _assert_epp_matches_reference(amend(raw))
 
 
 def test_epp_universe_extension():

@@ -17,7 +17,7 @@ from chorex.extraction import (
     verify_seg,
 )
 from chorex.parser import parse_network, pretty
-from chorex.semantics import annotate
+from chorex.semantics import AnnotatedNetwork, ComAction, annotate
 
 import oracles
 from conftest import LOOP_PLUS_FINITE_TEXT
@@ -283,6 +283,18 @@ class TestGraphShape:
         seg.add_edge(y, "lbl", x)
         with pytest.raises(AssertionError, match="unreachable nodes survive"):
             unroll_graph(seg)
+
+    def test_all_marked_cycle_is_refused(self):
+        net = parse_network("p { main { q!<e>; stop } } | q { main { p?x; stop } }")
+        seg = Seg(annotate(net))
+        marked = AnnotatedNetwork(net, frozenset({"p"}), frozenset())
+        x, y = seg.add_node(marked, "0"), seg.add_node(marked, "1")
+        com = ComAction("p", "e", "q", "x")
+        seg.add_edge(seg.root, com, x)
+        seg.add_edge(x, com, y)
+        seg.add_edge(y, com, x)
+        with pytest.raises(AssertionError, match="all-marked cycle"):
+            verify_seg(seg)
 
     def test_dot_export_lists_every_node_and_edge(self, n2):
         result = extract(n2)

@@ -250,3 +250,30 @@ CORPUS_EXPECTED = {
 def test_corpus_commands_write_the_same_files(command, tmp_path, monkeypatch, capsys):
     got = corpus_digests(command, tmp_path, monkeypatch, capsys)
     assert got == CORPUS_EXPECTED[command]
+
+
+# Generator draws alone, before amendment: ifs-defs j0k2-r0 rejects every
+# independent draw and takes the connected fallback; j1k2-r0 and j5k3-r0
+# are accepted after hundreds of rejected draws.
+GENERATE_POINTS = {
+    "ifs-defs-j0k2-r0": GenParams(size=200, processes=5, ifs=0, defs=10, seed=0),
+    "ifs-defs-j1k2-r0": GenParams(size=200, processes=5, ifs=1, defs=10, seed=0),
+    "ifs-defs-j5k3-r0": GenParams(size=200, processes=5, ifs=5, defs=15, seed=0),
+    "ifs-defs-j0k3-r1": GenParams(size=200, processes=5, ifs=0, defs=15, seed=1),
+    "size-k42-r0": GenParams(size=2100, processes=6, seed=0),
+    "procedures-k15-r0": GenParams(size=20, processes=5, ifs=8, defs=15, seed=0),
+}
+
+GENERATE_EXPECTED = {
+    "ifs-defs-j0k2-r0": "b84f5b4a707dfec9",
+    "ifs-defs-j1k2-r0": "332962dc926633c0",
+    "ifs-defs-j5k3-r0": "5850e6b36138f433",
+    "ifs-defs-j0k3-r1": "da6fa19415cd66d7",
+    "size-k42-r0": "97e99aa933f00ebe",
+    "procedures-k15-r0": "d111807de1b9347c",
+}
+
+
+@pytest.mark.parametrize("point", sorted(GENERATE_POINTS))
+def test_generated_choreographies_are_unchanged(point):
+    assert _digest(pretty(generate(GENERATE_POINTS[point]))) == GENERATE_EXPECTED[point]
