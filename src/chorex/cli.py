@@ -15,9 +15,9 @@ Exit codes: 0 success; 1 extraction/projection/verdict failure
 under --strict); 2 unreadable input, parse error, check failure, or a
 bad option or CHOREX_SEED; 3 equivalence check exhausted its budget.
 
-The default seed comes from the CHOREX_SEED environment variable, an
-integer, when set.  Identical inputs, flags, and seed give byte-identical
-stdout.
+The commands that take --seed default it to the CHOREX_SEED environment
+variable, an integer, when set; the others do not read it.  Identical
+inputs, flags, and seed give byte-identical stdout.
 """
 
 from __future__ import annotations
@@ -348,18 +348,22 @@ def cmd_bench(args) -> int:
 # --- argument parsing ----------------------------------------------------
 
 
-def _positive(value):
-    if not value > 0:  # false for nan too
-        raise argparse.ArgumentTypeError(f"must be positive, not {value}")
+def _positive(text: str, kind, noun: str):
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or not value > 0:  # false for nan too
+        raise argparse.ArgumentTypeError(f"must be a positive {noun}, not {text!r}")
     return value
 
 
 def _positive_int(text: str) -> int:
-    return _positive(int(text))
+    return _positive(text, int, "integer")
 
 
 def _positive_float(text: str) -> float:
-    return _positive(float(text))
+    return _positive(text, float, "number")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -370,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--strategy", default="InteractionsFirst", choices=STRATEGY_NAMES)
     p.add_argument("--services", default="", metavar="p,q")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--no-parallel", action="store_true")
     p.add_argument("--dot", metavar="OUT.dot")
     p.add_argument("--stats", metavar="OUT.json")
@@ -398,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("rows", nargs="?", default="", help=f"subset of {','.join(_ROWS)}")
         p.add_argument("--out", required=True)
         p.add_argument("--scale", type=float, default=1.0)
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int)
         if name == "bench":
             p.add_argument("--jobs", type=_positive_int, default=1)
         p.set_defaults(run=runner)
@@ -408,6 +412,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) is None:  # a command with --seed, not given
+        args.seed = _default_seed()
     try:
         return args.run(args)
     except SystemExit as exc:

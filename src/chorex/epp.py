@@ -5,6 +5,13 @@ decided by somebody else collapses to the merge of the two branch
 projections, which is defined only when the branches differ behind
 distinct offered labels.  A choreography is projectable when every such
 merge is defined for every process.
+
+One bottom-up pass over a body projects it onto every process at once.
+The value of a node is a tuple of behaviours, one per process of the
+sorted universe.  A process that the node does not involve shares its
+entry with the continuation, and a conditional merges only the entries
+of its two branches that differ.  Projection onto one process is the
+same pass over a one-process universe, so the rules exist once.
 """
 
 from __future__ import annotations
@@ -97,40 +104,68 @@ def _offer(frm: str, labels: list, branches: list) -> sp.Offer:
     return sp.Offer(frm, zip(labels, branches))
 
 
-def project_body(body: cc.ChoreographyBody, r: str) -> sp.Behaviour:
-    """Project one choreography body onto process r."""
+def _projector(universe):
+    """The `fold` function that projects a body onto every process of
+    `universe` at once: a node's value is a tuple of behaviours, one per
+    process, in the order of `universe`."""
+    index = {r: i for i, r in enumerate(universe)}
+    nils = (sp.NIL,) * len(universe)
 
     def project(node, kids):
         kind = type(node)
-        if kind is cc.Com:
-            if r == node.sender:
-                return sp.Send(node.receiver, node.expr, kids[0])
-            if r == node.receiver:
-                return sp.Receive(node.sender, node.var, kids[0])
-            return kids[0]
-        if kind is cc.Sel:
-            if r == node.sender:
-                return sp.Select(node.receiver, node.label, kids[0])
-            if r == node.receiver:
-                return sp.Offer(node.sender, {node.label: kids[0]})
-            return kids[0]
+        if kind is cc.Com or kind is cc.Sel:
+            cont = kids[0]
+            i = index.get(node.sender)
+            j = index.get(node.receiver)
+            out = list(cont)
+            if kind is cc.Com:
+                if i is not None:
+                    out[i] = sp.Send(node.receiver, node.expr, cont[i])
+                if j is not None:
+                    out[j] = sp.Receive(node.sender, node.var, cont[j])
+            else:
+                if i is not None:
+                    out[i] = sp.Select(node.receiver, node.label, cont[i])
+                if j is not None:
+                    out[j] = sp.Offer(node.sender, {node.label: cont[j]})
+            return tuple(out)
         if kind is cc.Cond:
-            if r == node.process:
-                return sp.Cond(node.expr, *kids)
-            try:
-                return merge(*kids)
-            except MergeError as err:
-                where = f"process {r} at conditional on {node.process}.{node.expr}"
-                raise err.at(where) from None
+            then, orelse = kids
+            out = list(then)
+            i = index.get(node.process)
+            if i is not None:
+                out[i] = sp.Cond(node.expr, then[i], orelse[i])
+            for j, (a, b) in enumerate(zip(then, orelse)):
+                if a is not b and j != i:
+                    try:
+                        out[j] = merge(a, b)
+                    except MergeError as err:
+                        where = (
+                            f"process {universe[j]} at conditional on "
+                            f"{node.process}.{node.expr}"
+                        )
+                        raise err.at(where) from None
+            return tuple(out)
         if kind is cc.Nil:
-            return sp.NIL
+            return nils
         if kind is cc.Call:
-            return sp.Call(node.name)
+            return (sp.Call(node.name),) * len(universe)
         if kind is cc.Deadlock:
             raise ValueError("deadlock terms cannot be projected")
         raise TypeError(f"not a choreography body: {node!r}")
 
-    return fold(body, project)
+    return project
+
+
+def project_each(body: cc.ChoreographyBody, universe) -> tuple:
+    """Project one choreography body onto each process of `universe`, in
+    one pass; the projections come in the order of `universe`."""
+    return fold(body, _projector(universe))
+
+
+def project_body(body: cc.ChoreographyBody, r: str) -> sp.Behaviour:
+    """Project one choreography body onto process r."""
+    return project_each(body, (r,))[0]
 
 
 def _collapse_call_cycles(procedures: dict, main: sp.Behaviour) -> sp.ProcessTerm:
@@ -157,10 +192,21 @@ def _collapse_call_cycles(procedures: dict, main: sp.Behaviour) -> sp.ProcessTer
     return sp.ProcessTerm(procedures, main)
 
 
+def _project(c: cc.Choreography, universe) -> list:
+    """The process terms of every process of `universe`, in its order:
+    one pass over each procedure, then one over main."""
+    project = _projector(universe)
+    procedures = {x: fold(b, project) for x, b in c.procedures.items()}
+    main = fold(c.main, project)
+    return [
+        _collapse_call_cycles({x: b[i] for x, b in procedures.items()}, main[i])
+        for i in range(len(universe))
+    ]
+
+
 def project_process(c: cc.Choreography, r: str) -> sp.ProcessTerm:
     """Project every procedure and the main body onto process r."""
-    procedures = {x: project_body(b, r) for x, b in c.procedures.items()}
-    return _collapse_call_cycles(procedures, project_body(c.main, r))
+    return _project(c, (r,))[0]
 
 
 def epp(c: cc.Choreography, processes=()) -> sp.Network:
@@ -168,9 +214,20 @@ def epp(c: cc.Choreography, processes=()) -> sp.Network:
 
     `processes` adds names to the universe beyond those occurring in the
     choreography (their projections are all-stop terms unless some
-    procedure involves them).
+    procedure involves them).  All processes are projected in one pass.
+    When a merge fails, the error is that of the first process in name
+    order that fails: its first failing body (procedures by name, then
+    main), at its first failing conditional in post-order.  The one pass
+    meets failures in another order, so the processes are then projected
+    one by one until that error is raised.
     """
-    universe = set(cc.choreography_process_names(c)) | set(processes)
+    universe = tuple(sorted(set(cc.choreography_process_names(c)) | set(processes)))
     if not universe:
         raise ValueError("cannot project: no processes in the choreography")
-    return sp.Network({r: project_process(c, r) for r in sorted(universe)})
+    try:
+        terms = _project(c, universe)
+    except MergeError:
+        for r in universe:
+            project_process(c, r)
+        raise
+    return sp.Network(dict(zip(universe, terms)))

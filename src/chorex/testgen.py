@@ -2,16 +2,21 @@
 network fuzzing, and loop unrolling.
 
 The generator partitions an action budget and a conditional budget
-uniformly over the main body and the procedure bodies, then builds each
-body sequentially.  Generated choreographies are not necessarily
-projectable; amend() inserts selections at conditionals until projection
-succeeds.  inject_inefficiency() applies behaviour-preserving rewrites
-(procedure inlining, conditional/conditional swaps, pushing an
-interaction into both branches of a conditional) that blow up the term
-without changing the protocol.  fuzz() damages one process of a network
-by deleting and swapping actions; unroll() unfolds procedure calls and
-rotates the closing point of simple loops, both of which keep the
-network's behaviour intact.
+uniformly over the main body and the procedure bodies, then draws each
+body.  It draws before it builds: an attempt draws random numbers only,
+recording for each body a compact plan and the set of procedures that
+the body calls, and reachability from main is tested on those call sets.
+Terms and fresh names are built for the accepted draw alone, so the
+hundreds of draws that dense procedure budgets reject cost no terms.
+Generated choreographies are not necessarily projectable; amend()
+inserts selections at conditionals until projection succeeds.
+inject_inefficiency() applies behaviour-preserving rewrites (procedure
+inlining, conditional/conditional swaps, pushing an interaction into
+both branches of a conditional) that blow up the term without changing
+the protocol.  fuzz() damages one process of a network by deleting and
+swapping actions; unroll() unfolds procedure calls and rotates the
+closing point of simple loops, both of which keep the network's
+behaviour intact.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ from dataclasses import dataclass
 from . import cc
 from . import sp
 from .cc import Call, Choreography, Com, Cond, Sel, choreography_process_names
-from .epp import MergeError, epp, merge, project_body
+from .epp import MergeError, epp, merge, project_each
 from .sp import Network, ProcessTerm
-from .term import fold, positions, replace_at, subterm_at, subterms
+from .term import fold, positions, replace_at, subterm_at
 
 
 @dataclass(frozen=True)
@@ -82,109 +87,136 @@ class _Fresh:
         return f"L{self.l}"
 
 
-_BODY, _COND, _PAIR = "body", "cond", "pair"  # _Gen.body's pending work
+_BODY, _COND, _PAIR = "body", "cond", "pair"  # _draw's pending work
 
 
 def _def_name(i):
     return f"X{i + 1}"
 
 
-class _Gen:
-    def __init__(self, params: GenParams, rng: random.Random, nil_terminals=False):
-        self.p = params
-        self.rng = rng
-        self.fresh = _Fresh()
-        self.procs = [f"p{i + 1}" for i in range(params.processes)]
-        self.names = [_def_name(i) for i in range(params.defs)]
-        self.nil_terminals = nil_terminals
+def _draw(params: GenParams, rng: random.Random, nil_terminals=False):
+    """Draw main and each procedure body as a plan, by random numbers alone.
 
-    def _split(self, n):
+    Returns one (plan, calls) pair for main and then for procedure i =
+    0..defs-1: `calls` is the set of the indices of the procedures that
+    the plan's terminals call.  A plan lists, in the order `_build_body`
+    consumes them: an int k for a terminal (0 for Nil, else a call to
+    procedure k-1); a process name where a conditional that it decides
+    opens; None where the innermost open conditional closes over its two
+    finished branches; and (sender, receiver, is_com) for an interaction
+    over the last finished body.
+
+    The budgets go to the bodies first: each action, then each
+    conditional, to a uniformly chosen body.  A body is drawn in the order
+    a recursive generator would draw it.  A conditional draws its process,
+    both budget splits and its guard before its branches, then the then
+    branch first; an interaction draws its pair before its continuation
+    and its kind after it.  Pending work sits on an explicit stack:
+    (_BODY, actions, conds) to draw, (_COND, ..) and (_PAIR, sender,
+    receiver) to emit once the bodies above them are drawn.  With
+    `nil_terminals` every terminal is Nil and draws nothing.
+    """
+    getrandbits, random_float = rng.getrandbits, rng.random
+
+    def below(n):
+        # What `Random._randbelow` does, which `choice(seq)` and
+        # `randrange(n)` call: the random stream stays the same.
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    def split(n):
         """Send each of n budget units left or right with equal probability."""
-        left = sum(self.rng.getrandbits(1) for _ in range(n))
+        left = sum(getrandbits(1) for _ in range(n))
         return left, n - left
 
-    def _pair(self):
-        a = self.rng.choice(self.procs)
-        b = self.rng.choice([q for q in self.procs if q != a])
-        return a, b
-
-    def _terminal(self):
-        if self.nil_terminals:
-            return cc.NIL
-        k = self.rng.randrange(len(self.names) + 1)
-        if k == 0:
-            return cc.NIL
-        return Call(self.names[k - 1])
-
-    def body(self, actions, conds, def_top=False):
-        """Draw a body, in the order a recursive generator would draw.
-
-        A conditional draws its process, both budget splits and its
-        guard before its branches, then builds the then branch first; an
-        interaction draws its pair before its continuation and its kind
-        and fresh names after it.  Pending work sits on an explicit stack:
-        (_BODY, actions, conds) to draw, (_COND, p, expr) and
-        (_PAIR, a, b) to build from finished bodies.
-        """
-        if def_top and actions == 0 and conds == 0:
-            return cc.NIL  # a procedure body must not be a bare call
-        rng, fresh = self.rng, self.fresh
-        done = []
-        todo = [(_BODY, actions, conds)]
+    procs = [f"p{i + 1}" for i in range(params.processes)]
+    partners = [[q for q in procs if q != p] for p in procs]
+    buckets = params.defs + 1  # main plus one per procedure
+    act = [0] * buckets
+    cnd = [0] * buckets
+    for _ in range(params.size):
+        act[below(buckets)] += 1
+    for _ in range(params.ifs):
+        cnd[below(buckets)] += 1
+    drawn = []
+    for owner in range(buckets):
+        plan, calls = [], set()
+        drawn.append((plan, calls))
+        if owner and act[owner] == 0 and cnd[owner] == 0:
+            plan.append(0)  # a procedure body must not be a bare call
+            continue
+        todo = [(_BODY, act[owner], cnd[owner])]
         while todo:
             kind, x, y = todo.pop()
-            if kind is _BODY:
-                if x == 0 and y == 0:
-                    done.append(self._terminal())
-                elif rng.random() < y / (x + y):
-                    p = rng.choice(self.procs)
-                    ta, ea = self._split(x)
-                    tc, ec = self._split(y - 1)
-                    todo.append((_COND, p, fresh.expr()))
+            if kind is _COND:
+                plan.append(None)
+            elif kind is _PAIR:
+                plan.append((x, y, getrandbits(1)))
+            else:
+                # Draw interactions until the budget runs out or a
+                # conditional is drawn; each continuation comes next.
+                while (x or y) and random_float() >= y / (x + y):
+                    i = below(len(procs))
+                    others = partners[i]
+                    todo.append((_PAIR, procs[i], others[below(len(others))]))
+                    x -= 1
+                if x or y:
+                    p = procs[below(len(procs))]
+                    ta, ea = split(x)
+                    tc, ec = split(y - 1)
+                    plan.append(p)
+                    todo.append((_COND, None, None))
                     todo.append((_BODY, ea, ec))
                     todo.append((_BODY, ta, tc))
                 else:
-                    todo.append((_PAIR, *self._pair()))
-                    todo.append((_BODY, x - 1, y))
-            elif kind is _COND:
-                orelse = done.pop()
-                done.append(Cond(x, y, done.pop(), orelse))
-            elif rng.getrandbits(1):
-                done.append(Com(x, fresh.expr(), y, fresh.var(), done.pop()))
-            else:
-                done.append(Sel(x, y, fresh.label(), done.pop()))
-        return done[0]
-
-    def build(self):
-        buckets = self.p.defs + 1  # main plus one per procedure
-        act = [0] * buckets
-        cnd = [0] * buckets
-        for _ in range(self.p.size):
-            act[self.rng.randrange(buckets)] += 1
-        for _ in range(self.p.ifs):
-            cnd[self.rng.randrange(buckets)] += 1
-        main = self.body(act[0], cnd[0])
-        procedures = {
-            self.names[i]: self.body(act[i + 1], cnd[i + 1], def_top=True)
-            for i in range(self.p.defs)
-        }
-        return Choreography(procedures, main)
+                    k = 0 if nil_terminals else below(buckets)
+                    plan.append(k)
+                    if k:
+                        calls.add(k - 1)
+    return drawn
 
 
-def _called_names(body):
-    return {node.name for node in subterms(body) if isinstance(node, Call)}
+def _build_body(plan, names, fresh):
+    """The body a plan describes; its fresh names come from `fresh`."""
+    done = []
+    guards = []  # (process, expression) of each open conditional
+    for step in plan:
+        if type(step) is int:
+            done.append(Call(names[step - 1]) if step else cc.NIL)
+        elif type(step) is str:
+            guards.append((step, fresh.expr()))
+        elif step is None:
+            orelse = done.pop()
+            done.append(Cond(*guards.pop(), done.pop(), orelse))
+        elif step[2]:
+            done.append(Com(step[0], fresh.expr(), step[1], fresh.var(), done.pop()))
+        else:
+            done.append(Sel(step[0], step[1], fresh.label(), done.pop()))
+    return done[0]
 
 
-def _all_reachable(c: Choreography) -> bool:
+def _build(params: GenParams, plans) -> Choreography:
+    """The choreography of main's plan and the procedures' plans, built in
+    that order with one set of fresh-name counters."""
+    names = [_def_name(i) for i in range(params.defs)]
+    fresh = _Fresh()
+    main, *bodies = [_build_body(plan, names, fresh) for plan in plans]
+    return Choreography(dict(zip(names, bodies)), main)
+
+
+def _all_reachable(calls) -> bool:
+    """Whether main (calls[0]) reaches every procedure i (calls[i + 1])."""
     seen = set()
-    frontier = _called_names(c.main)
+    frontier = set(calls[0])
     while frontier:
-        name = frontier.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        frontier |= _called_names(c.procedures[name]) - seen
-    return seen == set(c.procedures)
+        i = frontier.pop()
+        if i not in seen:
+            seen.add(i)
+            frontier |= calls[i + 1] - seen
+    return len(seen) == len(calls) - 1
 
 
 def _generate_connected(params: GenParams, attempt=0):
@@ -193,21 +225,24 @@ def _generate_connected(params: GenParams, attempt=0):
     Bodies are drawn as usual but with all-Nil terminals; each procedure
     then gets one call site at a uniformly chosen free leaf of a body that
     is already reachable from main.  Leftover leaves take the ordinary
-    Nil-or-call draw.  Returns None when the spanning placement strands a
+    Nil-or-call draw.  Bodies are visited as `Choreography` orders them,
+    main first and then procedures by name, and a body's leaves in
+    pre-order.  Returns None when the spanning placement strands a
     procedure (caller retries with a fresh draw).
     """
     rng = random.Random(f"gen:{params.seed}:fallback:{attempt}")
-    gen = _Gen(params, rng, nil_terminals=True)
-    c = gen.build()
-    bodies = {"main": c.main, **c.procedures}
+    names = [_def_name(i) for i in range(params.defs)]
+    drawn = _draw(params, rng, nil_terminals=True)
+    plans = dict(zip(["main", *names], (plan for plan, _ in drawn)))
     free = {}
-    for owner, body in bodies.items():
-        paths = [path for path, node in positions(body) if isinstance(node, cc.Nil)]
-        if owner != "main":
-            # A procedure body must not collapse to a bare call.
-            paths = [p for p in paths if p != ()]
-        free[owner] = paths
-    order = list(c.procedures)
+    for owner in ["main", *sorted(names)]:
+        plan = plans[owner]
+        # A procedure body must not collapse to a bare call.
+        if owner == "main" or len(plan) > 1:
+            free[owner] = [i for i, step in enumerate(plan) if type(step) is int]
+        else:
+            free[owner] = []
+    order = sorted(names)
     rng.shuffle(order)
     reachable = ["main"]
     for name in order:
@@ -216,32 +251,32 @@ def _generate_connected(params: GenParams, attempt=0):
             return None
         host = rng.choice(hosts)
         slot = free[host].pop(rng.randrange(len(free[host])))
-        bodies[host] = replace_at(bodies[host], slot, Call(name))
+        plans[host][slot] = names.index(name) + 1
         reachable.append(name)
-    for owner, paths in free.items():
-        for slot in paths:
-            k = rng.randrange(len(gen.names) + 1)
-            if k:
-                bodies[owner] = replace_at(bodies[owner], slot, Call(gen.names[k - 1]))
-    return Choreography({x: bodies[x] for x in c.procedures}, bodies["main"])
+    for owner, slots in free.items():
+        for slot in slots:
+            plans[owner][slot] = rng.randrange(len(names) + 1)
+    return _build(params, plans.values())
 
 
 def generate(params: GenParams) -> Choreography:
     """Draw a random choreography; redraw while some procedure is unreachable.
 
-    Dense procedure budgets can make the reachability condition all but
+    Each attempt draws plans only; reachability is tested on the plans'
+    call sets, and terms are built for the accepted draw alone.  Dense
+    procedure budgets can make the reachability condition all but
     unsatisfiable for independent uniform draws (every body has only one
     terminal slot, so covering all procedures needs a call chain), so
     after 1000 rejections the terminals are placed constructively instead.
     """
     for attempt in range(1000):
         rng = random.Random(f"gen:{params.seed}:{attempt}")
-        c = _Gen(params, rng).build()
-        if _all_reachable(c):
-            return c
+        drawn = _draw(params, rng)
+        if _all_reachable([calls for _, calls in drawn]):
+            return _build(params, [plan for plan, _ in drawn])
     for attempt in range(1000):
         c = _generate_connected(params, attempt)
-        if c is not None and _all_reachable(c):
+        if c is not None:
             return c
     raise RuntimeError(
         f"no reachable draw after 1000 attempts and no connected layout "
@@ -254,7 +289,12 @@ def generate(params: GenParams) -> Choreography:
 
 def _amend_body(body, universe):
     """Below every conditional, select a branch label at each process
-    whose two branch projections do not merge."""
+    whose two branch projections do not merge.
+
+    Both branches are already amended, so each projects onto every
+    process (a conditional below that needed a selection got one); only
+    the merge at this conditional can fail.
+    """
 
     def amend_node(node, kids):
         if not isinstance(node, Cond):
@@ -262,13 +302,13 @@ def _amend_body(body, universe):
         p = node.process
         then, orelse = kids
         need = []
-        for r in universe:
-            if r == p:
-                continue
-            try:
-                merge(project_body(then, r), project_body(orelse, r))
-            except MergeError:
-                need.append(r)
+        projections = zip(project_each(then, universe), project_each(orelse, universe))
+        for r, (a, b) in zip(universe, projections):
+            if r != p and a is not b:
+                try:
+                    merge(a, b)
+                except MergeError:
+                    need.append(r)
         for r in reversed(need):
             then = Sel(p, r, "thenL", then)
             orelse = Sel(p, r, "elseL", orelse)
@@ -279,7 +319,7 @@ def _amend_body(body, universe):
 
 def amend(c: Choreography) -> Choreography:
     """Insert selections at conditionals until the choreography projects."""
-    universe = sorted(choreography_process_names(c))
+    universe = tuple(sorted(choreography_process_names(c)))
     for _ in range(50):
         try:
             epp(c)

@@ -168,6 +168,14 @@ class TestExtract:
 
 
 class TestProject:
+    def test_seed_from_environment_is_not_read(self, run, tmp_path, monkeypatch):
+        # project takes no seed, so a bad CHOREX_SEED must not stop it.
+        monkeypatch.setenv("CHOREX_SEED", "abc")
+        f = _write(tmp_path, "c.cc", SIGNON_CHOR_TEXT)
+        rc, out, err = run("project", f)
+        assert (rc, err) == (0, "")
+        assert out == pretty(parse_network(SIGNON_NET_TEXT)) + "\n"
+
     def test_projection_round_trips_the_sign_on(self, run, tmp_path):
         f = _write(tmp_path, "c.cc", SIGNON_CHOR_TEXT)
         rc, out, err = run("project", f)
@@ -257,6 +265,32 @@ class TestEquiv:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--millis" in captured.err
+
+    def test_seed_from_environment_is_not_read(self, run, tmp_path, monkeypatch):
+        monkeypatch.setenv("CHOREX_SEED", "abc")
+        a = _write(tmp_path, "a.cc", TWO_LOOPS_VARIANT_A)
+        rc, out, err = run("equiv", a, a)
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["verdict"] == "yes"
+
+    @pytest.mark.parametrize(
+        "flag, value, wanted",
+        [
+            ("--millis", "x", "a positive number"),
+            ("--budget", "1.5", "a positive integer"),
+            ("--budget", "x", "a positive integer"),
+        ],
+    )
+    def test_unparsable_budgets_name_no_private_function(
+        self, tmp_path, capsys, flag, value, wanted
+    ):
+        a = _write(tmp_path, "a.cc", TWO_LOOPS_VARIANT_A)
+        with pytest.raises(SystemExit) as exc:
+            main(["equiv", a, a, flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be {wanted}, not {value!r}" in err
+        assert "_positive" not in err
 
     def test_positive_millis_is_a_budget(self, run, tmp_path):
         a = _write(tmp_path, "a.cc", TWO_LOOPS_VARIANT_A)
@@ -353,6 +387,16 @@ class TestCorpusCommands:
             main(["bench", "ifs", "--out", str(out_dir), "--scale", "0.1", "--jobs", jobs])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_unparsable_jobs_name_no_private_function(self, tmp_path, capsys):
+        out_dir = tmp_path / "bench"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "ifs", "--out", str(out_dir), "--scale", "0.1", "--jobs", "two"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --jobs: must be a positive integer, not 'two'" in err
+        assert "_positive" not in err
         assert not out_dir.exists()
 
     def test_gen_runs_are_reproducible(self, run, tmp_path):
