@@ -97,14 +97,15 @@ def _def_name(i):
 def _draw(params: GenParams, rng: random.Random, nil_terminals=False):
     """Draw main and each procedure body as a plan, by random numbers alone.
 
-    Returns one (plan, calls) pair for main and then for procedure i =
-    0..defs-1: `calls` is the set of the indices of the procedures that
-    the plan's terminals call.  A plan lists, in the order `_build_body`
-    consumes them: an int k for a terminal (0 for Nil, else a call to
-    procedure k-1); a process name where a conditional that it decides
-    opens; None where the innermost open conditional closes over its two
-    finished branches; and (sender, receiver, is_com) for an interaction
-    over the last finished body.
+    Returns two lists, `plans` and `calls`, with one entry for main and
+    then one for each procedure i = 0..defs-1: `calls[b]` is the set of
+    the indices of the procedures that the terminals of `plans[b]` call.
+    A plan lists, in the order `_build_body` consumes them: an int k for
+    a terminal (0 for Nil, else a call to procedure k-1); a process name
+    where a conditional that it decides opens; None where the innermost
+    open conditional closes over its two finished branches; and
+    (sender, receiver, is_com) for an interaction over the last finished
+    body.
 
     The budgets go to the bodies first: each action, then each
     conditional, to a uniformly chosen body.  A body is drawn in the order
@@ -141,10 +142,11 @@ def _draw(params: GenParams, rng: random.Random, nil_terminals=False):
         act[below(buckets)] += 1
     for _ in range(params.ifs):
         cnd[below(buckets)] += 1
-    drawn = []
+    plans, calls = [], []
     for owner in range(buckets):
-        plan, calls = [], set()
-        drawn.append((plan, calls))
+        plan, called = [], set()
+        plans.append(plan)
+        calls.append(called)
         if owner and act[owner] == 0 and cnd[owner] == 0:
             plan.append(0)  # a procedure body must not be a bare call
             continue
@@ -175,8 +177,8 @@ def _draw(params: GenParams, rng: random.Random, nil_terminals=False):
                     k = 0 if nil_terminals else below(buckets)
                     plan.append(k)
                     if k:
-                        calls.add(k - 1)
-    return drawn
+                        called.add(k - 1)
+    return plans, calls
 
 
 def _build_body(plan, names, fresh):
@@ -232,8 +234,8 @@ def _generate_connected(params: GenParams, attempt=0):
     """
     rng = random.Random(f"gen:{params.seed}:fallback:{attempt}")
     names = [_def_name(i) for i in range(params.defs)]
-    drawn = _draw(params, rng, nil_terminals=True)
-    plans = dict(zip(["main", *names], (plan for plan, _ in drawn)))
+    plans, _ = _draw(params, rng, nil_terminals=True)
+    plans = dict(zip(["main", *names], plans))
     free = {}
     for owner in ["main", *sorted(names)]:
         plan = plans[owner]
@@ -271,9 +273,9 @@ def generate(params: GenParams) -> Choreography:
     """
     for attempt in range(1000):
         rng = random.Random(f"gen:{params.seed}:{attempt}")
-        drawn = _draw(params, rng)
-        if _all_reachable([calls for _, calls in drawn]):
-            return _build(params, [plan for plan, _ in drawn])
+        plans, calls = _draw(params, rng)
+        if _all_reachable(calls):
+            return _build(params, plans)
     for attempt in range(1000):
         c = _generate_connected(params, attempt)
         if c is not None:
