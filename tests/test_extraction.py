@@ -18,6 +18,8 @@ from chorex.extraction import (
 )
 from chorex.parser import parse_network, pretty
 from chorex.semantics import AnnotatedNetwork, ComAction, annotate
+from chorex.strategies import STRATEGY_NAMES
+from chorex.wellformed import check_guardedness
 
 import oracles
 from conftest import LOOP_PLUS_FINITE_TEXT
@@ -244,6 +246,29 @@ class TestFixtures:
     def test_unknown_service_rejected(self, n1):
         with pytest.raises(ValueError, match="services not in network"):
             extract(n1, services={"nobody"})
+
+    def test_unreachable_bare_self_call_is_never_unfolded(self):
+        # The fuzz variant d2s2 of the benchmark's variants base 9, cut
+        # down: p1's procedure X1 is a bare self-call that no main reaches,
+        # so the guardedness check, which looks at reachable procedures
+        # only, lets it through, and nothing may chase the call.
+        net = parse_network(
+            "p1 { def X1 { X1 } main { p2+L1; stop } } |"
+            " p2 { main { p1&{ L1: p1&{ elseL: stop, thenL: stop } } } }"
+        )
+        assert check_guardedness(net).violations == []
+        for name in STRATEGY_NAMES:
+            result = extract(net, strategy=Strategy(name, 0))
+            assert pretty(result.program) == "main { p1 -> p2[L1]; deadlock }"
+            assert (result.nodes_created, result.nodes_deleted, result.badloops) == (2, 0, 0)
+            (leaf,) = result.deadlock_remainders
+            assert sorted(leaf) == ["p2"]
+            assert leaf["p2"].main == sp.Offer("p1", {"elseL": sp.NIL, "thenL": sp.NIL})
+
+    def test_main_that_reaches_a_bare_self_call_is_refused(self):
+        net = parse_network("p { def X { X } main { q!<e>; X } } | q { main { p?x; stop } }")
+        with pytest.raises(AssertionError, match="unguarded recursion"):
+            extract(net)
 
 
 class TestGraphShape:

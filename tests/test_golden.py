@@ -6,7 +6,8 @@ them is reduced to a sha256 digest: the amended choreography and its
 projection, the extraction under all ten strategies (or the failure
 text), the fuzz and unroll variants and their extractions, the
 inefficiency injection, and one `to_dot` graph.  A refactor that keeps
-the behaviour keeps every digest.
+the behaviour keeps every digest.  The search counters of the same
+extractions are pinned too.
 """
 
 import hashlib
@@ -198,6 +199,102 @@ def test_seeded_outputs_are_unchanged(point):
 
 def test_dot_output_is_unchanged():
     assert dot_digest() == EXPECTED["dot"]
+
+
+def counters(point: str) -> dict:
+    """(nodes created, nodes deleted, rejected loop closures) of every
+    extraction `digests` makes of `point`: all ten strategies, then the
+    fuzz and unroll variants under the default strategy."""
+    params = POINTS[point]
+    net = epp(amend(generate(params)))
+    nets = {name: (net, Strategy(name, 0)) for name in STRATEGY_NAMES}
+    for d, s in FUZZ_GRID:
+        variant = fuzz(net, FuzzParams(deletions=d, swaps=s, seed=params.seed))
+        nets[f"fuzz:d{d}s{s}"] = (variant, Strategy())
+    nets["unroll"] = (unroll(net, seed=params.seed), Strategy())
+    out = {}
+    for key, (n, strategy) in nets.items():
+        result = extract(n, strategy=strategy)
+        out[key] = (result.nodes_created, result.nodes_deleted, result.badloops)
+    return out
+
+
+def _same_for_every_strategy(created):
+    return {name: (created, 0, 0) for name in STRATEGY_NAMES}
+
+
+COUNTERS_EXPECTED = {
+    "size-k5-r0": {
+        **_same_for_every_strategy(251),
+        "fuzz:d1s0": (128, 0, 0),
+        "fuzz:d0s1": (128, 0, 0),
+        "fuzz:d2s2": (103, 0, 0),
+        "unroll": (251, 0, 0),
+    },
+    "processes-k2-r0": {
+        **_same_for_every_strategy(501),
+        "fuzz:d1s0": (205, 0, 0),
+        "fuzz:d0s1": (205, 0, 0),
+        "fuzz:d2s2": (134, 0, 0),
+        "unroll": (501, 0, 0),
+    },
+    "ifs-k2-r0": {
+        "Random": (253, 0, 0),
+        "LongestFirst": (252, 0, 0),
+        "ShortestFirst": (243, 0, 0),
+        "InteractionsFirst": (229, 0, 0),
+        "ConditionalsFirst": (255, 0, 0),
+        "UnmarkedFirst": (239, 0, 0),
+        "UnmarkedThenInteractions": (229, 0, 0),
+        "UnmarkedThenSelections": (229, 0, 0),
+        "UnmarkedThenConditionals": (240, 0, 0),
+        "UnmarkedThenRandom": (233, 0, 0),
+        "fuzz:d1s0": (219, 0, 0),
+        "fuzz:d0s1": (221, 0, 0),
+        "fuzz:d2s2": (215, 0, 0),
+        "unroll": (229, 0, 0),
+    },
+    "ifs-defs-j2k1-r0": {
+        "Random": (356, 0, 0),
+        "LongestFirst": (338, 0, 0),
+        "ShortestFirst": (338, 0, 0),
+        "InteractionsFirst": (333, 0, 0),
+        "ConditionalsFirst": (333, 0, 0),
+        "UnmarkedFirst": (342, 0, 0),
+        "UnmarkedThenInteractions": (342, 0, 0),
+        "UnmarkedThenSelections": (342, 0, 0),
+        "UnmarkedThenConditionals": (342, 0, 0),
+        "UnmarkedThenRandom": (342, 0, 0),
+        "fuzz:d1s0": (155, 0, 0),
+        "fuzz:d0s1": (333, 0, 0),
+        "fuzz:d2s2": (101, 0, 0),
+        "unroll": (333, 0, 0),
+    },
+    "procedures-k3-r1": {
+        "Random": (3421, 0, 0),
+        "LongestFirst": (1058, 0, 0),
+        "ShortestFirst": (947, 0, 0),
+        "InteractionsFirst": (788, 0, 0),
+        "ConditionalsFirst": (1273, 0, 0),
+        "UnmarkedFirst": (1005, 0, 0),
+        "UnmarkedThenInteractions": (947, 0, 0),
+        "UnmarkedThenSelections": (947, 0, 0),
+        "UnmarkedThenConditionals": (1437, 0, 0),
+        "UnmarkedThenRandom": (2779, 0, 0),
+        "fuzz:d1s0": (768, 0, 0),
+        "fuzz:d0s1": (768, 0, 0),
+        "fuzz:d2s2": (121, 0, 0),
+        "unroll": (830, 0, 0),
+    },
+}
+
+
+@pytest.mark.parametrize("point", sorted(POINTS))
+def test_search_counters_are_unchanged(point):
+    """The search itself, not only its output: a change to the engine that
+    keeps every printed program must also keep the nodes it creates and
+    deletes and the loop closures it rejects."""
+    assert counters(point) == COUNTERS_EXPECTED[point]
 
 
 def corpus_digests(command: str, out, monkeypatch, capsys) -> dict:
