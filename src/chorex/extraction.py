@@ -40,12 +40,11 @@ from enum import Enum
 from . import cc, sp
 from .parser import pretty
 from .semantics import (
-    AnnotatedNetwork,
     ComAction,
     ElseAction,
+    Kernel,
     SelAction,
     ThenAction,
-    annotate,
     enabled_steps,
     pretty_action,
 )
@@ -60,87 +59,106 @@ class Outcome(Enum):
 
 
 class SegNode:
-    __slots__ = ("an", "path", "uid", "deadlock")
+    __slots__ = ("state", "path", "uid", "white", "deadlock")
 
-    def __init__(self, an: AnnotatedNetwork, path: str, uid: int):
-        self.an = an
+    def __init__(self, state: tuple, path: str, uid: int, white: bool):
+        self.state = state
         self.path = path
         self.uid = uid
+        self.white = white
         self.deadlock = False
-
-    @property
-    def white(self) -> bool:
-        return self.an.white
 
     def __repr__(self):
         return f"SegNode#{self.uid}(path={self.path!r})"
 
 
 class Seg:
-    """The graph under construction, with an undo journal.
+    """The graph under construction over a kernel's states, with an undo
+    journal.
 
-    Every node/edge addition is journalled; `rollback` undoes additions
-    down to a remembered mark, which is how failed conditional branches
-    are deleted without bookkeeping errors.  `created`/`deleted` count
-    events (a node created, deleted, and recreated counts twice in both).
+    Every node/edge addition is journalled (the node itself, or the edge
+    list an edge went into); `rollback` undoes additions down to a
+    remembered mark, which is how failed conditional branches are deleted
+    without bookkeeping errors.  `created`/`deleted` count events (a node
+    created, deleted, and recreated counts twice in both).
     """
 
-    def __init__(self, root_an: AnnotatedNetwork):
-        # (an, path) -> SegNode.  Iteration follows uid order: uids only
-        # grow, and `add_node` appends to the end of the dict (also when it
-        # creates again a node that `rollback` deleted), so the nodes are
-        # walked in creation order without a sort.
-        self.nodes = {}
+    def __init__(self, kernel):
+        self.kernel = kernel
+        # State -> {choice path -> node}: a state without a node costs one
+        # probe.
+        self._by_state = {}
+        # The nodes in creation order: `rollback` deletes the newest nodes
+        # first, so it pops them off the end.
+        self.nodes = []
         self.edges = {}  # SegNode -> [(label, SegNode)]
         self.journal = []
         self.created = 0
         self.deleted = 0
         self.badloops = 0
-        self.created_keys = set()
+        self._deleted_keys = set()
         self._next_uid = 0
-        self.root = self.add_node(root_an, "")
+        self._nonservices = ~kernel.services
+        self.root = self.add_node(kernel.root, "")
 
-    def add_node(self, an: AnnotatedNetwork, path: str) -> SegNode:
-        key = (an, path)
-        assert key not in self.nodes, "node identity created twice"
-        node = SegNode(an, path, self._next_uid)
+    def add_node(self, state: tuple, path: str) -> SegNode:
+        at = self._by_state.get(state)
+        if at is None:
+            at = self._by_state[state] = {}
+        assert path not in at, "node identity created twice"
+        white = not (state[-1] & self._nonservices)
+        node = at[path] = SegNode(state, path, self._next_uid, white)
         self._next_uid += 1
-        self.nodes[key] = node
+        self.nodes.append(node)
         self.edges[node] = []
-        self.journal.append(("node", node))
+        self.journal.append(node)
         self.created += 1
-        self.created_keys.add(key)
         return node
 
     def add_edge(self, src: SegNode, label, dst: SegNode):
-        self.edges[src].append((label, dst))
-        self.journal.append(("edge", src))
+        out = self.edges[src]
+        out.append((label, dst))
+        self.journal.append(out)
 
     def mark(self) -> int:
         return len(self.journal)
 
     def rollback(self, to: int):
-        while len(self.journal) > to:
-            kind, payload = self.journal.pop()
-            if kind == "edge":
-                self.edges[payload].pop()
-            else:
-                node = payload
-                del self.nodes[(node.an, node.path)]
-                del self.edges[node]
-                self.deleted += 1
+        journal = self.journal
+        while len(journal) > to:
+            entry = journal.pop()
+            if type(entry) is list:
+                entry.pop()
+                continue
+            node = self.nodes.pop()
+            assert node is entry, "nodes are deleted newest first"
+            at = self._by_state[node.state]
+            del at[node.path]
+            if not at:
+                del self._by_state[node.state]
+            del self.edges[node]
+            self._deleted_keys.add((node.state, node.path))
+            self.deleted += 1
 
-    def find_loop_candidate(self, an: AnnotatedNetwork, path: str):
+    @property
+    def created_keys(self) -> set:
+        """Every (state, path) identity a node was ever created with."""
+        return {(node.state, node.path) for node in self.nodes} | self._deleted_keys
+
+    def find_loop_candidate(self, state: tuple, path: str):
         """The unique existing node with this state whose choice path is a
         prefix of `path`, if any.
 
         A (state, path) pair names at most one node, so probing the nodes
-        at every prefix of `path` finds all the candidates.
+        of the state at every prefix of `path` finds all the candidates.
         """
+        at = self._by_state.get(state)
+        if at is None:
+            return None
         candidates = [
             node
             for k in range(len(path) + 1)
-            if (node := self.nodes.get((an, path[:k]))) is not None
+            if (node := at.get(path[:k])) is not None
         ]
         assert len(candidates) <= 1, "duplicate loop candidates"
         return candidates[0] if candidates else None
@@ -149,19 +167,22 @@ class Seg:
 class _Frame:
     """One open node of the search: a node whose steps are being tried.
 
-    It holds the node's ordered units, the unit and the step being tried,
-    the journal mark from before the unit (a failed else branch rolls the
-    then branch back to it), the mark from before the child node in
-    progress (a child that fails is rolled back to it), and `whites`, the
-    number of white nodes on the depth-first path from the root up to and
-    including this node.
+    It holds the node's ordered units, the live mask of its state, the
+    unit and the step being tried, the journal mark from before the unit
+    (a failed else branch rolls the then branch back to it), the mark
+    from before the child node in progress (a child that fails is rolled
+    back to it), and `whites`, the number of white nodes on the
+    depth-first path from the root up to and including this node.
     """
 
-    __slots__ = ("node", "units", "unit_at", "step_at", "unit_mark", "edge_mark", "whites")
+    __slots__ = (
+        "node", "units", "live", "unit_at", "step_at", "unit_mark", "edge_mark", "whites"
+    )
 
-    def __init__(self, node: SegNode, units, whites: int):
+    def __init__(self, node: SegNode, units, live: int, whites: int):
         self.node = node
         self.units = units
+        self.live = live
         self.unit_at = 0
         self.step_at = 0
         self.unit_mark = 0
@@ -183,26 +204,28 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
     its white nodes number `top.whites - frame(target).whites` plus one
     if `target` is white: an O(1) test.
     """
+    kernel = seg.kernel
+    successor = kernel.successor
     stack = []
     frame_of = {}
     saw_deadlock = False
 
-    def open_node(node, whites_above):
+    def open_node(node, live, whites_above):
         """Push a frame for `node`, or settle it as a leaf (OK)."""
         nonlocal saw_deadlock
-        steps = enabled_steps(node.an)
+        steps = enabled_steps(kernel, node.state)
         if not steps:
-            if not node.an.terminal:
+            if live & ~kernel.services:  # not terminal
                 node.deadlock = True
                 saw_deadlock = True
             return Outcome.OK
-        units = order_steps(steps, strategy, node.an, rng)
-        frame = _Frame(node, units, whites_above + node.white)
+        units = order_steps(steps, strategy, kernel, node.state, rng)
+        frame = _Frame(node, units, live, whites_above + node.white)
         stack.append(frame)
         frame_of[node] = frame
         return None
 
-    result = open_node(seg.root, 0)
+    result = open_node(seg.root, kernel.live(seg.root.state), 0)
     while stack:
         top = stack[-1]
         node = top.node
@@ -213,7 +236,8 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
                 top.unit_mark = seg.mark()
             step = unit[j]
             path = node.path if len(unit) == 1 else node.path + "01"[j]
-            target = seg.find_loop_candidate(step.successor, path)
+            state, live = successor(node.state, top.live, step)
+            target = seg.find_loop_candidate(state, path)
             if target is not None:
                 frame = frame_of.get(target)
                 assert frame is not None, "loop candidate must lie on the DFS path"
@@ -225,9 +249,9 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
                     result = Outcome.BADLOOP
                 continue
             top.edge_mark = seg.mark()
-            fresh = seg.add_node(step.successor, path)
+            fresh = seg.add_node(state, path)
             seg.add_edge(node, step.label, fresh)
-            result = open_node(fresh, top.whites)  # OK for a leaf: its edge is done
+            result = open_node(fresh, live, top.whites)  # OK for a leaf: its edge is done
             continue
         # `result` is the outcome of step `step_at` of the current unit.
         if result is Outcome.OK and len(unit) == 2 and top.step_at == 0:
@@ -264,10 +288,10 @@ def verify_seg(seg: Seg):
     a white node.  That every node is reachable from the root is checked
     by `unroll_graph`, which walks the graph from the root anyway.
     """
-    for node in seg.nodes.values():
+    for node in seg.nodes:
         es = seg.edges[node]
         if len(es) == 0:
-            assert node.deadlock or node.an.terminal, "bare internal node"
+            assert node.deadlock or seg.kernel.terminal(node.state), "bare internal node"
         elif len(es) == 1:
             assert isinstance(es[0][0], (ComAction, SelAction)), (
                 "single outgoing edge must be an interaction"
@@ -285,7 +309,7 @@ def verify_seg(seg: Seg):
     # are never peeled lie on or behind a cycle.
     marked = {
         node: [dst for _, dst in seg.edges[node] if not dst.white]
-        for node in seg.nodes.values()
+        for node in seg.nodes
         if not node.white
     }
     indegree = dict.fromkeys(marked, 0)
@@ -434,13 +458,14 @@ class ComponentResult:
     @property
     def deadlock_remainders(self) -> list:
         """For each deadlock leaf: the stuck processes and their terms."""
+        kernel = self.seg.kernel
         out = []
-        for node in self.seg.nodes.values():
+        for node in self.seg.nodes:
             if node.deadlock:
                 out.append(
                     {
                         p: t
-                        for p, t in node.an.net.processes.items()
+                        for p, t in kernel.network(node.state).processes.items()
                         if t.is_live() and p not in self.services
                     }
                 )
@@ -511,19 +536,20 @@ class ExtractionResult:
         lines = ["digraph seg {", "  node [shape=box];"]
         ids = {}
         for comp in self.components:
-            for node in comp.seg.nodes.values():
+            kernel = comp.seg.kernel
+            for node in comp.seg.nodes:
                 ids[node] = f"n{len(ids)}"
+                marked = kernel.marked(node.state)
                 marking = " ".join(
-                    f"{p}={'1' if p in node.an.marked else '0'}"
-                    for p in sorted(node.an.net.processes)
+                    f"{p}={'1' if p in marked else '0'}" for p in kernel.names
                 )
                 label = esc(
-                    f"{pretty(node.an.net)}\\nmarking: {marking}"
+                    f"{pretty(kernel.network(node.state))}\\nmarking: {marking}"
                     f"\\npath: [{node.path}]"
                 )
                 lines.append(f'  {ids[node]} [label="{label}"];')
         for comp in self.components:
-            for node in comp.seg.nodes.values():
+            for node in comp.seg.nodes:
                 for action, dst in comp.seg.edges[node]:
                     lines.append(
                         f'  {ids[node]} -> {ids[dst]} '
@@ -536,7 +562,7 @@ class ExtractionResult:
 def _extract_component(
     net: sp.Network, services: frozenset, strategy: Strategy, rng
 ) -> ComponentResult:
-    seg = Seg(annotate(net, services))
+    seg = Seg(Kernel(net, services))
     outcome, saw_deadlock = build_graph(seg, strategy, rng)
     assert len(seg.created_keys) <= node_bound(net), "node bound exceeded"
     choreography = None

@@ -102,158 +102,299 @@ def pretty_action(action) -> str:
     raise TypeError(f"not an action: {action!r}")
 
 
-# -------------------------------------------------------- annotated networks
+# ------------------------------------------------------- compiled components
 
-
-class AnnotatedNetwork:
-    """A network plus its marking.
-
-    `live` is the set of processes that have not terminated.  `marked`
-    only ever contains live processes (dead ones are scrubbed on
-    construction so that structurally equal states compare equal);
-    `services` are the processes that count as permanently marked and are
-    exempt from the termination test.
-    """
-
-    __slots__ = ("net", "live", "marked", "services", "_hash")
-
-    def __init__(self, net: sp.Network, marked: frozenset, services: frozenset):
-        live = frozenset(p for p, t in net.processes.items() if t.is_live())
-        self._init(net, live, frozenset((marked | services) & live), services)
-
-    def _init(self, net, live, marked, services):
-        self.net = net
-        self.live = live
-        self.marked = marked
-        self.services = services
-        self._hash = hash((net._hash, marked, services))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not AnnotatedNetwork or self._hash != other._hash:
-            return False
-        return (
-            self.marked == other.marked
-            and self.services == other.services
-            and self.net == other.net
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    @property
-    def white(self) -> bool:
-        """True iff no live non-service process is marked."""
-        return self.marked <= self.services
-
-    @property
-    def terminal(self) -> bool:
-        """True iff every non-service process has terminated.
-
-        Services are allowed to keep spinning; a network where only
-        services can still act counts as successfully terminated.
-        """
-        return self.live <= self.services
-
-    def __repr__(self):
-        return f"AnnotatedNetwork({self.net!r}, marked={sorted(self.marked)})"
-
-
-def annotate(net: sp.Network, services=frozenset()) -> AnnotatedNetwork:
-    """Initial annotation: everything unmarked except services."""
-    return AnnotatedNetwork(net, frozenset(), frozenset(services))
+# Kinds of head behaviour; a call takes the kind of the head it unfolds
+# to, and UNRESOLVED marks a call that unfolds to no head (see `Kernel`).
+NIL, SEND, RECEIVE, SELECT, OFFER, COND = range(6)
+UNRESOLVED = -1
+_KIND = {
+    sp.Nil: NIL,
+    sp.Send: SEND,
+    sp.Receive: RECEIVE,
+    sp.Select: SELECT,
+    sp.Offer: OFFER,
+    sp.Cond: COND,
+}
 
 
 class Step:
-    """One enabled reduction: its label, and its successor built on demand.
+    """One enabled reduction: its label, its participants (process
+    indices, actor first), their continuation ids, and two bit masks of
+    participants: all of them, and those the step terminates.
 
-    Until `successor` is first read, a step holds only the state it leaves
-    and the continuations of its participants (actor first).  The first
-    read builds the successor from those one or two processes alone,
-    caches it, and drops the inputs.
+    A step depends only on the heads of its participants, so the kernel
+    builds it once and every state whose participants have those heads
+    lists the same object.
     """
 
-    __slots__ = ("label", "_source", "_conts", "_successor")
+    __slots__ = ("label", "procs", "conts", "bits", "dead")
 
-    def __init__(self, label, source: AnnotatedNetwork, conts: tuple):
+    def __init__(self, label, procs: tuple, conts: tuple, kind: list):
         self.label = label
-        self._source = source
-        self._conts = conts
-        self._successor = None
-
-    @property
-    def successor(self) -> AnnotatedNetwork:
-        succ = self._successor
-        if succ is None:
-            succ = self._successor = _successor(
-                self._source, participants(self.label), self._conts
-            )
-            self._source = self._conts = None
-        return succ
+        self.procs = procs
+        self.conts = conts
+        self.bits = self.dead = 0
+        for p, c in zip(procs, conts):
+            self.bits |= 1 << p
+            if kind[c] == NIL:
+                self.dead |= 1 << p
 
     def __repr__(self):
         return f"Step({pretty_action(self.label)})"
 
 
-def _successor(an: AnnotatedNetwork, touched: tuple, conts: tuple) -> AnnotatedNetwork:
-    """The state after `touched` move on to `conts`.
+class Kernel:
+    """One component of a network, compiled for the extraction search.
 
-    Only the participants change, so the live set, the marking and the
-    network are all updated from them.  The marking is erased when the
-    participants are all the live, unmarked processes there are (the
-    marked set includes every live service, so those are never waiting).
+    Every subterm of every process's main and procedure bodies gets an
+    integer id.  Ids are interned bottom-up per process, so structurally
+    equal subterms of one process share an id.  For each id the kernel
+    tabulates its head after chasing calls (`head`), the head's kind and
+    peer process index (`kind`, `peer`, -1 for no peer in the
+    component), its node count (`size`) and, for a head, its
+    continuation ids (`cont`: one id, the (then, else) pair, or an
+    offer's label -> id dict).
+
+    A search state is a plain tuple: the main behaviour id of each
+    process in name order, then the marking as an int bit mask (bit i for
+    process i).  The marking holds only live processes, and always every
+    live service.  A process is live unless its head is Nil, so the
+    search carries the live set of a state beside it as a mask too.
+
+    Heads are chased once every body is interned, a bounded number of
+    hops: a call that unfolds to no head (a cycle of bare calls, or an
+    undefined procedure) is marked UNRESOLVED, and `enabled_steps`
+    raises its error only if a state's main reaches it.
     """
-    procs = an.net.processes
-    updates = {p: procs[p].with_main(b) for p, b in zip(touched, conts)}
-    net = an.net.replace(updates)
-    died = [p for p, t in updates.items() if not t.is_live()]
-    live = an.live.difference(died) if died else an.live
-    waiting_touched = sum(1 for p in touched if p not in an.marked)
-    if len(an.live) - len(an.marked) == waiting_touched:
-        marked = an.services & live  # everyone had their turn
-    else:
-        marked = an.marked.union(touched).difference(died)
-    succ = AnnotatedNetwork.__new__(AnnotatedNetwork)
-    succ._init(net, live, marked, an.services)
-    return succ
+
+    def __init__(self, net: sp.Network, services=frozenset()):
+        self.names = tuple(net.processes)
+        self.n = len(self.names)
+        self._index = {p: i for i, p in enumerate(self.names)}
+        self.terms = tuple(net.processes.values())
+        self.services = sum(1 << self._index[p] for p in services)
+        self.behaviour = []  # id -> a behaviour with that id
+        self.size = []
+        self.head = []
+        self.kind = []
+        self.peer = []
+        self.cont = []
+        self.unresolved = {}  # id -> the error its unfolding raises
+        self._memo = [{} for _ in self.names]  # per process: behaviour -> id
+        self._procedures = []  # per process: procedure name -> id
+        self._calls = []  # (process, id) of calls still to chase
+        self._pairs = {}  # (actor head, partner head) -> Step or None
+        self._conds = {}  # conditional head -> (then Step, else Step)
+        mains = []
+        for i, term in enumerate(self.terms):
+            self._procedures.append(
+                {x: self._intern(i, b) for x, b in term.procedures.items()}
+            )
+            mains.append(self._intern(i, term.main))
+        self._resolve()
+        self.root = self._state(mains, 0)
+
+    # -- compiling
+
+    def _intern(self, i: int, root: sp.Behaviour) -> int:
+        """The id of `root` in process `i`, interning its subterms first.
+
+        The memo is keyed by the terms themselves: they cache their hash,
+        and a dict lookup of a term it holds is an identity test, so only
+        a subterm structurally equal to one met before, in another place,
+        is compared in depth, and then its subterms are not walked.
+        """
+        memo = self._memo[i]
+        order = []
+        stack = [root]
+        while stack:
+            t = stack.pop()
+            if t not in memo:
+                order.append(t)
+                stack.extend(t.children())
+        for t in reversed(order):
+            if t not in memo:  # a subterm met twice on the walk
+                memo[t] = self._add(i, t, [memo[k] for k in t.children()])
+        return memo[root]
+
+    def _add(self, i: int, t: sp.Behaviour, kid_ids: list) -> int:
+        x = len(self.behaviour)
+        kind = _KIND.get(type(t), UNRESOLVED)
+        if kind == UNRESOLVED:  # a call, until `_resolve` chases it
+            self._calls.append((i, x))
+        if kind == OFFER:
+            cont = dict(zip([l for l, _ in t.branches], kid_ids))
+        elif kind == COND:
+            cont = tuple(kid_ids)
+        else:
+            cont = kid_ids[0] if kid_ids else None
+        self.behaviour.append(t)
+        self.size.append(t.size)
+        self.head.append(x)
+        self.kind.append(kind)
+        self.peer.append(-1 if t.peer is None else self._index.get(t.peer, -1))
+        self.cont.append(cont)
+        return x
+
+    def _resolve(self):
+        """Chase every new call to its head, as `ProcessTerm.head_behaviour`
+        does: at most one hop per procedure of the process."""
+        behaviour = self.behaviour
+        for i, x in self._calls:
+            procedures = self._procedures[i]
+            b = x
+            hops = 0
+            while type(behaviour[b]) is sp.Call:
+                hops += 1
+                name = behaviour[b].name
+                if hops > len(procedures):
+                    self.unresolved[x] = AssertionError(
+                        f"unguarded recursion while unfolding {behaviour[x]!r}"
+                    )
+                    break
+                if name not in procedures:
+                    self.unresolved[x] = KeyError(name)
+                    break
+                b = procedures[name]
+            else:
+                self.head[x] = b
+                self.kind[x] = self.kind[b]
+                self.peer[x] = self.peer[b]
+        self._calls.clear()
+
+    # -- states
+
+    def _state(self, ids: list, marked: int) -> tuple:
+        return (*ids, (marked | self.services) & self.live(ids))
+
+    def state(self, net: sp.Network, marked=frozenset()) -> tuple:
+        """The state of `net`, a network over the same processes and
+        procedures, with the processes `marked` marked (and the live
+        services)."""
+        ids = [self._intern(i, net[p].main) for i, p in enumerate(self.names)]
+        self._resolve()
+        return self._state(ids, sum(1 << self._index[p] for p in marked))
+
+    def live(self, state) -> int:
+        """The mask of live processes of a state."""
+        kind = self.kind
+        return sum(1 << i for i in range(self.n) if kind[state[i]] != NIL)
+
+    def white(self, state) -> bool:
+        """True iff no live non-service process is marked."""
+        return not state[-1] & ~self.services
+
+    def terminal(self, state) -> bool:
+        """True iff every non-service process has terminated.
+
+        Services are allowed to keep spinning; a network where only
+        services can still act counts as successfully terminated.
+        """
+        return not self.live(state) & ~self.services
+
+    def successor(self, state: tuple, live: int, step: Step) -> tuple:
+        """The state after `step`, and its live mask, from a state and its
+        live mask.
+
+        Only the participants' entries change.  The marking is erased
+        when the participants are all the live, unmarked processes there
+        are (the marking holds every live service, so those are never
+        waiting); otherwise the participants join it.  Terminated
+        processes leave it either way.
+        """
+        out = list(state)
+        for p, c in zip(step.procs, step.conts):
+            out[p] = c
+        after = live & ~step.dead
+        marked = state[-1]
+        if live & ~(marked | step.bits):
+            out[-1] = (marked | step.bits) & after
+        else:
+            out[-1] = self.services & after
+        return tuple(out), after
+
+    # -- back to terms
+
+    def network(self, state) -> sp.Network:
+        return sp.Network(
+            {
+                p: sp.ProcessTerm(term.procedures, self.behaviour[x])
+                for p, term, x in zip(self.names, self.terms, state)
+            }
+        )
+
+    def marked(self, state) -> frozenset:
+        mask = state[-1]
+        return frozenset(p for i, p in enumerate(self.names) if mask >> i & 1)
+
+    # -- steps
+
+    def _interaction(self, i: int, j: int, hx: int, hy: int):
+        """The step of process `i` with head `hx`, a send or a selection,
+        and process `j` with head `hy`, the matching receive or offer; None
+        if an offer lacks the selected label."""
+        b, c = self.behaviour[hx], self.behaviour[hy]
+        p, q = self.names[i], self.names[j]
+        if type(b) is sp.Send:
+            step = Step(
+                ComAction(p, b.expr, q, c.var), (i, j), (self.cont[hx], self.cont[hy]), self.kind
+            )
+        else:
+            k = self.cont[hy].get(b.label)
+            step = None
+            if k is not None:
+                step = Step(SelAction(p, q, b.label), (i, j), (self.cont[hx], k), self.kind)
+        self._pairs[hx, hy] = step
+        return step
+
+    def _conditional(self, i: int, h: int) -> tuple:
+        b = self.behaviour[h]
+        p = self.names[i]
+        then, orelse = self.cont[h]
+        pair = self._conds[h] = (
+            Step(ThenAction(p, b.expr), (i,), (then,), self.kind),
+            Step(ElseAction(p, b.expr), (i,), (orelse,), self.kind),
+        )
+        return pair
 
 
-def enabled_steps(an: AnnotatedNetwork) -> list:
-    """All abstract reductions available from an annotated network.
+_UNSEEN = object()
 
-    Conditionals contribute their Then and Else steps adjacently, in that
-    order.  The listing order is deterministic (processes in name order).
-    No successor is built here: see `Step`.
+
+def enabled_steps(kernel: Kernel, state: tuple) -> list:
+    """All abstract reductions available from a state.
+
+    Steps are listed by actor in name order (the sender or selector of an
+    interaction); a conditional contributes its Then and Else steps
+    adjacently, in that order.  No successor is built here: see
+    `Kernel.successor`.
     """
-    procs = an.net.processes
+    kind, peer, head = kernel.kind, kernel.peer, kernel.head
+    pairs, conds = kernel._pairs, kernel._conds
     steps = []
-    for p, term in procs.items():
-        head = term.head_behaviour()
-        kind = type(head)
-        if kind is sp.Send:
-            partner = procs.get(head.to)
-            if partner is None:
+    for i in range(kernel.n):
+        x = state[i]
+        k = kind[x]
+        if k == SEND or k == SELECT:
+            j = peer[x]
+            if j < 0:
                 continue
-            qhead = partner.head_behaviour()
-            if type(qhead) is sp.Receive and qhead.frm == p:
-                action = ComAction(p, head.expr, head.to, qhead.var)
-                steps.append(Step(action, an, (head.cont, qhead.cont)))
-        elif kind is sp.Select:
-            partner = procs.get(head.to)
-            if partner is None:
+            y = state[j]
+            # RECEIVE and OFFER follow SEND and SELECT.
+            if peer[y] != i or kind[y] != k + 1:
                 continue
-            qhead = partner.head_behaviour()
-            if (
-                type(qhead) is sp.Offer
-                and qhead.frm == p
-                and qhead.has_label(head.label)
-            ):
-                action = SelAction(p, head.to, head.label)
-                steps.append(Step(action, an, (head.cont, qhead.branch(head.label))))
-        elif kind is sp.Cond:
-            steps.append(Step(ThenAction(p, head.expr), an, (head.then,)))
-            steps.append(Step(ElseAction(p, head.expr), an, (head.orelse,)))
+            key = (head[x], head[y])
+            step = pairs.get(key, _UNSEEN)
+            if step is _UNSEEN:
+                step = kernel._interaction(i, j, *key)
+            if step is not None:
+                steps.append(step)
+        elif k == COND:
+            h = head[x]
+            steps += conds.get(h) or kernel._conditional(i, h)
+        elif k == UNRESOLVED:
+            raise kernel.unresolved[x]
     return steps
 
 

@@ -15,12 +15,9 @@ token strings and compared by string equality.  All terms are immutable,
 cache their hash and node count at construction, and are safe to share
 between threads.
 
-The two updates the extraction search makes on every step are
-incremental.  `ProcessTerm.with_main` shares its procedure dict and the
-precomputed hash and size of that environment, so it costs O(1).
-`Network.replace` copies the already name-sorted map and adjusts an
-order-independent hash (a sum of per-process hashes) by the processes it
-swaps, so it costs no hashing beyond the updated processes.
+The extraction search does not step these terms: it compiles each
+component to integer ids once (`semantics.Kernel`) and builds terms and
+networks again only to print or report a state.
 """
 
 from __future__ import annotations
@@ -95,13 +92,20 @@ class Offer(Behaviour):
     __match_args__ = ("frm", "branches")
 
     def __init__(self, frm: str, branches):
-        items = sorted(branches.items() if isinstance(branches, dict) else branches)
+        items = tuple(branches.items() if isinstance(branches, dict) else branches)
+        self.frm = frm
+        if len(items) == 1:  # most offers: one label, nothing to sort or check
+            ((label, b),) = items
+            self.branches = items
+            self._hash = hash(("sp.Offer", frm, (label, b._hash)))
+            self.size = 1 + b.size
+            return
+        items = sorted(items)
         if not items:
             raise ValueError("offer must have at least one branch")
         labels = [l for l, _ in items]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate branch labels in offer: {labels}")
-        self.frm = frm
         self.branches = tuple(items)
         self._hash = hash(("sp.Offer", frm) + tuple((l, b._hash) for l, b in self.branches))
         self.size = 1 + sum(b.size for _, b in self.branches)
@@ -137,24 +141,14 @@ class Cond(Behaviour):
 class ProcessTerm:
     """A set of procedure definitions together with a main behaviour."""
 
-    __slots__ = ("procedures", "main", "_hash", "size", "_head", "_env")
+    __slots__ = ("procedures", "main", "_hash", "size", "_head")
 
     def __init__(self, procedures, main: Behaviour):
         items = sorted_procedures(procedures)
-        env = (
-            hash(tuple((x, b._hash) for x, b in items)),
-            sum(b.size for _, b in items),
-        )
-        self._init(dict(items), env, main)
-
-    def _init(self, procedures: dict, env: tuple, main: Behaviour):
-        # `env` is (hash, size) of `procedures`, shared by every term that
-        # shares the dict.
-        self.procedures = procedures
+        self.procedures = dict(items)
         self.main = main
-        self._env = env
-        self._hash = hash((env[0], main._hash))
-        self.size = env[1] + main.size
+        self._hash = hash((tuple((x, b._hash) for x, b in items), main._hash))
+        self.size = sum(b.size for _, b in items) + main.size
         self._head = None
 
     def head_behaviour(self) -> Behaviour:
@@ -193,14 +187,6 @@ class ProcessTerm:
     def __hash__(self):
         return self._hash
 
-    def with_main(self, main: Behaviour) -> "ProcessTerm":
-        """Same procedure environment, different main behaviour."""
-        if main is self.main:
-            return self
-        term = ProcessTerm.__new__(ProcessTerm)
-        term._init(self.procedures, self._env, main)
-        return term
-
     def __repr__(self):
         return f"ProcessTerm({self.procedures!r}, {self.main!r})"
 
@@ -208,20 +194,11 @@ class ProcessTerm:
 TERMINATED = ProcessTerm({}, NIL)
 
 
-_HASH_MASK = (1 << 63) - 1
-
-
-def _slot_hash(name: str, term: ProcessTerm) -> int:
-    return hash((name, term._hash))
-
-
 class Network:
     """A nonempty map from process names to process terms.
 
-    Terminated processes stay in the map (as ⟨∅, Nil⟩-like terms); node
-    identity during extraction compares the full map.  The map is kept in
-    name order; the hash is the sum, modulo 2**63, of one hash per
-    (name, term) slot, so swapping a term adjusts it in O(1).
+    Terminated processes stay in the map (as ⟨∅, Nil⟩-like terms).  The
+    map is kept in name order.
     """
 
     __slots__ = ("processes", "_hash")
@@ -230,9 +207,7 @@ class Network:
         if not processes:
             raise ValueError("network must contain at least one process")
         self.processes = dict(sorted(processes.items()))
-        self._hash = (
-            sum(_slot_hash(p, t) for p, t in self.processes.items()) & _HASH_MASK
-        )
+        self._hash = hash(tuple((p, t._hash) for p, t in self.processes.items()))
 
     def __eq__(self, other):
         if self is other:
@@ -251,19 +226,8 @@ class Network:
         return self.processes[name]
 
     def replace(self, updates: dict) -> "Network":
-        """New network with some terms swapped out."""
-        procs = dict(self.processes)
-        h = self._hash
-        for p, t in updates.items():
-            old = procs.get(p)
-            if old is None:  # a new name: sort it in
-                return Network({**procs, **updates})
-            h += _slot_hash(p, t) - _slot_hash(p, old)
-            procs[p] = t
-        net = Network.__new__(Network)
-        net.processes = procs
-        net._hash = h & _HASH_MASK
-        return net
+        """New network with some terms swapped out (or added)."""
+        return Network({**self.processes, **updates})
 
     def restrict(self, names) -> "Network":
         """Sub-network over the given process names."""

@@ -1,9 +1,12 @@
 """Slow reference implementations used to cross-check the engine.
 
 Nothing here shares code with the search in `chorex.extraction`: the
-graph search is a plain existential recursion that tries every
-alternative instead of pruning, and its loop test is a literal scan of
-the closing segment for a white node.  Disagreements with the engine are
+network semantics is stepped on terms (`AnnotatedNetwork`,
+`reference_steps`), by the definition, where the engine steps integer
+states compiled by `semantics.Kernel`; the graph search is a plain
+existential recursion that tries every alternative instead of pruning,
+and its loop test is a literal scan of the closing segment for a white
+node.  Disagreements with the engine are
 findings, not test bugs.  The bisimilarity checker's pair rewriting has
 an oracle here too: `reference_normalise` rewrites every pair from
 scratch, and `reference_epp` projects one process at a time by plain
@@ -22,10 +25,104 @@ from chorex.semantics import (
     ElseAction,
     SelAction,
     ThenAction,
-    annotate,
     chor_enabled,
-    enabled_steps,
+    participants,
 )
+
+
+class AnnotatedNetwork:
+    """A network plus its marking, on terms.
+
+    `live` is the set of processes that have not terminated.  `marked`
+    only ever contains live processes (dead ones are scrubbed on
+    construction so that structurally equal states compare equal), and
+    always every live service; `services` are the processes that count as
+    permanently marked and are exempt from the termination test.
+    """
+
+    __slots__ = ("net", "live", "marked", "services")
+
+    def __init__(self, net: sp.Network, marked: frozenset, services: frozenset):
+        self.net = net
+        self.live = frozenset(p for p, t in net.processes.items() if t.is_live())
+        self.marked = frozenset((marked | services) & self.live)
+        self.services = services
+
+    def __eq__(self, other):
+        return (
+            type(other) is AnnotatedNetwork
+            and self.marked == other.marked
+            and self.services == other.services
+            and self.net == other.net
+        )
+
+    def __hash__(self):
+        return hash((self.net, self.marked, self.services))
+
+    @property
+    def white(self) -> bool:
+        """True iff no live non-service process is marked."""
+        return self.marked <= self.services
+
+    @property
+    def terminal(self) -> bool:
+        """True iff every non-service process has terminated."""
+        return self.live <= self.services
+
+    def __repr__(self):
+        return f"AnnotatedNetwork({self.net!r}, marked={sorted(self.marked)})"
+
+
+def annotate(net: sp.Network, services=frozenset()) -> AnnotatedNetwork:
+    """Initial annotation: everything unmarked except services."""
+    return AnnotatedNetwork(net, frozenset(), frozenset(services))
+
+
+class ReferenceStep:
+    """An enabled reduction on terms: its label and its successor."""
+
+    __slots__ = ("label", "successor")
+
+    def __init__(self, label, successor: AnnotatedNetwork):
+        self.label = label
+        self.successor = successor
+
+
+def _reference_successor(an: AnnotatedNetwork, label, conts) -> AnnotatedNetwork:
+    """The participants move on to `conts`, every term rebuilt.  The
+    marking is erased if every live unmarked process took part, and grows
+    by the participants otherwise."""
+    touched = participants(label)
+    net = an.net
+    updates = {p: sp.ProcessTerm(net[p].procedures, b) for p, b in zip(touched, conts)}
+    waiting = an.live - an.marked
+    marked = frozenset() if waiting <= set(touched) else an.marked | set(touched)
+    return AnnotatedNetwork(net.replace(updates), marked, an.services)
+
+
+def reference_steps(an: AnnotatedNetwork) -> list:
+    """Every reduction of an annotated network, processes in name order,
+    a conditional's Then step right before its Else step."""
+    procs = an.net.processes
+    steps = []
+    for p, term in procs.items():
+        match term.head_behaviour():
+            case sp.Send(q, e, k) if q in procs:
+                match procs[q].head_behaviour():
+                    case sp.Receive(frm, x, kq) if frm == p:
+                        label = ComAction(p, e, q, x)
+                        steps.append((label, (k, kq)))
+            case sp.Select(q, l, k) if q in procs:
+                match procs[q].head_behaviour():
+                    case sp.Offer(frm, branches) if frm == p and l in dict(branches):
+                        steps.append((SelAction(p, q, l), (k, dict(branches)[l])))
+            case sp.Cond(e, then, orelse):
+                steps.append((ThenAction(p, e), (then,)))
+                steps.append((ElseAction(p, e), (orelse,)))
+    return [
+        ReferenceStep(label, _reference_successor(an, label, conts))
+        for label, conts in steps
+    ]
 
 
 def _units(steps):
@@ -62,7 +159,7 @@ def valid_graph_exists(net, services=frozenset()) -> bool:
         return search(an, path, spine + [(an, path, an.white)])
 
     def search(an, path, spine):
-        steps = enabled_steps(an)
+        steps = reference_steps(an)
         if not steps:
             return True  # terminated or stuck: both are completed leaves
         for unit in _units(steps):
@@ -86,7 +183,7 @@ def chor_action_labels(c: cc.Choreography, body=None):
 
 def network_action_labels(an):
     """Actions of an annotated network, as a set of labels."""
-    return {step.label for step in enabled_steps(an)}
+    return {step.label for step in reference_steps(an)}
 
 
 def compare_chor_vs_network(c: cc.Choreography, depth: int, rng):
@@ -113,7 +210,7 @@ def compare_chor_vs_network(c: cc.Choreography, depth: int, rng):
             break
         picked = rng.choice(sorted(chor_steps, key=lambda s: str(s[0])))
         action, body = picked
-        (net_succ,) = [s.successor for s in enabled_steps(an) if s.label == action]
+        (net_succ,) = [s.successor for s in reference_steps(an) if s.label == action]
         an = net_succ
     return compared
 

@@ -164,9 +164,9 @@ def test_the_search_runs_on_the_calling_thread(monkeypatch):
     threads = set()
     enabled_steps = extraction.enabled_steps
 
-    def recording(an):
+    def recording(*args):
         threads.add(threading.get_ident())
-        return enabled_steps(an)
+        return enabled_steps(*args)
 
     monkeypatch.setattr(extraction, "enabled_steps", recording)
     before = sys.getrecursionlimit(), threading.stack_size(), threading.active_count()

@@ -17,7 +17,7 @@ from chorex.extraction import (
     verify_seg,
 )
 from chorex.parser import parse_network, pretty
-from chorex.semantics import AnnotatedNetwork, ComAction, annotate
+from chorex.semantics import ComAction, Kernel
 from chorex.strategies import STRATEGY_NAMES
 from chorex.wellformed import check_guardedness
 
@@ -27,12 +27,16 @@ from conftest import LOOP_PLUS_FINITE_TEXT
 
 class TestSegJournal:
     def _root(self):
+        """A kernel, its root state, and the state with every process
+        terminated."""
         net = parse_network("p { main { q!<e>; stop } } | q { main { p?x; stop } }")
-        return annotate(net), annotate(net.replace({p: sp.TERMINATED for p in net.names()}))
+        kernel = Kernel(net)
+        done = net.replace({p: sp.TERMINATED for p in net.names()})
+        return kernel, kernel.root, kernel.state(done)
 
     def test_rollback_undoes_nodes_and_edges(self):
-        a, b = self._root()
-        seg = Seg(a)
+        kernel, a, b = self._root()
+        seg = Seg(kernel)
         mark = seg.mark()
         child = seg.add_node(b, "0")
         seg.add_edge(seg.root, "lbl", child)
@@ -43,8 +47,8 @@ class TestSegJournal:
         assert seg.edges[seg.root] == []
 
     def test_recreation_counts_twice(self):
-        a, b = self._root()
-        seg = Seg(a)
+        kernel, a, b = self._root()
+        seg = Seg(kernel)
         mark = seg.mark()
         seg.add_node(b, "0")
         seg.rollback(mark)
@@ -52,23 +56,23 @@ class TestSegJournal:
         assert seg.created == 3 and seg.deleted == 1
 
     def test_duplicate_identity_is_refused(self):
-        a, b = self._root()
-        seg = Seg(a)
+        kernel, a, b = self._root()
+        seg = Seg(kernel)
         seg.add_node(b, "0")
         with pytest.raises(AssertionError, match="created twice"):
             seg.add_node(b, "0")
 
     def test_loop_candidate_requires_prefix_path(self):
-        a, b = self._root()
-        seg = Seg(a)
+        kernel, a, b = self._root()
+        seg = Seg(kernel)
         seg.add_node(b, "0")
         assert seg.find_loop_candidate(b, "01") is not None
         assert seg.find_loop_candidate(b, "1") is None  # diverged branch
         assert seg.find_loop_candidate(a, "") is seg.root
 
     def test_duplicate_loop_candidates_are_refused(self):
-        a, b = self._root()
-        seg = Seg(a)
+        kernel, a, b = self._root()
+        seg = Seg(kernel)
         seg.add_node(b, "0")
         seg.add_node(b, "01")
         with pytest.raises(AssertionError, match="duplicate loop candidates"):
@@ -77,8 +81,8 @@ class TestSegJournal:
     def test_nodes_stay_in_creation_order_across_rollback(self):
         # The graph is walked in `seg.nodes` order (the dot output too),
         # which must be uid order without a sort.
-        a, b = self._root()
-        seg = Seg(a)
+        kernel, a, b = self._root()
+        seg = Seg(kernel)
         seg.add_node(b, "0")
         mark = seg.mark()
         seg.add_node(b, "1")
@@ -86,7 +90,7 @@ class TestSegJournal:
         seg.rollback(mark)
         seg.add_node(a, "1")
         seg.add_node(b, "1")
-        uids = [n.uid for n in seg.nodes.values()]
+        uids = [n.uid for n in seg.nodes]
         assert all(x < y for x, y in zip(uids, uids[1:]))
         assert len(uids) == 4
 
@@ -118,7 +122,7 @@ class TestLoopClosure:
             "def X1 { p.b -> r.y; p.a -> q.x; X1 } main { p.c -> q.x; X1 }"
         )
         seg = result.components[0].seg
-        target, top = list(seg.nodes.values())[1:]
+        target, top = seg.nodes[1:]
         assert not target.white and top.white
         assert seg.edges[top][0][1] is target
         assert result.badloops == 0
@@ -302,8 +306,8 @@ class TestGraphShape:
     def test_unreachable_cycle_is_refused(self):
         # A 2-cycle that no edge enters: without the edges into loop nodes
         # it is the graph's only cycle, and reachability alone rejects it.
-        seg = Seg(annotate(parse_network("p { main { q!<e>; stop } } | q { main { p?x; stop } }")))
-        x, y = seg.add_node(seg.root.an, "0"), seg.add_node(seg.root.an, "1")
+        seg = Seg(Kernel(parse_network("p { main { q!<e>; stop } } | q { main { p?x; stop } }")))
+        x, y = seg.add_node(seg.root.state, "0"), seg.add_node(seg.root.state, "1")
         seg.add_edge(x, "lbl", y)
         seg.add_edge(y, "lbl", x)
         with pytest.raises(AssertionError, match="unreachable nodes survive"):
@@ -311,8 +315,9 @@ class TestGraphShape:
 
     def test_all_marked_cycle_is_refused(self):
         net = parse_network("p { main { q!<e>; stop } } | q { main { p?x; stop } }")
-        seg = Seg(annotate(net))
-        marked = AnnotatedNetwork(net, frozenset({"p"}), frozenset())
+        kernel = Kernel(net)
+        seg = Seg(kernel)
+        marked = kernel.state(net, frozenset({"p"}))
         x, y = seg.add_node(marked, "0"), seg.add_node(marked, "1")
         com = ComAction("p", "e", "q", "x")
         seg.add_edge(seg.root, com, x)
@@ -361,13 +366,13 @@ def test_successors_are_built_only_when_tried(monkeypatch):
 
     net = epp(amend(generate(GenParams(size=500, processes=100, seed=0))))
     built = []
-    replace = sp.Network.replace
+    successor = Kernel.successor
 
-    def counted(self, updates):
-        built.append(len(updates))
-        return replace(self, updates)
+    def counted(self, state, live, step):
+        built.append(len(step.procs))
+        return successor(self, state, live, step)
 
-    monkeypatch.setattr(sp.Network, "replace", counted)
+    monkeypatch.setattr(Kernel, "successor", counted)
     result = extract(net, strategy=Strategy("InteractionsFirst"))
     assert result.ok
     assert result.nodes_created == 501

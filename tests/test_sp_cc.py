@@ -5,15 +5,16 @@ import pytest
 from chorex import cc, sp
 from chorex.parser import parse_network
 from chorex.semantics import (
-    AnnotatedNetwork,
     ComAction,
     ElseAction,
+    Kernel,
     SelAction,
     ThenAction,
-    annotate,
     enabled_steps,
     participants,
 )
+
+from oracles import AnnotatedNetwork
 
 from conftest import N1_TEXT, N2_TEXT, N3_TEXT, RANKED_LOOP_NET_TEXT, SIGNON_NET_TEXT
 
@@ -78,13 +79,6 @@ class TestProcessTerm:
         assert not sp.TERMINATED.is_live()
         assert sp.ProcessTerm({"X": sp.NIL}, sp.Call("X")).is_live() is False
 
-    def test_with_main_keeps_procedures(self):
-        t = sp.ProcessTerm({"X": sp.NIL}, sp.Send("q", "e", sp.NIL))
-        t2 = t.with_main(sp.NIL)
-        assert t2.procedures == t.procedures
-        assert t2.main == sp.NIL
-        assert t.with_main(t.main) is t
-
     def test_size_sums_main_and_procedures(self):
         t = sp.ProcessTerm(
             {"X": sp.Send("q", "e", sp.NIL)}, sp.Receive("q", "x", sp.Call("X"))
@@ -124,14 +118,13 @@ def _fresh(n: sp.Network) -> sp.Network:
 
 
 class TestIncrementalUpdates:
-    """The O(1) update paths must agree with building from scratch, hash
-    included: a mismatch would only show as states that stop meeting in
-    the search's node table, with no error."""
+    """`Network.replace` must agree with building from scratch, hash
+    included."""
 
     T = sp.ProcessTerm(
         {"X": sp.Send("q", "e", sp.Call("X"))}, sp.Receive("q", "x", sp.Call("X"))
     )
-    NET = sp.Network({"p": T, "q": sp.TERMINATED, "r": T.with_main(sp.Call("X"))})
+    NET = sp.Network({"p": T, "q": sp.TERMINATED, "r": sp.ProcessTerm(T.procedures, sp.Call("X"))})
 
     @pytest.mark.parametrize(
         "updates",
@@ -158,22 +151,10 @@ class TestIncrementalUpdates:
         back = there.replace({"p": n["p"], "q": n["q"]})
         assert back == n and hash(back) == hash(n)
 
-    @pytest.mark.parametrize(
-        "main", [sp.NIL, sp.Call("X"), sp.Send("q", "f", sp.Cond("c", sp.NIL, sp.NIL))]
-    )
-    def test_with_main_equals_rebuilding(self, main):
-        t = self.T
-        got = t.with_main(main)
-        want = sp.ProcessTerm(t.procedures, main)
-        assert got == want and hash(got) == hash(want)
-        assert got.size == want.size
-        assert got.procedures is t.procedures  # shared, not copied
-
 
 def _eager_successor(an, label):
-    """A step's successor by the rule the search used before successors
-    became lazy: rebuild every term and the network, and recompute the
-    live and waiting sets."""
+    """A step's successor by the definition: rebuild every term and the
+    network, and recompute the live and waiting sets."""
     net = an.net
     match label:
         case ComAction(p, _, q, _):
@@ -212,26 +193,32 @@ def _eager_successor(an, label):
     ids=["N1", "N2", "N3", "signon", "signon-service", "ranked-service"],
 )
 def test_lazy_successors_equal_eager_ones(text, services):
-    """Every step of every reachable state: the lazily built successor
-    equals the eagerly built one, marking and live set included."""
-    root = annotate(parse_network(text), services)
-    seen = {root}
-    frontier = [root]
+    """Every step of every reachable state of the kernel: its successor,
+    built only when asked for and turned back into terms, equals the
+    eagerly built one, marking and live set included."""
+    net = parse_network(text)
+    kernel = Kernel(net, services)
+    seen = {kernel.root}
+    frontier = [kernel.root]
     steps = 0
     while frontier:
-        an = frontier.pop()
-        for step in enabled_steps(an):
+        state = frontier.pop()
+        an = AnnotatedNetwork(kernel.network(state), kernel.marked(state), frozenset(services))
+        live = kernel.live(state)
+        for step in enabled_steps(kernel, state):
             want = _eager_successor(an, step.label)
-            got = step.successor
-            assert got is step.successor  # built once, then cached
+            succ, succ_live = kernel.successor(state, live, step)
+            assert kernel.successor(state, live, step) == (succ, succ_live)
+            got = AnnotatedNetwork(kernel.network(succ), kernel.marked(succ), an.services)
             assert got == want and hash(got) == hash(want)
             assert got.marked == want.marked
             assert got.live == want.live
+            assert succ_live == kernel.live(succ)
             assert got.net.names() == want.net.names()
             steps += 1
-            if got not in seen:
-                seen.add(got)
-                frontier.append(got)
+            if succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
     assert steps > 0
 
 

@@ -5,8 +5,10 @@ import random
 import pytest
 
 from chorex.parser import parse_network
-from chorex.semantics import AnnotatedNetwork, annotate, enabled_steps, pretty_action
+from chorex.semantics import Kernel, enabled_steps, pretty_action
 from chorex.strategies import STRATEGY_NAMES, Strategy, group_units, order_steps
+
+from oracles import AnnotatedNetwork, annotate
 
 # One communication, one selection, one conditional, with main sizes
 # 3 (p/q), 2 (r/s), 3 (t) to give the size-based strategies a spread.
@@ -19,10 +21,18 @@ t { main { if c then stop else stop } }
 """)
 
 
+def _steps(an):
+    """The kernel of `an`'s network, the state of `an`, and its steps."""
+    kernel = Kernel(an.net, an.services)
+    state = kernel.state(an.net, an.marked)
+    return kernel, state, enabled_steps(kernel, state)
+
+
 def _ordered(name, an=None, rng=None, seed=0):
     an = an or annotate(MIX)
     rng = rng or random.Random(seed)
-    units = order_steps(enabled_steps(an), Strategy(name, seed), an, rng)
+    kernel, state, steps = _steps(an)
+    units = order_steps(steps, Strategy(name, seed), kernel, state, rng)
     return [pretty_action(s.label) for unit in units for s in unit]
 
 
@@ -41,7 +51,7 @@ def test_unknown_strategy_rejected():
 
 
 def test_group_units_pairs_then_with_else():
-    steps = enabled_steps(annotate(MIX))
+    _, _, steps = _steps(annotate(MIX))
     units = group_units(steps)
     shapes = [[pretty_action(s.label) for s in u] for u in units]
     assert shapes == [[COM], [SEL], [THEN, ELSE]]
@@ -87,7 +97,7 @@ class TestOrderings:
 
 
 def test_every_strategy_emits_every_step_once():
-    steps = enabled_steps(annotate(MIX))
+    _, _, steps = _steps(annotate(MIX))
     want = sorted(pretty_action(s.label) for s in steps)
     for name in STRATEGY_NAMES:
         got = _ordered(name, rng=random.Random(name))
