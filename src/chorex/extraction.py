@@ -1,12 +1,13 @@
 """The extraction engine.
 
 Extraction searches for a *valid symbolic execution graph* of a network:
-a graph over annotated networks where every node commits to one
-interaction (or to the two branches of one conditional), every leaf is
-either fully terminated or recorded as deadlocked, and every cycle passes
-through a node whose live processes are all unmarked.  That last
-condition is what rules out starvation: a loop is only closed if every
-process that still wants to run got a turn since the previous closure.
+a graph over annotated networks (a network plus its marking) where every
+node commits to one interaction (or to the two branches of one
+conditional), every leaf is either fully terminated or recorded as
+deadlocked, and every cycle passes through a node whose live processes
+are all unmarked.  That last condition is what rules out starvation: a
+loop is only closed if every process that still wants to run got a turn
+since the previous closure.
 
 The search is a depth-first construction with three-valued outcomes:
 
@@ -22,6 +23,13 @@ Nodes carry a *choice path* — the string of conditional branches (0 then,
 parent's path; conditional children extend it.  A closing edge may only
 target a node whose path is a prefix of the closing node's path, which
 keeps separately-created conditional branches from being confused.
+
+The search runs over each component compiled once (`semantics.Kernel`):
+a node's state is a tuple of integer behaviour ids plus a marking bit
+mask, which hashes and compares in C, and the graph indexes its nodes by
+state first and choice path second.  Terms and networks are built again
+from a state only to print it (`to_dot`) or report it
+(`deadlock_remainders`).
 
 When the search succeeds, nodes with more than one incoming edge (and a
 root with any) become recursive procedure definitions, their incoming
@@ -98,7 +106,6 @@ class Seg:
         self.badloops = 0
         self._deleted_keys = set()
         self._next_uid = 0
-        self._nonservices = ~kernel.services
         self.root = self.add_node(kernel.root, "")
 
     def add_node(self, state: tuple, path: str) -> SegNode:
@@ -106,8 +113,7 @@ class Seg:
         if at is None:
             at = self._by_state[state] = {}
         assert path not in at, "node identity created twice"
-        white = not (state[-1] & self._nonservices)
-        node = at[path] = SegNode(state, path, self._next_uid, white)
+        node = at[path] = SegNode(state, path, self._next_uid, self.kernel.white(state))
         self._next_uid += 1
         self.nodes.append(node)
         self.edges[node] = []
@@ -141,9 +147,14 @@ class Seg:
             self.deleted += 1
 
     @property
-    def created_keys(self) -> set:
-        """Every (state, path) identity a node was ever created with."""
-        return {(node.state, node.path) for node in self.nodes} | self._deleted_keys
+    def identities(self) -> int:
+        """How many distinct (state, path) identities nodes were ever
+        created with: the surviving nodes, and the deleted ones that were
+        not created again."""
+        again = sum(
+            1 for state, path in self._deleted_keys if path in self._by_state.get(state, ())
+        )
+        return len(self.nodes) + len(self._deleted_keys) - again
 
     def find_loop_candidate(self, state: tuple, path: str):
         """The unique existing node with this state whose choice path is a
@@ -564,7 +575,7 @@ def _extract_component(
 ) -> ComponentResult:
     seg = Seg(Kernel(net, services))
     outcome, saw_deadlock = build_graph(seg, strategy, rng)
-    assert len(seg.created_keys) <= node_bound(net), "node bound exceeded"
+    assert seg.identities <= node_bound(net), "node bound exceeded"
     choreography = None
     if outcome is Outcome.OK:
         verify_seg(seg)

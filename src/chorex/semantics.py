@@ -2,21 +2,23 @@
 
 Two labelled transition systems live here:
 
-* `enabled_steps` — abstract reductions of annotated networks.  A process
-  whose main behaviour is a procedure call is head-unfolded only when that
-  lets an action fire, and the unfolding is materialized only in the
-  successor of the step that consumed it.  Each step also advances the
-  per-process marking: processes that act become marked, and when every
-  live, unmarked, non-service process takes part in an action the whole
-  marking is erased (services stay marked forever).
+* `enabled_steps` — abstract reductions of a network and its marking,
+  over a `Kernel`: one component compiled to integer ids, where a state
+  is a tuple of main behaviour ids plus a marking bit mask.  A process
+  whose main behaviour is a procedure call acts through the head its
+  calls unfold to, which the kernel tabulated once per id.  Each step
+  also advances the per-process marking: processes that act become
+  marked, and when every live, unmarked, non-service process takes part
+  in an action the whole marking is erased (services stay marked
+  forever).
 
   Successors are lazy: a step is listed with its label and the
-  continuations of its one or two participants, and its successor state
-  is built when the search first asks for it.  An annotated network
-  carries its live set, so building a successor touches only the
-  participants: their terms, the network hash, the live set and the
-  marking are all updated from them; nothing is re-sorted, rehashed or
-  rescanned over every process.
+  continuation ids of its one or two participants, and the search builds
+  its successor state (`Kernel.successor`) only when it tries the step.
+  That replaces one or two entries of the tuple and updates the marking
+  and live masks from the participants; nothing is rebuilt, rehashed or
+  rescanned over every process.  Steps and their labels are built once
+  per pair of heads and shared by every state that lists them.
 
 * `chor_enabled` — actions of a choreography body executable up to the
   swap relation, computed with a blocked-set scan instead of rewriting:

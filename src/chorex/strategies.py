@@ -63,7 +63,7 @@ def group_units(steps: list) -> list:
 
 
 def _is_interaction(step: Step) -> bool:
-    return type(step.label) in (ComAction, SelAction)
+    return isinstance(step.label, (ComAction, SelAction))
 
 
 def _largest_main(step: Step, state: tuple, size: list) -> int:
@@ -75,10 +75,12 @@ def _touches_unmarked(step: Step, state: tuple) -> bool:
 
 
 def _secondary_selections(step: Step) -> int:
-    kind = type(step.label)
-    if kind is SelAction:
-        return 0
-    return 1 if kind is ComAction else 2
+    match step.label:
+        case SelAction():
+            return 0
+        case ComAction():
+            return 1
+    return 2
 
 
 def _unmarked_last(step: Step, state: tuple, size: list) -> int:

@@ -87,7 +87,7 @@ def round_trip_corpus():
         result = extract(net)
         assert result.ok, f"corpus instance {i} failed to extract"
         bound_pairs = tuple(
-            (len(comp.seg.created_keys), node_bound(net.restrict(comp.processes)))
+            (comp.seg.identities, node_bound(net.restrict(comp.processes)))
             for comp in result.components
         )
         program = result.program
@@ -346,7 +346,7 @@ def test_node_counts_respect_state_space_bound(round_trip_corpus):
         net = parse_network(net_text)
         result = extract(net, parallel=False)
         (component,) = result.components
-        assert len(component.seg.created_keys) <= node_bound(net)
+        assert component.seg.identities <= node_bound(net)
 
 
 # --- 9: everything is reproducible under a fixed seed --------------------

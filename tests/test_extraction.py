@@ -54,6 +54,7 @@ class TestSegJournal:
         seg.rollback(mark)
         seg.add_node(b, "0")
         assert seg.created == 3 and seg.deleted == 1
+        assert seg.identities == 2  # the root, and the node created twice
 
     def test_duplicate_identity_is_refused(self):
         kernel, a, b = self._root()
@@ -158,7 +159,7 @@ class TestNodeBound:
         for net in (n1, n2, n3, signon_net, two_loops):
             result = extract(net, parallel=False)
             seg = result.components[0].seg
-            assert len(seg.created_keys) <= node_bound(net)
+            assert seg.identities <= node_bound(net)
 
 
 class TestFixtures:
