@@ -1,16 +1,15 @@
 """Slow reference implementations used to cross-check the engine.
 
 Nothing here shares code with the search in `chorex.extraction`: the
-network semantics is stepped on terms (`AnnotatedNetwork`,
-`reference_steps`), by the definition, where the engine steps integer
-states compiled by `semantics.Kernel`; the graph search is a plain
-existential recursion that tries every alternative instead of pruning,
-and its loop test is a literal scan of the closing segment for a white
-node.  Disagreements with the engine are
-findings, not test bugs.  The bisimilarity checker's pair rewriting has
-an oracle here too: `reference_normalise` rewrites every pair from
-scratch, and `reference_epp` projects one process at a time by plain
-recursion, with its own merge.
+network semantics steps terms by the definition (`AnnotatedNetwork`,
+`reference_steps`), where the engine steps integer states compiled by
+`semantics.Kernel`; the graph search is a plain existential recursion
+that tries every alternative instead of pruning, and its loop test is a
+literal scan of the closing segment for a white node.  Disagreements
+with the engine are findings, not test bugs.  The bisimilarity checker's
+pair rewriting has an oracle here too: `reference_normalise` rewrites
+every pair from scratch, and `reference_epp` projects one process at a
+time by plain recursion, with its own merge.
 """
 
 from __future__ import annotations
@@ -110,8 +109,7 @@ def reference_steps(an: AnnotatedNetwork) -> list:
             case sp.Send(q, e, k) if q in procs:
                 match procs[q].head_behaviour():
                     case sp.Receive(frm, x, kq) if frm == p:
-                        label = ComAction(p, e, q, x)
-                        steps.append((label, (k, kq)))
+                        steps.append((ComAction(p, e, q, x), (k, kq)))
             case sp.Select(q, l, k) if q in procs:
                 match procs[q].head_behaviour():
                     case sp.Offer(frm, branches) if frm == p and l in dict(branches):
