@@ -222,11 +222,12 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
     saw_deadlock = False
 
     def open_node(node, live, whites_above):
-        """Push a frame for `node`, or settle it as a leaf (OK)."""
+        """Push a frame for `node`, whose state has the live mask `live`,
+        or settle it as a leaf (OK)."""
         nonlocal saw_deadlock
         steps = enabled_steps(kernel, node.state)
         if not steps:
-            if live & ~kernel.services:  # not terminal
+            if not kernel.terminal(node.state):
                 node.deadlock = True
                 saw_deadlock = True
             return Outcome.OK

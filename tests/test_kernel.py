@@ -13,9 +13,16 @@ import pytest
 from chorex import extraction
 from chorex.epp import epp
 from chorex.parser import parse_network
+from chorex.semantics import Kernel, enabled_steps
 from chorex.testgen import FuzzParams, GenParams, amend, fuzz, generate, unroll
 
-from conftest import N2_TEXT, N3_TEXT, RANKED_LOOP_NET_TEXT, SIGNON_NET_TEXT
+from conftest import (
+    N2_TEXT,
+    N3_TEXT,
+    RANKED_LOOP_NET_TEXT,
+    SIGNON_NET_TEXT,
+    TWO_LOOPS_TEXT,
+)
 from oracles import AnnotatedNetwork, reference_steps
 from test_golden import FUZZ_GRID, POINTS
 
@@ -94,3 +101,13 @@ def test_kernel_matches_the_reference_with_services(text, services, monkeypatch)
     checked = _Checked(monkeypatch)
     extraction.extract(parse_network(text), services=services, parallel=False)
     assert checked.opened >= 2
+
+
+def test_states_with_the_same_heads_share_their_steps():
+    # One turn of p and q's loop brings their heads back and marks them.
+    kernel = Kernel(parse_network(TWO_LOOPS_TEXT))
+    first = enabled_steps(kernel, kernel.root)
+    state, _ = kernel.successor(kernel.root, kernel.live(kernel.root), first[0])
+    assert state != kernel.root and kernel.marked(state) == {"p", "q"}
+    again = enabled_steps(kernel, state)
+    assert len(first) == 2 and all(a is b for a, b in zip(first, again))
