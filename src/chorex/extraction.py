@@ -57,7 +57,7 @@ from .semantics import (
     pretty_action,
 )
 from .strategies import Strategy, order_steps
-from .term import fold, subterms
+from .term import fold
 
 
 class Outcome(Enum):
@@ -447,17 +447,6 @@ def connected_components(adjacency: dict) -> list:
     return sorted(out, key=lambda comp: comp[0])
 
 
-def node_bound(n: sp.Network) -> int:
-    """Upper bound on distinct node identities for one component."""
-    conds = 0
-    product = 1
-    for term in n.processes.values():
-        product *= term.size
-        for body in [term.main, *term.procedures.values()]:
-            conds += sum(type(node) is sp.Cond for node in subterms(body))
-    return (2 ** len(n.processes)) * product * (2 ** conds)
-
-
 @dataclass
 class ComponentResult:
     processes: tuple
@@ -576,7 +565,7 @@ def _extract_component(
 ) -> ComponentResult:
     seg = Seg(Kernel(net, services))
     outcome, saw_deadlock = build_graph(seg, strategy, rng)
-    assert seg.identities <= node_bound(net), "node bound exceeded"
+    assert seg.identities <= seg.kernel.node_bound(), "node bound exceeded"
     choreography = None
     if outcome is Outcome.OK:
         verify_seg(seg)

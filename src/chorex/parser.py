@@ -23,7 +23,11 @@ character.  A name is a word that starts with a letter and has no `'`.
 Spaces are needed only between two words.  Expressions are opaque: words
 and balanced parenthesized groups, captured verbatim (a group with
 everything inside it, `#` included) and joined without what lies between
-them; they are never interpreted.
+them; they are never interpreted.  One `findall` reads the tokens of a
+text up to its first `(` outside comments into a list that the parser
+reads at an integer cursor; a group is read from the text, up to its
+matching `)`, and one more `findall` reads on from there.  Where a token
+lies in the text is worked out only to report an error.
 
 `parse_network` raises the first well-formedness violation of each
 process (`wellformed.process_violations`) at the start of its definition.
@@ -37,7 +41,9 @@ parse(pretty(v)) is structurally equal to v.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from functools import partial
+from string import ascii_letters, digits
 
 from . import cc, sp
 from .term import subterms
@@ -46,31 +52,24 @@ from .wellformed import process_violations
 KEYWORDS = {"stop", "deadlock", "main", "def", "if", "then", "else", "continue"}
 
 # Whitespace and comments, then one token: a word, or `->`, `||` or any
-# other single character.  The token is optional, so the end of the input
-# reads as None; a required one would backtrack into a trailing comment
-# (possessive quantifiers, which would stop that, need Python 3.11).
-_TOKEN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(?:([A-Za-z0-9_']+)|(->|\|\||.))?")
+# other single character.  The token is optional, so a match never
+# backtracks into a comment, and the end of the input reads as "" (once
+# or twice).
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*([A-Za-z0-9_']+|->|\|\||.)?")
+_LETTERS = frozenset(ascii_letters)
+_WORD_START = _LETTERS | frozenset(digits + "_'")
 
 
+@dataclass(slots=True)
 class SourceSpan:
     """1-based line/column plus character offset into the input."""
 
-    __slots__ = ("line", "column", "offset")
-
-    def __init__(self, line: int, column: int, offset: int):
-        self.line = line
-        self.column = column
-        self.offset = offset
+    line: int
+    column: int
+    offset: int
 
     def __repr__(self):
         return f"{self.line}:{self.column}"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SourceSpan)
-            and (self.line, self.column, self.offset)
-            == (other.line, other.column, other.offset)
-        )
 
 
 class ParseError(Exception):
@@ -81,87 +80,102 @@ class ParseError(Exception):
 
 
 class _Scanner:
-    """One token of lookahead: `tok` (None at the end of the input) starts
-    at offset `at`, `word` is `tok` if it is a word, and `end` is the
-    offset just after the last token taken."""
+    """The tokens of a text in a list `toks`, read at the cursor `i`, up
+    to the first `(` outside comments (see `_group`).  `_runs` holds the
+    (index, offset) at which each run of tokens starts."""
 
     def __init__(self, text: str):
         self.text = text
-        self._read(0)
+        self.toks = []
+        self.i = 0
+        self._runs = []
+        self._extend(0, 0)
 
-    def _read(self, pos: int):
-        """Take the input up to `pos` and read the token after it."""
-        self.end = pos
-        m = _TOKEN.match(self.text, pos)
-        self.word, self.tok, self.next = m[1], m[1] or m[2], m.end()
-        self.at = self.next - len(self.tok) if self.tok else self.next
+    def _extend(self, pos: int, at: int):
+        """Tokenize from `pos`, a gap, to the next `(` (`_open`, or -1) into `toks[at:]`."""
+        text = self.text
+        self._runs.append((at, pos))
+        p = text.find("(", pos)
+        while p >= 0 and text.find("#", max(pos, text.rfind("\n", pos, p)), p) >= 0:
+            e = text.find("\n", p)  # a comment hides that `(`: go on after it
+            p = text.find("(", e) if e >= 0 else -1
+        self._open = p
+        self.toks[at:] = _TOKEN.findall(text, pos, p + 1 if p >= 0 else len(text))
 
-    def span(self, pos: int) -> SourceSpan:
-        line = self.text.count("\n", 0, pos) + 1
-        return SourceSpan(line, pos - self.text.rfind("\n", 0, pos), pos)
+    def _offset(self, k: int, after=False) -> int:
+        """Where token `k` starts or, with `after`, ends."""
+        at, pos = max(run for run in self._runs if run[0] <= k)
+        for m in _TOKEN.finditer(self.text, pos):
+            if at == k:
+                return m.end() if after or m[1] is None else m.start(1)
+            at += 1
 
-    def error(self, message: str, pos=None):
-        raise ParseError(message, self.span(self.at if pos is None else pos))
-
-    def _found(self) -> str:
-        return repr(self.text[self.at : self.at + 12] or "end of input")
-
-    def take(self):
-        tok = self.tok
-        self._read(self.next)
-        return tok
+    def error(self, message: str, k=None, after=False, found=False):
+        """Raise at token `k`, the current one by default; with `found`,
+        name the text there."""
+        text = self.text
+        pos = self._offset(self.i if k is None else k, after)
+        if found:
+            message += f", found {text[pos : pos + 12] or 'end of input'!r}"
+        line = text.count("\n", 0, pos) + 1
+        raise ParseError(message, SourceSpan(line, pos - text.rfind("\n", 0, pos), pos))
 
     def try_take(self, tok: str) -> bool:
-        if self.tok != tok:
+        if self.toks[self.i] != tok:
             return False
-        self._read(self.next)
+        self.i += 1
         return True
 
     def expect(self, tok: str):
         if not self.try_take(tok):
-            self.error(f"expected {tok!r}, found {self._found()}")
+            self.error(f"expected {tok!r}", found=True)
 
-    def ident(self, what="identifier") -> str:
-        word = self.word
-        if word in KEYWORDS:
-            self.error(f"expected {what}, found keyword {word!r}")
-        if not word or not word[0].isalpha() or "'" in word:
-            self.error(f"expected {what}, found {self._found()}")
-        return self.take()
+    def ident(self, what: str, then=None) -> str:
+        """Read a name, and then the token `then` if one is given."""
+        tok = self.toks[self.i]
+        if tok in KEYWORDS:
+            self.error(f"expected {what}, found keyword {tok!r}")
+        if tok[:1] not in _LETTERS or "'" in tok:
+            self.error(f"expected {what}", found=True)
+        self.i += 1
+        if then:
+            self.expect(then)
+        return tok
 
     def expression(self, stop: str) -> str:
         """Read an opaque expression and the `stop` token after it: ">"
         (send argument), "then" (conditional guard) or "->" (communication
-        arrow).  Words and balanced parenthesized groups are kept verbatim,
-        a `#` inside parentheses too, and joined without what lies between
-        them."""
-        start = self.at
+        arrow)."""
+        start = self.i
         parts = []
-        while self.tok != stop:
-            if self.word:
-                parts.append(self.take())
-            elif self.tok == "(":
-                text, depth, j = self.text, 0, self.at
-                while j < len(text):
-                    if text[j] == "(":
-                        depth += 1
-                    elif text[j] == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    j += 1
-                if depth != 0:
-                    self.error("unbalanced parentheses in expression")
-                parts.append(text[self.at : j + 1])
-                self._read(j + 1)
-            elif self.tok is None:
+        while (tok := self.toks[self.i]) != stop:
+            if tok[:1] in _WORD_START:
+                parts.append(tok)
+            elif tok == "(":
+                parts.append(self._group())
+            elif not tok:
                 self.error(f"unterminated expression (expected {stop!r})", start)
             else:
-                self.error(f"unexpected character {self.tok[0]!r} in expression")
+                self.error(f"unexpected character {tok[0]!r} in expression")
+            self.i += 1
         if not parts:
             self.error("empty expression", start)
-        self.take()
+        self.i += 1
         return "".join(parts)
+
+    def _group(self) -> str:
+        """The group opened at the cursor, read from the text, `#` and all;
+        the tokens after it replace the rest of the list."""
+        text, a = self.text, self._open
+        depth, j = 1, a + 1
+        while depth:
+            close = text.find(")", j)
+            if close < 0:
+                self.error("unbalanced parentheses in expression")
+            depth += text.count("(", j, close) - 1
+            j = close + 1
+        self._extend(j, self.i + 1)
+        return text[a:j]
 
 
 # ------------------------------------------------------------------- terms
@@ -217,10 +231,10 @@ def _parse_term(sc: _Scanner, head):
 
 
 def _branch_label(sc: _Scanner, branches) -> str:
-    at = sc.end
+    at = sc.i - 1
     label = sc.ident("label")
     if any(l == label for l, _ in branches):
-        sc.error(f"duplicate branch label {label!r}", at)
+        sc.error(f"duplicate branch label {label!r}", at, after=True)
     sc.expect(":")
     return label
 
@@ -233,15 +247,15 @@ def _procedures_and_main(sc: _Scanner, head):
     """
     procedures = {}
     while sc.try_take("def"):
-        x_at = sc.end
+        x_at = sc.i - 1
         x = sc.ident("procedure name")
         if x in procedures:
-            sc.error(f"duplicate procedure {x!r}", x_at)
+            sc.error(f"duplicate procedure {x!r}", x_at, after=True)
         sc.expect("{")
         procedures[x] = body = _parse_term(sc, head)
         sc.expect("}")
         if type(body) is cc.Call:
-            sc.error(f"procedure {x!r} is an unguarded call to {body.name!r}", x_at)
+            sc.error(f"procedure {x!r} is an unguarded call to {body.name!r}", x_at, True)
     if not sc.try_take("main"):
         sc.error("expected 'def' or 'main'")
     sc.expect("{")
@@ -265,13 +279,9 @@ def _behaviour_head(sc: _Scanner):
         sc.expect(";")
         return "prefix", partial(sp.Send, name, expr)
     if sc.try_take("?"):
-        var = sc.ident("variable name")
-        sc.expect(";")
-        return "prefix", partial(sp.Receive, name, var)
+        return "prefix", partial(sp.Receive, name, sc.ident("variable name", ";"))
     if sc.try_take("+"):
-        label = sc.ident("label")
-        sc.expect(";")
-        return "prefix", partial(sp.Select, name, label)
+        return "prefix", partial(sp.Select, name, sc.ident("label", ";"))
     if sc.try_take("&"):
         sc.expect("{")
         return "offer", (name, _branch_label(sc, ()))
@@ -282,9 +292,8 @@ def parse_network(text: str) -> sp.Network:
     sc = _Scanner(text)
     processes = {}
     while True:
-        at = sc.at
-        name = sc.ident("process name")
-        sc.expect("{")
+        at = sc.i
+        name = sc.ident("process name", "{")
         term = sp.ProcessTerm(*_procedures_and_main(sc, _behaviour_head))
         sc.expect("}")
         for _, _, description in process_violations(name, term):
@@ -292,9 +301,9 @@ def parse_network(text: str) -> sp.Network:
         if name in processes:
             sc.error(f"duplicate process {name!r}", at)
         processes[name] = term
-        if sc.tok is None:
+        if not sc.toks[sc.i]:
             return sp.Network(processes)
-        if sc.tok == "||":
+        if sc.toks[sc.i] == "||":
             sc.error("'||' joins programs; use '|' between processes")
         sc.expect("|")
 
@@ -308,25 +317,20 @@ def _body_head(sc: _Scanner):
     if sc.try_take("deadlock"):
         return "leaf", cc.DEADLOCK
     if sc.try_take("if"):
-        p = sc.ident("process name")
-        sc.expect(".")
+        p = sc.ident("process name", ".")
         return "cond", partial(cc.Cond, p, sc.expression("then"))
-    at = sc.at
+    at = sc.i
     name = sc.ident("process or procedure name")
     if sc.try_take("."):
         expr = sc.expression("->")
-        q = sc.ident("process name")
-        sc.expect(".")
-        var = sc.ident("variable name")
-        sc.expect(";")
+        q = sc.ident("process name", ".")
+        var = sc.ident("variable name", ";")
         if name == q:
             sc.error(f"process {name!r} communicates with itself", at)
         return "prefix", partial(cc.Com, name, expr, q, var)
     if sc.try_take("->"):
-        q = sc.ident("process name")
-        sc.expect("[")
-        label = sc.ident("label")
-        sc.expect("]")
+        q = sc.ident("process name", "[")
+        label = sc.ident("label", "]")
         sc.expect(";")
         if name == q:
             sc.error(f"process {name!r} selects at itself", at)
@@ -335,14 +339,10 @@ def _body_head(sc: _Scanner):
 
 
 def _parse_one_choreography(sc: _Scanner) -> cc.Choreography:
-    start = sc.at
+    start = sc.i
     procedures, main = _procedures_and_main(sc, _body_head)
-    calls = {
-        node.name
-        for body in (main, *procedures.values())
-        for node in subterms(body)
-        if type(node) is cc.Call
-    }
+    bodies = (main, *procedures.values())
+    calls = {t.name for body in bodies for t in subterms(body) if type(t) is cc.Call}
     for x in sorted(calls - procedures.keys()):
         sc.error(f"call to undefined procedure {x!r}", start)
     return cc.Choreography(procedures, main)
@@ -351,7 +351,7 @@ def _parse_one_choreography(sc: _Scanner) -> cc.Choreography:
 def parse_choreography(text: str) -> cc.Choreography:
     sc = _Scanner(text)
     out = _parse_one_choreography(sc)
-    if sc.tok is not None:
+    if sc.toks[sc.i]:
         sc.error("trailing input after choreography (use parse_program for '||')")
     return out
 
@@ -361,14 +361,14 @@ def parse_program(text: str) -> cc.Program:
     components = []
     seen = set()
     while True:
-        at = sc.at
+        at = sc.i
         c = _parse_one_choreography(sc)
         names = cc.choreography_process_names(c)
         if seen & names:
             sc.error(f"components share process names: {sorted(seen & names)}", at)
         seen |= names
         components.append(c)
-        if sc.tok is None:
+        if not sc.toks[sc.i]:
             return cc.Program(components)
         sc.expect("||")
 

@@ -154,7 +154,8 @@ class Kernel:
     equal subterms of one process share an id.  For each id the kernel
     tabulates its head after chasing calls (`head`), the head's kind and
     peer process index (`kind`, `peer`, -1 for no peer in the
-    component), its node count (`size`) and, for a head, its
+    component), its node count (`size`), how many of its nodes are
+    conditionals (`conds`, counted like `size`) and, for a head, its
     continuation ids (`cont`: one id, the (then, else) pair, or an
     offer's label -> id dict).
 
@@ -178,6 +179,7 @@ class Kernel:
         self.services = sum(1 << self._index[p] for p in services)
         self.behaviour = []  # id -> a behaviour with that id
         self.size = []
+        self.conds = []
         self.head = []
         self.kind = []
         self.peer = []
@@ -231,8 +233,10 @@ class Kernel:
             cont = tuple(kid_ids)
         else:
             cont = kid_ids[0] if kid_ids else None
+        conds = self.conds
         self.behaviour.append(t)
         self.size.append(t.size)
+        conds.append(sum([conds[k] for k in kid_ids]) + (type(t) is sp.Cond))
         self.head.append(x)
         self.kind.append(kind)
         self.peer.append(-1 if t.peer is None else self._index.get(t.peer, -1))
@@ -264,6 +268,17 @@ class Kernel:
                 self.kind[x] = self.kind[b]
                 self.peer[x] = self.peer[b]
         self._calls.clear()
+
+    def node_bound(self) -> int:
+        """Upper bound on the distinct node identities of a search from
+        the root: 2^processes times the product of the process terms'
+        sizes times 2^conditionals, over all main and procedure bodies."""
+        product, conds = 1, 0
+        for i, main in enumerate(self.root[: self.n]):
+            ids = [main, *self._procedures[i].values()]
+            product *= sum(self.size[x] for x in ids)
+            conds += sum(self.conds[x] for x in ids)
+        return 2**self.n * product * 2**conds
 
     # -- states
 

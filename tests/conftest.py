@@ -1,10 +1,16 @@
 """Shared fixtures: small hand-written networks and choreographies used
-across the test modules.
+across the test modules.  The benchmark's workload definitions
+(`bench/workloads.py`) import as `workloads`.
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 
 from chorex.parser import parse_choreography, parse_network
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 # Two independent send/receive pairs.
 N1_TEXT = """

@@ -9,7 +9,8 @@ literal scan of the closing segment for a white node.  Disagreements
 with the engine are findings, not test bugs.  The bisimilarity checker's
 pair rewriting has an oracle here too: `reference_normalise` rewrites
 every pair from scratch, and `reference_epp` projects one process at a
-time by plain recursion, with its own merge.
+time by plain recursion, with its own merge.  `node_bound` counts by
+walking every subterm what `Kernel.node_bound` reads off its tables.
 """
 
 from __future__ import annotations
@@ -474,3 +475,16 @@ def _nodes(body):
         node = stack.pop()
         yield node
         stack.extend(node.children())
+
+
+def node_bound(net: sp.Network) -> int:
+    """Upper bound on distinct node identities for one component:
+    2^processes times the product of the process terms' sizes times
+    2^conditionals, over all main and procedure bodies."""
+    conds = 0
+    product = 1
+    for term in net.processes.values():
+        product *= term.size
+        for body in [term.main, *term.procedures.values()]:
+            conds += sum(type(node) is sp.Cond for node in _nodes(body))
+    return 2 ** len(net.processes) * product * 2**conds

@@ -18,7 +18,7 @@ from chorex import cc, sp
 from chorex.cli import main as cli_main
 from chorex.epp import epp
 from chorex.equiv import SimBudget, bisimilar
-from chorex.extraction import extract, node_bound
+from chorex.extraction import extract
 from chorex.parser import parse_choreography, parse_network, pretty
 from chorex.strategies import STRATEGY_NAMES, Strategy
 from chorex.testgen import FuzzParams, GenParams, amend, fuzz, generate, unroll
@@ -87,7 +87,7 @@ def round_trip_corpus():
         result = extract(net)
         assert result.ok, f"corpus instance {i} failed to extract"
         bound_pairs = tuple(
-            (comp.seg.identities, node_bound(net.restrict(comp.processes)))
+            (comp.seg.identities, oracles.node_bound(net.restrict(comp.processes)))
             for comp in result.components
         )
         program = result.program
@@ -346,7 +346,7 @@ def test_node_counts_respect_state_space_bound(round_trip_corpus):
         net = parse_network(net_text)
         result = extract(net, parallel=False)
         (component,) = result.components
-        assert component.seg.identities <= node_bound(net)
+        assert component.seg.identities <= oracles.node_bound(net)
 
 
 # --- 9: everything is reproducible under a fixed seed --------------------

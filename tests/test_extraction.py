@@ -12,17 +12,20 @@ from chorex.extraction import (
     communication_graph,
     connected_components,
     extract,
-    node_bound,
     unroll_graph,
     verify_seg,
 )
+from chorex.epp import epp
 from chorex.parser import parse_network, pretty
 from chorex.semantics import ComAction, Kernel
 from chorex.strategies import STRATEGY_NAMES
-from chorex.wellformed import check_guardedness
+from chorex.testgen import amend, generate, unroll
+from chorex.wellformed import check_guardedness, check_well_formed
 
 import oracles
+import workloads
 from conftest import LOOP_PLUS_FINITE_TEXT
+from test_golden import POINTS as GOLDEN_POINTS
 
 
 class TestSegJournal:
@@ -147,19 +150,57 @@ class TestComponents:
 class TestNodeBound:
     def test_formula_without_conditionals(self):
         net = parse_network("p { main { q!<e>; stop } } | q { main { p?x; stop } }")
-        assert node_bound(net) == 16  # 2^2 processes * (2*2) sizes * 2^0 conds
+        assert Kernel(net).node_bound() == 16  # 2^2 processes * (2*2) sizes * 2^0 conds
 
     def test_formula_with_conditionals(self):
         net = parse_network(
             "p { main { if e then q!<a>; stop else q!<b>; stop } } | q { main { p?x; stop } }"
         )
-        assert node_bound(net) == 80  # 2^2 * (5*2) * 2^1
+        assert Kernel(net).node_bound() == 80  # 2^2 * (5*2) * 2^1
 
     def test_every_fixture_respects_the_bound(self, n1, n2, n3, signon_net, two_loops):
         for net in (n1, n2, n3, signon_net, two_loops):
             result = extract(net, parallel=False)
             seg = result.components[0].seg
-            assert seg.identities <= node_bound(net)
+            assert seg.identities <= oracles.node_bound(net)
+
+    def test_tables_agree_with_the_tree_walk(self):
+        """On the golden points, their unrolled projections and every
+        network of the benchmark's `variants` workload, whole and split
+        into components."""
+        api = _RecordingApi()
+        workloads.variants(api)
+        nets = [
+            net
+            for net in api.nets
+            if check_well_formed(net).ok and check_guardedness(net).ok
+        ]
+        for params in GOLDEN_POINTS.values():
+            net = epp(amend(generate(params)))
+            nets += [net, unroll(net, seed=params.seed)]
+        assert len(nets) > 250
+        for net in nets:
+            groups = connected_components(communication_graph(net))
+            for names in [sorted(net.processes), *groups]:
+                part = net.restrict(names)
+                assert Kernel(part).node_bound() == oracles.node_bound(part)
+
+
+class _RecordingApi(workloads.Api):
+    """The benchmark's API, keeping every network it builds."""
+
+    def __init__(self):
+        super().__init__()
+        self.nets = []
+        for name in ("epp", "unroll", "fuzz", "parse_network"):
+            setattr(self, name, self._recorded(getattr(self, name)))
+
+    def _recorded(self, build):
+        def recorded(*args, **kwargs):
+            self.nets.append(build(*args, **kwargs))
+            return self.nets[-1]
+
+        return recorded
 
 
 class TestFixtures:

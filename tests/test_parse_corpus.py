@@ -13,18 +13,16 @@ replaced, inserted before or cut off with the rest of the input.
 import hashlib
 import random
 import re
-import sys
-from pathlib import Path
 
 import pytest
 
-import conftest
+from chorex import parser
 from chorex.epp import epp
 from chorex.parser import ParseError, parse_choreography, parse_network, parse_program, pretty
 from chorex.testgen import GenParams, amend, generate
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-import workloads  # noqa: E402
+import conftest
+import workloads
 
 # Spans of the tokens a mutation may touch: parentheses count singly.
 _SPANS = re.compile(r"->|\|\||[A-Za-z0-9_']+|\S")
@@ -138,3 +136,58 @@ def test_every_grid_text_parses_to_its_network():
     assert sum(map(len, texts)) == 1_090_438
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16]
     assert digest == "77a9a9a22ac46f25"
+
+
+class _Counted:
+    """A compiled pattern that counts the calls made through it."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.pattern, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def regex_calls(monkeypatch, parse, text: str) -> int:
+    """How many calls `parse(text)` makes to the parser's patterns."""
+    counters = []
+    with monkeypatch.context() as patch:
+        for name, value in vars(parser).items():
+            if isinstance(value, re.Pattern):
+                counters.append(_Counted(value))
+                patch.setattr(parser, name, counters[-1])
+        parse(text)
+    assert counters
+    return sum(c.calls for c in counters)
+
+
+def test_regex_calls_do_not_grow_with_tokens(monkeypatch):
+    """One `findall` per text: a 1-action text and the 2,100-action grid
+    point size-k42 cost the same."""
+    params = dict(workloads.grid_points())["size-k42-r0"]
+    chor = amend(generate(params))
+    big = {parse_network: pretty(epp(chor)), parse_choreography: pretty(chor)}
+    small = {
+        parse_network: "p { main { q!<e>; stop } } | q { main { p?x; stop } }",
+        parse_choreography: "main { p.e -> q.x; stop }",
+    }
+    assert len(big[parse_network]) > 40_000
+    for parse in small:
+        assert regex_calls(monkeypatch, parse, small[parse]) == 1
+        assert regex_calls(monkeypatch, parse, big[parse]) == 1
+    program = f"{small[parse_choreography]} || {big[parse_choreography]}"
+    assert regex_calls(monkeypatch, parse_program, program) == 1
+
+
+def test_each_group_costs_one_more_regex_call(monkeypatch):
+    sends = " ".join(f"q!<f{i}(x, (y # {i}\n))>;" for i in range(50))
+    text = f"p {{ main {{ {sends} stop }} }} | q {{ main {{ stop }} }}"
+    assert parse_network(text)["p"].main.expr == "f0(x, (y # 0\n))"
+    assert regex_calls(monkeypatch, parse_network, text) == 51
