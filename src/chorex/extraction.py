@@ -564,8 +564,9 @@ def _extract_component(
     net: sp.Network, services: frozenset, strategy: Strategy, rng
 ) -> ComponentResult:
     seg = Seg(Kernel(net, services))
+    bound = seg.kernel.node_bound()  # its table is freed before the graph grows
     outcome, saw_deadlock = build_graph(seg, strategy, rng)
-    assert seg.identities <= seg.kernel.node_bound(), "node bound exceeded"
+    assert seg.identities <= bound, "node bound exceeded"
     choreography = None
     if outcome is Outcome.OK:
         verify_seg(seg)

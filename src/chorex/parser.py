@@ -86,13 +86,13 @@ class _Scanner:
 
     def __init__(self, text: str):
         self.text = text
-        self.toks = []
         self.i = 0
         self._runs = []
-        self._extend(0, 0)
+        self.toks = self._read(0, 0)
 
-    def _extend(self, pos: int, at: int):
-        """Tokenize from `pos`, a gap, to the next `(` (`_open`, or -1) into `toks[at:]`."""
+    def _read(self, pos: int, at: int) -> list:
+        """The tokens from `pos`, a gap, to the next `(` (`_open`, or -1),
+        to stand in the list from index `at` on."""
         text = self.text
         self._runs.append((at, pos))
         p = text.find("(", pos)
@@ -100,7 +100,7 @@ class _Scanner:
             e = text.find("\n", p)  # a comment hides that `(`: go on after it
             p = text.find("(", e) if e >= 0 else -1
         self._open = p
-        self.toks[at:] = _TOKEN.findall(text, pos, p + 1 if p >= 0 else len(text))
+        return _TOKEN.findall(text, pos, p + 1 if p >= 0 else len(text))
 
     def _offset(self, k: int, after=False) -> int:
         """Where token `k` starts or, with `after`, ends."""
@@ -174,7 +174,7 @@ class _Scanner:
                 self.error("unbalanced parentheses in expression")
             depth += text.count("(", j, close) - 1
             j = close + 1
-        self._extend(j, self.i + 1)
+        self.toks[self.i + 1 :] = self._read(j, self.i + 1)
         return text[a:j]
 
 

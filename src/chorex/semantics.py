@@ -154,8 +154,7 @@ class Kernel:
     equal subterms of one process share an id.  For each id the kernel
     tabulates its head after chasing calls (`head`), the head's kind and
     peer process index (`kind`, `peer`, -1 for no peer in the
-    component), its node count (`size`), how many of its nodes are
-    conditionals (`conds`, counted like `size`) and, for a head, its
+    component), its node count (`size`) and, for a head, its
     continuation ids (`cont`: one id, the (then, else) pair, or an
     offer's label -> id dict).
 
@@ -179,7 +178,6 @@ class Kernel:
         self.services = sum(1 << self._index[p] for p in services)
         self.behaviour = []  # id -> a behaviour with that id
         self.size = []
-        self.conds = []
         self.head = []
         self.kind = []
         self.peer = []
@@ -233,10 +231,8 @@ class Kernel:
             cont = tuple(kid_ids)
         else:
             cont = kid_ids[0] if kid_ids else None
-        conds = self.conds
         self.behaviour.append(t)
         self.size.append(t.size)
-        conds.append(sum([conds[k] for k in kid_ids]) + (type(t) is sp.Cond))
         self.head.append(x)
         self.kind.append(kind)
         self.peer.append(-1 if t.peer is None else self._index.get(t.peer, -1))
@@ -272,13 +268,24 @@ class Kernel:
     def node_bound(self) -> int:
         """Upper bound on the distinct node identities of a search from
         the root: 2^processes times the product of the process terms'
-        sizes times 2^conditionals, over all main and procedure bodies."""
-        product, conds = 1, 0
+        sizes times 2^conditionals, over all main and procedure bodies.
+
+        One pass over the ids counts the conditionals of each id's tree,
+        by constructor, from its kids' counts: a kid's id is smaller than
+        its parent's, and `cont` lists the kids (a call has none)."""
+        conds = [0] * len(self.behaviour)
+        for x, (t, kids) in enumerate(zip(self.behaviour, self.cont)):
+            if type(kids) is int:
+                kids = (kids,)
+            elif type(kids) is dict:
+                kids = kids.values()
+            conds[x] = sum([conds[k] for k in kids or ()]) + (type(t) is sp.Cond)
+        product, total = 1, 0
         for i, main in enumerate(self.root[: self.n]):
             ids = [main, *self._procedures[i].values()]
             product *= sum(self.size[x] for x in ids)
-            conds += sum(self.conds[x] for x in ids)
-        return 2**self.n * product * 2**conds
+            total += sum(conds[x] for x in ids)
+        return 2**self.n * product * 2**total
 
     # -- states
 
