@@ -111,8 +111,7 @@ class _Scanner:
             at += 1
 
     def error(self, message: str, k=None, after=False, found=False):
-        """Raise at token `k`, the current one by default; with `found`,
-        name the text there."""
+        """Raise at token `k` (by default the current one), quoting the text there if `found`."""
         text = self.text
         pos = self._offset(self.i if k is None else k, after)
         if found:
@@ -255,7 +254,8 @@ def _procedures_and_main(sc: _Scanner, head):
         procedures[x] = body = _parse_term(sc, head)
         sc.expect("}")
         if type(body) is cc.Call:
-            sc.error(f"procedure {x!r} is an unguarded call to {body.name!r}", x_at, True)
+            message = f"procedure {x!r} is an unguarded call to {body.name!r}"
+            sc.error(message, x_at, after=True)
     if not sc.try_take("main"):
         sc.error("expected 'def' or 'main'")
     sc.expect("{")

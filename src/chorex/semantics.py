@@ -270,16 +270,18 @@ class Kernel:
         the root: 2^processes times the product of the process terms'
         sizes times 2^conditionals, over all main and procedure bodies.
 
-        One pass over the ids counts the conditionals of each id's tree,
-        by constructor, from its kids' counts: a kid's id is smaller than
-        its parent's, and `cont` lists the kids (a call has none)."""
-        conds = [0] * len(self.behaviour)
-        for x, (t, kids) in enumerate(zip(self.behaviour, self.cont)):
+        One pass over the ids counts the conditionals in each id's tree
+        from its kids' counts, which come first (a kid's id is smaller).
+        `cont` holds the kids as `_add` wrote them, by constructor: one
+        id, a conditional's pair, an offer's dict, or none."""
+        conds = [0] * len(self.cont)
+        for x, kids in enumerate(self.cont):
             if type(kids) is int:
-                kids = (kids,)
-            elif type(kids) is dict:
-                kids = kids.values()
-            conds[x] = sum([conds[k] for k in kids or ()]) + (type(t) is sp.Cond)
+                conds[x] = conds[kids]
+            elif type(kids) is tuple:
+                conds[x] = 1 + conds[kids[0]] + conds[kids[1]]
+            elif kids:
+                conds[x] = sum([conds[k] for k in kids.values()])
         product, total = 1, 0
         for i, main in enumerate(self.root[: self.n]):
             ids = [main, *self._procedures[i].values()]
