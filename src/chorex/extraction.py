@@ -21,13 +21,12 @@ The search is a depth-first construction with three-valued outcomes:
 Nodes carry a *choice path* — the string of conditional branches (0 then,
 1 else) under which they were created.  Communications inherit their
 parent's path; conditional children extend it.  A closing edge may only
-target a node whose path is a prefix of the closing node's path, which
-keeps separately-created conditional branches from being confused.
+target a node whose path is a prefix of its own, which keeps conditional
+branches apart; that node is the open ancestor with the same state.
 
 The search runs over each component compiled once (`semantics.Kernel`):
 a node's state is a tuple of integer behaviour ids plus a marking bit
-mask, which hashes and compares in C, and the graph indexes its nodes by
-state first and choice path second.  Terms and networks are built again
+mask, which hashes and compares in C.  Terms and networks are built again
 from a state only to print it (`to_dot`) or report it
 (`deadlock_remainders`).
 
@@ -93,9 +92,7 @@ class Seg:
 
     def __init__(self, kernel):
         self.kernel = kernel
-        # State -> {choice path -> node}: a state without a node costs one
-        # probe.
-        self._by_state = {}
+        self.open = {}  # state -> `_Frame` of each open node, kept by `build_graph`
         # The nodes in creation order: `rollback` deletes the newest nodes
         # first, so it pops them off the end.
         self.nodes = []
@@ -104,17 +101,11 @@ class Seg:
         self.created = 0
         self.deleted = 0
         self.badloops = 0
-        self._deleted_keys = set()
-        self._next_uid = 0
+        self._deleted_keys = set()  # the (state, path) of every deleted node
         self.root = self.add_node(kernel.root, "")
 
     def add_node(self, state: tuple, path: str) -> SegNode:
-        at = self._by_state.get(state)
-        if at is None:
-            at = self._by_state[state] = {}
-        assert path not in at, "node identity created twice"
-        node = at[path] = SegNode(state, path, self._next_uid, self.kernel.white(state))
-        self._next_uid += 1
+        node = SegNode(state, path, self.created, self.kernel.white(state))
         self.nodes.append(node)
         self.edges[node] = []
         self.journal.append(node)
@@ -138,10 +129,6 @@ class Seg:
                 continue
             node = self.nodes.pop()
             assert node is entry, "nodes are deleted newest first"
-            at = self._by_state[node.state]
-            del at[node.path]
-            if not at:
-                del self._by_state[node.state]
             del self.edges[node]
             self._deleted_keys.add((node.state, node.path))
             self.deleted += 1
@@ -149,30 +136,26 @@ class Seg:
     @property
     def identities(self) -> int:
         """How many distinct (state, path) identities nodes were ever
-        created with: the surviving nodes, and the deleted ones that were
-        not created again."""
-        again = sum(
-            1 for state, path in self._deleted_keys if path in self._by_state.get(state, ())
-        )
-        return len(self.nodes) + len(self._deleted_keys) - again
+        created with, surviving or deleted."""
+        live = {(node.state, node.path) for node in self.nodes}
+        assert len(live) == len(self.nodes), "node identity created twice"
+        return len(live | self._deleted_keys)
 
     def find_loop_candidate(self, state: tuple, path: str):
-        """The unique existing node with this state whose choice path is a
-        prefix of `path`, if any.
+        """The open frame of the node that a step to `state` under the
+        choice path `path` closes a loop onto, if any: the node with that
+        state whose path is a prefix of `path`.
 
-        A (state, path) pair names at most one node, so probing the nodes
-        of the state at every prefix of `path` finds all the candidates.
+        Open nodes are ancestors of the node being extended, so their
+        paths are prefixes, and no two share a state: the shallower would
+        have been the deeper's target.  A node keeps only the children of
+        the unit it tries, so a closed node lies below the other branch of
+        an open conditional and its path is no prefix.  `rollback` deletes
+        closed nodes only.
         """
-        at = self._by_state.get(state)
-        if at is None:
-            return None
-        candidates = [
-            node
-            for k in range(len(path) + 1)
-            if (node := at.get(path[:k])) is not None
-        ]
-        assert len(candidates) <= 1, "duplicate loop candidates"
-        return candidates[0] if candidates else None
+        frame = self.open.get(state)
+        assert frame is None or path.startswith(frame.node.path), "not an ancestor"
+        return frame
 
 
 class _Frame:
@@ -206,19 +189,18 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
 
     Returns the search's outcome and whether it saw a deadlocked leaf.
     The search runs in a loop over one explicit stack of `_Frame`s, one
-    per open node, and a dict from each open node to its frame.  `result`
-    is None while a step is to be tried at the top frame; otherwise it is
-    the outcome of the top frame's current step.
+    per open node, also held by state in `seg.open`.  `result` is None
+    while a step is to be tried at the top frame; otherwise it is the
+    outcome of the top frame's current step.
 
-    A closing edge onto `target` is valid iff the cycle it closes holds a
-    white node.  The cycle is the path from `target` up to the top, so
-    its white nodes number `top.whites - frame(target).whites` plus one
-    if `target` is white: an O(1) test.
+    A closing edge onto `frame.node` is valid iff the cycle it closes
+    holds a white node.  The cycle is the path from that node up to the
+    top, so its white nodes number `top.whites - frame.whites` plus one
+    if the node is white: an O(1) test.
     """
     kernel = seg.kernel
     successor = kernel.successor
     stack = []
-    frame_of = {}
     saw_deadlock = False
 
     def open_node(node, live, whites_above):
@@ -234,7 +216,7 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
         units = order_steps(steps, strategy, kernel, node.state, rng)
         frame = _Frame(node, units, live, whites_above + node.white)
         stack.append(frame)
-        frame_of[node] = frame
+        seg.open[node.state] = frame
         return None
 
     result = open_node(seg.root, kernel.live(seg.root.state), 0)
@@ -249,12 +231,10 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
             step = unit[j]
             path = node.path if len(unit) == 1 else node.path + "01"[j]
             state, live = successor(node.state, top.live, step)
-            target = seg.find_loop_candidate(state, path)
-            if target is not None:
-                frame = frame_of.get(target)
-                assert frame is not None, "loop candidate must lie on the DFS path"
-                if top.whites - frame.whites + target.white >= 1:
-                    seg.add_edge(node, step.label, target)
+            frame = seg.find_loop_candidate(state, path)
+            if frame is not None:
+                if top.whites - frame.whites + frame.node.white >= 1:
+                    seg.add_edge(node, step.label, frame.node)
                     result = Outcome.OK
                 else:
                     seg.badloops += 1
@@ -282,7 +262,7 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
         # The node is settled with `result`: close its frame and report
         # the outcome to its parent, as the outcome of the parent's step.
         stack.pop()
-        del frame_of[node]
+        del seg.open[node.state]
         if stack and result is not Outcome.OK:
             seg.rollback(stack[-1].edge_mark)
     return result, saw_deadlock

@@ -10,7 +10,9 @@ with the engine are findings, not test bugs.  The bisimilarity checker's
 pair rewriting has an oracle here too: `reference_normalise` rewrites
 every pair from scratch, and `reference_epp` projects one process at a
 time by plain recursion, with its own merge.  `node_bound` counts by
-walking every subterm what `Kernel.node_bound` reads off its tables.
+walking every subterm what `Kernel.node_bound` reads off its tables, and
+`reference_loop_target` finds a loop target by the definition, among
+all the graph's nodes, where the engine looks among the open ones.
 """
 
 from __future__ import annotations
@@ -173,6 +175,17 @@ def valid_graph_exists(net, services=frozenset()) -> bool:
         return False
 
     return search(root, "", [(root, "", root.white)])
+
+
+def reference_loop_target(seg, state: tuple, path: str):
+    """The node of `seg` that a step to `state` under the choice path
+    `path` closes a loop onto, if any: the one node with that state whose
+    path is a prefix of `path`."""
+    targets = [
+        node for node in seg.nodes if node.state == state and path.startswith(node.path)
+    ]
+    assert len(targets) <= 1, "duplicate loop candidates"
+    return targets[0] if targets else None
 
 
 def chor_action_labels(c: cc.Choreography, body=None):

@@ -9,6 +9,7 @@ from chorex.extraction import (
     Outcome,
     Seg,
     Strategy,
+    _Frame,
     communication_graph,
     connected_components,
     extract,
@@ -63,24 +64,30 @@ class TestSegJournal:
         kernel, a, b = self._root()
         seg = Seg(kernel)
         seg.add_node(b, "0")
+        seg.add_node(b, "0")
         with pytest.raises(AssertionError, match="created twice"):
-            seg.add_node(b, "0")
+            seg.identities
 
-    def test_loop_candidate_requires_prefix_path(self):
+    def test_only_open_nodes_are_loop_candidates(self):
         kernel, a, b = self._root()
         seg = Seg(kernel)
-        seg.add_node(b, "0")
-        assert seg.find_loop_candidate(b, "01") is not None
-        assert seg.find_loop_candidate(b, "1") is None  # diverged branch
-        assert seg.find_loop_candidate(a, "") is seg.root
+        child = seg.add_node(b, "0")
+        # Added, never opened: neither the root nor the child is a target.
+        assert seg.find_loop_candidate(a, "") is None
+        assert seg.find_loop_candidate(b, "01") is None
+        frame = seg.open[b] = _Frame(child, [], 0, 0)
+        assert seg.find_loop_candidate(b, "01") is frame
+        with pytest.raises(AssertionError, match="not an ancestor"):
+            seg.find_loop_candidate(b, "1")  # a diverged branch
 
-    def test_duplicate_loop_candidates_are_refused(self):
-        kernel, a, b = self._root()
-        seg = Seg(kernel)
-        seg.add_node(b, "0")
-        seg.add_node(b, "01")
-        with pytest.raises(AssertionError, match="duplicate loop candidates"):
-            seg.find_loop_candidate(b, "011")
+    @pytest.mark.parametrize(
+        "fixture, parallel",
+        [("n1", True), ("n3", True), ("two_loops", False), ("livelock_triple", True)],
+    )
+    def test_extract_closes_every_open_node(self, fixture, parallel, request):
+        result = extract(request.getfixturevalue(fixture), parallel=parallel)
+        assert result.components
+        assert all(c.seg.open == {} for c in result.components)
 
     def test_nodes_stay_in_creation_order_across_rollback(self):
         # The graph is walked in `seg.nodes` order (the dot output too),

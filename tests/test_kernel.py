@@ -1,9 +1,12 @@
-"""The compiled kernel against the term-level reference semantics.
+"""The compiled kernel and the search's loop lookup against the
+references.
 
 Every state the extraction search opens is turned back into terms and
 stepped by `oracles.reference_steps`: the kernel must list the same
 labels in the same order, and each of its successors, turned back into a
 network and a set of marked names, must equal the reference successor.
+Every loop target the search looks up among its open nodes must be the
+one `oracles.reference_loop_target` finds among all the graph's nodes.
 """
 
 import random
@@ -23,7 +26,7 @@ from conftest import (
     SIGNON_NET_TEXT,
     TWO_LOOPS_TEXT,
 )
-from oracles import AnnotatedNetwork, reference_steps
+from oracles import AnnotatedNetwork, reference_loop_target, reference_steps
 from test_golden import FUZZ_GRID, POINTS
 
 
@@ -55,12 +58,57 @@ class _Checked:
         return steps
 
 
+class _CheckedTargets:
+    """`extraction.Seg.find_loop_candidate`, checking each target against
+    the reference and counting the lookups and the targets found."""
+
+    def __init__(self, monkeypatch):
+        self.calls = self.found = 0
+        find = extraction.Seg.find_loop_candidate
+
+        def checked(seg, state, path):
+            frame = find(seg, state, path)
+            target = reference_loop_target(seg, state, path)
+            assert (None if frame is None else frame.node) is target
+            self.calls += 1
+            self.found += target is not None
+            return frame
+
+        monkeypatch.setattr(extraction.Seg, "find_loop_candidate", checked)
+
+
 def _variants(params):
     net = epp(amend(generate(params)))
     yield net
     for d, s in FUZZ_GRID:
         yield fuzz(net, FuzzParams(deletions=d, swaps=s, seed=params.seed))
     yield unroll(net, seed=params.seed)
+
+
+def _seeded_draws():
+    rng = random.Random("kernel")
+    for seed in range(30):
+        size = rng.randint(4, 40)
+        params = GenParams(
+            size=size,
+            processes=rng.randint(2, 6),
+            ifs=min(size, rng.randint(0, 6)),
+            defs=rng.randint(0, 3),
+            seed=seed,
+        )
+        yield epp(amend(generate(params)))
+
+
+SERVICE_CASES = pytest.mark.parametrize(
+    "text, services",
+    [
+        (N2_TEXT, ()),
+        (N3_TEXT, ()),
+        (SIGNON_NET_TEXT, ("w",)),
+        (RANKED_LOOP_NET_TEXT, ("r",)),
+    ],
+    ids=["N2", "N3", "signon-service", "ranked-service"],
+)
 
 
 @pytest.mark.parametrize("point", sorted(POINTS))
@@ -73,34 +121,38 @@ def test_kernel_matches_the_reference_on_golden_points(point, monkeypatch):
 
 def test_kernel_matches_the_reference_on_seeded_draws(monkeypatch):
     checked = _Checked(monkeypatch)
-    rng = random.Random("kernel")
-    for seed in range(30):
-        size = rng.randint(4, 40)
-        params = GenParams(
-            size=size,
-            processes=rng.randint(2, 6),
-            ifs=min(size, rng.randint(0, 6)),
-            defs=rng.randint(0, 3),
-            seed=seed,
-        )
-        extraction.extract(epp(amend(generate(params))))
+    for net in _seeded_draws():
+        extraction.extract(net)
     assert checked.opened > 30
 
 
-@pytest.mark.parametrize(
-    "text, services",
-    [
-        (N2_TEXT, ()),
-        (N3_TEXT, ()),
-        (SIGNON_NET_TEXT, ("w",)),
-        (RANKED_LOOP_NET_TEXT, ("r",)),
-    ],
-    ids=["N2", "N3", "signon-service", "ranked-service"],
-)
+@SERVICE_CASES
 def test_kernel_matches_the_reference_with_services(text, services, monkeypatch):
     checked = _Checked(monkeypatch)
     extraction.extract(parse_network(text), services=services, parallel=False)
     assert checked.opened >= 2
+
+
+@pytest.mark.parametrize("point", sorted(POINTS))
+def test_loop_targets_match_the_reference_on_golden_points(point, monkeypatch):
+    checked = _CheckedTargets(monkeypatch)
+    for net in _variants(POINTS[point]):
+        extraction.extract(net)
+    assert checked.calls > 100  # the loop-free points find no target
+
+
+def test_loop_targets_match_the_reference_on_seeded_draws(monkeypatch):
+    checked = _CheckedTargets(monkeypatch)
+    for net in _seeded_draws():
+        extraction.extract(net)
+    assert checked.found > 30
+
+
+@SERVICE_CASES
+def test_loop_targets_match_the_reference_with_services(text, services, monkeypatch):
+    checked = _CheckedTargets(monkeypatch)
+    extraction.extract(parse_network(text), services=services, parallel=False)
+    assert checked.calls >= 2
 
 
 def test_states_with_the_same_heads_share_their_steps():

@@ -6,6 +6,11 @@ must stay a module-level name (a `Seg` method for
 `find_loop_candidate`) that is looked up at call time: a name inlined
 into its caller, or bound when the module is imported (say, as a
 default argument), would drop out of the trace without any failure.
+
+`Seg.find_loop_candidate` is a one-line lookup in the search's index of
+open nodes, and it stays a method because the benchmark counts
+`extraction.successors_tried` through it: the search calls it once per
+step it tries, which the last test pins.
 """
 
 from collections import Counter
@@ -13,7 +18,12 @@ from collections import Counter
 from chorex import bisimilar, equiv, extract, extraction
 from chorex.parser import parse_choreography, parse_network
 
-from conftest import SIGNON_NET_TEXT, TWO_LOOPS_VARIANT_A, TWO_LOOPS_VARIANT_B
+from conftest import (
+    SIGNON_NET_TEXT,
+    TWO_LOOPS_TEXT,
+    TWO_LOOPS_VARIANT_A,
+    TWO_LOOPS_VARIANT_B,
+)
 
 TRACED = (
     (extraction, "enabled_steps"),
@@ -49,3 +59,20 @@ def test_every_traced_name_is_called_through(monkeypatch):
     assert verdict == "yes"
 
     assert set(calls) == {attr for _, attr in TRACED}
+
+
+def test_loop_lookups_count_the_steps_tried(monkeypatch):
+    # With no node deleted, every step tried left an edge in the graph or
+    # was a rejected loop closure (one, on the two loops as one component).
+    calls = Counter()
+    monkeypatch.setattr(
+        extraction.Seg,
+        "find_loop_candidate",
+        _counting(extraction.Seg.find_loop_candidate, "lookups", calls),
+    )
+    for text, parallel in ((SIGNON_NET_TEXT, True), (TWO_LOOPS_TEXT, False)):
+        calls.clear()
+        result = extract(parse_network(text), parallel=parallel)
+        assert result.ok and result.nodes_deleted == 0
+        edges = sum(len(es) for c in result.components for es in c.seg.edges.values())
+        assert calls["lookups"] == edges + result.badloops
