@@ -79,6 +79,16 @@ q { def Y { p?x; Y } main { Y } } |
 r { def Z { p?y; Z } main { Z } }
 """
 
+# p loops on a conditional beside a finite exchange between r and s.
+# Tried first, p's conditional reaches its else state a second time before
+# r and s have acted: that closure would starve them and is rejected, and
+# the then branch built under it is deleted.  As one component, the only
+# fixture whose successful search deletes nodes.
+UNDO_TEXT = (
+    "p { def X { if c then stop else X } main { X } } |"
+    " r { main { s!<v>; stop } } | s { main { r?y; stop } }"
+)
+
 # A loop between p and q beside a finite exchange between r and s.
 LOOP_PLUS_FINITE_TEXT = """
 p { def X { q!<e>; X } main { X } } |

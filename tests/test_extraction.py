@@ -1,6 +1,8 @@
 """The execution-graph search: journalling, loop validity, read-off, and
 whole-network extraction against hand-checked results."""
 
+import gc
+
 import pytest
 
 from chorex import sp
@@ -25,8 +27,19 @@ from chorex.wellformed import check_guardedness, check_well_formed
 
 import oracles
 import workloads
-from conftest import LOOP_PLUS_FINITE_TEXT
-from test_golden import POINTS as GOLDEN_POINTS
+from conftest import (
+    LIVELOCK_TRIPLE_TEXT,
+    LOOP_PLUS_FINITE_TEXT,
+    N1_TEXT,
+    N2_TEXT,
+    N3_TEXT,
+    RANKED_LOOP_NET_TEXT,
+    SHIFTED_LOOP_NET_TEXT,
+    SIGNON_NET_TEXT,
+    TWO_LOOPS_TEXT,
+    UNDO_TEXT,
+)
+from test_golden import POINTS as GOLDEN_POINTS, _digest
 
 
 class TestSegJournal:
@@ -322,6 +335,84 @@ class TestFixtures:
         net = parse_network("p { def X { X } main { q!<e>; X } } | q { main { p?x; stop } }")
         with pytest.raises(AssertionError, match="unguarded recursion"):
             extract(net)
+
+
+# `UNDO_TEXT` as one component, per strategy: (nodes created, deleted,
+# rejected closures), the program and the `to_dot` digest.  A strategy
+# that tries p's conditional first and only then the exchange builds a
+# then branch and deletes it.
+_LOOP_ONLY = "def X1 { if p.c then stop else X1 }"
+_EXCHANGE_FIRST = f"{_LOOP_ONLY} main {{ r.v -> s.y; X1 }}"
+_CONDITIONAL_FIRST = (
+    f"{_LOOP_ONLY} main {{ if p.c then r.v -> s.y; stop else r.v -> s.y; X1 }}"
+)
+UNDO_EXPECTED = {
+    **dict.fromkeys(STRATEGY_NAMES, ((3, 0, 0), _EXCHANGE_FIRST, "7eaadbf4bc782c4a")),
+    **dict.fromkeys(
+        ("ConditionalsFirst", "ShortestFirst"),
+        ((8, 2, 1), _CONDITIONAL_FIRST, "113ea764e40fa124"),
+    ),
+    **dict.fromkeys(
+        ("UnmarkedFirst", "UnmarkedThenConditionals", "UnmarkedThenRandom"),
+        ((6, 0, 0), _CONDITIONAL_FIRST, "113ea764e40fa124"),
+    ),
+}
+
+
+class TestUndo:
+    """The search's two undos: a rejected closing edge on an else step
+    deletes its then branch, and a failed search deletes every node but
+    the root."""
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_rejected_else_closure_deletes_the_then_branch(self, name):
+        result = extract(parse_network(UNDO_TEXT), strategy=Strategy(name, 0), parallel=False)
+        counters, program, dot = UNDO_EXPECTED[name]
+        assert (result.nodes_created, result.nodes_deleted, result.badloops) == counters
+        assert pretty(result.program) == program
+        assert _digest(result.to_dot()) == dot
+        assert result.components[0].seg.open == {}
+
+    def test_failed_search_keeps_only_the_root(self, livelock_triple):
+        result = extract(livelock_triple)
+        assert (result.nodes_created, result.nodes_deleted, result.badloops) == (2, 1, 1)
+        (comp,) = result.components
+        seg = comp.seg
+        assert seg.nodes == [seg.root]
+        assert seg.edges == {seg.root: []}
+        assert seg.open == {}
+        assert seg.identities == 2
+
+
+def test_results_hold_no_reference_cycles():
+    """A dropped result is freed by reference counting alone: nothing in
+    the graph, the kernel or the read-off points back at its owner, so
+    no result waits for the cyclic collector."""
+    texts = (
+        N1_TEXT,
+        N2_TEXT,
+        N3_TEXT,
+        SIGNON_NET_TEXT,
+        TWO_LOOPS_TEXT,
+        LIVELOCK_TRIPLE_TEXT,
+        LOOP_PLUS_FINITE_TEXT,
+        RANKED_LOOP_NET_TEXT,
+        SHIFTED_LOOP_NET_TEXT,
+        UNDO_TEXT,
+    )
+    nets = [parse_network(text) for text in texts]
+    gc.collect()
+    gc.disable()
+    try:
+        for net in nets:
+            for parallel in (True, False):
+                result = extract(net, parallel=parallel)
+                result.to_dot()
+                result.deadlock_remainders
+                del result
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestGraphShape:

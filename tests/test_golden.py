@@ -7,16 +7,19 @@ projection, the extraction under all ten strategies (or the failure
 text), the fuzz and unroll variants and their extractions, the
 inefficiency injection, and one `to_dot` graph.  A refactor that keeps
 the behaviour keeps every digest.  The search counters of the same
-extractions are pinned too.
+extractions are pinned too, and so is one digest over a seeded sweep of
+small extractions that includes failing ones.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from chorex.cli import main as cli_main
 from chorex.epp import epp
 from chorex.extraction import extract
+from chorex import sp
 from chorex.parser import pretty
 from chorex.strategies import STRATEGY_NAMES, Strategy
 from chorex.testgen import (
@@ -28,6 +31,7 @@ from chorex.testgen import (
     inject_inefficiency,
     unroll,
 )
+from chorex.wellformed import check_guardedness, check_well_formed
 
 POINTS = {
     "size-k5-r0": GenParams(size=250, processes=6, seed=0),
@@ -295,6 +299,58 @@ def test_search_counters_are_unchanged(point):
     keeps every printed program must also keep the nodes it creates and
     deletes and the loop closures it rejects."""
     assert counters(point) == COUNTERS_EXPECTED[point]
+
+
+def _sweep_networks():
+    """Small seeded draws with procedures, each with its well-formed fuzz
+    variants; a few of the variants starve a process in every loop."""
+    rng = random.Random("undo")
+    for seed in range(40):
+        size = rng.randint(4, 16)
+        net = epp(amend(generate(GenParams(
+            size=size,
+            processes=rng.randint(2, 4),
+            ifs=min(size, rng.randint(0, 4)),
+            defs=rng.randint(1, 3),
+            seed=seed,
+        ))))
+        yield net
+        for d, s in FUZZ_GRID:
+            variant = fuzz(net, FuzzParams(deletions=d, swaps=s, seed=seed))
+            if check_well_formed(variant).ok and check_guardedness(variant).ok:
+                yield variant
+
+
+def sweep_digest() -> tuple:
+    """Extract every sweep network under all ten strategies, split and
+    whole, and digest what each result shows: its counters, program or
+    failure text, deadlock remainders and per-component node identities,
+    plus the `to_dot` graph of every search that deleted nodes.  Returns
+    (extractions, failed, deleting, digest)."""
+    h = hashlib.sha256()
+    extractions = failed = deleting = 0
+    for net in _sweep_networks():
+        for name in STRATEGY_NAMES:
+            for parallel in (False, True):
+                result = extract(net, strategy=Strategy(name, 0), parallel=parallel)
+                extractions += 1
+                failed += not result.ok
+                deleting += result.nodes_deleted > 0
+                record = (
+                    result.nodes_created,
+                    result.nodes_deleted,
+                    result.badloops,
+                    pretty(result.program) if result.ok else str(result.failure),
+                    [pretty(sp.Network(leaf)) for leaf in result.deadlock_remainders],
+                    [c.seg.identities for c in result.components],
+                    result.to_dot() if result.nodes_deleted else "",
+                )
+                h.update(repr(record).encode())
+    return extractions, failed, deleting, h.hexdigest()[:16]
+
+
+def test_seeded_sweep_is_unchanged():
+    assert sweep_digest() == (3100, 40, 40, "6fb248415cff05ae")
 
 
 def corpus_digests(command: str, out, monkeypatch, capsys) -> dict:
