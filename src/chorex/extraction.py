@@ -16,7 +16,7 @@ The search is a depth-first construction with three-valued outcomes:
   next candidate action;
 * ``fail`` — a state was reached from which no graph can be completed
   (all candidate actions exhausted); this aborts the whole search, since
-  abstract execution is confluent.
+  abstract execution is confluent, and deletes all but the root.
 
 Nodes carry a *choice path* — the string of conditional branches (0 then,
 1 else) under which they were created.  Communications inherit their
@@ -80,24 +80,17 @@ class SegNode:
 
 
 class Seg:
-    """The graph under construction over a kernel's states, with an undo
-    journal.
+    """The graph under construction over a kernel's states.
 
-    Every node/edge addition is journalled (the node itself, or the edge
-    list an edge went into); `rollback` undoes additions down to a
-    remembered mark, which is how failed conditional branches are deleted
-    without bookkeeping errors.  `created`/`deleted` count events (a node
-    created, deleted, and recreated counts twice in both).
+    `rollback` deletes nodes, newest first.  `created`/`deleted` count
+    events (a node created, deleted, and recreated counts twice in both).
     """
 
     def __init__(self, kernel):
         self.kernel = kernel
         self.open = {}  # state -> `_Frame` of each open node, kept by `build_graph`
-        # The nodes in creation order: `rollback` deletes the newest nodes
-        # first, so it pops them off the end.
-        self.nodes = []
+        self.nodes = []  # in creation order: `rollback` pops the newest
         self.edges = {}  # SegNode -> [(label, SegNode)]
-        self.journal = []
         self.created = 0
         self.deleted = 0
         self.badloops = 0
@@ -108,27 +101,17 @@ class Seg:
         node = SegNode(state, path, self.created, self.kernel.white(state))
         self.nodes.append(node)
         self.edges[node] = []
-        self.journal.append(node)
         self.created += 1
         return node
 
-    def add_edge(self, src: SegNode, label, dst: SegNode):
-        out = self.edges[src]
-        out.append((label, dst))
-        self.journal.append(out)
-
-    def mark(self) -> int:
-        return len(self.journal)
-
-    def rollback(self, to: int):
-        journal = self.journal
-        while len(journal) > to:
-            entry = journal.pop()
-            if type(entry) is list:
-                entry.pop()
-                continue
+    def rollback(self, count: int, owner: SegNode):
+        """Clear `owner`'s edges and delete every node after the first
+        `count`: an edge is kept at its source, so this undoes all built
+        since there were `count` nodes if `owner` is the one older node to
+        have gained edges since then and had none before (`build_graph`)."""
+        self.edges[owner].clear()
+        while len(self.nodes) > count:
             node = self.nodes.pop()
-            assert node is entry, "nodes are deleted newest first"
             del self.edges[node]
             self._deleted_keys.add((node.state, node.path))
             self.deleted += 1
@@ -162,16 +145,12 @@ class _Frame:
     """One open node of the search: a node whose steps are being tried.
 
     It holds the node's ordered units, the live mask of its state, the
-    unit and the step being tried, the journal mark from before the unit
-    (a failed else branch rolls the then branch back to it), the mark
-    from before the child node in progress (a child that fails is rolled
-    back to it), and `whites`, the number of white nodes on the
+    unit and the step being tried, `unit_mark`, the node count from
+    before the unit, and `whites`, the number of white nodes on the
     depth-first path from the root up to and including this node.
     """
 
-    __slots__ = (
-        "node", "units", "live", "unit_at", "step_at", "unit_mark", "edge_mark", "whites"
-    )
+    __slots__ = ("node", "units", "live", "unit_at", "step_at", "unit_mark", "whites")
 
     def __init__(self, node: SegNode, units, live: int, whites: int):
         self.node = node
@@ -180,7 +159,6 @@ class _Frame:
         self.unit_at = 0
         self.step_at = 0
         self.unit_mark = 0
-        self.edge_mark = 0
         self.whites = whites
 
 
@@ -197,6 +175,15 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
     holds a white node.  The cycle is the path from that node up to the
     top, so its white nodes number `top.whites - frame.whites` plus one
     if the node is white: an O(1) test.
+
+    Only OK is reported to a parent: a node whose units are all rejected
+    fails the search, and undoing each frame on the way to the root, with
+    no other step tried, would leave the root alone and without edges, as
+    one `rollback` to it does.  The other undo deletes a then branch when
+    its else step is a rejected closing edge.  A rollback never reaches
+    below an open node, so the branch's nodes are the newest; the one
+    older node with new edges is the frame's own, and it had none when
+    the unit began, since a unit before kept none or it would have settled.
     """
     kernel = seg.kernel
     successor = kernel.successor
@@ -227,44 +214,42 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
         if result is None:  # try the current step
             j = top.step_at
             if j == 0:
-                top.unit_mark = seg.mark()
+                top.unit_mark = len(seg.nodes)
             step = unit[j]
             path = node.path if len(unit) == 1 else node.path + "01"[j]
             state, live = successor(node.state, top.live, step)
             frame = seg.find_loop_candidate(state, path)
             if frame is not None:
                 if top.whites - frame.whites + frame.node.white >= 1:
-                    seg.add_edge(node, step.label, frame.node)
+                    seg.edges[node].append((step.label, frame.node))
                     result = Outcome.OK
                 else:
                     seg.badloops += 1
                     result = Outcome.BADLOOP
                 continue
-            top.edge_mark = seg.mark()
             fresh = seg.add_node(state, path)
-            seg.add_edge(node, step.label, fresh)
+            seg.edges[node].append((step.label, fresh))
             result = open_node(fresh, live, top.whites)  # OK for a leaf: its edge is done
             continue
         # `result` is the outcome of step `step_at` of the current unit.
-        if result is Outcome.OK and len(unit) == 2 and top.step_at == 0:
-            top.step_at = 1  # then branch done: now the else branch
-            result = None
-            continue
-        if result is not Outcome.OK and top.step_at == 1:
-            seg.rollback(top.unit_mark)  # delete what the then branch built
         if result is Outcome.BADLOOP:
+            if top.step_at == 1:
+                seg.rollback(top.unit_mark, node)  # delete the then branch
             top.unit_at += 1
             top.step_at = 0
             if top.unit_at < len(top.units):
                 result = None
                 continue
-            result = Outcome.FAIL  # nothing but rejected loops
-        # The node is settled with `result`: close its frame and report
-        # the outcome to its parent, as the outcome of the parent's step.
+            seg.open.clear()  # nothing but rejected loops: the search fails
+            seg.rollback(1, seg.root)
+            return Outcome.FAIL, saw_deadlock
+        if len(unit) == 2 and top.step_at == 0:
+            top.step_at = 1  # then branch done: now the else branch
+            result = None
+            continue
+        # The node is settled: OK is now the outcome of its parent's step.
         stack.pop()
         del seg.open[node.state]
-        if stack and result is not Outcome.OK:
-            seg.rollback(stack[-1].edge_mark)
     return result, saw_deadlock
 
 

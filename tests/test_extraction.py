@@ -1,5 +1,5 @@
-"""The execution-graph search: journalling, loop validity, read-off, and
-whole-network extraction against hand-checked results."""
+"""The execution-graph search: undo by rollback, loop validity, read-off,
+and whole-network extraction against hand-checked results."""
 
 import gc
 
@@ -43,6 +43,9 @@ from test_golden import POINTS as GOLDEN_POINTS, _digest
 
 
 class TestSegJournal:
+    """The graph's bookkeeping: `rollback`, node identities and loop
+    candidates."""
+
     def _root(self):
         """A kernel, its root state, and the state with every process
         terminated."""
@@ -54,11 +57,11 @@ class TestSegJournal:
     def test_rollback_undoes_nodes_and_edges(self):
         kernel, a, b = self._root()
         seg = Seg(kernel)
-        mark = seg.mark()
+        mark = len(seg.nodes)
         child = seg.add_node(b, "0")
-        seg.add_edge(seg.root, "lbl", child)
+        seg.edges[seg.root].append(("lbl", child))
         assert seg.created == 2 and seg.deleted == 0
-        seg.rollback(mark)
+        seg.rollback(mark, seg.root)
         assert seg.created == 2 and seg.deleted == 1  # creation events stay counted
         assert len(seg.nodes) == 1
         assert seg.edges[seg.root] == []
@@ -66,9 +69,9 @@ class TestSegJournal:
     def test_recreation_counts_twice(self):
         kernel, a, b = self._root()
         seg = Seg(kernel)
-        mark = seg.mark()
+        mark = len(seg.nodes)
         seg.add_node(b, "0")
-        seg.rollback(mark)
+        seg.rollback(mark, seg.root)
         seg.add_node(b, "0")
         assert seg.created == 3 and seg.deleted == 1
         assert seg.identities == 2  # the root, and the node created twice
@@ -107,11 +110,11 @@ class TestSegJournal:
         # which must be uid order without a sort.
         kernel, a, b = self._root()
         seg = Seg(kernel)
-        seg.add_node(b, "0")
-        mark = seg.mark()
+        owner = seg.add_node(b, "0")
+        mark = len(seg.nodes)
         seg.add_node(b, "1")
         seg.add_node(a, "1")
-        seg.rollback(mark)
+        seg.rollback(mark, owner)
         seg.add_node(a, "1")
         seg.add_node(b, "1")
         uids = [n.uid for n in seg.nodes]
@@ -448,8 +451,8 @@ class TestGraphShape:
         # it is the graph's only cycle, and reachability alone rejects it.
         seg = Seg(Kernel(parse_network("p { main { q!<e>; stop } } | q { main { p?x; stop } }")))
         x, y = seg.add_node(seg.root.state, "0"), seg.add_node(seg.root.state, "1")
-        seg.add_edge(x, "lbl", y)
-        seg.add_edge(y, "lbl", x)
+        seg.edges[x].append(("lbl", y))
+        seg.edges[y].append(("lbl", x))
         with pytest.raises(AssertionError, match="unreachable nodes survive"):
             unroll_graph(seg)
 
@@ -460,9 +463,9 @@ class TestGraphShape:
         marked = kernel.state(net, frozenset({"p"}))
         x, y = seg.add_node(marked, "0"), seg.add_node(marked, "1")
         com = ComAction("p", "e", "q", "x")
-        seg.add_edge(seg.root, com, x)
-        seg.add_edge(x, com, y)
-        seg.add_edge(y, com, x)
+        seg.edges[seg.root].append((com, x))
+        seg.edges[x].append((com, y))
+        seg.edges[y].append((com, x))
         with pytest.raises(AssertionError, match="all-marked cycle"):
             verify_seg(seg)
 
