@@ -125,14 +125,13 @@ class Program:
         components = tuple(components)
         if not components:
             raise ValueError("program must have at least one component")
-        seen = set()
-        for c in components:
-            pns = choreography_process_names(c)
-            if seen & pns:
-                raise ValueError(
-                    f"components share process names: {sorted(seen & pns)}"
-                )
-            seen |= pns
+        if len(components) > 1:  # a lone component has no other to overlap
+            seen = set()
+            for c in components:
+                pns = choreography_process_names(c)
+                if seen & pns:
+                    raise ValueError(f"components share process names: {sorted(seen & pns)}")
+                seen |= pns
         self.components = components
 
     def __eq__(self, other):

@@ -12,8 +12,9 @@ Subcommands:
 
 Exit codes: 0 success; 1 extraction/projection/verdict failure
 (no valid graph, merge error, verdict "no", or a deadlocked extraction
-under --strict); 2 unreadable input, parse error, check failure, or a
-bad option or CHOREX_SEED; 3 equivalence check exhausted its budget.
+under --strict); 2 unreadable input, an output path that cannot be
+written, parse error, check failure, or a bad option or CHOREX_SEED; 3
+equivalence check exhausted its budget.
 
 The commands that take --seed default it to the CHOREX_SEED environment
 variable, an integer, when set; the others do not read it.  Identical
@@ -24,8 +25,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import functools
+import io
 import json
 import multiprocessing
 import os
@@ -69,6 +72,20 @@ def _read(path: str) -> str:
         raise SystemExit(_exit_with(f"cannot read {path}: {exc}", 2))
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Exit 2, with no traceback, if the output to `path` fails."""
+    try:
+        yield
+    except OSError as exc:
+        raise SystemExit(_exit_with(f"cannot write {path}: {exc}", 2))
+
+
+def _write(path, text: str) -> None:
+    with _writing(path):
+        Path(path).write_text(text, newline="")  # as given, on every platform
+
+
 def _exit_with(msg: str, code: int) -> int:
     _err(msg)
     return code
@@ -107,7 +124,7 @@ def cmd_extract(args) -> int:
     result = extract(net, services=services, strategy=strategy, parallel=not args.no_parallel)
     wall_millis = (time.perf_counter() - started) * 1000.0
     if args.dot:
-        Path(args.dot).write_text(result.to_dot())
+        _write(args.dot, result.to_dot())
     if args.stats:
         stats = {
             "wallMillis": wall_millis,
@@ -118,7 +135,7 @@ def cmd_extract(args) -> int:
             "strategy": strategy.name,
             "seed": strategy.seed,
         }
-        Path(args.stats).write_text(json.dumps(stats, indent=2) + "\n")
+        _write(args.stats, json.dumps(stats, indent=2) + "\n")
     if not result.ok:
         _err(str(result.failure))
         return 1
@@ -199,8 +216,6 @@ def _grid(rows):
         elif row == "procedures":
             for k in range(1, 16):
                 yield f"procedures-k{k}", dict(size=20, processes=5, ifs=8, defs=k)
-        else:
-            raise SystemExit(_exit_with(f"unknown parameter row: {row}", 2))
 
 
 def _corpus(rows, scale, seed):
@@ -212,14 +227,20 @@ def _corpus(rows, scale, seed):
 
 
 def _rows_arg(args):
+    """The grid rows `args` names, checked before any work is done."""
     if not args.rows:
         return _ROWS
-    return tuple(r.strip() for r in args.rows.split(",") if r.strip())
+    rows = tuple(r.strip() for r in args.rows.split(",") if r.strip())
+    for row in rows:
+        if row not in _ROWS:
+            raise SystemExit(_exit_with(f"unknown parameter row: {row}", 2))
+    return rows
 
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -256,12 +277,13 @@ def _write_corpus(files, suffix: str, what: str, args) -> int:
     expected verdict) per file of a corpus point; the term is written to
     `<file id><suffix>` and listed in the manifest, in order.
     """
+    corpus = _corpus(_rows_arg(args), args.scale, args.seed)
     out = _outdir(args)
     entries = []
-    for test_id, params in _corpus(_rows_arg(args), args.scale, args.seed):
+    for test_id, params in corpus:
         for file_id, term, fields, verdict in files(test_id, params):
             name = file_id + suffix
-            out.joinpath(name).write_text(pretty(term) + "\n")
+            _write(out / name, pretty(term) + "\n")
             entries.append(
                 {
                     "testId": file_id,
@@ -271,7 +293,7 @@ def _write_corpus(files, suffix: str, what: str, args) -> int:
                     "expectedVerdict": verdict,
                 }
             )
-    out.joinpath("manifest.json").write_text(json.dumps(entries, indent=2) + "\n")
+    _write(out / "manifest.json", json.dumps(entries, indent=2) + "\n")
     print(f"wrote {len(entries)} {what} to {out}")
     return 0
 
@@ -319,10 +341,11 @@ def _bench_one(test_id, params, strategy_name):
 
 
 def cmd_bench(args) -> int:
+    corpus = _corpus(_rows_arg(args), args.scale, args.seed)
     out = _outdir(args)
     jobs = [
         (test_id, params, name)
-        for test_id, params in _corpus(_rows_arg(args), args.scale, args.seed)
+        for test_id, params in corpus
         for name in STRATEGY_NAMES
     ]
     if args.jobs > 1:
@@ -336,11 +359,12 @@ def cmd_bench(args) -> int:
             rows = [f.result() for f in futures]
     else:
         rows = [_bench_one(*j) for j in jobs]
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(_CSV_HEADER.split(","))
+    writer.writerows(rows)
     path = out / "bench.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER.split(","))
-        writer.writerows(rows)
+    _write(path, text.getvalue())
     print(f"wrote {len(rows)} rows to {path}")
     return 0
 

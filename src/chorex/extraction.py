@@ -194,13 +194,13 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
         """Push a frame for `node`, whose state has the live mask `live`,
         or settle it as a leaf (OK)."""
         nonlocal saw_deadlock
-        steps = enabled_steps(kernel, node.state)
-        if not steps:
+        units = enabled_steps(kernel, node.state)
+        if not units:
             if not kernel.terminal(node.state):
                 node.deadlock = True
                 saw_deadlock = True
             return Outcome.OK
-        units = order_steps(steps, strategy, kernel, node.state, rng)
+        units = order_steps(units, strategy, kernel, node.state, rng)
         frame = _Frame(node, units, live, whites_above + node.white)
         stack.append(frame)
         seg.open[node.state] = frame
@@ -392,7 +392,11 @@ def communication_graph(n: sp.Network) -> dict:
 
 
 def connected_components(adjacency: dict) -> list:
-    """Components as sorted name lists, ordered by smallest member."""
+    """Components as sorted name lists, ordered by smallest member.
+
+    Each component starts from the smallest name not yet seen, so the
+    components come out in that order, and sorting each one makes the
+    order its neighbours were visited in immaterial."""
     seen = set()
     out = []
     for start in sorted(adjacency):
@@ -404,12 +408,12 @@ def connected_components(adjacency: dict) -> list:
         while frontier:
             p = frontier.pop()
             comp.append(p)
-            for q in sorted(adjacency[p]):
+            for q in adjacency[p]:
                 if q not in seen:
                     seen.add(q)
                     frontier.append(q)
         out.append(sorted(comp))
-    return sorted(out, key=lambda comp: comp[0])
+    return out
 
 
 @dataclass

@@ -12,13 +12,14 @@ Two labelled transition systems live here:
   in an action the whole marking is erased (services stay marked
   forever).
 
-  Successors are lazy: a step is listed with its label and the
-  continuation ids of its one or two participants, and the search builds
-  its successor state (`Kernel.successor`) only when it tries the step.
-  That replaces one or two entries of the tuple and updates the marking
-  and live masks from the participants; nothing is rebuilt, rehashed or
-  rescanned over every process.  Steps and their labels are built once
-  per pair of heads and shared by every state that lists them.
+  Steps are listed in the units the search tries: `(step,)` for an
+  interaction, `(then, else)` for a conditional.  Successors are lazy: a
+  step holds its label and the continuation ids of its participants, and
+  the search builds its successor state (`Kernel.successor`) only when it
+  tries the step.  That replaces one or two entries of the tuple and
+  updates the marking and live masks from the participants; nothing is
+  rebuilt, rehashed or rescanned over every process.  Units are built
+  once per pair of heads and shared by every state that lists them.
 
 * `chor_enabled` — actions of a choreography body executable up to the
   swap relation, computed with a blocked-set scan instead of rewriting:
@@ -126,8 +127,8 @@ class Step:
     participants: all of them, and those the step terminates.
 
     A step depends only on the heads of its participants, so the kernel
-    builds it once and every state whose participants have those heads
-    lists the same object.
+    builds it once, in its unit, and every state whose participants have
+    those heads lists the same unit.
     """
 
     __slots__ = ("label", "procs", "conts", "bits", "dead")
@@ -186,7 +187,7 @@ class Kernel:
         self._memo = [{} for _ in self.names]  # per process: behaviour -> id
         self._procedures = []  # per process: procedure name -> id
         self._calls = []  # (process, id) of calls still to chase
-        self._pairs = {}  # (actor head, partner head) -> Step or None
+        self._pairs = {}  # (actor head, partner head) -> (Step,) or None
         self._conds = {}  # conditional head -> (then Step, else Step)
         mains = []
         for i, term in enumerate(self.terms):
@@ -357,24 +358,22 @@ class Kernel:
     # -- steps
 
     def _interaction(self, i: int, j: int, hx: int, hy: int):
-        """The step of process `i` with head `hx`, a send or a selection,
-        and process `j` with head `hy`, the matching receive or offer; None
-        if an offer lacks the selected label."""
+        """The unit of the step of process `i` with head `hx`, a send or a
+        selection, and process `j` with head `hy`, the matching receive or
+        offer; None if an offer lacks the selected label."""
         b, c = self.behaviour[hx], self.behaviour[hy]
         p, q = self.names[i], self.names[j]
         if type(b) is sp.Send:
-            step = Step(
-                ComAction(p, b.expr, q, c.var), (i, j), (self.cont[hx], self.cont[hy]), self.kind
-            )
+            label, k = ComAction(p, b.expr, q, c.var), self.cont[hy]
         else:
-            k = self.cont[hy].get(b.label)
-            step = None
-            if k is not None:
-                step = Step(SelAction(p, q, b.label), (i, j), (self.cont[hx], k), self.kind)
-        self._pairs[hx, hy] = step
-        return step
+            label, k = SelAction(p, q, b.label), self.cont[hy].get(b.label)
+        unit = None if k is None else (Step(label, (i, j), (self.cont[hx], k), self.kind),)
+        self._pairs[hx, hy] = unit
+        return unit
 
     def _conditional(self, i: int, h: int) -> tuple:
+        """The unit of process `i`'s conditional head `h`: its then step,
+        then its else step."""
         b = self.behaviour[h]
         p = self.names[i]
         then, orelse = self.cont[h]
@@ -389,16 +388,17 @@ _UNSEEN = object()
 
 
 def enabled_steps(kernel: Kernel, state: tuple) -> list:
-    """All abstract reductions available from a state.
+    """All abstract reductions available from a state, as the units the
+    search tries: `(step,)` for an interaction, `(then, else)` for a
+    conditional.
 
-    Steps are listed by actor in name order (the sender or selector of an
-    interaction); a conditional contributes its Then and Else steps
-    adjacently, in that order.  No successor is built here: see
-    `Kernel.successor`.
+    Units are listed by actor in name order (the sender or selector of an
+    interaction, the process of a conditional), in a new list each call.
+    No successor is built here: see `Kernel.successor`.
     """
     kind, peer, head = kernel.kind, kernel.peer, kernel.head
     pairs, conds = kernel._pairs, kernel._conds
-    steps = []
+    units = []
     for i in range(kernel.n):
         x = state[i]
         k = kind[x]
@@ -411,17 +411,17 @@ def enabled_steps(kernel: Kernel, state: tuple) -> list:
             if peer[y] != i or kind[y] != k + 1:
                 continue
             key = (head[x], head[y])
-            step = pairs.get(key, _UNSEEN)
-            if step is _UNSEEN:
-                step = kernel._interaction(i, j, *key)
-            if step is not None:
-                steps.append(step)
+            unit = pairs.get(key, _UNSEEN)
+            if unit is _UNSEEN:
+                unit = kernel._interaction(i, j, *key)
+            if unit is not None:
+                units.append(unit)
         elif k == COND:
             h = head[x]
-            steps += conds.get(h) or kernel._conditional(i, h)
+            units.append(conds.get(h) or kernel._conditional(i, h))
         elif k == UNRESOLVED:
             raise kernel.unresolved[x]
-    return steps
+    return units
 
 
 # ------------------------------------------------- choreography transitions

@@ -1,16 +1,13 @@
 """Step-ordering heuristics for the extraction search.
 
-A strategy turns the list of enabled steps of a node into the order in
-which the engine will try them, as a list of units (see `group_units`).
-Orderings are total preorders; ties keep the canonical enumeration order
-(process name, then constructor), so every strategy is fully deterministic
-given its seed.  Sort keys read step labels, the sizes of the
-participants' main behaviours and the marking mask of the state only, so
-ordering never builds a successor state.
-
-The two halves of a conditional (its then and else steps) always travel
-together: they receive identical sort keys and random shuffles permute
-whole units, never separating a pair.
+A strategy turns the units of a node (see `semantics.enabled_steps`) into
+the order in which the engine will try them.  Orderings are total
+preorders; ties keep the canonical enumeration order (process name, then
+constructor), so every strategy is fully deterministic given its seed.
+Sort keys read a unit's length (two for a conditional), its head step's
+label and participants, the sizes of the participants' main behaviours
+and the marking mask of the state only, so ordering never builds a
+successor state.  Random shuffles permute whole units.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .semantics import ComAction, ElseAction, Kernel, SelAction, Step
+from .semantics import Kernel, SelAction
 
 STRATEGY_NAMES = (
     "Random",
@@ -46,84 +43,54 @@ class Strategy:
             )
 
 
-def group_units(steps: list) -> list:
-    """Group steps into schedulable units, pairing Then with Else.
-
-    Returns a list of tuples of steps: singletons for interactions, pairs
-    for conditionals (then first).  `steps` comes in `enabled_steps`
-    order, which lists each Else step right after its Then step.
-    """
-    units = []
-    for step in steps:
-        if type(step.label) is ElseAction:
-            units[-1] += (step,)  # the unit of its Then step
-        else:
-            units.append((step,))
-    return units
+def _largest_main(unit: tuple, state: tuple, size: list) -> int:
+    return max(size[state[p]] for p in unit[0].procs)
 
 
-def _is_interaction(step: Step) -> bool:
-    return isinstance(step.label, (ComAction, SelAction))
+def _unmarked_last(unit: tuple, state: tuple, size: list) -> int:
+    return 0 if unit[0].bits & ~state[-1] else 1
 
 
-def _largest_main(step: Step, state: tuple, size: list) -> int:
-    return max(size[state[p]] for p in step.procs)
+def _secondary_selections(unit: tuple) -> int:
+    if len(unit) == 2:
+        return 2
+    return 0 if type(unit[0].label) is SelAction else 1
 
 
-def _touches_unmarked(step: Step, state: tuple) -> bool:
-    return bool(step.bits & ~state[-1])
-
-
-def _secondary_selections(step: Step) -> int:
-    match step.label:
-        case SelAction():
-            return 0
-        case ComAction():
-            return 1
-    return 2
-
-
-def _unmarked_last(step: Step, state: tuple, size: list) -> int:
-    return 0 if _touches_unmarked(step, state) else 1
-
-
-def _conditionals_last(step: Step, state: tuple, size: list) -> int:
-    return 0 if _is_interaction(step) else 1
-
-
-# Sort key of each strategy, on the head step of a unit, the state and
-# the kernel's main sizes; None keeps the order as given (canonical, or
-# shuffled for the random strategies).
+# Sort key of each strategy, on a unit, the state and the kernel's main
+# sizes; None keeps the order as given (canonical, or shuffled for the
+# random strategies).  `len(unit)` is 1 for an interaction, 2 for a
+# conditional.
 _SORT_KEYS = {
     "Random": None,
-    "LongestFirst": lambda step, state, size: -_largest_main(step, state, size),
+    "LongestFirst": lambda unit, state, size: -_largest_main(unit, state, size),
     "ShortestFirst": _largest_main,
-    "InteractionsFirst": _conditionals_last,
-    "ConditionalsFirst": lambda step, state, size: 1 - _conditionals_last(step, state, size),
+    "InteractionsFirst": lambda unit, state, size: len(unit),
+    "ConditionalsFirst": lambda unit, state, size: -len(unit),
     "UnmarkedFirst": _unmarked_last,
-    "UnmarkedThenInteractions": lambda step, state, size: (
-        _unmarked_last(step, state, size),
-        _conditionals_last(step, state, size),
+    "UnmarkedThenInteractions": lambda unit, state, size: (
+        _unmarked_last(unit, state, size),
+        len(unit),
     ),
-    "UnmarkedThenSelections": lambda step, state, size: (
-        _unmarked_last(step, state, size),
-        _secondary_selections(step),
+    "UnmarkedThenSelections": lambda unit, state, size: (
+        _unmarked_last(unit, state, size),
+        _secondary_selections(unit),
     ),
-    "UnmarkedThenConditionals": lambda step, state, size: (
-        _unmarked_last(step, state, size),
-        1 - _conditionals_last(step, state, size),
+    "UnmarkedThenConditionals": lambda unit, state, size: (
+        _unmarked_last(unit, state, size),
+        -len(unit),
     ),
     "UnmarkedThenRandom": _unmarked_last,
 }
 
 
 def order_steps(
-    steps: list, strategy: Strategy, kernel: Kernel, state: tuple, rng: random.Random
+    units: list, strategy: Strategy, kernel: Kernel, state: tuple, rng: random.Random
 ) -> list:
-    """The units of `steps`, enabled in `state` (see `group_units`), in the
-    order the strategy wants them tried: shuffled first by `rng` for the
-    random strategies, then stably sorted by the strategy's key."""
-    units = group_units(steps)
+    """`units`, enabled in `state`, in the order the strategy wants them
+    tried: shuffled first by `rng` for the random strategies, then stably
+    sorted by the strategy's key.  Orders the list in place and returns
+    it."""
     if len(units) == 1:  # nothing to order, and a shuffle draws nothing
         return units
     if strategy.name in ("Random", "UnmarkedThenRandom"):
@@ -131,5 +98,5 @@ def order_steps(
     key = _SORT_KEYS[strategy.name]
     if key is not None:
         size = kernel.size
-        units.sort(key=lambda unit: key(unit[0], state, size))
+        units.sort(key=lambda unit: key(unit, state, size))
     return units

@@ -141,6 +141,15 @@ class TestExtract:
         assert dot.startswith("digraph seg {")
         assert dot.count("[label=") == 13  # 7 nodes and 6 edges
 
+    @pytest.mark.parametrize("flag", ["--dot", "--stats"])
+    def test_unwritable_output_exits_2(self, run, tmp_path, flag):
+        f = _write(tmp_path, "net.sp", N2_TEXT)
+        target = tmp_path / "net.sp" / "out"  # its parent is a file
+        rc, out, err = run("extract", f, flag, str(target))
+        assert rc == 2
+        assert err.startswith(f"cannot write {target}: ")
+        assert "Traceback" not in err
+
     def test_strategy_flag_is_validated(self, tmp_path, capsys):
         f = _write(tmp_path, "net.sp", N2_TEXT)
         with pytest.raises(SystemExit) as exc:
@@ -326,6 +335,29 @@ class TestCorpusCommands:
         rc, _, err = run("gen", "nonsense", "--out", str(tmp_path / "x"))
         assert rc == 2
         assert "unknown parameter row: nonsense" in err
+
+    def test_unknown_row_is_refused_before_any_file_is_written(self, run, tmp_path):
+        out_dir = tmp_path / "d"
+        out_dir.mkdir()
+        for command in ("gen", "bench"):
+            rc, out, err = run(command, "size,bogus", "--out", str(out_dir))
+            assert rc == 2 and out == ""
+            assert err == "unknown parameter row: bogus\n"
+            assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["gen", "bench"])
+    def test_out_naming_a_file_exits_2(self, run, tmp_path, command):
+        target = _write(tmp_path, "taken", "")
+        rc, out, err = run(command, "ifs", "--out", target, "--scale", "0.1")
+        assert rc == 2 and out == ""
+        assert err.startswith(f"cannot write {target}: ")
+
+    def test_unwritable_bench_csv_exits_2(self, run, tmp_path):
+        out_dir = tmp_path / "bench"
+        (out_dir / "bench.csv").mkdir(parents=True)
+        rc, out, err = run("bench", "ifs", "--out", str(out_dir), "--scale", "0.1")
+        assert rc == 2 and out == ""
+        assert err.startswith(f"cannot write {out_dir / 'bench.csv'}: ")
 
     def test_fuzz_writes_three_variants_per_point(self, run, tmp_path):
         out_dir = tmp_path / "fuzzed"

@@ -164,6 +164,11 @@ class TestComponents:
         comps = connected_components(communication_graph(n1))
         assert comps == [["p", "q"], ["r", "s"]]
 
+    def test_components_do_not_depend_on_discovery_order(self):
+        # The walk from a meets d before b, and the names come unsorted.
+        adjacency = {"d": {"a", "b"}, "c": set(), "b": {"d"}, "a": {"d"}}
+        assert connected_components(adjacency) == [["a", "b", "d"], ["c"]]
+
     def test_single_component_when_disabled(self, n1):
         result = extract(n1, parallel=False)
         assert len(result.components) == 1

@@ -3,8 +3,9 @@ references.
 
 Every state the extraction search opens is turned back into terms and
 stepped by `oracles.reference_steps`: the kernel must list the same
-labels in the same order, and each of its successors, turned back into a
-network and a set of marked names, must equal the reference successor.
+labels in the same order, grouped into the same units, and each of its
+successors, turned back into a network and a set of marked names, must
+equal the reference successor.
 Every loop target the search looks up among its open nodes must be the
 one `oracles.reference_loop_target` finds among all the graph's nodes.
 """
@@ -25,8 +26,9 @@ from conftest import (
     RANKED_LOOP_NET_TEXT,
     SIGNON_NET_TEXT,
     TWO_LOOPS_TEXT,
+    UNDO_TEXT,
 )
-from oracles import AnnotatedNetwork, reference_loop_target, reference_steps
+from oracles import AnnotatedNetwork, _units, reference_loop_target, reference_steps
 from test_golden import FUZZ_GRID, POINTS
 
 
@@ -40,22 +42,24 @@ class _Checked:
         monkeypatch.setattr(extraction, "enabled_steps", self)
 
     def __call__(self, kernel, state):
-        steps = self._steps(kernel, state)
+        units = self._steps(kernel, state)
         services = frozenset(
             p for i, p in enumerate(kernel.names) if kernel.services >> i & 1
         )
         an = AnnotatedNetwork(kernel.network(state), kernel.marked(state), services)
         assert an.marked == kernel.marked(state)  # the kernel's marking is scrubbed
-        reference = reference_steps(an)
-        assert [s.label for s in steps] == [r.label for r in reference]
+        reference = _units(reference_steps(an))
+        labels = [tuple(s.label for s in unit) for unit in units]
+        assert labels == [tuple(r.label for r in unit) for unit in reference]
         live = kernel.live(state)
-        for step, r in zip(steps, reference):
-            succ, succ_live = kernel.successor(state, live, step)
-            assert kernel.network(succ) == r.successor.net
-            assert kernel.marked(succ) == r.successor.marked
-            assert succ_live == kernel.live(succ)
+        for unit, r_unit in zip(units, reference):
+            for step, r in zip(unit, r_unit):
+                succ, succ_live = kernel.successor(state, live, step)
+                assert kernel.network(succ) == r.successor.net
+                assert kernel.marked(succ) == r.successor.marked
+                assert succ_live == kernel.live(succ)
         self.opened += 1
-        return steps
+        return units
 
 
 class _CheckedTargets:
@@ -159,7 +163,15 @@ def test_states_with_the_same_heads_share_their_steps():
     # One turn of p and q's loop brings their heads back and marks them.
     kernel = Kernel(parse_network(TWO_LOOPS_TEXT))
     first = enabled_steps(kernel, kernel.root)
-    state, _ = kernel.successor(kernel.root, kernel.live(kernel.root), first[0])
+    state, _ = kernel.successor(kernel.root, kernel.live(kernel.root), first[0][0])
     assert state != kernel.root and kernel.marked(state) == {"p", "q"}
     again = enabled_steps(kernel, state)
-    assert len(first) == 2 and all(a is b for a, b in zip(first, again))
+    assert len(first) == 2 and all(a is b for a, b in zip(first, again))  # the units
+    steps = [s for unit in first for s in unit]
+    assert all(a is b for a, b in zip(steps, [s for unit in again for s in unit]))
+    # p's else branch brings its conditional back: the same (then, else) unit.
+    kernel = Kernel(parse_network(UNDO_TEXT))
+    (cond,) = [unit for unit in enabled_steps(kernel, kernel.root) if len(unit) == 2]
+    state, _ = kernel.successor(kernel.root, kernel.live(kernel.root), cond[1])
+    assert state != kernel.root and kernel.marked(state) == {"p"}
+    assert [unit for unit in enabled_steps(kernel, state) if unit is cond] == [cond]

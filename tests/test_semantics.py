@@ -33,7 +33,8 @@ def _labels(an):
     want = [pretty_action(s.label) for s in reference_steps(an)]
     kernel = Kernel(an.net, an.services)
     state = kernel.state(an.net, an.marked)
-    assert [pretty_action(s.label) for s in enabled_steps(kernel, state)] == want
+    units = enabled_steps(kernel, state)
+    assert [pretty_action(s.label) for unit in units for s in unit] == want
     return want
 
 

@@ -205,7 +205,7 @@ def test_lazy_successors_equal_eager_ones(text, services):
         state = frontier.pop()
         an = AnnotatedNetwork(kernel.network(state), kernel.marked(state), frozenset(services))
         live = kernel.live(state)
-        for step in enabled_steps(kernel, state):
+        for step in [s for unit in enabled_steps(kernel, state) for s in unit]:
             want = _eager_successor(an, step.label)
             succ, succ_live = kernel.successor(state, live, step)
             assert kernel.successor(state, live, step) == (succ, succ_live)
@@ -250,6 +250,14 @@ class TestChoreographyTerms:
             cc.Program([c1, c2])
         ok = cc.Choreography({}, cc.Com("r", "e", "s", "x", cc.NIL))
         assert len(cc.Program([c1, ok]).components) == 2
+
+    def test_one_component_is_not_walked_for_overlaps(self, monkeypatch):
+        def walked(c):
+            raise AssertionError("walked a lone component")
+
+        monkeypatch.setattr(cc, "choreography_process_names", walked)
+        c = cc.Choreography({}, cc.Com("p", "e", "q", "x", cc.NIL))
+        assert cc.Program([c]).components == (c,)
 
     def test_empty_program_rejected(self):
         with pytest.raises(ValueError):

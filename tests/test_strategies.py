@@ -1,4 +1,4 @@
-"""Step-ordering heuristics: unit grouping and per-strategy orderings."""
+"""Step-ordering heuristics: the kernel's units and per-strategy orderings."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 
 from chorex.parser import parse_network
 from chorex.semantics import Kernel, enabled_steps, pretty_action
-from chorex.strategies import STRATEGY_NAMES, Strategy, group_units, order_steps
+from chorex.strategies import STRATEGY_NAMES, Strategy, order_steps
 
 from oracles import AnnotatedNetwork, annotate
 
@@ -21,8 +21,8 @@ t { main { if c then stop else stop } }
 """)
 
 
-def _steps(an):
-    """The kernel of `an`'s network, the state of `an`, and its steps."""
+def _units(an):
+    """The kernel of `an`'s network, the state of `an`, and its units."""
     kernel = Kernel(an.net, an.services)
     state = kernel.state(an.net, an.marked)
     return kernel, state, enabled_steps(kernel, state)
@@ -31,8 +31,8 @@ def _steps(an):
 def _ordered(name, an=None, rng=None, seed=0):
     an = an or annotate(MIX)
     rng = rng or random.Random(seed)
-    kernel, state, steps = _steps(an)
-    units = order_steps(steps, Strategy(name, seed), kernel, state, rng)
+    kernel, state, units = _units(an)
+    units = order_steps(units, Strategy(name, seed), kernel, state, rng)
     return [pretty_action(s.label) for unit in units for s in unit]
 
 
@@ -50,9 +50,8 @@ def test_unknown_strategy_rejected():
         Strategy("Fastest")
 
 
-def test_group_units_pairs_then_with_else():
-    _, _, steps = _steps(annotate(MIX))
-    units = group_units(steps)
+def test_kernel_units_pair_then_with_else():
+    _, _, units = _units(annotate(MIX))
     shapes = [[pretty_action(s.label) for s in u] for u in units]
     assert shapes == [[COM], [SEL], [THEN, ELSE]]
 
@@ -97,8 +96,8 @@ class TestOrderings:
 
 
 def test_every_strategy_emits_every_step_once():
-    _, _, steps = _steps(annotate(MIX))
-    want = sorted(pretty_action(s.label) for s in steps)
+    _, _, units = _units(annotate(MIX))
+    want = sorted(pretty_action(s.label) for unit in units for s in unit)
     for name in STRATEGY_NAMES:
         got = _ordered(name, rng=random.Random(name))
         assert sorted(got) == want, name
