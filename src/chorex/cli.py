@@ -28,8 +28,8 @@ import concurrent.futures
 import contextlib
 import csv
 import functools
-import io
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -342,29 +342,32 @@ def _bench_one(test_id, params, strategy_name):
 
 def cmd_bench(args) -> int:
     corpus = _corpus(_rows_arg(args), args.scale, args.seed)
-    out = _outdir(args)
+    path = _outdir(args) / "bench.csv"
     jobs = [
         (test_id, params, name)
         for test_id, params in corpus
         for name in STRATEGY_NAMES
     ]
-    if args.jobs > 1:
-        # Worker processes, not threads: a job timed on a thread would
-        # count the time it waits for the interpreter lock.  Spawned, not
-        # forked: a worker starts from a fresh import, with none of the
-        # caller's state, the same on every platform.
-        spawn = multiprocessing.get_context("spawn")
-        with concurrent.futures.ProcessPoolExecutor(args.jobs, spawn) as pool:
-            futures = [pool.submit(_bench_one, *j) for j in jobs]
-            rows = [f.result() for f in futures]
-    else:
-        rows = [_bench_one(*j) for j in jobs]
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(_CSV_HEADER.split(","))
-    writer.writerows(rows)
-    path = out / "bench.csv"
-    _write(path, text.getvalue())
+    # Opened before any extraction, so an unwritable path costs no work.
+    with _writing(path):
+        stream = open(path, "w", newline="")  # csv ends its rows itself
+    with stream:
+        if args.jobs > 1:
+            # Worker processes, not threads: a job timed on a thread would
+            # count the time it waits for the interpreter lock.  Spawned,
+            # not forked: a worker starts from a fresh import, with none of
+            # the caller's state, the same on every platform.
+            spawn = multiprocessing.get_context("spawn")
+            with concurrent.futures.ProcessPoolExecutor(args.jobs, spawn) as pool:
+                futures = [pool.submit(_bench_one, *j) for j in jobs]
+                rows = [f.result() for f in futures]
+        else:
+            rows = [_bench_one(*j) for j in jobs]
+        with _writing(path):
+            writer = csv.writer(stream)
+            writer.writerow(_CSV_HEADER.split(","))
+            writer.writerows(rows)
+            stream.flush()
     print(f"wrote {len(rows)} rows to {path}")
     return 0
 
@@ -372,12 +375,12 @@ def cmd_bench(args) -> int:
 # --- argument parsing ----------------------------------------------------
 
 
-def _positive(text: str, kind, noun: str):
+def _positive(text: str, kind, noun: str, finite=False):
     try:
         value = kind(text)
     except ValueError:
         value = None
-    if value is None or not value > 0:  # false for nan too
+    if value is None or not value > 0 or finite and math.isinf(value):  # nan too
         raise argparse.ArgumentTypeError(f"must be a positive {noun}, not {text!r}")
     return value
 
@@ -388,6 +391,10 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     return _positive(text, float, "number")
+
+
+def _scale(text: str) -> float:
+    return _positive(text, float, "finite number", finite=True)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -425,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=blurb)
         p.add_argument("rows", nargs="?", default="", help=f"subset of {','.join(_ROWS)}")
         p.add_argument("--out", required=True)
-        p.add_argument("--scale", type=float, default=1.0)
+        p.add_argument("--scale", type=_scale, default=1.0)
         p.add_argument("--seed", type=int)
         if name == "bench":
             p.add_argument("--jobs", type=_positive_int, default=1)

@@ -21,16 +21,46 @@ sides and has a unique successor, and the split conditional can only be
 matched by its own then/else actions.
 
 A check (one `_simulate` call) interns every pair it meets as a node of
-its rewrite graph and computes each node's rewrite step once, as the
-nodes that step leads to; the graph lives as long as the check.
-Normalising a pair follows those pointers from a seen-set that is new on
-every call, and stops at a normal form or at the first node already seen
-in that call.  That is exactly where rewriting the terms from scratch
-stops (`tests/oracles.reference_normalise`): a step depends only on the
-pair and the two fixed procedure environments, and two pairs are one
-node exactly when they are equal, so both walks meet the same pairs in
-the same order and return the same list.  Verdicts, pair counts and
-witnesses therefore do not depend on the graph.
+its rewrite graph.  Each `_normalise` call of the check has its own
+stamp, marks every node it walks with it, follows each node's one
+rewrite step to the nodes that step leads to, and stops at three kinds
+of node:
+
+  * a normal form, which it returns;
+  * a node this call has already marked, where a rewrite cycle closes
+    (or a second path meets the first); it returns that node too;
+  * a node an earlier call marked, which it drops.
+
+Dropping is the bisimulation up-to technique (Pous & Sangiorgi,
+*Enhancements of the bisimulation proof method*, 2011; Bonchi & Pous,
+*Checking NFA equivalence with bisimulations up to congruence*, 2013):
+the check stops at pairs it has already settled.  It is sound because:
+
+  * A call marks a node at most once, so its walk is finite, and every
+    node it marks rewrites, in a finite tree of steps, into nodes the
+    call returns and nodes an earlier call marked.  By induction on the
+    calls, every marked node rewrites in a finite tree into nodes that
+    some call returned.
+  * `_simulate` settles every node `_normalise` returns before it makes
+    the next call, and a "no" ends the check.
+  * So at "yes" every pair the check enqueued rewrites in a finite tree
+    into settled pairs, and every settled pair is equal on both sides or
+    matches each left action by a right action whose successor pair was
+    enqueued.  The settled pairs are a simulation up to the rewrite
+    closure.
+  * The closure preserves verdicts, because each unfold, strip or split
+    preserves the verdict: a pair is simulated iff every pair its step
+    leads to is.  So every pair in it, the initial one first, is
+    simulated.
+
+A dropped node needs nothing returned: its normal forms are settled
+already.  Each node is rewritten once per check, when it is first
+marked, so nothing keeps its step.  A call returns only pairs that
+rewriting from scratch returns (`tests/oracles.reference_normalise`),
+and leaves out only pairs an earlier call marked.  Which pairs are left
+out depends on the order of the calls, so pair counts, the point where
+a budget runs out and the witness of a "no" do too; a "yes" or "no" does
+not.
 """
 
 from __future__ import annotations
@@ -64,15 +94,21 @@ class SimBudget:
 
 
 class SimResult:
-    """Outcome of a similarity or bisimilarity check."""
+    """Outcome of a similarity or bisimilarity check.
 
-    __slots__ = ("verdict", "pairs_explored", "witness")
+    `rewrites` (rewrite steps computed) and `scans` (`chor_enabled`
+    calls) count the check's work; `to_json` leaves them out.
+    """
 
-    def __init__(self, verdict, pairs_explored, witness=None):
+    __slots__ = ("verdict", "pairs_explored", "witness", "rewrites", "scans")
+
+    def __init__(self, verdict, pairs_explored, witness=None, rewrites=0, scans=0):
         assert verdict in ("yes", "no", "exhausted")
         self.verdict = verdict
         self.pairs_explored = pairs_explored
         self.witness = witness  # (action, left_bodies, right_bodies) | None
+        self.rewrites = rewrites
+        self.scans = scans
 
     def __repr__(self):
         return f"SimResult({self.verdict!r}, pairs={self.pairs_explored})"
@@ -148,33 +184,34 @@ def _same_head(lconf, rconf, kinds):
 class _Node:
     """One (left, right) configuration pair of a check, interned.
 
-    `steps` is None until `_normalise` first rewrites the pair, then the
-    nodes its one rewrite step leads to (`_rewrite`): none for a normal
-    form, one for an unfold or a strip, a then node and an else node for
-    a split.  `settled` is set once `_simulate` has met the node as a
-    normal form: it is then explored or skipped as trivially equal, and
-    never looked at again.
+    `stamp` is 0 until a `_normalise` call walks the node, then the
+    stamp of that call.  `settled` is set once `_simulate` has met the
+    node as a normal form: it is then explored or skipped as trivially
+    equal, and never looked at again.
     """
 
-    __slots__ = ("lconf", "rconf", "steps", "settled")
+    __slots__ = ("lconf", "rconf", "stamp", "settled")
 
     def __init__(self, lconf, rconf):
         self.lconf = lconf
         self.rconf = rconf
-        self.steps = None
+        self.stamp = 0
         self.settled = False
 
 
 class _Graph:
-    """The rewrite graph of one `_simulate` call: its two sides and every
-    pair met so far, each interned as one `_Node`."""
+    """The rewrite graph of one `_simulate` call: its two sides, every
+    pair met so far, each interned as one `_Node`, and the number of
+    `_normalise` calls and rewrite steps made so far."""
 
-    __slots__ = ("left", "right", "nodes")
+    __slots__ = ("left", "right", "nodes", "calls", "rewrites")
 
     def __init__(self, left: _Side, right: _Side):
         self.left = left
         self.right = right
         self.nodes = {}
+        self.calls = 0
+        self.rewrites = 0
 
     def node(self, lconf, rconf) -> _Node:
         node = self.nodes.get(key := (lconf, rconf))
@@ -190,6 +227,7 @@ def _rewrite(graph: _Graph, node: _Node) -> tuple:
     identical interaction heads if there is one; else split a conditional
     guarded identically on both sides into its then and else pairs.
     """
+    graph.rewrites += 1
     lconf, lch = _unfold_top(graph.left.chors, node.lconf)
     rconf, rch = _unfold_top(graph.right.chors, node.rconf)
     if lch or rch:
@@ -206,29 +244,30 @@ def _rewrite(graph: _Graph, node: _Node) -> tuple:
 
 
 def _normalise(graph: _Graph, node: _Node) -> list:
-    """Rewrite a pair into zero or more smaller equivalent pairs.
+    """Rewrite a pair into the smaller equivalent pairs the check has yet
+    to settle.
 
-    Returns a list of nodes.  A split's else node waits on a stack until
-    its then node is done, and one seen-set for all of them, new on every
-    call, guards against cycling through unfold/strip on self-similar
-    loops.  Each node's step is computed once per check (`_rewrite`).
+    Returns a list of nodes: every normal form the walk reaches and
+    every node it meets again, each marked by this call.  A node an
+    earlier call marked is dropped.  A split's else node waits on a
+    stack until its then node is done.
     """
+    graph.calls += 1
+    stamp = graph.calls
     out = []
-    seen = set()
     todo = [node]
     while todo:
         node = todo.pop()
-        while node not in seen:
-            seen.add(node)
-            steps = node.steps
-            if steps is None:
-                steps = node.steps = _rewrite(graph, node)
+        while not node.stamp:
+            node.stamp = stamp
+            steps = _rewrite(graph, node)
             if not steps:
                 break
             if len(steps) == 2:
                 todo.append(steps[1])
             node = steps[0]
-        out.append(node)
+        if node.stamp == stamp:
+            out.append(node)
     return out
 
 
@@ -238,13 +277,17 @@ def _simulate(left: _Side, right: _Side, budget: SimBudget) -> SimResult:
     started = time.perf_counter()
     graph = _Graph(left, right)
     work = deque([(left.initial, right.initial)])
-    explored = 0
+    explored = scans = 0
+
+    def result(verdict, witness=None):
+        return SimResult(verdict, explored, witness, graph.rewrites, scans)
+
     while work:
         if explored >= budget.max_pairs:
-            return SimResult("exhausted", explored)
+            return result("exhausted")
         if budget.max_millis is not None:
             if (time.perf_counter() - started) * 1000.0 > budget.max_millis:
-                return SimResult("exhausted", explored)
+                return result("exhausted")
         for node in _normalise(graph, graph.node(*work.popleft())):
             if node.settled:
                 continue
@@ -253,15 +296,16 @@ def _simulate(left: _Side, right: _Side, budget: SimBudget) -> SimResult:
             if envs_equal and lconf == rconf:
                 continue
             explored += 1
+            scans += len(lconf) + len(rconf)
             # A program's components have disjoint processes, and
             # `chor_enabled` lists no label twice, so neither does a side.
             rsteps = dict(right.steps(rconf))
             for label, lsucc in left.steps(lconf):
                 rsucc = rsteps.get(label)
                 if rsucc is None:
-                    return SimResult("no", explored, witness=(label, lconf, rconf))
+                    return result("no", (label, lconf, rconf))
                 work.append((lsucc, rsucc))
-    return SimResult("yes", explored)
+    return result("yes")
 
 
 def can_simulate(c1, c2, budget: SimBudget = SimBudget()) -> SimResult:
@@ -273,11 +317,18 @@ def bisimilar(c1, c2, budget: SimBudget = SimBudget()) -> SimResult:
     """yes iff both directions simulate; no if either fails; else exhausted."""
     forward = can_simulate(c1, c2, budget)
     if forward.verdict == "no":
-        return SimResult("no", forward.pairs_explored, forward.witness)
+        return forward
     backward = can_simulate(c2, c1, budget)
-    pairs = forward.pairs_explored + backward.pairs_explored
     if backward.verdict == "no":
-        return SimResult("no", pairs, backward.witness)
-    if forward.verdict == "yes" and backward.verdict == "yes":
-        return SimResult("yes", pairs)
-    return SimResult("exhausted", pairs)
+        verdict = "no"
+    elif forward.verdict == backward.verdict == "yes":
+        verdict = "yes"
+    else:
+        verdict = "exhausted"
+    return SimResult(
+        verdict,
+        forward.pairs_explored + backward.pairs_explored,
+        backward.witness,
+        forward.rewrites + backward.rewrites,
+        forward.scans + backward.scans,
+    )

@@ -8,16 +8,19 @@ that tries every alternative instead of pruning, and its loop test is a
 literal scan of the closing segment for a white node.  Disagreements
 with the engine are findings, not test bugs.  The bisimilarity checker's
 pair rewriting has an oracle here too: `reference_normalise` rewrites
-every pair from scratch, and `reference_epp` projects one process at a
-time by plain recursion, with its own merge.  `node_bound` counts by
-walking every subterm what `Kernel.node_bound` reads off its tables, and
-`reference_loop_target` finds a loop target by the definition, among
-all the graph's nodes, where the engine looks among the open ones.
+every pair from scratch, and `reference_bisimilar` judges verdicts the
+way the checker did before it stopped at settled pairs.  `reference_epp`
+projects one process at a time by plain recursion, with its own merge.
+`node_bound` counts by walking every subterm what `Kernel.node_bound`
+reads off its tables, and `reference_loop_target` finds a loop target by
+the definition, among all the graph's nodes, where the engine looks
+among the open ones.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import deque
 
 from chorex import cc, sp
 from chorex.cc import Call, Com, Cond, Sel
@@ -369,6 +372,62 @@ def reference_normalise(left, right, pair):
             rconf = rconf[:j] + (rkids[0],) + rconf[j + 1 :]
         out.append((lconf, rconf))
     return out
+
+
+class _ReferenceSide:
+    """One side of a reference check: its procedure environments, one
+    choreography per component, and the steps of a configuration."""
+
+    def __init__(self, thing):
+        self.chors = tuple(thing.components) if isinstance(thing, cc.Program) else (thing,)
+
+    def steps(self, config):
+        return [
+            (label, config[:i] + (succ,) + config[i + 1 :])
+            for i, body in enumerate(config)
+            for label, succ in reference_chor_enabled(self.chors[i], body)
+        ]
+
+
+def _reference_simulate(left, right, max_pairs):
+    envs_equal = left.chors == right.chors
+    work = deque([(tuple(c.main for c in left.chors), tuple(c.main for c in right.chors))])
+    settled = set()
+    explored = 0
+    while work:
+        if explored >= max_pairs:
+            return "exhausted"
+        for pair in reference_normalise(left, right, work.popleft()):
+            if pair in settled:
+                continue
+            settled.add(pair)
+            lconf, rconf = pair
+            if envs_equal and lconf == rconf:
+                continue
+            explored += 1
+            rsteps = dict(right.steps(rconf))
+            for label, lsucc in left.steps(lconf):
+                if label not in rsteps:
+                    return "no"
+                work.append((lsucc, rsteps[label]))
+    return "yes"
+
+
+def reference_bisimilar(c1, c2, max_pairs: int) -> str:
+    """The verdict of `equiv.bisimilar` under a pair budget, by the
+    two-direction worklist `equiv` ran before it stopped at settled
+    pairs: every pair normalised from scratch by `reference_normalise`,
+    every action listed by `reference_chor_enabled`, nothing shared
+    between calls or with `equiv`.  It explores the pairs `equiv` used
+    to explore."""
+    a, b = _ReferenceSide(c1), _ReferenceSide(c2)
+    forward = _reference_simulate(a, b, max_pairs)
+    if forward == "no":
+        return "no"
+    backward = _reference_simulate(b, a, max_pairs)
+    if backward == "no":
+        return "no"
+    return "yes" if forward == backward == "yes" else "exhausted"
 
 
 class ReferenceMergeFailure(Exception):

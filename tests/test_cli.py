@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from chorex import cli
 from chorex.cli import main
 from chorex.parser import parse_choreography, parse_network, pretty
 
@@ -352,12 +353,27 @@ class TestCorpusCommands:
         assert rc == 2 and out == ""
         assert err.startswith(f"cannot write {target}: ")
 
-    def test_unwritable_bench_csv_exits_2(self, run, tmp_path):
+    def test_unwritable_bench_csv_exits_2(self, run, tmp_path, monkeypatch):
+        jobs = []
+        monkeypatch.setattr(cli, "_bench_one", lambda *job: jobs.append(job))
         out_dir = tmp_path / "bench"
         (out_dir / "bench.csv").mkdir(parents=True)
         rc, out, err = run("bench", "ifs", "--out", str(out_dir), "--scale", "0.1")
         assert rc == 2 and out == ""
         assert err.startswith(f"cannot write {out_dir / 'bench.csv'}: ")
+        assert jobs == []  # before any extraction
+
+    @pytest.mark.parametrize("command", ["gen", "fuzz", "unroll", "bench"])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "-1", "0", "x"])
+    def test_scale_must_be_positive_and_finite(self, tmp_path, capsys, command, scale):
+        out_dir = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "ifs", "--out", str(out_dir), f"--scale={scale}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --scale: must be a positive finite number, not {scale!r}" in captured.err
+        assert not out_dir.exists()
 
     def test_fuzz_writes_three_variants_per_point(self, run, tmp_path):
         out_dir = tmp_path / "fuzzed"

@@ -221,20 +221,27 @@ class TestChorEnabled:
 
 
 def test_chor_enabled_matches_the_reference_scan_on_round_trips(monkeypatch):
-    """Every body the round trip's bisimilarity check reaches, on the first
-    records of the acceptance corpus stream, lists the same actions with
-    the same successors, in the same order, as a full recursive scan."""
+    """Every body the round trip's bisimilarity check reaches, on records
+    0-59 of the acceptance corpus stream, lists the same actions with the
+    same successors, in the same order, as a full recursive scan.  The
+    full scan's answer is kept per choreography and body within a record,
+    since a check meets most bodies more than once; the full scans of
+    records 14, 36, 41, 44 and 59 still take most of this test's time."""
     checked = []
+    scanned = {}
 
     def checking(c, body=None):
         got = chor_enabled(c, body)
-        assert got == oracles.reference_chor_enabled(c, body), body
+        key = (id(c), body)
+        if key not in scanned:
+            scanned[key] = oracles.reference_chor_enabled(c, body)
+        assert got == scanned[key], body
         checked.append(body)
         return got
 
     monkeypatch.setattr(equiv, "chor_enabled", checking)
     rng = random.Random("corpus:roundtrip")
-    for i in range(13):
+    for i in range(60):
         size = rng.randint(5, 50)
         procs = rng.randint(2, 6)
         ifs = min(rng.randint(0, 10), size)
@@ -243,6 +250,7 @@ def test_chor_enabled_matches_the_reference_scan_on_round_trips(monkeypatch):
             generate(GenParams(size=size, processes=procs, ifs=ifs, defs=defs, seed=i))
         )
         program = extract(epp(chor)).program
+        scanned.clear()  # the ids of this record's choreographies
         assert bisimilar(chor, program, SimBudget(max_pairs=3000)).verdict == "yes"
     assert len(checked) > 3000
 
