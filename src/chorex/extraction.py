@@ -31,11 +31,13 @@ from a state only to print it (`to_dot`) or report it
 (`deadlock_remainders`).
 
 When the search succeeds, nodes with more than one incoming edge (and a
-root with any) become recursive procedure definitions, their incoming
-edges become calls, and the resulting acyclic graph is read off into a
-choreography.  Networks whose communication graph is disconnected are
-split and extracted per component, one component after another on the
-caller's thread, then recomposed as a parallel program.
+root with any) become recursive procedure definitions, named in creation
+order, and their incoming edges become calls.  Every other edge runs
+from an older node to a newer one, so one sweep over the nodes, newest
+first, reads the graph off into a choreography.  Networks whose
+communication graph is disconnected are split and extracted per
+component, one component after another on the caller's thread, then
+recomposed as a parallel program.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .semantics import (
     pretty_action,
 )
 from .strategies import Strategy, order_steps
-from .term import fold
 
 
 class Outcome(Enum):
@@ -263,7 +264,8 @@ def verify_seg(seg: Seg):
     pair over the same guard), and the subgraph induced by non-white
     nodes must be acyclic, which is equivalent to every cycle containing
     a white node.  That every node is reachable from the root is checked
-    by `unroll_graph`, which walks the graph from the root anyway.
+    by `unroll_graph`, in its pass over the edges: every node but the
+    root must have an edge from an older node.
     """
     for node in seg.nodes:
         es = seg.edges[node]
@@ -311,69 +313,53 @@ def unroll_graph(seg: Seg) -> dict:
     """Name the loop nodes, which become procedure definitions.
 
     Loop nodes are those with more than one incoming edge, or the root if
-    it has any.  They are named X1, X2, … in depth-first discovery order;
-    the result maps each loop node to its name.  Every node must be
-    reachable from the root.
+    it has any.  They are named X1, X2, … in creation order, which is the
+    search's depth-first order, as `rollback` only truncates; the result
+    maps each loop node to its name.
 
-    That check also makes the graph without the edges into loop nodes
-    (each reads off as a call) acyclic, so the read-off terminates.  On a
-    cycle of that graph every node is unnamed and has an incoming edge on
-    the cycle.  An unnamed non-root node has in-degree at most 1 and an
-    unnamed root has in-degree 0, so no edge enters the cycle from outside
-    and its nodes are unreachable from the root.
+    Every node but the root must have an edge from an older node, so
+    every node is reachable from the root.  The search's graphs pass: a
+    node keeps the edge from its parent that created it, and every other
+    edge closes a loop onto an open ancestor, an older node.
+
+    The check also makes the graph without the edges into loop nodes
+    (each reads off as a call) acyclic: there an unnamed non-root node
+    keeps its one incoming edge, from an older node, and an unnamed root
+    has none, so every edge runs from an older node to a newer one.
     """
-    indegree = {}
-    for es in seg.edges.values():
-        for _, dst in es:
+    indegree = {seg.root: 1}  # the root counts as entered from outside
+    for node in seg.nodes:  # `indegree` counts the edges of older nodes so far
+        assert node in indegree, "unreachable nodes survive"
+        for _, dst in seg.edges[node]:
             indegree[dst] = indegree.get(dst, 0) + 1
-
-    names = {}
-    visited = set()
-    frontier = [seg.root]
-    while frontier:
-        node = frontier.pop()
-        if node in visited:
-            continue
-        visited.add(node)
-        if indegree.get(node, 0) > (0 if node is seg.root else 1):
-            names[node] = f"X{len(names) + 1}"
-        frontier.extend(dst for _, dst in reversed(seg.edges[node]))
-    assert len(visited) == len(seg.nodes), "unreachable nodes survive"
-    return names
+    loops = [node for node in seg.nodes if indegree[node] > 1]
+    return {node: f"X{i}" for i, node in enumerate(loops, 1)}
 
 
 def build_choreography(seg: Seg, names: dict) -> cc.Choreography:
-    """Read the graph off into a choreography.
+    """Read the graph off into a choreography, in one sweep over the
+    nodes, newest first.
 
-    An edge into a loop node reads as a call of its procedure: the fold
-    sees the node's name (a string) in place of the node.  Below each
-    loop node and the root the graph is then a tree whose leaves are
-    calls, so one fold reads each body.
+    An edge into a loop node reads as a call of its procedure.  Any other
+    edge is the only one into a newer node (`unroll_graph`), whose body is
+    built by then and is taken here, once.  A root that is a loop node
+    reads as a call of its procedure.
     """
-
-    def children(target):
-        if type(target) is str:
-            return ()
-        return [names.get(dst, dst) for _, dst in seg.edges[target]]
-
-    def read(target, conts) -> cc.ChoreographyBody:
-        if type(target) is str:
-            return cc.Call(target)
-        es = seg.edges[target]
+    bodies = {}
+    for node in reversed(seg.nodes):
+        es = seg.edges[node]
+        kids = [cc.Call(names[dst]) if dst in names else bodies.pop(dst) for _, dst in es]
         if not es:
-            return cc.DEADLOCK if target.deadlock else cc.NIL
-        match es[0][0]:
-            case ComAction(p, e, q, x):
-                return cc.Com(p, e, q, x, *conts)
-            case SelAction(p, q, l):
-                return cc.Sel(p, q, l, *conts)
-            case ThenAction(p, e):
-                return cc.Cond(p, e, *conts)
-        raise AssertionError(f"unexpected edge label {es[0][0]!r}")
-
-    procedures = {name: fold(node, read, children) for node, name in names.items()}
-    # A loop node at the root reads as a call of its procedure.
-    main = fold(names.get(seg.root, seg.root), read, children)
+            body = cc.DEADLOCK if node.deadlock else cc.NIL
+        elif type(label := es[0][0]) is ComAction:
+            body = cc.Com(label.sender, label.expr, label.receiver, label.var, *kids)
+        elif type(label) is SelAction:
+            body = cc.Sel(label.sender, label.receiver, label.label, *kids)
+        else:  # a then/else pair (`verify_seg`)
+            body = cc.Cond(label.process, label.expr, *kids)
+        bodies[node] = body
+    procedures = {name: bodies.pop(node) for node, name in names.items()}
+    main = cc.Call(names[seg.root]) if seg.root in names else bodies.pop(seg.root)
     return cc.Choreography(procedures, main)
 
 

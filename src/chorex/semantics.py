@@ -111,14 +111,6 @@ def pretty_action(action) -> str:
 # to, and UNRESOLVED marks a call that unfolds to no head (see `Kernel`).
 NIL, SEND, RECEIVE, SELECT, OFFER, COND = range(6)
 UNRESOLVED = -1
-_KIND = {
-    sp.Nil: NIL,
-    sp.Send: SEND,
-    sp.Receive: RECEIVE,
-    sp.Select: SELECT,
-    sp.Offer: OFFER,
-    sp.Cond: COND,
-}
 
 
 class Step:
@@ -151,11 +143,12 @@ class Kernel:
     """One component of a network, compiled for the extraction search.
 
     Every subterm of every process's main and procedure bodies gets an
-    integer id.  Ids are interned bottom-up per process, so structurally
-    equal subterms of one process share an id.  For each id the kernel
-    tabulates its head after chasing calls (`head`), the head's kind and
-    peer process index (`kind`, `peer`, -1 for no peer in the
-    component), its node count (`size`) and, for a head, its
+    integer id.  Ids are interned bottom-up per process, each subterm
+    keyed by its kind, its labels and its kids' ids (hash-consing), so
+    structurally equal subterms of one process share an id.  For each id
+    the kernel tabulates its head after chasing calls (`head`), the
+    head's kind and peer process index (`kind`, `peer`, -1 for no peer
+    in the component), its node count (`size`) and, for a head, its
     continuation ids (`cont`: one id, the (then, else) pair, or an
     offer's label -> id dict).
 
@@ -184,7 +177,7 @@ class Kernel:
         self.peer = []
         self.cont = []
         self.unresolved = {}  # id -> the error its unfolding raises
-        self._memo = [{} for _ in self.names]  # per process: behaviour -> id
+        self._memo = [{} for _ in self.names]  # per process: key -> id (`_intern`)
         self._procedures = []  # per process: procedure name -> id
         self._calls = []  # (process, id) of calls still to chase
         self._pairs = {}  # (actor head, partner head) -> (Step,) or None
@@ -203,47 +196,66 @@ class Kernel:
     def _intern(self, i: int, root: sp.Behaviour) -> int:
         """The id of `root` in process `i`, interning its subterms first.
 
-        The memo is keyed by the terms themselves: they cache their hash,
-        and a dict lookup of a term it holds is an identity test, so only
-        a subterm structurally equal to one met before, in another place,
-        is compared in depth, and then its subterms are not walked.
+        One walk in post-order, children left to right (as `term.fold`),
+        keys each subterm by a plain tuple of its kind, its label fields
+        and its kids' ids, which hashes and compares in C.  Kids are
+        interned first, so two subterms of one process get one key, and
+        one id, exactly when they are equal.  A new key gets the next id
+        and its entries in the tables; `_resolve` then fills in `head`.
         """
-        memo = self._memo[i]
+        memo, index, behaviour = self._memo[i], self._index, self.behaviour
+        size, kind, peer, cont = self.size, self.kind, self.peer, self.cont
         order = []
         stack = [root]
         while stack:
             t = stack.pop()
-            if t not in memo:
-                order.append(t)
-                stack.extend(t.children())
+            order.append(t)
+            stack.extend(t.children())
+        ids = []  # the ids of the subterms walked whose parent is still to come
         for t in reversed(order):
-            if t not in memo:  # a subterm met twice on the walk
-                memo[t] = self._add(i, t, [memo[k] for k in t.children()])
-        return memo[root]
-
-    def _add(self, i: int, t: sp.Behaviour, kid_ids: list) -> int:
-        x = len(self.behaviour)
-        kind = _KIND.get(type(t), UNRESOLVED)
-        if kind == UNRESOLVED:  # a call, until `_resolve` chases it
-            self._calls.append((i, x))
-        if kind == OFFER:
-            cont = dict(zip([l for l, _ in t.branches], kid_ids))
-        elif kind == COND:
-            cont = tuple(kid_ids)
-        else:
-            cont = kid_ids[0] if kid_ids else None
-        self.behaviour.append(t)
-        self.size.append(t.size)
-        self.head.append(x)
-        self.kind.append(kind)
-        self.peer.append(-1 if t.peer is None else self._index.get(t.peer, -1))
-        self.cont.append(cont)
-        return x
+            typ = type(t)
+            if typ is sp.Send:
+                key = (SEND, t.to, t.expr, ids.pop())
+            elif typ is sp.Receive:
+                key = (RECEIVE, t.frm, t.var, ids.pop())
+            elif typ is sp.Select:
+                key = (SELECT, t.to, t.label, ids.pop())
+            elif typ is sp.Cond:
+                orelse = ids.pop()
+                key = (COND, t.expr, ids.pop(), orelse)
+            elif typ is sp.Offer:
+                n = len(t.branches)
+                key = (OFFER, t.frm, tuple([l for l, _ in t.branches]), *ids[-n:])
+                del ids[-n:]
+            elif typ is sp.Call:
+                key = (UNRESOLVED, t.name)
+            else:
+                key = (NIL,)
+            x = memo.get(key)
+            if x is None:
+                x = memo[key] = len(behaviour)
+                k = key[0]
+                behaviour.append(t)
+                size.append(t.size)
+                kind.append(k)
+                if k == OFFER:
+                    cont.append(dict(zip(key[2], key[3:])))
+                elif k == COND:
+                    cont.append(key[2:])
+                else:  # one kid, or none for Nil and a call
+                    cont.append(key[3] if len(key) == 4 else None)
+                peer.append(index.get(key[1], -1) if SEND <= k <= OFFER else -1)
+                if k == UNRESOLVED:  # a call, until `_resolve` chases it
+                    self._calls.append((i, x))
+            ids.append(x)
+        return ids[0]
 
     def _resolve(self):
         """Chase every new call to its head, as `ProcessTerm.head_behaviour`
-        does: at most one hop per procedure of the process."""
+        does: at most one hop per procedure of the process.  Every other
+        new id is its own head."""
         behaviour = self.behaviour
+        self.head.extend(range(len(self.head), len(behaviour)))
         for i, x in self._calls:
             procedures = self._procedures[i]
             b = x
@@ -273,7 +285,7 @@ class Kernel:
 
         One pass over the ids counts the conditionals in each id's tree
         from its kids' counts, which come first (a kid's id is smaller).
-        `cont` holds the kids as `_add` wrote them, by constructor: one
+        `cont` holds the kids as `_intern` wrote them, by constructor: one
         id, a conditional's pair, an offer's dict, or none."""
         conds = [0] * len(self.cont)
         for x, kids in enumerate(self.cont):

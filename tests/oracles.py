@@ -14,7 +14,9 @@ projects one process at a time by plain recursion, with its own merge.
 `node_bound` counts by walking every subterm what `Kernel.node_bound`
 reads off its tables, and `reference_loop_target` finds a loop target by
 the definition, among all the graph's nodes, where the engine looks
-among the open ones.
+among the open ones.  `reference_read_off` names loop nodes by a walk
+from the root and reads the graph off by folds, where the engine sweeps
+the nodes in creation order.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from chorex.semantics import (
     chor_enabled,
     participants,
 )
+from chorex.term import fold
 
 
 class AnnotatedNetwork:
@@ -189,6 +192,60 @@ def reference_loop_target(seg, state: tuple, path: str):
     ]
     assert len(targets) <= 1, "duplicate loop candidates"
     return targets[0] if targets else None
+
+
+def reference_read_off(seg) -> tuple:
+    """The loop nodes of an accepted graph, named, and its choreography,
+    by a walk from the root: (names, choreography).
+
+    Loop nodes (more than one incoming edge, or the root with any) are
+    named X1, X2, … in depth-first discovery order from the root, edges
+    left to right.  Each loop node's body, and the root's, is then one
+    fold over the graph below it, with the edges into loop nodes cut
+    into calls; the walk asserts that every node is reachable.  The
+    engine names loop nodes in creation order and reads the graph off in
+    one sweep, newest first.
+    """
+    indegree = {}
+    for es in seg.edges.values():
+        for _, dst in es:
+            indegree[dst] = indegree.get(dst, 0) + 1
+    names = {}
+    visited = set()
+    frontier = [seg.root]
+    while frontier:
+        node = frontier.pop()
+        if node in visited:
+            continue
+        visited.add(node)
+        if indegree.get(node, 0) > (0 if node is seg.root else 1):
+            names[node] = f"X{len(names) + 1}"
+        frontier.extend(dst for _, dst in reversed(seg.edges[node]))
+    assert len(visited) == len(seg.nodes), "unreachable nodes survive"
+
+    def children(target):
+        if type(target) is str:
+            return ()
+        return [names.get(dst, dst) for _, dst in seg.edges[target]]
+
+    def read(target, conts):
+        if type(target) is str:
+            return Call(target)
+        es = seg.edges[target]
+        if not es:
+            return cc.DEADLOCK if target.deadlock else cc.NIL
+        match es[0][0]:
+            case ComAction(p, e, q, x):
+                return Com(p, e, q, x, *conts)
+            case SelAction(p, q, l):
+                return Sel(p, q, l, *conts)
+            case ThenAction(p, e):
+                return Cond(p, e, *conts)
+        raise AssertionError(f"unexpected edge label {es[0][0]!r}")
+
+    procedures = {name: fold(node, read, children) for node, name in names.items()}
+    main = fold(names.get(seg.root, seg.root), read, children)
+    return names, cc.Choreography(procedures, main)
 
 
 def chor_action_labels(c: cc.Choreography, body=None):

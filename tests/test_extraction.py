@@ -12,6 +12,7 @@ from chorex.extraction import (
     Seg,
     Strategy,
     _Frame,
+    build_choreography,
     communication_graph,
     connected_components,
     extract,
@@ -39,6 +40,7 @@ from conftest import (
     TWO_LOOPS_TEXT,
     UNDO_TEXT,
 )
+from test_equiv import _corpus_roundtrip
 from test_golden import POINTS as GOLDEN_POINTS, _digest
 
 
@@ -423,6 +425,14 @@ def test_results_hold_no_reference_cycles():
         gc.enable()
 
 
+# A handshake whose conditional can re-enter either the opening phase or
+# the middle phase: two join points, two procedures.
+TWO_PHASE_TEXT = """
+p { def X { q!<a>; Y } def Y { q?y; if c then q+goX; X else q+goY; Y } main { X } } |
+q { def X { p?x; Y } def Y { p!<b>; p&{ goX: X, goY: Y } } main { X } }
+"""
+
+
 class TestGraphShape:
     def test_accepted_graphs_pass_independent_verification(self, n2, n3, signon_net):
         for net in (n2, n3, signon_net):
@@ -436,13 +446,7 @@ class TestGraphShape:
             assert sorted(names.values()) == expected
 
     def test_two_phase_loop_gets_two_procedure_names(self):
-        # A handshake whose conditional can re-enter either the opening
-        # phase or the middle phase: two join points, two procedures.
-        net = parse_network("""
-        p { def X { q!<a>; Y } def Y { q?y; if c then q+goX; X else q+goY; Y } main { X } } |
-        q { def X { p?x; Y } def Y { p!<b>; p&{ goX: X, goY: Y } } main { X } }
-        """)
-        result = extract(net)
+        result = extract(parse_network(TWO_PHASE_TEXT))
         assert result.ok
         assert pretty(result.program) == (
             "def X1 { p.a -> q.x; X2 }"
@@ -457,6 +461,17 @@ class TestGraphShape:
         seg = Seg(Kernel(parse_network("p { main { q!<e>; stop } } | q { main { p?x; stop } }")))
         x, y = seg.add_node(seg.root.state, "0"), seg.add_node(seg.root.state, "1")
         seg.edges[x].append(("lbl", y))
+        seg.edges[y].append(("lbl", x))
+        with pytest.raises(AssertionError, match="unreachable nodes survive"):
+            unroll_graph(seg)
+
+    def test_a_node_entered_only_from_a_newer_node_is_refused(self):
+        # root -> y -> x, with x created before y: x is reachable, but no
+        # graph of the search enters a node first from a newer one, and
+        # the check in creation order needs an edge from an older node.
+        seg = Seg(Kernel(parse_network("p { main { q!<e>; stop } } | q { main { p?x; stop } }")))
+        x, y = seg.add_node(seg.root.state, "0"), seg.add_node(seg.root.state, "1")
+        seg.edges[seg.root].append(("lbl", y))
         seg.edges[y].append(("lbl", x))
         with pytest.raises(AssertionError, match="unreachable nodes survive"):
             unroll_graph(seg)
@@ -480,6 +495,53 @@ class TestGraphShape:
         assert dot.startswith("digraph seg {")
         assert dot.count("[label=") == 7 + 6  # 7 nodes + 6 edges
         assert "marking:" in dot and "path: [0]" in dot
+
+
+class TestReadOff:
+    """The naming of loop nodes and the read-off against
+    `oracles.reference_read_off`, which walks the graph from the root."""
+
+    def _check(self, result) -> int:
+        """Checks every component; returns how many loop nodes were named."""
+        assert result.ok
+        named = 0
+        for comp in result.components:
+            names = unroll_graph(comp.seg)
+            reference_names, reference = oracles.reference_read_off(comp.seg)
+            assert list(names.items()) == list(reference_names.items())
+            assert build_choreography(comp.seg, names) == reference
+            assert comp.choreography == reference
+            named += len(names)
+        return named
+
+    def test_matches_the_reference_on_the_corpus(self):
+        """Records 0-39 of the acceptance corpus stream, under every
+        strategy."""
+        named = 0
+        for _, chor in _corpus_roundtrip(range(40)):
+            net = epp(chor)
+            for name in STRATEGY_NAMES:
+                named += self._check(extract(net, strategy=Strategy(name, 0)))
+        assert named > 4000
+
+    def test_matches_the_reference_after_a_rollback(self):
+        deleted = 0
+        for name in STRATEGY_NAMES:
+            result = extract(parse_network(UNDO_TEXT), strategy=Strategy(name, 0), parallel=False)
+            self._check(result)
+            deleted += result.nodes_deleted
+        assert deleted > 0
+
+    @pytest.mark.parametrize(
+        "text",
+        [SIGNON_NET_TEXT, TWO_LOOPS_TEXT, TWO_PHASE_TEXT],
+        ids=["signon", "two-loops", "two-phase"],
+    )
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_matches_the_reference_on_loops(self, text, parallel):
+        net = parse_network(text)
+        for name in STRATEGY_NAMES:
+            assert self._check(extract(net, strategy=Strategy(name, 1), parallel=parallel)) >= 1
 
 
 class TestAgainstBruteForce:

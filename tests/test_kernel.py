@@ -8,16 +8,18 @@ successors, turned back into a network and a set of marked names, must
 equal the reference successor.
 Every loop target the search looks up among its open nodes must be the
 one `oracles.reference_loop_target` finds among all the graph's nodes.
+Interning by keys must agree with structural equality of the terms.
 """
 
 import random
 
 import pytest
 
-from chorex import extraction
+from chorex import extraction, sp
 from chorex.epp import epp
-from chorex.parser import parse_network
+from chorex.parser import parse_network, pretty
 from chorex.semantics import Kernel, enabled_steps
+from chorex.term import subterms
 from chorex.testgen import FuzzParams, GenParams, amend, fuzz, generate, unroll
 
 from conftest import (
@@ -28,7 +30,13 @@ from conftest import (
     TWO_LOOPS_TEXT,
     UNDO_TEXT,
 )
-from oracles import AnnotatedNetwork, _units, reference_loop_target, reference_steps
+from oracles import (
+    AnnotatedNetwork,
+    _units,
+    node_bound,
+    reference_loop_target,
+    reference_steps,
+)
 from test_golden import FUZZ_GRID, POINTS
 
 
@@ -175,3 +183,29 @@ def test_states_with_the_same_heads_share_their_steps():
     state, _ = kernel.successor(kernel.root, kernel.live(kernel.root), cond[1])
     assert state != kernel.root and kernel.marked(state) == {"p"}
     assert [unit for unit in enabled_steps(kernel, state) if unit is cond] == [cond]
+
+
+def test_ids_are_shared_exactly_by_equal_subterms():
+    """On the seeded draws, which hold offers, conditionals and
+    procedures: two subterms of one process get one id exactly when they
+    are equal, and a re-parsed copy of the network, equal but built of
+    other objects, has the root's state and adds no id."""
+    kinds = set()
+    for net in _seeded_draws():
+        kernel = Kernel(net)
+        for i, term in enumerate(kernel.terms):
+            ids = {}  # subterm -> its ids; equal subterms land on one key
+            for body in [term.main, *term.procedures.values()]:
+                for t in subterms(body):
+                    kinds.add(type(t))
+                    ids.setdefault(t, set()).add(kernel._intern(i, t))
+            assert all(len(xs) == 1 for xs in ids.values())
+            assert len({x for xs in ids.values() for x in xs}) == len(ids)
+            assert all(kernel.behaviour[x] == t for t, (x,) in ids.items())
+        count = len(kernel.behaviour)
+        copy = parse_network(pretty(net))
+        assert all(copy[p].main is not net[p].main for p in kernel.names)
+        assert kernel.state(copy) == kernel.root
+        assert len(kernel.behaviour) == count
+        assert kernel.node_bound() == node_bound(net)
+    assert {sp.Offer, sp.Cond, sp.Call} <= kinds
