@@ -2,10 +2,19 @@
 
 The checker runs a worklist over pairs of configurations.  A configuration
 is a tuple of bodies, one per parallel component, so a single choreography
-and a multi-component program can be compared directly.  For every action
-enabled on the left, the right side must enable the same action; successor
-pairs are enqueued until the set is exhausted (yes), an action goes
-unmatched (no), or the budget runs out (exhausted).
+and a multi-component program can be compared directly.  `can_simulate`
+asks, for every action enabled on the left, that the right side enable
+the same action; `bisimilar` asks that both sides enable the same
+actions.  Successor pairs are enqueued until the set is exhausted (yes),
+an action goes unmatched (no), or the budget runs out (exhausted).  The
+budget counts the pairs the check explores; `bisimilar` is one pass, not
+one per direction.
+
+Each side is a deterministic transition system: `chor_enabled` lists no
+label twice, and a program's components have disjoint processes, so a
+configuration has at most one successor per action.  A check therefore
+never has to choose which successor matches: the pair of successors by
+the same action is the only candidate.
 
 Pairs are normalised before they are counted, which keeps the reachable
 pair set small for the common case of loops that only differ in where the
@@ -31,36 +40,77 @@ of node:
     (or a second path meets the first); it returns that node too;
   * a node an earlier call marked, which it drops.
 
-Dropping is the bisimulation up-to technique (Pous & Sangiorgi,
-*Enhancements of the bisimulation proof method*, 2011; Bonchi & Pous,
-*Checking NFA equivalence with bisimulations up to congruence*, 2013):
-the check stops at pairs it has already settled.  It is sound because:
+`_simulate` settles every node `_normalise` returns: it explores it
+(compares the actions of its two sides and enqueues the successor
+pairs), or skips it.  `can_simulate` skips a pair whose two sides are
+equal under equal procedure environments.  `bisimilar` keeps a
+union-find over configurations, each tagged by its side unless the two
+sides' procedure environments are equal: it skips a pair whose two
+configurations are in one class already, and merges the classes of any
+other pair before it explores it.  So a pair equal on both sides under
+equal environments is skipped there too.
+
+Dropping and skipping are bisimulation up-to techniques (Pous &
+Sangiorgi, *Enhancements of the bisimulation proof method*, 2011):
+dropping is up to the rewrite closure, and the union-find is up to
+equivalence (Hopcroft & Karp 1971; Bonchi & Pous, *Checking NFA
+equivalence with bisimulations up to congruence*, 2013).  They are
+sound together because up-to techniques compose (Pous, *Coinduction all
+the way up*, 2016).  For these systems the composition can be checked
+directly:
 
   * A call marks a node at most once, so its walk is finite, and every
     node it marks rewrites, in a finite tree of steps, into nodes the
     call returns and nodes an earlier call marked.  By induction on the
     calls, every marked node rewrites in a finite tree into nodes that
-    some call returned.
-  * `_simulate` settles every node `_normalise` returns before it makes
-    the next call, and a "no" ends the check.
-  * So at "yes" every pair the check enqueued rewrites in a finite tree
-    into settled pairs, and every settled pair is equal on both sides or
-    matches each left action by a right action whose successor pair was
-    enqueued.  The settled pairs are a simulation up to the rewrite
-    closure.
-  * The closure preserves verdicts, because each unfold, strip or split
-    preserves the verdict: a pair is simulated iff every pair its step
-    leads to is.  So every pair in it, the initial one first, is
-    simulated.
+    some call returned, and each of those was settled before the next
+    call; a "no" ends the check.
+  * Let R be the explored pairs at "yes", and E the equivalence over
+    tagged configurations that the union-find holds: the reflexive,
+    symmetric and transitive closure of R.  Every enqueued pair
+    rewrites in a finite tree into pairs of E, since a skipped pair was
+    in E when it was skipped and E only grows.
+  * Write x =n y when x and y have the same traces of length at most
+    n.  Each =n is an equivalence, and a pair is in =n if every pair
+    its unfold, strip or split step leads to is.  An unfold changes no
+    trace.  For a strip or a split this follows by induction on n: an
+    action the pair can take first is the stripped head, a branch of
+    the split guard, or an action of the kids that runs ahead of them,
+    and by determinism that action leads both sides to pairs that are
+    again the kids' successors under the same step.
+  * By induction on n, every pair of E and every enqueued pair is in
+    =n.  For n = 0 this is trivial.  For the step, take a pair of R:
+    its two sides enable the same actions, and by determinism each
+    action leads to one enqueued pair, which is in =n; so the pair is
+    in =n+1.  Chains of such pairs are in =n+1 by transitivity, so all
+    of E is; and an enqueued pair rewrites into pairs of E, so it is
+    in =n+1 too.  This is where determinism is used: the links of a
+    chain in E agree on the successor of their shared middle
+    configuration.
+  * So the initial pair has the same traces on both sides, and for
+    deterministic systems trace equivalence is bisimilarity.
+
+For `can_simulate` the argument is the one-directional half of this
+with no union-find: R matches each left action by a right one, and the
+closure is a simulation up to rewriting.  Similarity is not symmetric,
+so no equivalence over configurations may be used there.
+
+A "no" needs no up-to argument.  Every explored pair is reached from
+the initial pair by matched actions and rewrite steps, and if a pair is
+bisimilar (or simulated) then so is each pair one of these leads to:
+by determinism, the successors by a matched action, the kids of a strip
+(each side takes the stripped head) and of a split (each side takes the
+same branch).  So an unmatched action anywhere refutes the initial
+pair.
 
 A dropped node needs nothing returned: its normal forms are settled
-already.  Each node is rewritten once per check, when it is first
-marked, so nothing keeps its step.  A call returns only pairs that
+already.  Each node is rewritten once per check, when it is
+first marked, so nothing keeps its step.  A call returns only pairs that
 rewriting from scratch returns (`tests/oracles.reference_normalise`),
 and leaves out only pairs an earlier call marked.  Which pairs are left
-out depends on the order of the calls, so pair counts, the point where
-a budget runs out and the witness of a "no" do too; a "yes" or "no" does
-not.
+out and which are skipped depends on the order of the calls, so pair
+counts, the point where a budget runs out and the witness of a "no" do
+too; a "yes" or "no" does not.
 """
 
 from __future__ import annotations
@@ -96,19 +146,25 @@ class SimBudget:
 class SimResult:
     """Outcome of a similarity or bisimilarity check.
 
-    `rewrites` (rewrite steps computed) and `scans` (`chor_enabled`
-    calls) count the check's work; `to_json` leaves them out.
+    A "no" carries a witness `(action, left, right, side)`: `left` is the
+    first argument's configuration and `right` the second's, and `side`
+    ("left" or "right") names the one that enables `action`; the other
+    does not.  `rewrites` (rewrite steps computed), `scans`
+    (`chor_enabled` calls) and `equated` (pairs skipped because the
+    union-find already equates their two sides) count the check's work;
+    `to_json` leaves them out.
     """
 
-    __slots__ = ("verdict", "pairs_explored", "witness", "rewrites", "scans")
+    __slots__ = ("verdict", "pairs_explored", "witness", "rewrites", "scans", "equated")
 
-    def __init__(self, verdict, pairs_explored, witness=None, rewrites=0, scans=0):
+    def __init__(self, verdict, pairs_explored, witness=None, rewrites=0, scans=0, equated=0):
         assert verdict in ("yes", "no", "exhausted")
         self.verdict = verdict
         self.pairs_explored = pairs_explored
-        self.witness = witness  # (action, left_bodies, right_bodies) | None
+        self.witness = witness
         self.rewrites = rewrites
         self.scans = scans
+        self.equated = equated
 
     def __repr__(self):
         return f"SimResult({self.verdict!r}, pairs={self.pairs_explored})"
@@ -116,9 +172,10 @@ class SimResult:
     def to_json(self):
         doc = {"verdict": self.verdict, "pairsExplored": self.pairs_explored}
         if self.witness is not None:
-            action, left, right = self.witness
+            action, left, right, side = self.witness
             doc["witness"] = {
                 "action": pretty_action(action),
+                "enabledOn": side,
                 "left": [pretty_body(b) for b in left],
                 "right": [pretty_body(b) for b in right],
             }
@@ -220,6 +277,40 @@ class _Graph:
         return node
 
 
+class _Classes:
+    """Union-find over the configurations of a `bisimilar` check.
+
+    Each configuration gets an integer id on first sight; a left and a
+    right configuration share ids only when the two sides' procedure
+    environments are equal, so an equal tuple is the same state.
+    """
+
+    __slots__ = ("left", "right", "parent")
+
+    def __init__(self, shared: bool):
+        self.left = {}
+        self.right = self.left if shared else {}
+        self.parent = []
+
+    def _find(self, ids, config) -> int:
+        parent = self.parent
+        i = ids.get(config)
+        if i is None:
+            i = ids[config] = len(parent)
+            parent.append(i)
+        while (up := parent[i]) != i:
+            parent[i] = i = parent[up]  # path halving
+        return i
+
+    def merge(self, lconf, rconf) -> bool:
+        """Put the two configurations in one class; False if they were."""
+        a, b = self._find(self.left, lconf), self._find(self.right, rconf)
+        if a == b:
+            return False
+        self.parent[a] = b
+        return True
+
+
 def _rewrite(graph: _Graph, node: _Node) -> tuple:
     """The nodes that the one rewrite step of `node` leads to.
 
@@ -271,20 +362,20 @@ def _normalise(graph: _Graph, node: _Node) -> list:
     return out
 
 
-def _simulate(left: _Side, right: _Side, budget: SimBudget) -> SimResult:
-    """Does the right side simulate the left side?"""
+def _simulate(left: _Side, right: _Side, budget: SimBudget, symmetric: bool) -> SimResult:
+    """Does the right side simulate the left side?  With `symmetric`:
+    are the two sides bisimilar?"""
     envs_equal = left.chors == right.chors
+    classes = _Classes(envs_equal) if symmetric else None
     started = time.perf_counter()
     graph = _Graph(left, right)
     work = deque([(left.initial, right.initial)])
-    explored = scans = 0
+    explored = scans = equated = 0
 
     def result(verdict, witness=None):
-        return SimResult(verdict, explored, witness, graph.rewrites, scans)
+        return SimResult(verdict, explored, witness, graph.rewrites, scans, equated)
 
     while work:
-        if explored >= budget.max_pairs:
-            return result("exhausted")
         if budget.max_millis is not None:
             if (time.perf_counter() - started) * 1000.0 > budget.max_millis:
                 return result("exhausted")
@@ -293,42 +384,36 @@ def _simulate(left: _Side, right: _Side, budget: SimBudget) -> SimResult:
                 continue
             node.settled = True
             lconf, rconf = node.lconf, node.rconf
-            if envs_equal and lconf == rconf:
+            if symmetric:
+                if not classes.merge(lconf, rconf):
+                    equated += 1
+                    continue
+            elif envs_equal and lconf == rconf:
                 continue
+            if explored >= budget.max_pairs:
+                return result("exhausted")
             explored += 1
             scans += len(lconf) + len(rconf)
             # A program's components have disjoint processes, and
             # `chor_enabled` lists no label twice, so neither does a side.
             rsteps = dict(right.steps(rconf))
             for label, lsucc in left.steps(lconf):
-                rsucc = rsteps.get(label)
+                rsucc = rsteps.pop(label, None)
                 if rsucc is None:
-                    return result("no", (label, lconf, rconf))
+                    return result("no", (label, lconf, rconf, "left"))
                 work.append((lsucc, rsucc))
+            if symmetric and rsteps:
+                return result("no", (next(iter(rsteps)), lconf, rconf, "right"))
     return result("yes")
 
 
 def can_simulate(c1, c2, budget: SimBudget = SimBudget()) -> SimResult:
-    """Check whether c2 can simulate c1 (every behaviour of c1 is matched)."""
-    return _simulate(_Side(_components(c1)), _Side(_components(c2)), budget)
+    """Check whether c2 can simulate c1 (every behaviour of c1 is matched).
+
+    A "no" witness always has the action enabled on the left."""
+    return _simulate(_Side(_components(c1)), _Side(_components(c2)), budget, False)
 
 
 def bisimilar(c1, c2, budget: SimBudget = SimBudget()) -> SimResult:
-    """yes iff both directions simulate; no if either fails; else exhausted."""
-    forward = can_simulate(c1, c2, budget)
-    if forward.verdict == "no":
-        return forward
-    backward = can_simulate(c2, c1, budget)
-    if backward.verdict == "no":
-        verdict = "no"
-    elif forward.verdict == backward.verdict == "yes":
-        verdict = "yes"
-    else:
-        verdict = "exhausted"
-    return SimResult(
-        verdict,
-        forward.pairs_explored + backward.pairs_explored,
-        backward.witness,
-        forward.rewrites + backward.rewrites,
-        forward.scans + backward.scans,
-    )
+    """Check whether c1 and c2 are bisimilar, in one pass over pairs."""
+    return _simulate(_Side(_components(c1)), _Side(_components(c2)), budget, True)

@@ -71,6 +71,11 @@ s { def W { r?y; W } main { W } }
 
 TWO_LOOPS_VARIANT_A = "def X { p.e -> q.x; r.e' -> s.y; X } main { X }"
 TWO_LOOPS_VARIANT_B = "def X { r.e' -> s.y; p.e -> q.x; X } main { X }"
+# Variant B with its loop body written out twice: a bisimilarity check
+# against variant A explores two pairs.
+TWO_LOOPS_VARIANT_B_TWICE = (
+    "def X { r.e' -> s.y; p.e -> q.x; r.e' -> s.y; p.e -> q.x; X } main { X }"
+)
 
 # r can never receive: no loop lets every process run.
 LIVELOCK_TRIPLE_TEXT = """

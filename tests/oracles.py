@@ -9,7 +9,8 @@ literal scan of the closing segment for a white node.  Disagreements
 with the engine are findings, not test bugs.  The bisimilarity checker's
 pair rewriting has an oracle here too: `reference_normalise` rewrites
 every pair from scratch, and `reference_bisimilar` judges verdicts the
-way the checker did before it stopped at settled pairs.  `reference_epp`
+way the checker did before it stopped at settled pairs: one simulation
+pass per direction, with no union-find.  `reference_epp`
 projects one process at a time by plain recursion, with its own merge.
 `node_bound` counts by walking every subterm what `Kernel.node_bound`
 reads off its tables, and `reference_loop_target` finds a loop target by
@@ -474,9 +475,11 @@ def reference_bisimilar(c1, c2, max_pairs: int) -> str:
     """The verdict of `equiv.bisimilar` under a pair budget, by the
     two-direction worklist `equiv` ran before it stopped at settled
     pairs: every pair normalised from scratch by `reference_normalise`,
-    every action listed by `reference_chor_enabled`, nothing shared
-    between calls or with `equiv`.  It explores the pairs `equiv` used
-    to explore."""
+    every action listed by `reference_chor_enabled`, no union-find,
+    nothing shared between calls or with `equiv`.  It explores the pairs
+    `equiv` used to explore, and `max_pairs` bounds each direction, so
+    it can run out of pairs where the one pass of `equiv.bisimilar`
+    decides."""
     a, b = _ReferenceSide(c1), _ReferenceSide(c2)
     forward = _reference_simulate(a, b, max_pairs)
     if forward == "no":

@@ -424,10 +424,38 @@ def test_identical_seeds_give_identical_outputs(tmp_path, capsys):
 # --- 10: all strategies land on equivalent extractions -------------------
 
 
+# The checks of `test_all_strategies_agree_on_corpus` that a 2,000-pair
+# budget leaves undecided: (corpus record, strategy).
+UNDECIDED_STRATEGY_CHECKS = {
+    (41, "Random"),
+    (41, "UnmarkedFirst"),
+    (41, "UnmarkedThenConditionals"),
+    (41, "UnmarkedThenRandom"),
+    (44, "ConditionalsFirst"),
+    (44, "Random"),
+    (44, "ShortestFirst"),
+    (75, "ConditionalsFirst"),
+    (75, "Random"),
+    (75, "UnmarkedFirst"),
+    (75, "UnmarkedThenConditionals"),
+    (79, "ConditionalsFirst"),
+    (107, "UnmarkedThenRandom"),
+    (143, "ConditionalsFirst"),
+    (143, "LongestFirst"),
+    (143, "Random"),
+    (143, "UnmarkedFirst"),
+    (143, "UnmarkedThenConditionals"),
+    (143, "UnmarkedThenRandom"),
+    (143, "UnmarkedThenSelections"),
+    (158, "Random"),
+}
+
+
 def test_all_strategies_agree_on_corpus(round_trip_corpus):
-    budget = SimBudget(max_pairs=100_000, max_millis=100)
-    verified = exhausted = 0
-    for record in round_trip_corpus.records:
+    budget = SimBudget(max_pairs=2000)
+    verified = 0
+    exhausted = set()
+    for index, record in enumerate(round_trip_corpus.records):
         seen = {record.text}
         for name in STRATEGY_NAMES:
             if name == "InteractionsFirst":
@@ -443,10 +471,11 @@ def test_all_strategies_agree_on_corpus(round_trip_corpus):
             if sim.verdict == "yes":
                 verified += 1
             else:
-                exhausted += 1
-    # spot-check power: most differing results are decided within the
-    # per-pair cap, not waved through as exhausted (a replay under a
-    # 2,000-pair cap in place of the wall cap verified 963 of 999, and
-    # 946 before the check stopped at settled pairs; the 100 ms wall cap
-    # makes the count move with load)
-    assert verified >= 300
+                exhausted.add((index, name))
+    # spot-check power: the checks are decided by pairs, not by wall
+    # time, so the same checks stay undecided on every machine.  Under
+    # this budget one pass with union-find verifies 978 of 999; two
+    # simulation passes verified 963, and 946 before they stopped at
+    # settled pairs.
+    assert exhausted == UNDECIDED_STRATEGY_CHECKS
+    assert verified == 978

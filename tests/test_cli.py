@@ -20,6 +20,7 @@ from conftest import (
     TWO_LOOPS_TEXT,
     TWO_LOOPS_VARIANT_A,
     TWO_LOOPS_VARIANT_B,
+    TWO_LOOPS_VARIANT_B_TWICE,
 )
 
 
@@ -235,23 +236,31 @@ class TestEquiv:
         b = _write(tmp_path, "b.cc", TWO_LOOPS_VARIANT_B)
         rc, out, _ = run("equiv", a, b)
         assert rc == 0
-        assert json.loads(out) == {"verdict": "yes", "pairsExplored": 2}
+        assert json.loads(out) == {"verdict": "yes", "pairsExplored": 1}
 
     def test_no(self, run, tmp_path):
         a = _write(tmp_path, "a.cc", "main { p.e -> q.x; stop }")
         b = _write(tmp_path, "b.cc", "main { p.e -> q.x; p.f -> q.y; stop }")
         rc, out, _ = run("equiv", a, b)
         assert rc == 1
-        payload = json.loads(out)
-        assert payload["verdict"] == "no"
-        assert payload["witness"]["action"] == "p.f -> q.y"
+        # The witness's left bodies are A's, and B enables the action.
+        assert json.loads(out) == {
+            "verdict": "no",
+            "pairsExplored": 1,
+            "witness": {
+                "action": "p.f -> q.y",
+                "enabledOn": "right",
+                "left": ["stop"],
+                "right": ["p.f -> q.y; stop"],
+            },
+        }
 
     def test_exhausted(self, run, tmp_path):
         a = _write(tmp_path, "a.cc", TWO_LOOPS_VARIANT_A)
-        b = _write(tmp_path, "b.cc", TWO_LOOPS_VARIANT_B)
+        b = _write(tmp_path, "b.cc", TWO_LOOPS_VARIANT_B_TWICE)
         rc, out, _ = run("equiv", a, b, "--budget", "1")
         assert rc == 3
-        assert json.loads(out)["verdict"] == "exhausted"
+        assert json.loads(out) == {"verdict": "exhausted", "pairsExplored": 1}
 
     def test_components_sharing_a_process_are_a_parse_error(self, run, tmp_path):
         a = _write(tmp_path, "a.cc", SHARED_PROCESS_TEXT)

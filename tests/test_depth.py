@@ -139,8 +139,8 @@ def test_the_full_size_row_runs_every_layer_at_the_default_limit():
 
 
 def test_bisimilarity_finds_an_action_behind_a_long_chain():
-    assert _run(SWAPPED, "1500", "10").split() == ["exhausted", "20"]
-    assert _run(SWAPPED, "300", "5000").split() == ["yes", "602"]
+    assert _run(SWAPPED, "1500", "10").split() == ["exhausted", "10"]
+    assert _run(SWAPPED, "300", "5000").split() == ["yes", "301"]
 
 
 def test_gen_writes_the_whole_size_row(tmp_path):
