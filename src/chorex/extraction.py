@@ -24,7 +24,7 @@ parent's path; conditional children extend it.  A closing edge may only
 target a node whose path is a prefix of its own, which keeps conditional
 branches apart; that node is the open ancestor with the same state.
 
-The search runs over each component compiled once (`semantics.Kernel`):
+The search runs over the network compiled once (`semantics.Kernel`):
 a node's state is a tuple of integer behaviour ids plus a marking bit
 mask, which hashes and compares in C.  Terms and networks are built again
 from a state only to print it (`to_dot`) or report it
@@ -35,9 +35,10 @@ root with any) become recursive procedure definitions, named in creation
 order, and their incoming edges become calls.  Every other edge runs
 from an older node to a newer one, so one sweep over the nodes, newest
 first, reads the graph off into a choreography.  Networks whose
-communication graph is disconnected are split and extracted per
-component, one component after another on the caller's thread, then
-recomposed as a parallel program.
+communication graph, read off the compiled peers, is disconnected are
+split into component kernels that share the compiled tables, extracted
+one after another on the caller's thread, then recomposed as a parallel
+program.
 """
 
 from __future__ import annotations
@@ -366,39 +367,23 @@ def build_choreography(seg: Seg, names: dict) -> cc.Choreography:
 # ------------------------------------------------- components and top level
 
 
-def communication_graph(n: sp.Network) -> dict:
-    """Undirected adjacency: p—q iff either's term ever names the other."""
-    adjacency = {p: set() for p in n.processes}
-    for p, term in n.processes.items():
-        for q in sp.term_mentioned_processes(term):
-            if q != p and q in adjacency:
-                adjacency[p].add(q)
-                adjacency[q].add(p)
-    return adjacency
-
-
 def connected_components(adjacency: dict) -> list:
     """Components as sorted name lists, ordered by smallest member.
 
     Each component starts from the smallest name not yet seen, so the
     components come out in that order, and sorting each one makes the
-    order its neighbours were visited in immaterial."""
-    seen = set()
-    out = []
+    order its neighbours were visited in immaterial.  `adjacency` maps
+    each name to the set of its neighbours."""
+    seen, out = set(), []
     for start in sorted(adjacency):
-        if start in seen:
-            continue
-        comp = []
-        frontier = [start]
-        seen.add(start)
-        while frontier:
-            p = frontier.pop()
-            comp.append(p)
-            for q in adjacency[p]:
-                if q not in seen:
-                    seen.add(q)
-                    frontier.append(q)
-        out.append(sorted(comp))
+        if start not in seen:
+            comp, frontier = {start}, [start]
+            while frontier:
+                new = adjacency[frontier.pop()] - comp
+                comp |= new
+                frontier.extend(new)
+            seen |= comp
+            out.append(sorted(comp))
     return out
 
 
@@ -414,18 +399,16 @@ class ComponentResult:
     @property
     def deadlock_remainders(self) -> list:
         """For each deadlock leaf: the stuck processes and their terms."""
-        kernel = self.seg.kernel
-        out = []
-        for node in self.seg.nodes:
-            if node.deadlock:
-                out.append(
-                    {
-                        p: t
-                        for p, t in kernel.network(node.state).processes.items()
-                        if t.is_live() and p not in self.services
-                    }
-                )
-        return out
+        network = self.seg.kernel.network
+        return [
+            {
+                p: t
+                for p, t in network(node.state).processes.items()
+                if t.is_live() and p not in self.services
+            }
+            for node in self.seg.nodes
+            if node.deadlock
+        ]
 
 
 @dataclass
@@ -461,9 +444,7 @@ class ExtractionResult:
     def failure(self):
         for c in self.components:
             if c.outcome is not Outcome.OK:
-                return FailureReport(
-                    c.processes, c.saw_deadlock, c.seg.badloops
-                )
+                return FailureReport(c.processes, c.saw_deadlock, c.seg.badloops)
         return None
 
     @property
@@ -480,10 +461,7 @@ class ExtractionResult:
 
     @property
     def deadlock_remainders(self) -> list:
-        out = []
-        for c in self.components:
-            out.extend(c.deadlock_remainders)
-        return out
+        return [leaf for c in self.components for leaf in c.deadlock_remainders]
 
     def to_dot(self) -> str:
         def esc(s: str) -> str:
@@ -515,27 +493,6 @@ class ExtractionResult:
         return "\n".join(lines) + "\n"
 
 
-def _extract_component(
-    net: sp.Network, services: frozenset, strategy: Strategy, rng
-) -> ComponentResult:
-    seg = Seg(Kernel(net, services))
-    bound = seg.kernel.node_bound()  # its table is freed before the graph grows
-    outcome, saw_deadlock = build_graph(seg, strategy, rng)
-    assert seg.identities <= bound, "node bound exceeded"
-    choreography = None
-    if outcome is Outcome.OK:
-        verify_seg(seg)
-        choreography = build_choreography(seg, unroll_graph(seg))
-    return ComponentResult(
-        processes=tuple(sorted(net.processes)),
-        services=services,
-        outcome=outcome,
-        seg=seg,
-        choreography=choreography,
-        saw_deadlock=saw_deadlock,
-    )
-
-
 def extract(
     n: sp.Network,
     services=frozenset(),
@@ -545,23 +502,35 @@ def extract(
     """Extract a choreography program from a network.
 
     `services` are processes allowed to run forever without being served
-    in every loop (they start marked and stay marked).  With `parallel`
-    the network is split into communication-graph components, which are
-    extracted one after another on the caller's thread; without it the
-    whole network is explored as one component.
+    in every loop (they start marked and stay marked).  The network is
+    compiled once.  With `parallel` it is split into communication-graph
+    components, searched one after another on the caller's thread;
+    without it the whole network is searched as one component.
     """
     services = frozenset(services)
     missing = services - n.processes.keys()
     if missing:
         raise ValueError(f"services not in network: {sorted(missing)}")
-    if parallel:
-        groups = connected_components(communication_graph(n))
-    else:
-        groups = [sorted(n.processes)]
+    kernel = Kernel(n, services)
+    groups = connected_components(kernel.communication_graph()) if parallel else [kernel.names]
     results = []
-    for i, names in enumerate(groups):
+    for i, part in enumerate(kernel.split(groups)):
+        seg = Seg(part)
         rng = random.Random(f"{strategy.seed}:{strategy.name}:{i}")
+        outcome, saw_deadlock = build_graph(seg, strategy, rng)
+        assert seg.identities <= part.node_bound(), "node bound exceeded"
+        choreography = None
+        if outcome is Outcome.OK:
+            verify_seg(seg)
+            choreography = build_choreography(seg, unroll_graph(seg))
         results.append(
-            _extract_component(n.restrict(names), services & set(names), strategy, rng)
+            ComponentResult(
+                processes=part.names,
+                services=services.intersection(part.names),
+                outcome=outcome,
+                seg=seg,
+                choreography=choreography,
+                saw_deadlock=saw_deadlock,
+            )
         )
     return ExtractionResult(results)

@@ -31,6 +31,8 @@ lies in the text is worked out only to report an error.
 
 `parse_network` raises the first well-formedness violation of each
 process (`wellformed.process_violations`) at the start of its definition.
+It collects each definition's peers and calls as it reads them, and walks
+again only a process that names itself or calls an undefined procedure.
 
 Both branches of a conditional are complete behaviours; there is no
 joined continuation (the optional trailing `continue` keyword is accepted
@@ -46,7 +48,6 @@ from functools import partial
 from string import ascii_letters, digits
 
 from . import cc, sp
-from .term import subterms
 from .wellformed import process_violations
 
 KEYWORDS = {"stop", "deadlock", "main", "def", "if", "then", "else", "continue"}
@@ -58,6 +59,7 @@ KEYWORDS = {"stop", "deadlock", "main", "def", "if", "then", "else", "continue"}
 _TOKEN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*([A-Za-z0-9_']+|->|\|\||.)?")
 _LETTERS = frozenset(ascii_letters)
 _WORD_START = _LETTERS | frozenset(digits + "_'")
+_PREFIXES = frozenset("!?+&")  # after a name: it is a peer, not a call
 
 
 @dataclass(slots=True)
@@ -82,7 +84,9 @@ class ParseError(Exception):
 class _Scanner:
     """The tokens of a text in a list `toks`, read at the cursor `i`, up
     to the first `(` outside comments (see `_group`).  `_runs` holds the
-    (index, offset) at which each run of tokens starts."""
+    (index, offset) at which each run of tokens starts.
+    `_procedures_and_main` sets `peers` and `calls`: the names that the
+    definition being read communicates with and calls."""
 
     def __init__(self, text: str):
         self.text = text
@@ -244,6 +248,7 @@ def _procedures_and_main(sc: _Scanner, head):
     A choreography procedure that is a bare call is an error here; in a
     network that is for `wellformed.check_guardedness` to judge.
     """
+    sc.peers, sc.calls = set(), set()
     procedures = {}
     while sc.try_take("def"):
         x_at = sc.i - 1
@@ -273,6 +278,7 @@ def _behaviour_head(sc: _Scanner):
     if sc.try_take("if"):
         return "cond", partial(sp.Cond, sc.expression("then"))
     name = sc.ident("process or procedure name")
+    (sc.peers if sc.toks[sc.i] in _PREFIXES else sc.calls).add(name)
     if sc.try_take("!"):
         sc.expect("<")
         expr = sc.expression(">")
@@ -296,8 +302,9 @@ def parse_network(text: str) -> sp.Network:
         name = sc.ident("process name", "{")
         term = sp.ProcessTerm(*_procedures_and_main(sc, _behaviour_head))
         sc.expect("}")
-        for _, _, description in process_violations(name, term):
-            sc.error(description, at)  # the first violation, if any
+        if name in sc.peers or not sc.calls <= term.procedures.keys():
+            for _, _, description in process_violations(name, term):
+                sc.error(description, at)  # the first violation
         if name in processes:
             sc.error(f"duplicate process {name!r}", at)
         processes[name] = term
@@ -335,15 +342,14 @@ def _body_head(sc: _Scanner):
         if name == q:
             sc.error(f"process {name!r} selects at itself", at)
         return "prefix", partial(cc.Sel, name, q, label)
+    sc.calls.add(name)
     return "leaf", cc.Call(name)
 
 
 def _parse_one_choreography(sc: _Scanner) -> cc.Choreography:
     start = sc.i
     procedures, main = _procedures_and_main(sc, _body_head)
-    bodies = (main, *procedures.values())
-    calls = {t.name for body in bodies for t in subterms(body) if type(t) is cc.Call}
-    for x in sorted(calls - procedures.keys()):
+    for x in sorted(sc.calls - procedures.keys()):
         sc.error(f"call to undefined procedure {x!r}", start)
     return cc.Choreography(procedures, main)
 

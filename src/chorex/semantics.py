@@ -3,14 +3,14 @@
 Two labelled transition systems live here:
 
 * `enabled_steps` — abstract reductions of a network and its marking,
-  over a `Kernel`: one component compiled to integer ids, where a state
-  is a tuple of main behaviour ids plus a marking bit mask.  A process
-  whose main behaviour is a procedure call acts through the head its
-  calls unfold to, which the kernel tabulated once per id.  Each step
-  also advances the per-process marking: processes that act become
-  marked, and when every live, unmarked, non-service process takes part
-  in an action the whole marking is erased (services stay marked
-  forever).
+  over a `Kernel`: a network or one of its components compiled to
+  integer ids, where a state is a tuple of main behaviour ids plus a
+  marking bit mask.  A process whose main behaviour is a procedure call
+  acts through the head its calls unfold to, which the kernel tabulated
+  once per id.  Each step also advances the per-process marking:
+  processes that act become marked, and when every live, unmarked,
+  non-service process takes part in an action the whole marking is
+  erased (services stay marked forever).
 
   Steps are listed in the units the search tries: `(step,)` for an
   interaction, `(then, else)` for a conditional.  Successors are lazy: a
@@ -47,6 +47,7 @@ its marking again.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from . import cc, sp
@@ -140,7 +141,7 @@ class Step:
 
 
 class Kernel:
-    """One component of a network, compiled for the extraction search.
+    """A network or one of its components, compiled for the search.
 
     Every subterm of every process's main and procedure bodies gets an
     integer id.  Ids are interned bottom-up per process, each subterm
@@ -148,9 +149,10 @@ class Kernel:
     structurally equal subterms of one process share an id.  For each id
     the kernel tabulates its head after chasing calls (`head`), the
     head's kind and peer process index (`kind`, `peer`, -1 for no peer
-    in the component), its node count (`size`) and, for a head, its
+    in the kernel), its node count (`size`) and, for a head, its
     continuation ids (`cont`: one id, the (then, else) pair, or an
-    offer's label -> id dict).
+    offer's label -> id dict).  A network is compiled whole, once, and
+    `split` into component kernels that share these tables.
 
     A search state is a plain tuple: the main behaviour id of each
     process in name order, then the marking as an int bit mask (bit i for
@@ -176,6 +178,7 @@ class Kernel:
         self.kind = []
         self.peer = []
         self.cont = []
+        self.ifs = {}  # id of each body interned -> the conditionals in its tree
         self.unresolved = {}  # id -> the error its unfolding raises
         self._memo = [{} for _ in self.names]  # per process: key -> id (`_intern`)
         self._procedures = []  # per process: procedure name -> id
@@ -184,9 +187,7 @@ class Kernel:
         self._conds = {}  # conditional head -> (then Step, else Step)
         mains = []
         for i, term in enumerate(self.terms):
-            self._procedures.append(
-                {x: self._intern(i, b) for x, b in term.procedures.items()}
-            )
+            self._procedures.append({x: self._intern(i, b) for x, b in term.procedures.items()})
             mains.append(self._intern(i, term.main))
         self._resolve()
         self.root = self._state(mains, 0)
@@ -202,9 +203,11 @@ class Kernel:
         interned first, so two subterms of one process get one key, and
         one id, exactly when they are equal.  A new key gets the next id
         and its entries in the tables; `_resolve` then fills in `head`.
+        The walk also counts the tree's conditionals, for `node_bound`.
         """
         memo, index, behaviour = self._memo[i], self._index, self.behaviour
         size, kind, peer, cont = self.size, self.kind, self.peer, self.cont
+        ifs = 0
         order = []
         stack = [root]
         while stack:
@@ -223,6 +226,7 @@ class Kernel:
             elif typ is sp.Cond:
                 orelse = ids.pop()
                 key = (COND, t.expr, ids.pop(), orelse)
+                ifs += 1
             elif typ is sp.Offer:
                 n = len(t.branches)
                 key = (OFFER, t.frm, tuple([l for l, _ in t.branches]), *ids[-n:])
@@ -248,6 +252,7 @@ class Kernel:
                 if k == UNRESOLVED:  # a call, until `_resolve` chases it
                     self._calls.append((i, x))
             ids.append(x)
+        self.ifs[ids[0]] = ifs  # the walk met every node of the tree, shared or not
         return ids[0]
 
     def _resolve(self):
@@ -281,26 +286,55 @@ class Kernel:
     def node_bound(self) -> int:
         """Upper bound on the distinct node identities of a search from
         the root: 2^processes times the product of the process terms'
-        sizes times 2^conditionals, over all main and procedure bodies.
-
-        One pass over the ids counts the conditionals in each id's tree
-        from its kids' counts, which come first (a kid's id is smaller).
-        `cont` holds the kids as `_intern` wrote them, by constructor: one
-        id, a conditional's pair, an offer's dict, or none."""
-        conds = [0] * len(self.cont)
-        for x, kids in enumerate(self.cont):
-            if type(kids) is int:
-                conds[x] = conds[kids]
-            elif type(kids) is tuple:
-                conds[x] = 1 + conds[kids[0]] + conds[kids[1]]
-            elif kids:
-                conds[x] = sum([conds[k] for k in kids.values()])
+        sizes times 2^conditionals, over all main and procedure bodies,
+        read off the `size` and `ifs` of their ids."""
         product, total = 1, 0
         for i, main in enumerate(self.root[: self.n]):
             ids = [main, *self._procedures[i].values()]
             product *= sum(self.size[x] for x in ids)
-            total += sum(conds[x] for x in ids)
+            total += sum(self.ifs[x] for x in ids)
         return 2**self.n * product * 2**total
+
+    # -- components
+
+    def communication_graph(self) -> dict:
+        """Undirected adjacency over names: p—q iff a body of either
+        communicates with the other, read off the `peer` of their ids."""
+        names, peer = self.names, self.peer
+        adjacency = {p: set() for p in names}
+        for i, memo in enumerate(self._memo):
+            for j in set(map(peer.__getitem__, memo.values())):
+                if j >= 0 and j != i:
+                    adjacency[names[i]].add(names[j])
+                    adjacency[names[j]].add(names[i])
+        return adjacency
+
+    def split(self, groups: list) -> list:
+        """A kernel per group of names, for the components of
+        `communication_graph` in name order.
+
+        Each shares every table, as ids are disjoint per process and a
+        step's processes lie in one group, and has its own processes in
+        name order, services and root.  With two or more groups, `peer`
+        is rewritten to indices within each group: this kernel is spent."""
+        if len(groups) == 1:
+            return [self]
+        local = {self._index[p]: li for names in groups for li, p in enumerate(names)}
+        local[-1] = -1  # no peer stays no peer
+        self.peer[:] = [local[j] for j in self.peer]
+        parts = []
+        for names in groups:
+            at = [self._index[p] for p in names]
+            part = copy.copy(self)
+            part.names, part.n = tuple(names), len(names)
+            part._index = {p: li for li, p in enumerate(names)}
+            part.terms = [self.terms[g] for g in at]
+            part._memo = [self._memo[g] for g in at]
+            part._procedures = [self._procedures[g] for g in at]
+            part.services = sum((self.services >> g & 1) << li for li, g in enumerate(at))
+            part.root = part._state([self.root[g] for g in at], 0)
+            parts.append(part)
+        return parts
 
     # -- states
 

@@ -16,13 +16,13 @@ cache their hash and node count at construction, and are safe to share
 between threads.
 
 The extraction search does not step these terms: it compiles each
-component to integer ids once (`semantics.Kernel`) and builds terms and
+network to integer ids once (`semantics.Kernel`) and builds terms and
 networks again only to print or report a state.
 """
 
 from __future__ import annotations
 
-from .term import Term, sorted_procedures, subterms
+from .term import Term, sorted_procedures
 
 
 class Behaviour(Term):
@@ -236,15 +236,3 @@ class Network:
     def __repr__(self):
         return f"Network({self.processes!r})"
 
-
-def mentioned_processes(b: Behaviour) -> frozenset:
-    """All process names that occur in communication constructors of `b`."""
-    return frozenset(node.peer for node in subterms(b) if node.peer is not None)
-
-
-def term_mentioned_processes(t: ProcessTerm) -> frozenset:
-    """Process names mentioned anywhere in a term (main and procedures)."""
-    out = set(mentioned_processes(t.main))
-    for body in t.procedures.values():
-        out |= mentioned_processes(body)
-    return frozenset(out)

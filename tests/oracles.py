@@ -13,7 +13,9 @@ way the checker did before it stopped at settled pairs: one simulation
 pass per direction, with no union-find.  `reference_epp`
 projects one process at a time by plain recursion, with its own merge.
 `node_bound` counts by walking every subterm what `Kernel.node_bound`
-reads off its tables, and `reference_loop_target` finds a loop target by
+reads off its tables, `reference_components` splits a network by
+walking every subterm for the peers `Kernel.communication_graph` reads
+off its peer table, and `reference_loop_target` finds a loop target by
 the definition, among all the graph's nodes, where the engine looks
 among the open ones.  `reference_read_off` names loop nodes by a walk
 from the root and reads the graph off by folds, where the engine sweeps
@@ -620,3 +622,30 @@ def node_bound(net: sp.Network) -> int:
         for body in [term.main, *term.procedures.values()]:
             conds += sum(type(node) is sp.Cond for node in _nodes(body))
     return 2 ** len(net.processes) * product * 2**conds
+
+
+def reference_components(net: sp.Network) -> list:
+    """Communication-graph components as sorted name lists, ordered by
+    smallest member: p—q iff a communication constructor anywhere in
+    either's main or procedure bodies names the other."""
+    adjacency = {p: set() for p in net.processes}
+    for p, term in net.processes.items():
+        for body in [term.main, *term.procedures.values()]:
+            for node in _nodes(body):
+                q = node.peer
+                if q is not None and q != p and q in adjacency:
+                    adjacency[p].add(q)
+                    adjacency[q].add(p)
+    seen = set()
+    out = []
+    for start in sorted(adjacency):
+        if start not in seen:
+            comp, frontier = set(), [start]
+            while frontier:
+                p = frontier.pop()
+                if p not in comp:
+                    comp.add(p)
+                    frontier.extend(adjacency[p])
+            seen |= comp
+            out.append(sorted(comp))
+    return out

@@ -13,12 +13,12 @@ from chorex.extraction import (
     Strategy,
     _Frame,
     build_choreography,
-    communication_graph,
     connected_components,
     extract,
     unroll_graph,
     verify_seg,
 )
+from chorex.cli import main as cli_main
 from chorex.epp import epp
 from chorex.parser import parse_network, pretty
 from chorex.semantics import ComAction, Kernel
@@ -159,11 +159,11 @@ class TestLoopClosure:
 
 class TestComponents:
     def test_communication_graph_links_mentioned_peers(self, n1):
-        graph = communication_graph(n1)
+        graph = Kernel(n1).communication_graph()
         assert graph["p"] == {"q"} and graph["r"] == {"s"}
 
     def test_components_sorted_by_smallest_member(self, n1):
-        comps = connected_components(communication_graph(n1))
+        comps = connected_components(Kernel(n1).communication_graph())
         assert comps == [["p", "q"], ["r", "s"]]
 
     def test_components_do_not_depend_on_discovery_order(self):
@@ -175,6 +175,96 @@ class TestComponents:
         result = extract(n1, parallel=False)
         assert len(result.components) == 1
         assert result.components[0].processes == ("p", "q", "r", "s")
+
+    def test_split_matches_the_term_walk(self, n1):
+        """On n1, every network of the benchmark's `variants` workload
+        (the `compose-*` pairs too, extracted here with `parallel`), the
+        golden points and the first 40 acceptance-corpus records."""
+        api = _RecordingApi()
+        workloads.variants(api)
+        nets = [n1] + [
+            net
+            for net in api.nets
+            if check_well_formed(net).ok and check_guardedness(net).ok
+        ]
+        nets += [epp(amend(generate(params))) for params in GOLDEN_POINTS.values()]
+        nets += [epp(chor) for _, chor in _corpus_roundtrip(range(40))]
+        split = 0
+        for net in nets:
+            processes = [list(c.processes) for c in extract(net).components]
+            assert processes == oracles.reference_components(net), pretty(net)
+            split += len(processes) > 1
+        assert split >= 20  # n1 and the composed pairs at least
+
+    def test_each_process_is_interned_once(self, n1, monkeypatch):
+        """One compile per `extract`, whatever the split: every component's
+        kernel shares one `behaviour` table, as long as a whole-network
+        kernel's, and every body is interned once."""
+        loops = [epp(amend(generate(p))) for p in workloads.variant_params(0, 1)]
+        composed = workloads._compose(workloads.Api(), *loops)
+        for net in (n1, composed):
+            whole = len(Kernel(net).behaviour)
+            interned = []
+            original = Kernel._intern
+            monkeypatch.setattr(
+                Kernel, "_intern", lambda k, i, b: interned.append(b) or original(k, i, b)
+            )
+            result = extract(net)
+            monkeypatch.undo()
+            kernels = [c.seg.kernel for c in result.components]
+            assert len(kernels) == 2
+            assert all(k.behaviour is kernels[0].behaviour for k in kernels)
+            assert len(kernels[0].behaviour) == whole
+            bodies = sum(1 + len(t.procedures) for t in net.processes.values())
+            assert len(interned) == bodies
+
+    def test_peers_are_local_to_their_component(self, capsys, tmp_path):
+        """Components {a, c} and {b, d} interleave in name order, so a peer
+        or service index left global points into the other component; the
+        second one deadlocks."""
+        net = parse_network(INTERLEAVED_TEXT)
+        result = extract(net, services={"c"})
+        assert [c.processes for c in result.components] == [("a", "c"), ("b", "d")]
+        assert result.to_dot() == INTERLEAVED_DOT
+        assert result.deadlock_remainders == [
+            {
+                "b": sp.ProcessTerm({}, sp.Receive("d", "v", sp.NIL)),
+                "d": sp.ProcessTerm({}, sp.Receive("b", "z", sp.NIL)),
+            }
+        ]
+        path = tmp_path / "net.sp"
+        path.write_text(INTERLEAVED_TEXT)
+        assert cli_main(["extract", str(path), "--strict", "--services", "c"]) == 1
+        out, err = capsys.readouterr()
+        assert out == (
+            "main { a -> c[go]; a.e -> c.x; c.f -> a.y; stop } || main { b.u -> d.w; deadlock }\n"
+        )
+        assert err == (
+            "extraction contains deadlocks; stuck processes:\n"
+            "  b: d?v; stop\n"
+            "  d: b?z; stop\n"
+        )
+
+
+INTERLEAVED_TEXT = (
+    "a { main { c+go; c!<e>; c?y; stop } } | b { main { d!<u>; d?v; stop } } | "
+    "c { main { a&{ go: a?x; a!<f>; stop } } } | d { main { b?w; b?z; stop } }"
+)
+
+INTERLEAVED_DOT = r"""digraph seg {
+  node [shape=box];
+  n0 [label="a { main { c+go; c!<e>; c?y; stop } } | c { main { a&{ go: a?x; a!<f>; stop } } }\\nmarking: a=0 c=1\\npath: []"];
+  n1 [label="a { main { c!<e>; c?y; stop } } | c { main { a?x; a!<f>; stop } }\\nmarking: a=0 c=1\\npath: []"];
+  n2 [label="a { main { c?y; stop } } | c { main { a!<f>; stop } }\\nmarking: a=0 c=1\\npath: []"];
+  n3 [label="a { main { stop } } | c { main { stop } }\\nmarking: a=0 c=0\\npath: []"];
+  n4 [label="b { main { d!<u>; d?v; stop } } | d { main { b?w; b?z; stop } }\\nmarking: b=0 d=0\\npath: []"];
+  n5 [label="b { main { d?v; stop } } | d { main { b?z; stop } }\\nmarking: b=0 d=0\\npath: []"];
+  n0 -> n1 [label="a -> c[go]"];
+  n1 -> n2 [label="a.e -> c.x"];
+  n2 -> n3 [label="c.f -> a.y"];
+  n4 -> n5 [label="b.u -> d.w"];
+}
+"""
 
 
 class TestNodeBound:
@@ -196,8 +286,8 @@ class TestNodeBound:
 
     def test_tables_agree_with_the_tree_walk(self):
         """On the golden points, their unrolled projections and every
-        network of the benchmark's `variants` workload, whole and split
-        into components."""
+        network of the benchmark's `variants` workload, whole and each
+        component of one shared compile."""
         api = _RecordingApi()
         workloads.variants(api)
         nets = [
@@ -210,10 +300,10 @@ class TestNodeBound:
             nets += [net, unroll(net, seed=params.seed)]
         assert len(nets) > 250
         for net in nets:
-            groups = connected_components(communication_graph(net))
-            for names in [sorted(net.processes), *groups]:
-                part = net.restrict(names)
-                assert Kernel(part).node_bound() == oracles.node_bound(part)
+            assert Kernel(net).node_bound() == oracles.node_bound(net)
+            kernel = Kernel(net)
+            for part in kernel.split(connected_components(kernel.communication_graph())):
+                assert part.node_bound() == oracles.node_bound(net.restrict(part.names))
 
 
 class _RecordingApi(workloads.Api):

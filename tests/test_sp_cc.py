@@ -55,12 +55,15 @@ class TestBehaviourBasics:
         assert sp.Call("X") != sp.Call("Y")
 
     def test_mentioned_processes(self):
+        # The kernel reads a process's peers off its compiled bodies.
         b = sp.Cond(
             "e",
             sp.Send("q", "v", sp.NIL),
             sp.Offer("r", {"l": sp.Receive("s", "x", sp.NIL)}),
         )
-        assert sp.mentioned_processes(b) == frozenset({"q", "r", "s"})
+        t = sp.ProcessTerm({"X": sp.Select("t", "l", sp.Call("X"))}, b)
+        net = sp.Network({p: sp.TERMINATED for p in "qrst"} | {"p": t})
+        assert Kernel(net).communication_graph()["p"] == {"q", "r", "s", "t"}
 
 
 class TestProcessTerm:
