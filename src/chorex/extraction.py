@@ -28,7 +28,10 @@ The search runs over the network compiled once (`semantics.Kernel`):
 a node's state is a tuple of integer behaviour ids plus a marking bit
 mask, which hashes and compares in C.  Terms and networks are built again
 from a state only to print it (`to_dot`) or report it
-(`deadlock_remainders`).
+(`deadlock_remainders`).  The graph (`Seg`) is parallel lists indexed by
+node id, with no object per node and no reference per edge, so it is
+freed by reference counting alone and gives the cyclic collector nothing
+to walk.
 
 When the search succeeds, nodes with more than one incoming edge (and a
 root with any) become recursive procedure definitions, named in creation
@@ -58,7 +61,7 @@ from .semantics import (
     enabled_steps,
     pretty_action,
 )
-from .strategies import Strategy, order_steps
+from .strategies import SHUFFLED, Strategy, order_steps
 
 
 class Outcome(Enum):
@@ -67,63 +70,89 @@ class Outcome(Enum):
     BADLOOP = "badloop"
 
 
-class SegNode:
-    __slots__ = ("state", "path", "uid", "white", "deadlock")
-
-    def __init__(self, state: tuple, path: str, uid: int, white: bool):
-        self.state = state
-        self.path = path
-        self.uid = uid
-        self.white = white
-        self.deadlock = False
-
-    def __repr__(self):
-        return f"SegNode#{self.uid}(path={self.path!r})"
-
-
 class Seg:
     """The graph under construction over a kernel's states.
 
-    `rollback` deletes nodes, newest first.  `created`/`deleted` count
-    events (a node created, deleted, and recreated counts twice in both).
+    A node is its id, the index it was created at; node 0 is the root.
+    Each list below holds one entry per node: its state, its choice path,
+    whether it is white, and two out-edge slots, a label (None for none)
+    and a target id (-1 for none).  A node with one edge, an interaction,
+    fills the first slot; a conditional puts its then edge there and its
+    else edge in the second.  `deadlocks` holds the ids of deadlocked
+    leaves.  Nodes hold ids, never references, so the graph makes no
+    reference cycle and leaves nothing for the cyclic collector.
+
+    `rollback` deletes nodes, newest first, by truncating every list.
+    `created`/`deleted` count events (a node created, deleted, and
+    recreated counts twice in both).
     """
 
     def __init__(self, kernel):
         self.kernel = kernel
         self.open = {}  # state -> `_Frame` of each open node, kept by `build_graph`
-        self.nodes = []  # in creation order: `rollback` pops the newest
-        self.edges = {}  # SegNode -> [(label, SegNode)]
+        self.state = []
+        self.path = []
+        self.white = []
+        self.label0 = []
+        self.target0 = []
+        self.label1 = []
+        self.target1 = []
+        self.deadlocks = set()
         self.created = 0
         self.deleted = 0
         self.badloops = 0
         self._deleted_keys = set()  # the (state, path) of every deleted node
-        self.root = self.add_node(kernel.root, "")
+        self.add_node(kernel.root, "")
 
-    def add_node(self, state: tuple, path: str) -> SegNode:
-        node = SegNode(state, path, self.created, self.kernel.white(state))
-        self.nodes.append(node)
-        self.edges[node] = []
+    def add_node(self, state: tuple, path: str) -> int:
+        self.state.append(state)
+        self.path.append(path)
+        self.white.append(self.kernel.white(state))
+        self.label0.append(None)
+        self.target0.append(-1)
+        self.label1.append(None)
+        self.target1.append(-1)
         self.created += 1
-        return node
+        return len(self.state) - 1
 
-    def rollback(self, count: int, owner: SegNode):
+    def add_edge(self, src: int, label, dst: int):
+        """Give `src` an edge labelled `label` to `dst`, in its first free
+        slot; a node has at most two."""
+        if self.target0[src] < 0:
+            self.label0[src] = label
+            self.target0[src] = dst
+        elif self.target1[src] < 0:
+            self.label1[src] = label
+            self.target1[src] = dst
+        else:
+            raise AssertionError("out-degree above 2")
+
+    def edges(self, src: int) -> list:
+        """The out-edges of `src`, as [(label, dst)]."""
+        slots = ((self.label0[src], self.target0[src]), (self.label1[src], self.target1[src]))
+        return [(label, dst) for label, dst in slots if dst >= 0]
+
+    def rollback(self, count: int, owner: int):
         """Clear `owner`'s edges and delete every node after the first
         `count`: an edge is kept at its source, so this undoes all built
         since there were `count` nodes if `owner` is the one older node to
         have gained edges since then and had none before (`build_graph`)."""
-        self.edges[owner].clear()
-        while len(self.nodes) > count:
-            node = self.nodes.pop()
-            del self.edges[node]
-            self._deleted_keys.add((node.state, node.path))
-            self.deleted += 1
+        self.label0[owner] = self.label1[owner] = None
+        self.target0[owner] = self.target1[owner] = -1
+        self._deleted_keys.update(zip(self.state[count:], self.path[count:]))
+        self.deleted += len(self.state) - count
+        for column in (self.state, self.path, self.white, self.label0, self.target0,
+                       self.label1, self.target1):
+            del column[count:]
+        if self.deadlocks:
+            self.deadlocks = {u for u in self.deadlocks if u < count}
 
     @property
     def identities(self) -> int:
         """How many distinct (state, path) identities nodes were ever
         created with, surviving or deleted."""
-        live = {(node.state, node.path) for node in self.nodes}
-        assert len(live) == len(self.nodes), "node identity created twice"
+        live = set(zip(self.state, self.path))
+        assert len(live) == len(self.state), "node identity created twice"
         return len(live | self._deleted_keys)
 
     def find_loop_candidate(self, state: tuple, path: str):
@@ -139,22 +168,22 @@ class Seg:
         closed nodes only.
         """
         frame = self.open.get(state)
-        assert frame is None or path.startswith(frame.node.path), "not an ancestor"
+        assert frame is None or path.startswith(self.path[frame.node]), "not an ancestor"
         return frame
 
 
 class _Frame:
     """One open node of the search: a node whose steps are being tried.
 
-    It holds the node's ordered units, the live mask of its state, the
-    unit and the step being tried, `unit_mark`, the node count from
+    It holds the node's id and ordered units, the live mask of its state,
+    the unit and the step being tried, `unit_mark`, the node count from
     before the unit, and `whites`, the number of white nodes on the
     depth-first path from the root up to and including this node.
     """
 
     __slots__ = ("node", "units", "live", "unit_at", "step_at", "unit_mark", "whites")
 
-    def __init__(self, node: SegNode, units, live: int, whites: int):
+    def __init__(self, node: int, units, live: int, whites: int):
         self.node = node
         self.units = units
         self.live = live
@@ -165,7 +194,7 @@ class _Frame:
 
 
 def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
-    """Depth-first construction of the graph below `seg.root`.
+    """Depth-first construction of the graph below the root, node 0.
 
     Returns the search's outcome and whether it saw a deadlocked leaf.
     The search runs in a loop over one explicit stack of `_Frame`s, one
@@ -189,6 +218,8 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
     """
     kernel = seg.kernel
     successor = kernel.successor
+    states, paths, white = seg.state, seg.path, seg.white  # truncated in place
+    add_node, add_edge = seg.add_node, seg.add_edge
     stack = []
     saw_deadlock = False
 
@@ -196,19 +227,20 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
         """Push a frame for `node`, whose state has the live mask `live`,
         or settle it as a leaf (OK)."""
         nonlocal saw_deadlock
-        units = enabled_steps(kernel, node.state)
+        state = states[node]
+        units = enabled_steps(kernel, state)
         if not units:
-            if not kernel.terminal(node.state):
-                node.deadlock = True
+            if not kernel.terminal(state):
+                seg.deadlocks.add(node)
                 saw_deadlock = True
             return Outcome.OK
-        units = order_steps(units, strategy, kernel, node.state, rng)
-        frame = _Frame(node, units, live, whites_above + node.white)
+        units = order_steps(units, strategy, kernel, state, rng)
+        frame = _Frame(node, units, live, whites_above + white[node])
         stack.append(frame)
-        seg.open[node.state] = frame
+        seg.open[state] = frame
         return None
 
-    result = open_node(seg.root, kernel.live(seg.root.state), 0)
+    result = open_node(0, kernel.live(states[0]), 0)
     while stack:
         top = stack[-1]
         node = top.node
@@ -216,21 +248,21 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
         if result is None:  # try the current step
             j = top.step_at
             if j == 0:
-                top.unit_mark = len(seg.nodes)
+                top.unit_mark = len(states)
             step = unit[j]
-            path = node.path if len(unit) == 1 else node.path + "01"[j]
-            state, live = successor(node.state, top.live, step)
+            path = paths[node] if len(unit) == 1 else paths[node] + "01"[j]
+            state, live = successor(states[node], top.live, step)
             frame = seg.find_loop_candidate(state, path)
             if frame is not None:
-                if top.whites - frame.whites + frame.node.white >= 1:
-                    seg.edges[node].append((step.label, frame.node))
+                if top.whites - frame.whites + white[frame.node] >= 1:
+                    add_edge(node, step.label, frame.node)
                     result = Outcome.OK
                 else:
                     seg.badloops += 1
                     result = Outcome.BADLOOP
                 continue
-            fresh = seg.add_node(state, path)
-            seg.edges[node].append((step.label, fresh))
+            fresh = add_node(state, path)
+            add_edge(node, step.label, fresh)
             result = open_node(fresh, live, top.whites)  # OK for a leaf: its edge is done
             continue
         # `result` is the outcome of step `step_at` of the current unit.
@@ -243,7 +275,7 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
                 result = None
                 continue
             seg.open.clear()  # nothing but rejected loops: the search fails
-            seg.rollback(1, seg.root)
+            seg.rollback(1, 0)
             return Outcome.FAIL, saw_deadlock
         if len(unit) == 2 and top.step_at == 0:
             top.step_at = 1  # then branch done: now the else branch
@@ -251,7 +283,7 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
             continue
         # The node is settled: OK is now the outcome of its parent's step.
         stack.pop()
-        del seg.open[node.state]
+        del seg.open[states[node]]
     return result, saw_deadlock
 
 
@@ -262,49 +294,50 @@ def verify_seg(seg: Seg):
     """Independent whole-graph check of the accepted result.
 
     Out-degrees must be 0 (leaves), 1 (an interaction) or 2 (a then/else
-    pair over the same guard), and the subgraph induced by non-white
-    nodes must be acyclic, which is equivalent to every cycle containing
-    a white node.  That every node is reachable from the root is checked
-    by `unroll_graph`, in its pass over the edges: every node but the
-    root must have an edge from an older node.
+    pair over the same guard); `Seg.add_edge` refuses a third edge.  The
+    subgraph induced by non-white nodes must be acyclic, which is
+    equivalent to every cycle containing a white node.  That every node
+    is reachable from the root is checked by `unroll_graph`, in its pass
+    over the edges: every node but the root must have an edge from an
+    older node.
     """
-    for node in seg.nodes:
-        es = seg.edges[node]
-        if len(es) == 0:
-            assert node.deadlock or seg.kernel.terminal(node.state), "bare internal node"
-        elif len(es) == 1:
-            assert isinstance(es[0][0], (ComAction, SelAction)), (
+    terminal = seg.kernel.terminal
+    for node, (state, l0, d0, l1, d1) in enumerate(
+        zip(seg.state, seg.label0, seg.target0, seg.label1, seg.target1)
+    ):
+        if d0 < 0:
+            assert node in seg.deadlocks or terminal(state), "bare internal node"
+        elif d1 < 0:
+            assert isinstance(l0, (ComAction, SelAction)), (
                 "single outgoing edge must be an interaction"
             )
-        elif len(es) == 2:
-            (l1, _), (l2, _) = es
-            assert isinstance(l1, ThenAction) and isinstance(l2, ElseAction), (
+        else:
+            assert isinstance(l0, ThenAction) and isinstance(l1, ElseAction), (
                 "double outgoing edges must be a then/else pair"
             )
-            assert (l1.process, l1.expr) == (l2.process, l2.expr)
-        else:
-            raise AssertionError("out-degree above 2")
+            assert (l0.process, l0.expr) == (l1.process, l1.expr)
 
     # Peel nodes of in-degree 0 off the marked subgraph; the nodes that
-    # are never peeled lie on or behind a cycle.
-    marked = {
-        node: [dst for _, dst in seg.edges[node] if not dst.white]
-        for node in seg.nodes
-        if not node.white
-    }
-    indegree = dict.fromkeys(marked, 0)
-    for targets in marked.values():
-        for dst in targets:
-            indegree[dst] += 1
-    ready = [node for node, d in indegree.items() if d == 0]
+    # are never peeled lie on or behind a cycle.  The peel reads the slots
+    # in place: a list per node would be one more tracked object each.
+    white, target0, target1 = seg.white, seg.target0, seg.target1
+    indegree = [0] * len(white)
+    for node, (d0, d1) in enumerate(zip(target0, target1)):
+        if not white[node]:
+            for dst in (d0, d1):
+                if dst >= 0 and not white[dst]:
+                    indegree[dst] += 1
+    ready = [node for node, is_white in enumerate(white) if not is_white and not indegree[node]]
     peeled = 0
     while ready:
+        node = ready.pop()
         peeled += 1
-        for dst in marked[ready.pop()]:
-            indegree[dst] -= 1
-            if indegree[dst] == 0:
-                ready.append(dst)
-    assert peeled == len(marked), "accepted graph has an all-marked cycle"
+        for dst in (target0[node], target1[node]):
+            if dst >= 0 and not white[dst]:
+                indegree[dst] -= 1
+                if indegree[dst] == 0:
+                    ready.append(dst)
+    assert peeled == white.count(False), "accepted graph has an all-marked cycle"
 
 
 # --------------------------------------------------- unrolling and read-off
@@ -316,7 +349,7 @@ def unroll_graph(seg: Seg) -> dict:
     Loop nodes are those with more than one incoming edge, or the root if
     it has any.  They are named X1, X2, … in creation order, which is the
     search's depth-first order, as `rollback` only truncates; the result
-    maps each loop node to its name.
+    maps each loop node's id to its name.
 
     Every node but the root must have an edge from an older node, so
     every node is reachable from the root.  The search's graphs pass: a
@@ -328,12 +361,16 @@ def unroll_graph(seg: Seg) -> dict:
     keeps its one incoming edge, from an older node, and an unnamed root
     has none, so every edge runs from an older node to a newer one.
     """
-    indegree = {seg.root: 1}  # the root counts as entered from outside
-    for node in seg.nodes:  # `indegree` counts the edges of older nodes so far
-        assert node in indegree, "unreachable nodes survive"
-        for _, dst in seg.edges[node]:
-            indegree[dst] = indegree.get(dst, 0) + 1
-    loops = [node for node in seg.nodes if indegree[node] > 1]
+    indegree = [0] * len(seg.state)
+    indegree[0] = 1  # the root counts as entered from outside
+    for node, (d0, d1) in enumerate(zip(seg.target0, seg.target1)):
+        # `indegree` counts the edges of older nodes so far.
+        assert indegree[node], "unreachable nodes survive"
+        if d0 >= 0:
+            indegree[d0] += 1
+        if d1 >= 0:
+            indegree[d1] += 1
+    loops = [node for node, d in enumerate(indegree) if d > 1]
     return {node: f"X{i}" for i, node in enumerate(loops, 1)}
 
 
@@ -347,20 +384,24 @@ def build_choreography(seg: Seg, names: dict) -> cc.Choreography:
     reads as a call of its procedure.
     """
     bodies = {}
-    for node in reversed(seg.nodes):
-        es = seg.edges[node]
-        kids = [cc.Call(names[dst]) if dst in names else bodies.pop(dst) for _, dst in es]
-        if not es:
-            body = cc.DEADLOCK if node.deadlock else cc.NIL
-        elif type(label := es[0][0]) is ComAction:
-            body = cc.Com(label.sender, label.expr, label.receiver, label.var, *kids)
+
+    def kid(dst):
+        return cc.Call(names[dst]) if dst in names else bodies.pop(dst)
+
+    label0, target0, target1 = seg.label0, seg.target0, seg.target1
+    for node in reversed(range(len(seg.state))):
+        label = label0[node]
+        if label is None:
+            body = cc.DEADLOCK if node in seg.deadlocks else cc.NIL
+        elif type(label) is ComAction:
+            body = cc.Com(label.sender, label.expr, label.receiver, label.var, kid(target0[node]))
         elif type(label) is SelAction:
-            body = cc.Sel(label.sender, label.receiver, label.label, *kids)
+            body = cc.Sel(label.sender, label.receiver, label.label, kid(target0[node]))
         else:  # a then/else pair (`verify_seg`)
-            body = cc.Cond(label.process, label.expr, *kids)
+            body = cc.Cond(label.process, label.expr, kid(target0[node]), kid(target1[node]))
         bodies[node] = body
     procedures = {name: bodies.pop(node) for node, name in names.items()}
-    main = cc.Call(names[seg.root]) if seg.root in names else bodies.pop(seg.root)
+    main = cc.Call(names[0]) if 0 in names else bodies.pop(0)
     return cc.Choreography(procedures, main)
 
 
@@ -399,15 +440,14 @@ class ComponentResult:
     @property
     def deadlock_remainders(self) -> list:
         """For each deadlock leaf: the stuck processes and their terms."""
-        network = self.seg.kernel.network
+        seg = self.seg
         return [
             {
                 p: t
-                for p, t in network(node.state).processes.items()
+                for p, t in seg.kernel.network(seg.state[node]).processes.items()
                 if t.is_live() and p not in self.services
             }
-            for node in self.seg.nodes
-            if node.deadlock
+            for node in sorted(seg.deadlocks)
         ]
 
 
@@ -468,25 +508,26 @@ class ExtractionResult:
             return s.replace("\\", "\\\\").replace('"', '\\"')
 
         lines = ["digraph seg {", "  node [shape=box];"]
-        ids = {}
+        offsets = [0]  # dot ids run on across components: each one's node 0
         for comp in self.components:
-            kernel = comp.seg.kernel
-            for node in comp.seg.nodes:
-                ids[node] = f"n{len(ids)}"
-                marked = kernel.marked(node.state)
+            seg, kernel = comp.seg, comp.seg.kernel
+            offset = offsets[-1]
+            offsets.append(offset + len(seg.state))
+            for node, (state, path) in enumerate(zip(seg.state, seg.path)):
+                marked = kernel.marked(state)
                 marking = " ".join(
                     f"{p}={'1' if p in marked else '0'}" for p in kernel.names
                 )
                 label = esc(
-                    f"{pretty(kernel.network(node.state))}\\nmarking: {marking}"
-                    f"\\npath: [{node.path}]"
+                    f"{pretty(kernel.network(state))}\\nmarking: {marking}"
+                    f"\\npath: [{path}]"
                 )
-                lines.append(f'  {ids[node]} [label="{label}"];')
-        for comp in self.components:
-            for node in comp.seg.nodes:
-                for action, dst in comp.seg.edges[node]:
+                lines.append(f'  n{offset + node} [label="{label}"];')
+        for comp, offset in zip(self.components, offsets):
+            for node in range(len(comp.seg.state)):
+                for action, dst in comp.seg.edges(node):
                     lines.append(
-                        f'  {ids[node]} -> {ids[dst]} '
+                        f'  n{offset + node} -> n{offset + dst} '
                         f'[label="{esc(pretty_action(action))}"];'
                     )
         lines.append("}")
@@ -512,11 +553,12 @@ def extract(
     if missing:
         raise ValueError(f"services not in network: {sorted(missing)}")
     kernel = Kernel(n, services)
+    shuffles = strategy.name in SHUFFLED
     groups = connected_components(kernel.communication_graph()) if parallel else [kernel.names]
     results = []
     for i, part in enumerate(kernel.split(groups)):
         seg = Seg(part)
-        rng = random.Random(f"{strategy.seed}:{strategy.name}:{i}")
+        rng = random.Random(f"{strategy.seed}:{strategy.name}:{i}") if shuffles else None
         outcome, saw_deadlock = build_graph(seg, strategy, rng)
         assert seg.identities <= part.node_bound(), "node bound exceeded"
         choreography = None

@@ -30,6 +30,10 @@ STRATEGY_NAMES = (
     "UnmarkedThenRandom",
 )
 
+# The strategies that shuffle a node's units with the search's random
+# generator; no other strategy needs one.
+SHUFFLED = frozenset({"Random", "UnmarkedThenRandom"})
+
 
 @dataclass(frozen=True)
 class Strategy:
@@ -85,15 +89,19 @@ _SORT_KEYS = {
 
 
 def order_steps(
-    units: list, strategy: Strategy, kernel: Kernel, state: tuple, rng: random.Random
+    units: list,
+    strategy: Strategy,
+    kernel: Kernel,
+    state: tuple,
+    rng: random.Random | None,
 ) -> list:
     """`units`, enabled in `state`, in the order the strategy wants them
-    tried: shuffled first by `rng` for the random strategies, then stably
-    sorted by the strategy's key.  Orders the list in place and returns
+    tried: shuffled first by `rng` for the random strategies (`SHUFFLED`;
+    the others may pass None), then stably sorted by the strategy's key.  Orders the list in place and returns
     it."""
     if len(units) == 1:  # nothing to order, and a shuffle draws nothing
         return units
-    if strategy.name in ("Random", "UnmarkedThenRandom"):
+    if strategy.name in SHUFFLED:
         rng.shuffle(units)
     key = _SORT_KEYS[strategy.name]
     if key is not None:

@@ -187,19 +187,21 @@ def valid_graph_exists(net, services=frozenset()) -> bool:
 
 
 def reference_loop_target(seg, state: tuple, path: str):
-    """The node of `seg` that a step to `state` under the choice path
+    """The node id of `seg` that a step to `state` under the choice path
     `path` closes a loop onto, if any: the one node with that state whose
     path is a prefix of `path`."""
     targets = [
-        node for node in seg.nodes if node.state == state and path.startswith(node.path)
+        node
+        for node, (s, p) in enumerate(zip(seg.state, seg.path))
+        if s == state and path.startswith(p)
     ]
     assert len(targets) <= 1, "duplicate loop candidates"
     return targets[0] if targets else None
 
 
 def reference_read_off(seg) -> tuple:
-    """The loop nodes of an accepted graph, named, and its choreography,
-    by a walk from the root: (names, choreography).
+    """The loop nodes of an accepted graph, named by node id, and its
+    choreography, by a walk from the root (node 0): (names, choreography).
 
     Loop nodes (more than one incoming edge, or the root with any) are
     named X1, X2, … in depth-first discovery order from the root, edges
@@ -210,33 +212,33 @@ def reference_read_off(seg) -> tuple:
     one sweep, newest first.
     """
     indegree = {}
-    for es in seg.edges.values():
-        for _, dst in es:
+    for node in range(len(seg.state)):
+        for _, dst in seg.edges(node):
             indegree[dst] = indegree.get(dst, 0) + 1
     names = {}
     visited = set()
-    frontier = [seg.root]
+    frontier = [0]  # the root
     while frontier:
         node = frontier.pop()
         if node in visited:
             continue
         visited.add(node)
-        if indegree.get(node, 0) > (0 if node is seg.root else 1):
+        if indegree.get(node, 0) > (0 if node == 0 else 1):
             names[node] = f"X{len(names) + 1}"
-        frontier.extend(dst for _, dst in reversed(seg.edges[node]))
-    assert len(visited) == len(seg.nodes), "unreachable nodes survive"
+        frontier.extend(dst for _, dst in reversed(seg.edges(node)))
+    assert len(visited) == len(seg.state), "unreachable nodes survive"
 
     def children(target):
         if type(target) is str:
             return ()
-        return [names.get(dst, dst) for _, dst in seg.edges[target]]
+        return [names.get(dst, dst) for _, dst in seg.edges(target)]
 
     def read(target, conts):
         if type(target) is str:
             return Call(target)
-        es = seg.edges[target]
+        es = seg.edges(target)
         if not es:
-            return cc.DEADLOCK if target.deadlock else cc.NIL
+            return cc.DEADLOCK if target in seg.deadlocks else cc.NIL
         match es[0][0]:
             case ComAction(p, e, q, x):
                 return Com(p, e, q, x, *conts)
@@ -247,7 +249,7 @@ def reference_read_off(seg) -> tuple:
         raise AssertionError(f"unexpected edge label {es[0][0]!r}")
 
     procedures = {name: fold(node, read, children) for node, name in names.items()}
-    main = fold(names.get(seg.root, seg.root), read, children)
+    main = fold(names.get(0, 0), read, children)
     return names, cc.Choreography(procedures, main)
 
 

@@ -2,6 +2,7 @@
 and whole-network extraction against hand-checked results."""
 
 import gc
+import tracemalloc
 
 import pytest
 
@@ -23,7 +24,7 @@ from chorex.epp import epp
 from chorex.parser import parse_network, pretty
 from chorex.semantics import ComAction, Kernel
 from chorex.strategies import STRATEGY_NAMES
-from chorex.testgen import amend, generate, unroll
+from chorex.testgen import GenParams, amend, generate, unroll
 from chorex.wellformed import check_guardedness, check_well_formed
 
 import oracles
@@ -59,21 +60,44 @@ class TestSegJournal:
     def test_rollback_undoes_nodes_and_edges(self):
         kernel, a, b = self._root()
         seg = Seg(kernel)
-        mark = len(seg.nodes)
+        mark = len(seg.state)
         child = seg.add_node(b, "0")
-        seg.edges[seg.root].append(("lbl", child))
+        seg.add_edge(0, "lbl", child)
         assert seg.created == 2 and seg.deleted == 0
-        seg.rollback(mark, seg.root)
+        seg.rollback(mark, 0)
         assert seg.created == 2 and seg.deleted == 1  # creation events stay counted
-        assert len(seg.nodes) == 1
-        assert seg.edges[seg.root] == []
+        assert len(seg.state) == 1
+        assert seg.edges(0) == []
+        columns = (seg.path, seg.white, seg.label0, seg.target0, seg.label1, seg.target1)
+        assert all(len(column) == 1 for column in columns)
+
+    def test_rollback_prunes_deleted_deadlock_leaves(self):
+        kernel, a, b = self._root()
+        seg = Seg(kernel)
+        owner = seg.add_node(b, "0")
+        leaf = seg.add_node(a, "0")
+        seg.add_edge(owner, "lbl", leaf)
+        seg.deadlocks.update((owner, leaf))
+        seg.rollback(leaf, owner)
+        assert seg.deadlocks == {owner}
+        assert seg.edges(owner) == []
+
+    def test_a_third_edge_is_refused(self):
+        kernel, a, b = self._root()
+        seg = Seg(kernel)
+        child = seg.add_node(b, "0")
+        seg.add_edge(0, "then", child)
+        seg.add_edge(0, "else", child)
+        with pytest.raises(AssertionError, match="out-degree above 2"):
+            seg.add_edge(0, "third", child)
+        assert seg.edges(0) == [("then", child), ("else", child)]
 
     def test_recreation_counts_twice(self):
         kernel, a, b = self._root()
         seg = Seg(kernel)
-        mark = len(seg.nodes)
+        mark = len(seg.state)
         seg.add_node(b, "0")
-        seg.rollback(mark, seg.root)
+        seg.rollback(mark, 0)
         seg.add_node(b, "0")
         assert seg.created == 3 and seg.deleted == 1
         assert seg.identities == 2  # the root, and the node created twice
@@ -108,20 +132,19 @@ class TestSegJournal:
         assert all(c.seg.open == {} for c in result.components)
 
     def test_nodes_stay_in_creation_order_across_rollback(self):
-        # The graph is walked in `seg.nodes` order (the dot output too),
-        # which must be uid order without a sort.
+        # The graph is walked in node id order (the dot output too), which
+        # must be creation order: a node's id is its index in every list.
         kernel, a, b = self._root()
         seg = Seg(kernel)
         owner = seg.add_node(b, "0")
-        mark = len(seg.nodes)
+        mark = len(seg.state)
         seg.add_node(b, "1")
         seg.add_node(a, "1")
         seg.rollback(mark, owner)
-        seg.add_node(a, "1")
-        seg.add_node(b, "1")
-        uids = [n.uid for n in seg.nodes]
-        assert all(x < y for x, y in zip(uids, uids[1:]))
-        assert len(uids) == 4
+        ids = [0, owner, seg.add_node(a, "1"), seg.add_node(b, "1")]
+        assert ids == list(range(len(seg.state)))
+        assert len(ids) == 4
+        assert seg.state == [a, b, a, b] and seg.path == ["", "0", "1", "1"]
 
 
 class TestLoopClosure:
@@ -136,7 +159,7 @@ class TestLoopClosure:
         result = extract(net)
         assert pretty(result.program) == "def X1 { p.e -> q.x; X1 } main { X1 }"
         seg = result.components[0].seg
-        assert seg.root.white and seg.edges[seg.root][0][1] is seg.root
+        assert seg.white[0] and seg.edges(0)[0][1] == 0
         assert result.badloops == 0
 
     def test_closure_onto_a_marked_node_through_a_white_one_is_accepted(self):
@@ -151,9 +174,10 @@ class TestLoopClosure:
             "def X1 { p.b -> r.y; p.a -> q.x; X1 } main { p.c -> q.x; X1 }"
         )
         seg = result.components[0].seg
-        target, top = seg.nodes[1:]
-        assert not target.white and top.white
-        assert seg.edges[top][0][1] is target
+        assert len(seg.state) == 3
+        target, top = 1, 2
+        assert not seg.white[target] and seg.white[top]
+        assert seg.edges(top)[0][1] == target
         assert result.badloops == 0
 
 
@@ -478,8 +502,10 @@ class TestUndo:
         assert (result.nodes_created, result.nodes_deleted, result.badloops) == (2, 1, 1)
         (comp,) = result.components
         seg = comp.seg
-        assert seg.nodes == [seg.root]
-        assert seg.edges == {seg.root: []}
+        assert seg.state == [seg.kernel.root] and seg.path == [""]
+        assert seg.edges(0) == []
+        columns = (seg.white, seg.label0, seg.target0, seg.label1, seg.target1)
+        assert all(len(column) == 1 for column in columns)
         assert seg.open == {}
         assert seg.identities == 2
 
@@ -513,6 +539,28 @@ def test_results_hold_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_retained_heap_per_node():
+    """procedures-k7-r2 under `InteractionsFirst` (10,934 nodes, none
+    deleted): the heap a result retains, by tracemalloc, per node.  The
+    graph's id lists retain 327-338 B a node; an object per node, with an
+    edge list and a tuple per edge, retains 548-559 B, above the bound."""
+    net = epp(amend(generate(GenParams(size=20, processes=5, ifs=8, defs=7, seed=2))))
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = extract(net, strategy=Strategy("InteractionsFirst"))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert result.ok
+    assert (result.nodes_created, result.nodes_deleted) == (10934, 0)
+    assert retained / result.nodes_created < 400
 
 
 # A handshake whose conditional can re-enter either the opening phase or
@@ -549,9 +597,9 @@ class TestGraphShape:
         # A 2-cycle that no edge enters: without the edges into loop nodes
         # it is the graph's only cycle, and reachability alone rejects it.
         seg = Seg(Kernel(parse_network("p { main { q!<e>; stop } } | q { main { p?x; stop } }")))
-        x, y = seg.add_node(seg.root.state, "0"), seg.add_node(seg.root.state, "1")
-        seg.edges[x].append(("lbl", y))
-        seg.edges[y].append(("lbl", x))
+        x, y = seg.add_node(seg.state[0], "0"), seg.add_node(seg.state[0], "1")
+        seg.add_edge(x, "lbl", y)
+        seg.add_edge(y, "lbl", x)
         with pytest.raises(AssertionError, match="unreachable nodes survive"):
             unroll_graph(seg)
 
@@ -560,9 +608,9 @@ class TestGraphShape:
         # graph of the search enters a node first from a newer one, and
         # the check in creation order needs an edge from an older node.
         seg = Seg(Kernel(parse_network("p { main { q!<e>; stop } } | q { main { p?x; stop } }")))
-        x, y = seg.add_node(seg.root.state, "0"), seg.add_node(seg.root.state, "1")
-        seg.edges[seg.root].append(("lbl", y))
-        seg.edges[y].append(("lbl", x))
+        x, y = seg.add_node(seg.state[0], "0"), seg.add_node(seg.state[0], "1")
+        seg.add_edge(0, "lbl", y)
+        seg.add_edge(y, "lbl", x)
         with pytest.raises(AssertionError, match="unreachable nodes survive"):
             unroll_graph(seg)
 
@@ -573,9 +621,9 @@ class TestGraphShape:
         marked = kernel.state(net, frozenset({"p"}))
         x, y = seg.add_node(marked, "0"), seg.add_node(marked, "1")
         com = ComAction("p", "e", "q", "x")
-        seg.edges[seg.root].append((com, x))
-        seg.edges[x].append((com, y))
-        seg.edges[y].append((com, x))
+        seg.add_edge(0, com, x)
+        seg.add_edge(x, com, y)
+        seg.add_edge(y, com, x)
         with pytest.raises(AssertionError, match="all-marked cycle"):
             verify_seg(seg)
 

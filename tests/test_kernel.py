@@ -81,7 +81,7 @@ class _CheckedTargets:
         def checked(seg, state, path):
             frame = find(seg, state, path)
             target = reference_loop_target(seg, state, path)
-            assert (None if frame is None else frame.node) is target
+            assert (None if frame is None else frame.node) == target
             self.calls += 1
             self.found += target is not None
             return frame

@@ -74,5 +74,7 @@ def test_loop_lookups_count_the_steps_tried(monkeypatch):
         calls.clear()
         result = extract(parse_network(text), parallel=parallel)
         assert result.ok and result.nodes_deleted == 0
-        edges = sum(len(es) for c in result.components for es in c.seg.edges.values())
+        edges = sum(
+            len(c.seg.edges(node)) for c in result.components for node in range(len(c.seg.state))
+        )
         assert calls["lookups"] == edges + result.badloops
