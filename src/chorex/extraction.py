@@ -24,9 +24,12 @@ parent's path; conditional children extend it.  A closing edge may only
 target a node whose path is a prefix of its own, which keeps conditional
 branches apart; that node is the open ancestor with the same state.
 
-The search runs over the network compiled once (`semantics.Kernel`):
-a node's state is a tuple of integer behaviour ids plus a marking bit
-mask, which hashes and compares in C.  Terms and networks are built again
+The search runs over the network compiled once (`semantics.Kernel`),
+and compiled again only when another network comes (`compiled`), so
+strategies run on one network one call after another share one compile,
+its split into components and the steps built.  A node's state is a
+tuple of integer behaviour ids plus a marking bit mask, which hashes
+and compares in C.  Terms and networks are built again
 from a state only to print it (`to_dot`) or report it
 (`deadlock_remainders`).  The graph (`Seg`) is parallel lists indexed by
 node id, with no object per node and no reference per edge, so it is
@@ -39,9 +42,9 @@ order, and their incoming edges become calls.  Every other edge runs
 from an older node to a newer one, so one sweep over the nodes, newest
 first, reads the graph off into a choreography.  Networks whose
 communication graph, read off the compiled peers, is disconnected are
-split into component kernels that share the compiled tables, extracted
-one after another on the caller's thread, then recomposed as a parallel
-program.
+split into component kernels that share the compiled tables, each with
+process indices of its own, extracted one after another on the caller's
+thread, then recomposed as a parallel program.
 """
 
 from __future__ import annotations
@@ -428,6 +431,36 @@ def connected_components(adjacency: dict) -> list:
     return out
 
 
+# The network compiled last and its kernels, for `compiled`: (network,
+# whole kernel, components or None until asked for).  It holds at most
+# one network, and a caller's result usually holds that network anyway,
+# as its kernels do.  `compiled` reads the entry into a local once, so
+# two threads extracting at once at worst compile twice.
+_last = None
+
+
+def compiled(n: sp.Network, parallel: bool = True) -> list:
+    """The kernels `extract` searches for `n`, without services: its
+    communication-graph components with `parallel`, else the whole
+    network as one.
+
+    The network extracted last (the same object, not an equal one) keeps
+    its compile, so a run of extractions of one network, under every
+    strategy, compiles and splits it once.
+    """
+    global _last
+    entry = _last
+    if entry is None or entry[0] is not n:
+        _last = None  # let the last network's kernels go before compiling
+        entry = (n, Kernel(n), None)
+    _, kernel, parts = entry
+    if parallel and parts is None:
+        parts = kernel.split(connected_components(kernel.communication_graph()))
+        entry = (n, kernel, parts)
+    _last = entry
+    return parts if parallel else [kernel]
+
+
 @dataclass
 class ComponentResult:
     processes: tuple
@@ -543,20 +576,21 @@ def extract(
     """Extract a choreography program from a network.
 
     `services` are processes allowed to run forever without being served
-    in every loop (they start marked and stay marked).  The network is
-    compiled once.  With `parallel` it is split into communication-graph
-    components, searched one after another on the caller's thread;
-    without it the whole network is searched as one component.
+    in every loop (they start marked and stay marked).  With `parallel`
+    the network is split into communication-graph components, searched
+    one after another on the caller's thread; without it the whole
+    network is searched as one component.  Consecutive calls on one
+    network object compile and split it once (`compiled`), whatever
+    their services, strategy and `parallel`.
     """
     services = frozenset(services)
     missing = services - n.processes.keys()
     if missing:
         raise ValueError(f"services not in network: {sorted(missing)}")
-    kernel = Kernel(n, services)
     shuffles = strategy.name in SHUFFLED
-    groups = connected_components(kernel.communication_graph()) if parallel else [kernel.names]
     results = []
-    for i, part in enumerate(kernel.split(groups)):
+    for i, kernel in enumerate(compiled(n, parallel)):
+        part = kernel.serving(services)
         seg = Seg(part)
         rng = random.Random(f"{strategy.seed}:{strategy.name}:{i}") if shuffles else None
         outcome, saw_deadlock = build_graph(seg, strategy, rng)

@@ -19,7 +19,8 @@ Two labelled transition systems live here:
   tries the step.  That replaces one or two entries of the tuple and
   updates the marking and live masks from the participants; nothing is
   rebuilt, rehashed or rescanned over every process.  Units are built
-  once per pair of heads and shared by every state that lists them.
+  once per pair of heads and shared by every state that lists them, in
+  every search over the same kernel.
 
 * `chor_enabled` — actions of a choreography body executable up to the
   swap relation, computed with a blocked-set scan instead of rewriting:
@@ -152,7 +153,16 @@ class Kernel:
     in the kernel), its node count (`size`) and, for a head, its
     continuation ids (`cont`: one id, the (then, else) pair, or an
     offer's label -> id dict).  A network is compiled whole, once, and
-    `split` into component kernels that share these tables.
+    `split` into component kernels that share these tables, all but
+    `peer`, whose indices are local to each component.  Neither the
+    tables nor the steps depend on services: `serving` gives a view of a
+    kernel with its services, and the whole kernel and its split parts
+    stay usable for any number of searches.
+
+    Each index space, the whole kernel and each split part, builds its
+    own units (`_pairs`, `_conds`) once per pair of heads and shares them
+    with its views: a step holds process indices, so it never crosses
+    from one index space to another.
 
     A search state is a plain tuple: the main behaviour id of each
     process in name order, then the marking as an int bit mask (bit i for
@@ -166,12 +176,21 @@ class Kernel:
     raises its error only if a state's main reaches it.
     """
 
-    def __init__(self, net: sp.Network, services=frozenset()):
+    # Slots, not a dict: a split part and a view are copies, and CPython
+    # 3.11 reads the attributes of a copied object's dict about half as
+    # fast as those of the object `__init__` built.
+    __slots__ = (
+        "names", "n", "_index", "terms", "services", "behaviour", "size", "head",
+        "kind", "peer", "cont", "ifs", "unresolved", "_memo", "_procedures",
+        "_calls", "_pairs", "_conds", "root",
+    )
+
+    def __init__(self, net: sp.Network):
         self.names = tuple(net.processes)
         self.n = len(self.names)
         self._index = {p: i for i, p in enumerate(self.names)}
         self.terms = tuple(net.processes.values())
-        self.services = sum(1 << self._index[p] for p in services)
+        self.services = 0  # a mask, set by `serving`
         self.behaviour = []  # id -> a behaviour with that id
         self.size = []
         self.head = []
@@ -313,15 +332,18 @@ class Kernel:
         """A kernel per group of names, for the components of
         `communication_graph` in name order.
 
-        Each shares every table, as ids are disjoint per process and a
-        step's processes lie in one group, and has its own processes in
-        name order, services and root.  With two or more groups, `peer`
-        is rewritten to indices within each group: this kernel is spent."""
+        Each shares the interned tables, as ids are disjoint per process
+        and a step's processes lie in one group, and has its own processes
+        in name order, services, root and unit memos.  With two or more
+        groups, the parts read a new `peer` list of indices within each
+        group, and this kernel keeps its own: it stays whole.  Only the
+        whole kernel interns (`state`); the parts read the ids it
+        compiled."""
         if len(groups) == 1:
             return [self]
         local = {self._index[p]: li for names in groups for li, p in enumerate(names)}
         local[-1] = -1  # no peer stays no peer
-        self.peer[:] = [local[j] for j in self.peer]
+        peer = [local[j] for j in self.peer]
         parts = []
         for names in groups:
             at = [self._index[p] for p in names]
@@ -331,10 +353,21 @@ class Kernel:
             part.terms = [self.terms[g] for g in at]
             part._memo = [self._memo[g] for g in at]
             part._procedures = [self._procedures[g] for g in at]
+            part.peer = peer
+            part._pairs, part._conds = {}, {}
             part.services = sum((self.services >> g & 1) << li for li, g in enumerate(at))
             part.root = part._state([self.root[g] for g in at], 0)
             parts.append(part)
         return parts
+
+    def serving(self, services) -> Kernel:
+        """A view of this kernel with the processes `services`, those of
+        them it has, as its services: a copy with its own services mask
+        and root, sharing every table and unit memo."""
+        view = copy.copy(self)
+        view.services = sum(1 << i for i, p in enumerate(self.names) if p in services)
+        view.root = view._state(self.root[: self.n], 0)
+        return view
 
     # -- states
 

@@ -8,6 +8,7 @@ import pytest
 from chorex import cli
 from chorex.cli import main
 from chorex.parser import parse_choreography, parse_network, pretty
+from chorex.semantics import Kernel
 
 from conftest import (
     LIVELOCK_TRIPLE_TEXT,
@@ -420,6 +421,30 @@ class TestCorpusCommands:
         )
         assert len(lines) == 1 + 40  # 4 points x 10 strategies
         assert all(line.endswith(",ok") for line in lines[1:])
+
+    def test_bench_compiles_each_network_once(self, run, tmp_path, monkeypatch):
+        """The ten rows of a network share one compile, made before any
+        row's timer starts: each body of each network is interned once
+        across them, and never between a row's two clock readings."""
+        cli._bench_network.cache_clear()  # no network of an earlier run
+        nets, events = [], []
+        network, intern, clock = cli._bench_network, Kernel._intern, cli.time.perf_counter
+        monkeypatch.setattr(cli, "_bench_network", lambda p: nets.append(network(p)) or nets[-1])
+        monkeypatch.setattr(
+            Kernel, "_intern", lambda k, i, b: events.append(b) or intern(k, i, b)
+        )
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: events.append(None) or clock())
+        rc, _, _ = run("bench", "ifs", "--out", str(tmp_path / "bench"), "--scale", "0.1")
+        monkeypatch.undo()
+        assert rc == 0
+        distinct = list({id(net): net for net in nets}.values())
+        assert len(nets) == 40 and len(distinct) == 4
+        assert all(nets[i] is nets[i - i % 10] for i in range(40))
+        bodies = sum(1 + len(t.procedures) for net in distinct for t in net.processes.values())
+        assert len(events) - events.count(None) == bodies
+        clocks = [at for at, event in enumerate(events) if event is None]
+        assert len(clocks) == 80
+        assert all(events[start + 1 : stop] == [] for start, stop in zip(clocks[::2], clocks[1::2]))
 
     def test_bench_jobs_write_the_same_rows(self, run, tmp_path):
         """--jobs 2 runs the jobs in worker processes; only the timings

@@ -2,6 +2,8 @@
 and whole-network extraction against hand-checked results."""
 
 import gc
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -22,7 +24,7 @@ from chorex.extraction import (
 from chorex.cli import main as cli_main
 from chorex.epp import epp
 from chorex.parser import parse_network, pretty
-from chorex.semantics import ComAction, Kernel
+from chorex.semantics import ComAction, Kernel, enabled_steps
 from chorex.strategies import STRATEGY_NAMES
 from chorex.testgen import GenParams, amend, generate, unroll
 from chorex.wellformed import check_guardedness, check_well_formed
@@ -221,9 +223,11 @@ class TestComponents:
         assert split >= 20  # n1 and the composed pairs at least
 
     def test_each_process_is_interned_once(self, n1, monkeypatch):
-        """One compile per `extract`, whatever the split: every component's
+        """One compile per network, whatever the split: every component's
         kernel shares one `behaviour` table, as long as a whole-network
-        kernel's, and every body is interned once."""
+        kernel's, and every body is interned once by the first `extract`
+        of a network object.  Later extractions of that object, under
+        another strategy, whole or with a service, intern nothing."""
         loops = [epp(amend(generate(p))) for p in workloads.variant_params(0, 1)]
         composed = workloads._compose(workloads.Api(), *loops)
         for net in (n1, composed):
@@ -234,13 +238,99 @@ class TestComponents:
                 Kernel, "_intern", lambda k, i, b: interned.append(b) or original(k, i, b)
             )
             result = extract(net)
-            monkeypatch.undo()
-            kernels = [c.seg.kernel for c in result.components]
-            assert len(kernels) == 2
-            assert all(k.behaviour is kernels[0].behaviour for k in kernels)
-            assert len(kernels[0].behaviour) == whole
             bodies = sum(1 + len(t.procedures) for t in net.processes.values())
             assert len(interned) == bodies
+            again = [
+                extract(net, strategy=Strategy("UnmarkedFirst", 0)),
+                extract(net, services={min(net.names())}, parallel=False),
+            ]
+            monkeypatch.undo()
+            assert len(interned) == bodies
+            kernels = [c.seg.kernel for r in [result, *again] for c in r.components]
+            assert len(kernels) == 5
+            assert all(k.behaviour is kernels[0].behaviour for k in kernels)
+            assert len(kernels[0].behaviour) == whole
+
+    def test_a_split_leaves_the_whole_kernel_intact(self, n1):
+        """A split gives its parts their own peer indices and units: the
+        whole kernel lists the same steps after it as before, and so do
+        the parts of a second split.  In INTERLEAVED_TEXT a process's
+        index differs between the whole network and its component."""
+        for net in (n1, parse_network(INTERLEAVED_TEXT)):
+            whole = Kernel(net)
+            groups = connected_components(whole.communication_graph())
+
+            def labels(kernel):
+                return [[s.label for s in unit] for unit in enabled_steps(kernel, kernel.root)]
+
+            before = labels(whole)
+            parts = [labels(part) for part in whole.split(groups)]
+            assert labels(whole) == before
+            assert [labels(part) for part in whole.split(groups)] == parts
+            assert sorted(map(repr, before)) == sorted(map(repr, sum(parts, [])))
+
+    def test_a_reused_compile_extracts_as_a_fresh_one(self, n1):
+        """All ten strategies on one network object, alternating `parallel`
+        and services, so every call but the first reuses the compile, and
+        the `compose-*` networks are searched whole and split from one:
+        each call shows what an extraction of an equal network, compiled
+        afresh, shows."""
+        api = workloads.Api()
+        pairs = workloads.VARIANT_LOOP_PAIRS
+        loops = [epp(amend(generate(p))) for p in workloads.variant_params(0, pairs)]
+        composed = [workloads._compose(api, *loops[2 * i : 2 * i + 2]) for i in range(pairs)]
+        golden = [epp(amend(generate(params))) for params in GOLDEN_POINTS.values()]
+        cases = [(n1, {"r"}), (parse_network(INTERLEAVED_TEXT), {"c"})]
+        cases += [(net, {min(net.names())}) for net in composed + golden]
+        for net, services in cases:
+            calls = [
+                (Strategy(name, 0), services if i % 4 < 2 else (), i % 2 == 0)
+                for i, name in enumerate(STRATEGY_NAMES)
+            ]
+            reused = [extract(net, svc, strategy, parallel) for strategy, svc, parallel in calls]
+            tables = {id(c.seg.kernel.behaviour) for r in reused for c in r.components}
+            assert len(tables) == 1  # one compile for all ten
+            seen = [_shown(result) for result in reused]
+            for (strategy, svc, parallel), shown in zip(calls, seen):
+                fresh = extract(parse_network(pretty(net)), svc, strategy, parallel)
+                assert _shown(fresh) == shown, (pretty(net), strategy.name, svc, parallel)
+
+    def test_threads_sharing_the_compile_extract_as_one_thread_does(self, n1):
+        """Four threads extract three networks, each under every strategy,
+        whole and split, and switch every microsecond, so they replace the
+        compile under each other and share its units: every call shows
+        what it shows on one thread."""
+        nets = [n1, parse_network(INTERLEAVED_TEXT), parse_network(TWO_LOOPS_TEXT)]
+        calls = [
+            (net, Strategy(name, 0), i % 2 == 0)
+            for net in nets
+            for i, name in enumerate(STRATEGY_NAMES)
+        ]
+        want = [_shown(extract(net, strategy=s, parallel=p)) for net, s, p in calls]
+        got, errors = {}, []
+
+        def work(t):
+            try:
+                for k in range(len(calls)):
+                    j = (k + 7 * t) % len(calls)  # each thread starts elsewhere
+                    net, s, p = calls[j]
+                    got[t, j] = _shown(extract(net, strategy=s, parallel=p))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert got == {(t, j): want[j] for t in range(4) for j in range(len(calls))}
 
     def test_peers_are_local_to_their_component(self, capsys, tmp_path):
         """Components {a, c} and {b, d} interleave in name order, so a peer
@@ -289,6 +379,20 @@ INTERLEAVED_DOT = r"""digraph seg {
   n4 -> n5 [label="b.u -> d.w"];
 }
 """
+
+
+def _shown(result) -> tuple:
+    """What an extraction shows its caller: the program, the graph (as
+    dot, below 2,000 nodes), the counters, the deadlock leaves and the
+    failure."""
+    nodes = sum(len(c.seg.state) for c in result.components)
+    return (
+        pretty(result.program) if result.ok else None,
+        result.to_dot() if nodes < 2000 else None,
+        (result.nodes_created, result.nodes_deleted, result.badloops),
+        result.deadlock_remainders,
+        result.failure,
+    )
 
 
 class TestNodeBound:

@@ -31,7 +31,7 @@ def _labels(an):
     """The labels of `an`'s steps by the reference semantics, which the
     kernel lists too, in the same order."""
     want = [pretty_action(s.label) for s in reference_steps(an)]
-    kernel = Kernel(an.net, an.services)
+    kernel = Kernel(an.net).serving(an.services)
     state = kernel.state(an.net, an.marked)
     units = enabled_steps(kernel, state)
     assert [pretty_action(s.label) for unit in units for s in unit] == want

@@ -200,7 +200,7 @@ def test_lazy_successors_equal_eager_ones(text, services):
     built only when asked for and turned back into terms, equals the
     eagerly built one, marking and live set included."""
     net = parse_network(text)
-    kernel = Kernel(net, services)
+    kernel = Kernel(net).serving(services)
     seen = {kernel.root}
     frontier = [kernel.root]
     steps = 0

@@ -23,7 +23,7 @@ t { main { if c then stop else stop } }
 
 def _units(an):
     """The kernel of `an`'s network, the state of `an`, and its units."""
-    kernel = Kernel(an.net, an.services)
+    kernel = Kernel(an.net).serving(an.services)
     state = kernel.state(an.net, an.marked)
     return kernel, state, enabled_steps(kernel, state)
 
