@@ -1,4 +1,22 @@
-"""Budgeted similarity and bisimilarity checking for choreographies.
+"""Budgeted similarity and bisimilarity checking for choreographies, over
+their transitions.
+
+`chor_enabled` lists the actions of a choreography body executable up to
+the swap relation, computed with a blocked-set scan instead of rewriting:
+an action deeper in the body is enabled when no process it involves is
+"blocked" by an earlier action or by a conditional it sits under, and
+an action under a conditional must be enabled in both branches.
+
+The scan is a loop over an explicit stack, one entry per conditional
+branch being scanned, and it stops as soon as the blocked set covers
+every process of the choreography.  That cut-off loses nothing: the
+blocked set only grows deeper in the body, every action involves at
+least one process, and an action is listed only if none of its
+processes is blocked; a conditional's branches inherit the blocked
+set, so they list nothing either, and neither does their
+intersection.  Bodies that `chor_enabled` is given are the
+choreography's own bodies or successors of them, so their processes
+are the choreography's, computed once per choreography.
 
 The checker runs a worklist over pairs of configurations.  A configuration
 is a tuple of bodies, one per parallel component, so a single choreography
@@ -119,9 +137,118 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
+from . import cc
 from .cc import Call, Choreography, Com, Cond, Program, Sel
 from .parser import pretty_body
-from .semantics import chor_enabled, pretty_action
+from .semantics import ComAction, ElseAction, SelAction, ThenAction, pretty_action
+
+
+# ------------------------------------------------- choreography transitions
+
+
+def _under(heads: list, body):
+    """`body` under the communication and selection `heads`, outermost first."""
+    for head in reversed(heads):
+        body = head.rebuild((body,))
+    return body
+
+
+def _chain(procedures: dict, names: frozenset, body, blocked: frozenset, visiting: frozenset):
+    """Actions enabled along one chain of `body`, up to its conditional.
+
+    Walks the communications, selections and calls at the top of `body`
+    and lists their enabled actions, each successor rebuilt under the
+    heads passed on the way.  A generator: at a conditional it yields a
+    scan request `(branch, blocked, visiting)` for the then branch and
+    then for the else branch, is sent each branch's actions in reply, and
+    keeps the actions both branches list.  No scan lists a label twice
+    (once it lists an action, that action's processes stay blocked for
+    the rest of the scan), so a branch's actions can go into a dict.  It
+    stops once `blocked` covers `names`.  `visiting` holds the
+    (procedure, blocked) pairs unfolded on the way here; reaching one
+    again would rescan the same body under the same constraints, so the
+    chain ends there.
+    """
+    heads = []
+    out = []
+    blocked = set(blocked)
+    while not blocked >= names:
+        kind = type(body)
+        if kind is cc.Com or kind is cc.Sel:
+            p, q = body.sender, body.receiver
+            if p not in blocked and q not in blocked:
+                if kind is cc.Com:
+                    action = ComAction(p, body.expr, q, body.var)
+                else:
+                    action = SelAction(p, q, body.label)
+                out.append((action, _under(heads, body.cont)))
+            heads.append(body)
+            blocked.add(p)
+            blocked.add(q)
+            body = body.cont
+        elif kind is cc.Call:
+            key = (body.name, frozenset(blocked))
+            if key in visiting:
+                break
+            visiting = visiting | {key}
+            body = procedures[body.name]
+        elif kind is cc.Cond:
+            p, e = body.process, body.expr
+            if p not in blocked:
+                out.append((ThenAction(p, e), _under(heads, body.then)))
+                out.append((ElseAction(p, e), _under(heads, body.orelse)))
+            blocked.add(p)
+            inner = frozenset(blocked)
+            then_res = yield body.then, inner, visiting
+            else_res = dict((yield body.orelse, inner, visiting))
+            for a, then_succ in then_res:
+                if a in else_res:
+                    out.append((a, _under(heads, cc.Cond(p, e, then_succ, else_res[a]))))
+            break
+        elif kind is cc.Nil or kind is cc.Deadlock:
+            break
+        else:
+            raise TypeError(f"not a choreography body: {body!r}")
+    return out
+
+
+def _scan(procedures: dict, names: frozenset, body) -> list:
+    """Actions enabled in `body`, each with its successor.
+
+    An explicit stack of `_chain` scans, one per conditional branch being
+    scanned; each finished scan's actions are sent to the scan below it.
+    """
+    stack = [_chain(procedures, names, body, frozenset(), frozenset())]
+    sent = None
+    while True:
+        try:
+            branch = stack[-1].send(sent)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            sent = done.value
+        else:
+            stack.append(_chain(procedures, names, *branch))
+            sent = None
+
+
+def chor_enabled(c: cc.Choreography, body=None) -> list:
+    """All (action, successor-body) pairs executable up to swapping.
+
+    The successor has the fired action removed at every position where it
+    was matched — in both branches when it was pulled out of a
+    conditional.  No label is listed twice: once the scan lists an
+    action, its processes stay blocked for the rest of the scan.  `body`
+    defaults to `c.main`; any other body must use only `c`'s processes,
+    as its procedures and every successor listed here do.
+    """
+    if body is None:
+        body = c.main
+    return _scan(c.procedures, cc.choreography_process_names(c), body)
+
+
+# ---------------------------------------------------------------- the check
 
 
 @dataclass(frozen=True)

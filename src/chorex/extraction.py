@@ -27,14 +27,18 @@ branches apart; that node is the open ancestor with the same state.
 The search runs over the network compiled once (`semantics.Kernel`),
 and compiled again only when another network comes (`compiled`), so
 strategies run on one network one call after another share one compile,
-its split into components and the steps built.  A node's state is a
-tuple of integer behaviour ids plus a marking bit mask, which hashes
-and compares in C.  Terms and networks are built again
-from a state only to print it (`to_dot`) or report it
-(`deadlock_remainders`).  The graph (`Seg`) is parallel lists indexed by
-node id, with no object per node and no reference per edge, so it is
-freed by reference counting alone and gives the cyclic collector nothing
-to walk.
+its split into components, the steps built and the positions met.  A
+node's state is one int, `position << n | marking`, where the position
+stands for the tuple of the processes' behaviour ids: the kernel lists
+a position's units and makes its successors once, so a state met again,
+in this search or another over the same compile, is stepped by lookups.
+Terms and networks are built again from a state only to print it
+(`to_dot`) or report it (`deadlock_remainders`).  The graph (`Seg`) is
+parallel lists indexed by node id, with no object per node and no
+reference per edge, so it is freed by reference counting alone and gives
+the cyclic collector nothing to walk.  The search keeps a frame only for
+an open node with a choice; a node with one interaction is stepped in
+place.
 
 When the search succeeds, nodes with more than one incoming edge (and a
 root with any) become recursive procedure definitions, named in creation
@@ -82,8 +86,9 @@ class Seg:
     and a target id (-1 for none).  A node with one edge, an interaction,
     fills the first slot; a conditional puts its then edge there and its
     else edge in the second.  `deadlocks` holds the ids of deadlocked
-    leaves.  Nodes hold ids, never references, so the graph makes no
-    reference cycle and leaves nothing for the cyclic collector.
+    leaves.  States are ints and nodes hold ids, never references, so the
+    graph makes no reference cycle and leaves nothing for the cyclic
+    collector.
 
     `rollback` deletes nodes, newest first, by truncating every list.
     `created`/`deleted` count events (a node created, deleted, and
@@ -92,7 +97,7 @@ class Seg:
 
     def __init__(self, kernel):
         self.kernel = kernel
-        self.open = {}  # state -> `_Frame` of each open node, kept by `build_graph`
+        self.open = {}  # state -> (node, whites) of each open node, kept by `build_graph`
         self.state = []
         self.path = []
         self.white = []
@@ -105,12 +110,15 @@ class Seg:
         self.deleted = 0
         self.badloops = 0
         self._deleted_keys = set()  # the (state, path) of every deleted node
+        # The marking bits of the non-service processes: a state is white,
+        # no live non-service process marked, iff it has none of them.
+        self._clients = ((1 << kernel.n) - 1) & ~kernel.services
         self.add_node(kernel.root, "")
 
-    def add_node(self, state: tuple, path: str) -> int:
+    def add_node(self, state: int, path: str) -> int:
         self.state.append(state)
         self.path.append(path)
-        self.white.append(self.kernel.white(state))
+        self.white.append(not state & self._clients)
         self.label0.append(None)
         self.target0.append(-1)
         self.label1.append(None)
@@ -158,10 +166,10 @@ class Seg:
         assert len(live) == len(self.state), "node identity created twice"
         return len(live | self._deleted_keys)
 
-    def find_loop_candidate(self, state: tuple, path: str):
-        """The open frame of the node that a step to `state` under the
-        choice path `path` closes a loop onto, if any: the node with that
-        state whose path is a prefix of `path`.
+    def find_loop_candidate(self, state: int, path: str):
+        """The entry in `open`, (node, whites), of the node that a step to
+        `state` under the choice path `path` closes a loop onto, if any:
+        the node with that state whose path is a prefix of `path`.
 
         Open nodes are ancestors of the node being extended, so their
         paths are prefixes, and no two share a state: the shallower would
@@ -170,124 +178,142 @@ class Seg:
         an open conditional and its path is no prefix.  `rollback` deletes
         closed nodes only.
         """
-        frame = self.open.get(state)
-        assert frame is None or path.startswith(self.path[frame.node]), "not an ancestor"
-        return frame
+        entry = self.open.get(state)
+        assert entry is None or path.startswith(self.path[entry[0]]), "not an ancestor"
+        return entry
 
 
 class _Frame:
-    """One open node of the search: a node whose steps are being tried.
+    """An open node with a choice: more than one unit, or a conditional.
 
-    It holds the node's id and ordered units, the live mask of its state,
-    the unit and the step being tried, `unit_mark`, the node count from
-    before the unit, and `whites`, the number of white nodes on the
-    depth-first path from the root up to and including this node.
+    It holds the node's id and ordered units, the unit and the step being
+    tried, `unit_mark`, the node count from before the unit, `whites`, the
+    number of white nodes on the depth-first path from the root up to and
+    including this node, and `forced`, the number of open nodes stepped in
+    place below it on that path.
     """
 
-    __slots__ = ("node", "units", "live", "unit_at", "step_at", "unit_mark", "whites")
+    __slots__ = ("node", "units", "unit_at", "step_at", "unit_mark", "whites", "forced")
 
-    def __init__(self, node: int, units, live: int, whites: int):
+    def __init__(self, node: int, units, whites: int, forced: int):
         self.node = node
         self.units = units
-        self.live = live
         self.unit_at = 0
         self.step_at = 0
         self.unit_mark = 0
         self.whites = whites
+        self.forced = forced
 
 
 def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
     """Depth-first construction of the graph below the root, node 0.
 
     Returns the search's outcome and whether it saw a deadlocked leaf.
-    The search runs in a loop over one explicit stack of `_Frame`s, one
-    per open node, also held by state in `seg.open`.  `result` is None
-    while a step is to be tried at the top frame; otherwise it is the
-    outcome of the top frame's current step.
+    The search runs in one loop.  Every open node is in `seg.open`, by
+    state, with its node id and `whites`, the number of white nodes on
+    the depth-first path from the root up to and including it.  A node
+    with a choice also has a `_Frame` on an explicit stack.  A node whose
+    one unit is an interaction is stepped in place: its state goes on
+    `forced` until it settles, and the search goes straight on to its
+    successor.  `result` is None while a step is to be tried: the current
+    step of `top`, or a forced node's step when `top` is None; otherwise
+    it is the outcome of that step.
 
-    A closing edge onto `frame.node` is valid iff the cycle it closes
+    A closing edge onto an open node is valid iff the cycle it closes
     holds a white node.  The cycle is the path from that node up to the
-    top, so its white nodes number `top.whites - frame.whites` plus one
-    if the node is white: an O(1) test.
+    node being extended, so its white nodes number `whites` of the one
+    minus those of the other, plus one if the target is white: an O(1)
+    test.
 
     Only OK is reported to a parent: a node whose units are all rejected
-    fails the search, and undoing each frame on the way to the root, with
-    no other step tried, would leave the root alone and without edges, as
-    one `rollback` to it does.  The other undo deletes a then branch when
-    its else step is a rejected closing edge.  A rollback never reaches
-    below an open node, so the branch's nodes are the newest; the one
-    older node with new edges is the frame's own, and it had none when
-    the unit began, since a unit before kept none or it would have settled.
+    fails the search, a forced node as soon as its one step is, and
+    undoing each frame on the way to the root, with no other step tried,
+    would leave the root alone and without edges, as one `rollback` to it
+    does.  The other undo deletes a then branch when its else step is a
+    rejected closing edge.  A rollback never reaches below an open node,
+    so the branch's nodes are the newest; the one older node with new
+    edges is the frame's own, and it had none when the unit began, since
+    a unit before kept none or it would have settled.
     """
     kernel = seg.kernel
-    successor = kernel.successor
+    successor, terminal = kernel.successor, kernel.terminal
     states, paths, white = seg.state, seg.path, seg.white  # truncated in place
-    add_node, add_edge = seg.add_node, seg.add_edge
-    stack = []
+    add_node, add_edge, opened = seg.add_node, seg.add_edge, seg.open
+    stack = []  # a `_Frame` per open node with a choice
+    forced = []  # the state of each open node stepped in place, oldest first
     saw_deadlock = False
-
-    def open_node(node, live, whites_above):
-        """Push a frame for `node`, whose state has the live mask `live`,
-        or settle it as a leaf (OK)."""
-        nonlocal saw_deadlock
+    node, whites = 0, 0  # the node to open, and the white nodes above it
+    while True:
+        # Open `node`: settle it as a leaf, step it in place, or push a frame.
         state = states[node]
+        whites += white[node]
         units = enabled_steps(kernel, state)
         if not units:
-            if not kernel.terminal(state):
+            if not terminal(state):
                 seg.deadlocks.add(node)
                 saw_deadlock = True
-            return Outcome.OK
-        units = order_steps(units, strategy, kernel, state, rng)
-        frame = _Frame(node, units, live, whites_above + white[node])
-        stack.append(frame)
-        seg.open[state] = frame
-        return None
-
-    result = open_node(0, kernel.live(states[0]), 0)
-    while stack:
-        top = stack[-1]
-        node = top.node
-        unit = top.units[top.unit_at]
-        if result is None:  # try the current step
-            j = top.step_at
-            if j == 0:
-                top.unit_mark = len(states)
-            step = unit[j]
-            path = paths[node] if len(unit) == 1 else paths[node] + "01"[j]
-            state, live = successor(states[node], top.live, step)
-            frame = seg.find_loop_candidate(state, path)
-            if frame is not None:
-                if top.whites - frame.whites + white[frame.node] >= 1:
-                    add_edge(node, step.label, frame.node)
+            result = Outcome.OK
+        else:
+            opened[state] = (node, whites)
+            result = None
+            if len(units) == 1 and len(units[0]) == 1:
+                forced.append(state)
+                top, step, path = None, units[0][0], paths[node]
+            else:
+                units = order_steps(units, strategy, kernel, state, rng)
+                top = _Frame(node, units, whites, len(forced))
+                stack.append(top)
+        while True:
+            if result is None:  # try the step
+                if top is not None:
+                    node, j = top.node, top.step_at
+                    unit = top.units[top.unit_at]
+                    if j == 0:
+                        top.unit_mark = len(states)
+                    step = unit[j]
+                    path = paths[node] if len(unit) == 1 else paths[node] + "01"[j]
+                    state, whites = states[node], top.whites
+                after = successor(state, step)
+                target = seg.find_loop_candidate(after, path)
+                if target is None:
+                    fresh = add_node(after, path)
+                    add_edge(node, step.label, fresh)
+                    node = fresh
+                    break  # open it
+                at, above = target
+                if whites - above + white[at] >= 1:
+                    add_edge(node, step.label, at)
                     result = Outcome.OK
                 else:
                     seg.badloops += 1
                     result = Outcome.BADLOOP
-                continue
-            fresh = add_node(state, path)
-            add_edge(node, step.label, fresh)
-            result = open_node(fresh, live, top.whites)  # OK for a leaf: its edge is done
-            continue
-        # `result` is the outcome of step `step_at` of the current unit.
-        if result is Outcome.BADLOOP:
-            if top.step_at == 1:
-                seg.rollback(top.unit_mark, node)  # delete the then branch
-            top.unit_at += 1
-            top.step_at = 0
-            if top.unit_at < len(top.units):
+            if result is Outcome.BADLOOP:
+                if top is not None:
+                    if top.step_at == 1:
+                        seg.rollback(top.unit_mark, top.node)  # delete the then branch
+                    top.unit_at += 1
+                    top.step_at = 0
+                    if top.unit_at < len(top.units):
+                        result = None
+                        continue
+                opened.clear()  # nothing but rejected loops: the search fails
+                seg.rollback(1, 0)
+                return Outcome.FAIL, saw_deadlock
+            # OK: every node stepped in place since the top frame settles.
+            top = stack[-1] if stack else None
+            mark = top.forced if top is not None else 0
+            while len(forced) > mark:
+                del opened[forced.pop()]
+            if top is None:
+                opened.clear()  # empty already: this frees its table, as deletes do not
+                return result, saw_deadlock
+            if top.step_at == 0 and len(top.units[top.unit_at]) == 2:
+                top.step_at = 1  # then branch done: now the else branch
                 result = None
                 continue
-            seg.open.clear()  # nothing but rejected loops: the search fails
-            seg.rollback(1, 0)
-            return Outcome.FAIL, saw_deadlock
-        if len(unit) == 2 and top.step_at == 0:
-            top.step_at = 1  # then branch done: now the else branch
-            result = None
-            continue
-        # The node is settled: OK is now the outcome of its parent's step.
-        stack.pop()
-        del seg.open[states[node]]
-    return result, saw_deadlock
+            # The node is settled: OK is now the outcome of its parent's step.
+            stack.pop()
+            del opened[states[top.node]]
 
 
 # ------------------------------------------------------- graph verification

@@ -1,43 +1,28 @@
-"""Abstract labelled transitions.
+"""Abstract labelled transitions of networks, and the action labels that
+networks and choreographies share (the choreography transitions are
+`equiv.chor_enabled`).
 
-Two labelled transition systems live here:
+`enabled_steps` lists the abstract reductions of a network and its
+marking, over a `Kernel`: a network or one of its components compiled to
+integer ids, where a state is one int, `position << n | marking`.  Its
+position is the tuple of the processes' main behaviour ids, interned
+once per kernel; its marking is a bit mask.  A process whose main
+behaviour is a procedure call acts through the head its calls unfold
+to, which the kernel tabulated once per id.  Each step also advances
+the per-process marking: processes that act become marked, and when
+every live, unmarked, non-service process takes part in an action the
+whole marking is erased (services stay marked forever).
 
-* `enabled_steps` — abstract reductions of a network and its marking,
-  over a `Kernel`: a network or one of its components compiled to
-  integer ids, where a state is a tuple of main behaviour ids plus a
-  marking bit mask.  A process whose main behaviour is a procedure call
-  acts through the head its calls unfold to, which the kernel tabulated
-  once per id.  Each step also advances the per-process marking:
-  processes that act become marked, and when every live, unmarked,
-  non-service process takes part in an action the whole marking is
-  erased (services stay marked forever).
-
-  Steps are listed in the units the search tries: `(step,)` for an
-  interaction, `(then, else)` for a conditional.  Successors are lazy: a
-  step holds its label and the continuation ids of its participants, and
-  the search builds its successor state (`Kernel.successor`) only when it
-  tries the step.  That replaces one or two entries of the tuple and
-  updates the marking and live masks from the participants; nothing is
-  rebuilt, rehashed or rescanned over every process.  Units are built
-  once per pair of heads and shared by every state that lists them, in
-  every search over the same kernel.
-
-* `chor_enabled` — actions of a choreography body executable up to the
-  swap relation, computed with a blocked-set scan instead of rewriting:
-  an action deeper in the body is enabled when no process it involves is
-  "blocked" by an earlier action or by a conditional it sits under, and
-  an action under a conditional must be enabled in both branches.
-
-  The scan is a loop over an explicit stack, one entry per conditional
-  branch being scanned, and it stops as soon as the blocked set covers
-  every process of the choreography.  That cut-off loses nothing: the
-  blocked set only grows deeper in the body, every action involves at
-  least one process, and an action is listed only if none of its
-  processes is blocked; a conditional's branches inherit the blocked
-  set, so they list nothing either, and neither does their
-  intersection.  Bodies that `chor_enabled` is given are the
-  choreography's own bodies or successors of them, so their processes
-  are the choreography's, computed once per choreography.
+Steps are listed in the units the search tries: `(step,)` for an
+interaction, `(then, else)` for a conditional.  Units are built once
+per pair of heads, and listed once per position: every marking of a
+position, in every search over the same kernel, looks them up.
+Successors are lazy: a step holds its label and the continuation ids
+of its participants, and the search asks for its successor state
+(`Kernel.successor`) only when it tries the step.  The successor
+position is made once per (position, step), by replacing one or two
+entries of the tuple, and looked up after that; the marking follows
+from the participants' bit masks.
 
 Markings quantify over live processes only: a process that has terminated
 can never take part in any action again, so it is exempt both from the
@@ -49,9 +34,11 @@ its marking again.
 from __future__ import annotations
 
 import copy
+import itertools
+import threading
 from dataclasses import dataclass
 
-from . import cc, sp
+from . import sp
 
 
 # ------------------------------------------------------------- action labels
@@ -114,28 +101,32 @@ def pretty_action(action) -> str:
 NIL, SEND, RECEIVE, SELECT, OFFER, COND = range(6)
 UNRESOLVED = -1
 
+# A (position, step) pair is one int key, `position << _STEP_BITS | step
+# number`: no kernel holds 2^32 steps.  An int, unlike a tuple holding a
+# step, is no object for the cyclic collector.
+_STEP_BITS = 32
+
 
 class Step:
     """One enabled reduction: its label, its participants (process
-    indices, actor first), their continuation ids, and two bit masks of
-    participants: all of them, and those the step terminates.
+    indices, actor first), their continuation ids, two bit masks of
+    participants (all of them, and those the step terminates) and its
+    number in its kernel's index space.
 
     A step depends only on the heads of its participants, so the kernel
     builds it once, in its unit, and every state whose participants have
     those heads lists the same unit.
     """
 
-    __slots__ = ("label", "procs", "conts", "bits", "dead")
+    __slots__ = ("label", "procs", "conts", "bits", "dead", "number")
 
-    def __init__(self, label, procs: tuple, conts: tuple, kind: list):
+    def __init__(self, label, procs: tuple, conts: tuple, bits: int, dead: int, number: int):
         self.label = label
         self.procs = procs
         self.conts = conts
-        self.bits = self.dead = 0
-        for p, c in zip(procs, conts):
-            self.bits |= 1 << p
-            if kind[c] == NIL:
-                self.dead |= 1 << p
+        self.bits = bits
+        self.dead = dead
+        self.number = number
 
     def __repr__(self):
         return f"Step({pretty_action(self.label)})"
@@ -157,18 +148,29 @@ class Kernel:
     `peer`, whose indices are local to each component.  Neither the
     tables nor the steps depend on services: `serving` gives a view of a
     kernel with its services, and the whole kernel and its split parts
-    stay usable for any number of searches.
+    stay usable for any number of searches.  The interning memo is
+    dropped once the compile is done; `_memos` rebuilds it from the
+    tables if `state` interns again.
 
-    Each index space, the whole kernel and each split part, builds its
-    own units (`_pairs`, `_conds`) once per pair of heads and shares them
-    with its views: a step holds process indices, so it never crosses
-    from one index space to another.
+    A search state is one int, `position << n | marking`.  Its *position*
+    is the tuple of each process's main behaviour id, in name order,
+    interned to an int (hash-consing again, now of global configurations):
+    `positions` maps it back to the tuple.  Its marking is a bit mask
+    (bit i for process i) that holds only live processes, and always
+    every live service.  A process is live unless its head is Nil; each
+    position's live mask is tabulated when it is interned (`live`).
 
-    A search state is a plain tuple: the main behaviour id of each
-    process in name order, then the marking as an int bit mask (bit i for
-    process i).  The marking holds only live processes, and always every
-    live service.  A process is live unless its head is Nil, so the
-    search carries the live set of a state beside it as a mask too.
+    Each index space, the whole kernel and each split part, has its own
+    position tables and its own units (`_pairs`, `_conds`, built once per
+    pair of heads), and shares them with its views: a step and a position
+    hold process indices, so neither crosses from one index space to
+    another.  Per position, the kernel tabulates its units the first time
+    they are listed (`enabled_steps`), and per (position, step) tried,
+    the successor position (`successor`).  So every marking of a
+    position, in every search over the index space under any strategy,
+    lists and steps by lookups.  Threads may share a compile; they intern
+    positions under a lock (`_position`); every other table entry is
+    written whole, and one thread's entry serves as well as another's.
 
     Heads are chased once every body is interned, a bounded number of
     hops: a call that unfolds to no head (a cycle of bare calls, or an
@@ -181,8 +183,9 @@ class Kernel:
     # fast as those of the object `__init__` built.
     __slots__ = (
         "names", "n", "_index", "terms", "services", "behaviour", "size", "head",
-        "kind", "peer", "cont", "ifs", "unresolved", "_memo", "_procedures",
-        "_calls", "_pairs", "_conds", "root",
+        "kind", "peer", "cont", "ifs", "unresolved", "_memo", "_first", "_procedures",
+        "_calls", "_pairs", "_conds", "_numbers", "positions", "_position_of", "_live",
+        "_units", "_next", "_lock", "root",
     )
 
     def __init__(self, net: sp.Network):
@@ -200,16 +203,31 @@ class Kernel:
         self.ifs = {}  # id of each body interned -> the conditionals in its tree
         self.unresolved = {}  # id -> the error its unfolding raises
         self._memo = [{} for _ in self.names]  # per process: key -> id (`_intern`)
+        self._first = []  # process i compiles to the ids from _first[i] to _first[i + 1]
         self._procedures = []  # per process: procedure name -> id
         self._calls = []  # (process, id) of calls still to chase
-        self._pairs = {}  # (actor head, partner head) -> (Step,) or None
-        self._conds = {}  # conditional head -> (then Step, else Step)
         mains = []
         for i, term in enumerate(self.terms):
+            self._first.append(len(self.behaviour))
             self._procedures.append({x: self._intern(i, b) for x, b in term.procedures.items()})
             mains.append(self._intern(i, term.main))
+        self._first.append(len(self.behaviour))
         self._resolve()
+        self._memo.clear()  # its keys are dead weight to a search; `_memos` rebuilds it
+        self._index_space()
         self.root = self._state(mains, 0)
+
+    def _index_space(self):
+        """Give this kernel new, empty unit and position tables."""
+        self._pairs = {}  # (actor head, partner head) -> (Step,) or None
+        self._conds = {}  # conditional head -> (then Step, else Step)
+        self._numbers = itertools.count()  # numbers the steps
+        self.positions = []  # position -> its tuple of main ids
+        self._position_of = {}  # tuple of main ids -> position
+        self._live = []  # position -> its live mask
+        self._units = []  # position -> its units, None until listed
+        self._next = {}  # position << _STEP_BITS | step number -> the successor position
+        self._lock = threading.Lock()  # held to intern a position
 
     # -- compiling
 
@@ -224,7 +242,7 @@ class Kernel:
         and its entries in the tables; `_resolve` then fills in `head`.
         The walk also counts the tree's conditionals, for `node_bound`.
         """
-        memo, index, behaviour = self._memo[i], self._index, self.behaviour
+        memo, index, behaviour = self._memos()[i], self._index, self.behaviour
         size, kind, peer, cont = self.size, self.kind, self.peer, self.cont
         ifs = 0
         order = []
@@ -274,6 +292,35 @@ class Kernel:
         self.ifs[ids[0]] = ifs  # the walk met every node of the tree, shared or not
         return ids[0]
 
+    def _memos(self) -> list:
+        """The per-process memos of `_intern`, rebuilt after the compile
+        dropped them: each id the compile gave a process gets back the key
+        `_intern` made for it, from its term and its `cont`."""
+        if not self._memo:
+            behaviour, cont = self.behaviour, self.cont
+            for lo, hi in zip(self._first, self._first[1:]):
+                memo = {}
+                for x in range(lo, hi):
+                    t, c = behaviour[x], cont[x]
+                    typ = type(t)
+                    if typ is sp.Send:
+                        key = (SEND, t.to, t.expr, c)
+                    elif typ is sp.Receive:
+                        key = (RECEIVE, t.frm, t.var, c)
+                    elif typ is sp.Select:
+                        key = (SELECT, t.to, t.label, c)
+                    elif typ is sp.Cond:
+                        key = (COND, t.expr, *c)
+                    elif typ is sp.Offer:
+                        key = (OFFER, t.frm, tuple(c), *c.values())
+                    elif typ is sp.Call:
+                        key = (UNRESOLVED, t.name)
+                    else:
+                        key = (NIL,)
+                    memo[key] = x
+                self._memo.append(memo)
+        return self._memo
+
     def _resolve(self):
         """Chase every new call to its head, as `ProcessTerm.head_behaviour`
         does: at most one hop per procedure of the process.  Every other
@@ -308,7 +355,7 @@ class Kernel:
         sizes times 2^conditionals, over all main and procedure bodies,
         read off the `size` and `ifs` of their ids."""
         product, total = 1, 0
-        for i, main in enumerate(self.root[: self.n]):
+        for i, main in enumerate(self.ids(self.root)):
             ids = [main, *self._procedures[i].values()]
             product *= sum(self.size[x] for x in ids)
             total += sum(self.ifs[x] for x in ids)
@@ -317,12 +364,13 @@ class Kernel:
     # -- components
 
     def communication_graph(self) -> dict:
-        """Undirected adjacency over names: p—q iff a body of either
-        communicates with the other, read off the `peer` of their ids."""
-        names, peer = self.names, self.peer
+        """Undirected adjacency over the names of the network compiled:
+        p—q iff a body of either communicates with the other, read off the
+        `peer` of the ids the compile gave each process."""
+        names, peer, first = self.names, self.peer, self._first
         adjacency = {p: set() for p in names}
-        for i, memo in enumerate(self._memo):
-            for j in set(map(peer.__getitem__, memo.values())):
+        for i in range(self.n):
+            for j in set(peer[first[i] : first[i + 1]]):
                 if j >= 0 and j != i:
                     adjacency[names[i]].add(names[j])
                     adjacency[names[j]].add(names[i])
@@ -334,16 +382,17 @@ class Kernel:
 
         Each shares the interned tables, as ids are disjoint per process
         and a step's processes lie in one group, and has its own processes
-        in name order, services, root and unit memos.  With two or more
-        groups, the parts read a new `peer` list of indices within each
-        group, and this kernel keeps its own: it stays whole.  Only the
-        whole kernel interns (`state`); the parts read the ids it
-        compiled."""
+        in name order, services, root, unit memos and position tables.
+        With two or more groups, the parts read a new `peer` list of
+        indices within each group, and this kernel keeps its own: it stays
+        whole.  Only the whole kernel interns (`state`); the parts read the
+        ids it compiled."""
         if len(groups) == 1:
             return [self]
         local = {self._index[p]: li for names in groups for li, p in enumerate(names)}
         local[-1] = -1  # no peer stays no peer
         peer = [local[j] for j in self.peer]
+        root = self.ids(self.root)
         parts = []
         for names in groups:
             at = [self._index[p] for p in names]
@@ -351,30 +400,56 @@ class Kernel:
             part.names, part.n = tuple(names), len(names)
             part._index = {p: li for li, p in enumerate(names)}
             part.terms = [self.terms[g] for g in at]
-            part._memo = [self._memo[g] for g in at]
+            part._memo = part._first = None
             part._procedures = [self._procedures[g] for g in at]
             part.peer = peer
-            part._pairs, part._conds = {}, {}
+            part._index_space()
             part.services = sum((self.services >> g & 1) << li for li, g in enumerate(at))
-            part.root = part._state([self.root[g] for g in at], 0)
+            part.root = part._state([root[g] for g in at], 0)
             parts.append(part)
         return parts
 
     def serving(self, services) -> Kernel:
         """A view of this kernel with the processes `services`, those of
         them it has, as its services: a copy with its own services mask
-        and root, sharing every table and unit memo."""
+        and root, sharing every table and memo, the positions too."""
         view = copy.copy(self)
         view.services = sum(1 << i for i, p in enumerate(self.names) if p in services)
-        view.root = view._state(self.root[: self.n], 0)
+        view.root = view._state(self.ids(self.root), 0)
         return view
 
     # -- states
 
-    def _state(self, ids: list, marked: int) -> tuple:
-        return (*ids, (marked | self.services) & self.live(ids))
+    def _position(self, ids: tuple, live: int) -> int:
+        """The position of the main ids `ids`, whose live mask is `live`;
+        a new tuple gets the next one.
 
-    def state(self, net: sp.Network, marked=frozenset()) -> tuple:
+        Threads may share a compile, so the table is read and written under
+        the lock: two threads that intern the same ids get one position,
+        and no position leaves here before its entries in `positions`,
+        `_live` and `_units` exist.  `successor` asks only on a miss in
+        `_next`, so the lock is taken the first time a step is tried from
+        a position."""
+        lock = self._lock
+        lock.acquire()  # not `with`: this runs at every node of a search with no repeats
+        try:
+            positions = self.positions
+            new = len(positions)
+            position = self._position_of.setdefault(ids, new)
+            if position == new:
+                positions.append(ids)
+                self._live.append(live)
+                self._units.append(None)
+        finally:
+            lock.release()
+        return position
+
+    def _state(self, ids, marked: int) -> int:
+        kind = self.kind
+        live = sum(1 << i for i, x in enumerate(ids) if kind[x] != NIL)
+        return self._position(tuple(ids), live) << self.n | (marked | self.services) & live
+
+    def state(self, net: sp.Network, marked=frozenset()) -> int:
         """The state of `net`, a network over the same processes and
         procedures, with the processes `marked` marked (and the live
         services)."""
@@ -382,57 +457,59 @@ class Kernel:
         self._resolve()
         return self._state(ids, sum(1 << self._index[p] for p in marked))
 
-    def live(self, state) -> int:
+    def ids(self, state: int) -> tuple:
+        """The main behaviour id of each process in a state."""
+        return self.positions[state >> self.n]
+
+    def live(self, state: int) -> int:
         """The mask of live processes of a state."""
-        kind = self.kind
-        return sum(1 << i for i in range(self.n) if kind[state[i]] != NIL)
+        return self._live[state >> self.n]
 
-    def white(self, state) -> bool:
-        """True iff no live non-service process is marked."""
-        return not state[-1] & ~self.services
-
-    def terminal(self, state) -> bool:
+    def terminal(self, state: int) -> bool:
         """True iff every non-service process has terminated.
 
         Services are allowed to keep spinning; a network where only
         services can still act counts as successfully terminated.
         """
-        return not self.live(state) & ~self.services
+        return not self._live[state >> self.n] & ~self.services
 
-    def successor(self, state: tuple, live: int, step: Step) -> tuple:
-        """The state after `step`, and its live mask, from a state and its
-        live mask.
+    def successor(self, state: int, step: Step) -> int:
+        """The state after `step`.
 
-        Only the participants' entries change.  The marking is erased
-        when the participants are all the live, unmarked processes there
-        are (the marking holds every live service, so those are never
-        waiting); otherwise the participants join it.  Terminated
+        The successor position is looked up, or made once per (position,
+        step) by replacing the participants' entries.  The marking is
+        erased when the participants are all the live, unmarked processes
+        there are (the marking holds every live service, so those are
+        never waiting); otherwise the participants join it.  Terminated
         processes leave it either way.
         """
-        out = list(state)
-        for p, c in zip(step.procs, step.conts):
-            out[p] = c
-        after = live & ~step.dead
-        marked = state[-1]
-        if live & ~(marked | step.bits):
-            out[-1] = (marked | step.bits) & after
-        else:
-            out[-1] = self.services & after
-        return tuple(out), after
+        n = self.n
+        position = state >> n
+        live = self._live[position]
+        key = position << _STEP_BITS | step.number
+        after = self._next.get(key)
+        if after is None:
+            ids = list(self.positions[position])
+            for p, c in zip(step.procs, step.conts):
+                ids[p] = c
+            after = self._next[key] = self._position(tuple(ids), live & ~step.dead)
+        marked = (state | step.bits) & ((1 << n) - 1)
+        if live & ~marked:
+            return after << n | marked & live & ~step.dead
+        return after << n | self.services & live & ~step.dead
 
     # -- back to terms
 
-    def network(self, state) -> sp.Network:
+    def network(self, state: int) -> sp.Network:
         return sp.Network(
             {
                 p: sp.ProcessTerm(term.procedures, self.behaviour[x])
-                for p, term, x in zip(self.names, self.terms, state)
+                for p, term, x in zip(self.names, self.terms, self.ids(state))
             }
         )
 
-    def marked(self, state) -> frozenset:
-        mask = state[-1]
-        return frozenset(p for i, p in enumerate(self.names) if mask >> i & 1)
+    def marked(self, state: int) -> frozenset:
+        return frozenset(p for i, p in enumerate(self.names) if state >> i & 1)
 
     # -- steps
 
@@ -446,7 +523,11 @@ class Kernel:
             label, k = ComAction(p, b.expr, q, c.var), self.cont[hy]
         else:
             label, k = SelAction(p, q, b.label), self.cont[hy].get(b.label)
-        unit = None if k is None else (Step(label, (i, j), (self.cont[hx], k), self.kind),)
+        unit = None
+        if k is not None:
+            kx = self.cont[hx]
+            dead = (self.kind[kx] == NIL) << i | (self.kind[k] == NIL) << j
+            unit = (Step(label, (i, j), (kx, k), 1 << i | 1 << j, dead, next(self._numbers)),)
         self._pairs[hx, hy] = unit
         return unit
 
@@ -455,10 +536,10 @@ class Kernel:
         then its else step."""
         b = self.behaviour[h]
         p = self.names[i]
-        then, orelse = self.cont[h]
-        pair = self._conds[h] = (
-            Step(ThenAction(p, b.expr), (i,), (then,), self.kind),
-            Step(ElseAction(p, b.expr), (i,), (orelse,), self.kind),
+        kind, numbers = self.kind, self._numbers
+        pair = self._conds[h] = tuple(
+            Step(action(p, b.expr), (i,), (k,), 1 << i, (kind[k] == NIL) << i, next(numbers))
+            for action, k in zip((ThenAction, ElseAction), self.cont[h])
         )
         return pair
 
@@ -466,26 +547,32 @@ class Kernel:
 _UNSEEN = object()
 
 
-def enabled_steps(kernel: Kernel, state: tuple) -> list:
+def enabled_steps(kernel: Kernel, state: int) -> list:
     """All abstract reductions available from a state, as the units the
     search tries: `(step,)` for an interaction, `(then, else)` for a
     conditional.
 
     Units are listed by actor in name order (the sender or selector of an
     interaction, the process of a conditional), in a new list each call.
-    No successor is built here: see `Kernel.successor`.
+    They depend only on the state's position, so they are listed once per
+    position and kept in the kernel's `_units`.  No successor is built
+    here: see `Kernel.successor`.
     """
+    position = state >> kernel.n
+    units = kernel._units[position]
+    if units is not None:
+        return list(units)
+    ids = kernel.positions[position]
     kind, peer, head = kernel.kind, kernel.peer, kernel.head
     pairs, conds = kernel._pairs, kernel._conds
     units = []
-    for i in range(kernel.n):
-        x = state[i]
+    for i, x in enumerate(ids):
         k = kind[x]
         if k == SEND or k == SELECT:
             j = peer[x]
             if j < 0:
                 continue
-            y = state[j]
+            y = ids[j]
             # RECEIVE and OFFER follow SEND and SELECT.
             if peer[y] != i or kind[y] != k + 1:
                 continue
@@ -500,109 +587,5 @@ def enabled_steps(kernel: Kernel, state: tuple) -> list:
             units.append(conds.get(h) or kernel._conditional(i, h))
         elif k == UNRESOLVED:
             raise kernel.unresolved[x]
+    kernel._units[position] = tuple(units)
     return units
-
-
-# ------------------------------------------------- choreography transitions
-
-
-def _under(heads: list, body):
-    """`body` under the communication and selection `heads`, outermost first."""
-    for head in reversed(heads):
-        body = head.rebuild((body,))
-    return body
-
-
-def _chain(procedures: dict, names: frozenset, body, blocked: frozenset, visiting: frozenset):
-    """Actions enabled along one chain of `body`, up to its conditional.
-
-    Walks the communications, selections and calls at the top of `body`
-    and lists their enabled actions, each successor rebuilt under the
-    heads passed on the way.  A generator: at a conditional it yields a
-    scan request `(branch, blocked, visiting)` for the then branch and
-    then for the else branch, is sent each branch's actions in reply, and
-    keeps the actions both branches list.  No scan lists a label twice
-    (once it lists an action, that action's processes stay blocked for
-    the rest of the scan), so a branch's actions can go into a dict.  It
-    stops once `blocked` covers `names`.  `visiting` holds the
-    (procedure, blocked) pairs unfolded on the way here; reaching one
-    again would rescan the same body under the same constraints, so the
-    chain ends there.
-    """
-    heads = []
-    out = []
-    blocked = set(blocked)
-    while not blocked >= names:
-        kind = type(body)
-        if kind is cc.Com or kind is cc.Sel:
-            p, q = body.sender, body.receiver
-            if p not in blocked and q not in blocked:
-                if kind is cc.Com:
-                    action = ComAction(p, body.expr, q, body.var)
-                else:
-                    action = SelAction(p, q, body.label)
-                out.append((action, _under(heads, body.cont)))
-            heads.append(body)
-            blocked.add(p)
-            blocked.add(q)
-            body = body.cont
-        elif kind is cc.Call:
-            key = (body.name, frozenset(blocked))
-            if key in visiting:
-                break
-            visiting = visiting | {key}
-            body = procedures[body.name]
-        elif kind is cc.Cond:
-            p, e = body.process, body.expr
-            if p not in blocked:
-                out.append((ThenAction(p, e), _under(heads, body.then)))
-                out.append((ElseAction(p, e), _under(heads, body.orelse)))
-            blocked.add(p)
-            inner = frozenset(blocked)
-            then_res = yield body.then, inner, visiting
-            else_res = dict((yield body.orelse, inner, visiting))
-            for a, then_succ in then_res:
-                if a in else_res:
-                    out.append((a, _under(heads, cc.Cond(p, e, then_succ, else_res[a]))))
-            break
-        elif kind is cc.Nil or kind is cc.Deadlock:
-            break
-        else:
-            raise TypeError(f"not a choreography body: {body!r}")
-    return out
-
-
-def _scan(procedures: dict, names: frozenset, body) -> list:
-    """Actions enabled in `body`, each with its successor.
-
-    An explicit stack of `_chain` scans, one per conditional branch being
-    scanned; each finished scan's actions are sent to the scan below it.
-    """
-    stack = [_chain(procedures, names, body, frozenset(), frozenset())]
-    sent = None
-    while True:
-        try:
-            branch = stack[-1].send(sent)
-        except StopIteration as done:
-            stack.pop()
-            if not stack:
-                return done.value
-            sent = done.value
-        else:
-            stack.append(_chain(procedures, names, *branch))
-            sent = None
-
-
-def chor_enabled(c: cc.Choreography, body=None) -> list:
-    """All (action, successor-body) pairs executable up to swapping.
-
-    The successor has the fired action removed at every position where it
-    was matched — in both branches when it was pulled out of a
-    conditional.  No label is listed twice: once the scan lists an
-    action, its processes stay blocked for the rest of the scan.  `body`
-    defaults to `c.main`; any other body must use only `c`'s processes,
-    as its procedures and every successor listed here do.
-    """
-    if body is None:
-        body = c.main
-    return _scan(c.procedures, cc.choreography_process_names(c), body)

@@ -6,8 +6,10 @@ preorders; ties keep the canonical enumeration order (process name, then
 constructor), so every strategy is fully deterministic given its seed.
 Sort keys read a unit's length (two for a conditional), its head step's
 label and participants, the sizes of the participants' main behaviours
-and the marking mask of the state only, so ordering never builds a
-successor state.  Random shuffles permute whole units.
+and the marking of the state only, so ordering never builds a successor
+state.  Random shuffles permute whole units.  The search orders only the
+units of a node with a choice: a node whose one unit is an interaction
+has nothing to order.
 """
 
 from __future__ import annotations
@@ -47,12 +49,13 @@ class Strategy:
             )
 
 
-def _largest_main(unit: tuple, state: tuple, size: list) -> int:
-    return max(size[state[p]] for p in unit[0].procs)
+def _largest_main(unit: tuple, ids: tuple, state: int, size: list) -> int:
+    return max(size[ids[p]] for p in unit[0].procs)
 
 
-def _unmarked_last(unit: tuple, state: tuple, size: list) -> int:
-    return 0 if unit[0].bits & ~state[-1] else 1
+def _unmarked_last(unit: tuple, ids: tuple, state: int, size: list) -> int:
+    # A state's low bits are its marking, and a step's `bits` lie there.
+    return 0 if unit[0].bits & ~state else 1
 
 
 def _secondary_selections(unit: tuple) -> int:
@@ -61,27 +64,27 @@ def _secondary_selections(unit: tuple) -> int:
     return 0 if type(unit[0].label) is SelAction else 1
 
 
-# Sort key of each strategy, on a unit, the state and the kernel's main
-# sizes; None keeps the order as given (canonical, or shuffled for the
-# random strategies).  `len(unit)` is 1 for an interaction, 2 for a
-# conditional.
+# Sort key of each strategy, on a unit, the main ids of the state, the
+# state and the kernel's sizes; None keeps the order as given (canonical,
+# or shuffled for the random strategies).  `len(unit)` is 1 for an
+# interaction, 2 for a conditional.
 _SORT_KEYS = {
     "Random": None,
-    "LongestFirst": lambda unit, state, size: -_largest_main(unit, state, size),
+    "LongestFirst": lambda unit, ids, state, size: -_largest_main(unit, ids, state, size),
     "ShortestFirst": _largest_main,
-    "InteractionsFirst": lambda unit, state, size: len(unit),
-    "ConditionalsFirst": lambda unit, state, size: -len(unit),
+    "InteractionsFirst": lambda unit, ids, state, size: len(unit),
+    "ConditionalsFirst": lambda unit, ids, state, size: -len(unit),
     "UnmarkedFirst": _unmarked_last,
-    "UnmarkedThenInteractions": lambda unit, state, size: (
-        _unmarked_last(unit, state, size),
+    "UnmarkedThenInteractions": lambda unit, ids, state, size: (
+        _unmarked_last(unit, ids, state, size),
         len(unit),
     ),
-    "UnmarkedThenSelections": lambda unit, state, size: (
-        _unmarked_last(unit, state, size),
+    "UnmarkedThenSelections": lambda unit, ids, state, size: (
+        _unmarked_last(unit, ids, state, size),
         _secondary_selections(unit),
     ),
-    "UnmarkedThenConditionals": lambda unit, state, size: (
-        _unmarked_last(unit, state, size),
+    "UnmarkedThenConditionals": lambda unit, ids, state, size: (
+        _unmarked_last(unit, ids, state, size),
         -len(unit),
     ),
     "UnmarkedThenRandom": _unmarked_last,
@@ -92,7 +95,7 @@ def order_steps(
     units: list,
     strategy: Strategy,
     kernel: Kernel,
-    state: tuple,
+    state: int,
     rng: random.Random | None,
 ) -> list:
     """`units`, enabled in `state`, in the order the strategy wants them
@@ -105,6 +108,6 @@ def order_steps(
         rng.shuffle(units)
     key = _SORT_KEYS[strategy.name]
     if key is not None:
-        size = kernel.size
-        units.sort(key=lambda unit: key(unit, state, size))
+        ids, size = kernel.ids(state), kernel.size
+        units.sort(key=lambda unit: key(unit, ids, state, size))
     return units

@@ -30,12 +30,12 @@ from collections import deque
 from chorex import cc, sp
 from chorex.cc import Call, Com, Cond, Sel
 from chorex.epp import epp
+from chorex.equiv import chor_enabled
 from chorex.semantics import (
     ComAction,
     ElseAction,
     SelAction,
     ThenAction,
-    chor_enabled,
     participants,
 )
 from chorex.term import fold
@@ -186,7 +186,7 @@ def valid_graph_exists(net, services=frozenset()) -> bool:
     return search(root, "", [(root, "", root.white)])
 
 
-def reference_loop_target(seg, state: tuple, path: str):
+def reference_loop_target(seg, state: int, path: str):
     """The node id of `seg` that a step to `state` under the choice path
     `path` closes a loop onto, if any: the one node with that state whose
     path is a prefix of `path`."""
@@ -349,7 +349,7 @@ def _scan(procedures: dict, body, blocked: frozenset, visiting: frozenset):
 
 
 def reference_chor_enabled(c: cc.Choreography, body=None) -> list:
-    """`semantics.chor_enabled` as a recursive scan to the end of every
+    """`equiv.chor_enabled` as a recursive scan to the end of every
     branch: the same list, in the same order, for bodies of at most a few
     hundred actions."""
     if body is None:

@@ -14,7 +14,6 @@ from chorex.extraction import (
     Outcome,
     Seg,
     Strategy,
-    _Frame,
     build_choreography,
     connected_components,
     extract,
@@ -119,8 +118,8 @@ class TestSegJournal:
         # Added, never opened: neither the root nor the child is a target.
         assert seg.find_loop_candidate(a, "") is None
         assert seg.find_loop_candidate(b, "01") is None
-        frame = seg.open[b] = _Frame(child, [], 0, 0)
-        assert seg.find_loop_candidate(b, "01") is frame
+        entry = seg.open[b] = (child, 0)
+        assert seg.find_loop_candidate(b, "01") is entry
         with pytest.raises(AssertionError, match="not an ancestor"):
             seg.find_loop_candidate(b, "1")  # a diverged branch
 
@@ -307,30 +306,77 @@ class TestComponents:
             for i, name in enumerate(STRATEGY_NAMES)
         ]
         want = [_shown(extract(net, strategy=s, parallel=p)) for net, s, p in calls]
-        got, errors = {}, []
+        got = {}
 
         def work(t):
-            try:
-                for k in range(len(calls)):
-                    j = (k + 7 * t) % len(calls)  # each thread starts elsewhere
-                    net, s, p = calls[j]
-                    got[t, j] = _shown(extract(net, strategy=s, parallel=p))
-            except Exception as exc:  # reported by the assertion below
-                errors.append(exc)
+            for k in range(len(calls)):
+                j = (k + 7 * t) % len(calls)  # each thread starts elsewhere
+                net, s, p = calls[j]
+                got[t, j] = _shown(extract(net, strategy=s, parallel=p))
 
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
+        _in_threads(work, 4)
         assert got == {(t, j): want[j] for t in range(4) for j in range(len(calls))}
+
+    def test_threads_intern_each_position_once(self):
+        """Six threads, each under its own strategy, extract one network
+        object whole and split, and switch every microsecond, so they
+        intern positions into one table under each other: every position
+        maps back to its own number, and every call shows what it shows on
+        one thread."""
+        loops = [epp(amend(generate(p))) for p in workloads.variant_params(0, 1)]
+        nets = [
+            epp(amend(generate(GOLDEN_POINTS["ifs-k2-r0"]))),
+            epp(amend(generate(GOLDEN_POINTS["procedures-k3-r1"]))),
+            workloads._compose(workloads.Api(), *loops),
+        ]
+        names = STRATEGY_NAMES[:6]
+        for net in nets:
+            twin = parse_network(pretty(net))  # an equal network, compiled apart
+            want = {
+                (name, p): _shown(extract(twin, strategy=Strategy(name, 0), parallel=p))
+                for name in names
+                for p in (False, True)
+            }
+            got, results = {}, []
+
+            def work(t):
+                for parallel in (t % 2 == 0, t % 2 == 1):
+                    result = extract(net, strategy=Strategy(names[t], 0), parallel=parallel)
+                    results.append(result)
+                    got[names[t], parallel] = _shown(result)
+
+            _in_threads(work, len(names))
+            assert got == want
+            components = [c for r in results for c in r.components]
+            kernels = {id(c.seg.kernel.positions): c.seg.kernel for c in components}
+            assert len(kernels) < len(components)  # tables were shared
+            for kernel in kernels.values():
+                assert len(kernel._position_of) == len(kernel.positions)
+                assert all(kernel._position_of[ids] == p for p, ids in enumerate(kernel.positions))
+
+    def test_strategies_on_one_network_share_its_positions(self, n1):
+        """A second strategy on one network object interns no position that
+        the first one reached, and reaches some of them.  A `serving` view
+        shares its kernel's table, and each split part has its own."""
+        for net in (n1, epp(amend(generate(GOLDEN_POINTS["procedures-k3-r1"])))):
+            for parallel in (False, True):
+                first = extract(net, strategy=Strategy("InteractionsFirst", 0), parallel=parallel)
+                kernels = [c.seg.kernel for c in first.components]
+                reached = [{c.seg.kernel.ids(s) for s in c.seg.state} for c in first.components]
+                counts = [len(k.positions) for k in kernels]
+                second = extract(
+                    net, {min(net.names())}, Strategy("UnmarkedThenConditionals", 0), parallel
+                )
+                for k, r, count, c in zip(kernels, reached, counts, second.components):
+                    assert c.seg.kernel.positions is k.positions
+                    assert not r & set(k.positions[count:])
+                    assert r & {k.ids(s) for s in c.seg.state}
+            whole = Kernel(net)
+            assert whole.serving({min(net.names())}).positions is whole.positions
+        whole = Kernel(n1)
+        parts = whole.split(connected_components(whole.communication_graph()))
+        tables = {id(k.positions) for k in [whole, *parts]}
+        assert len(parts) == 2 and len(tables) == 3
 
     def test_peers_are_local_to_their_component(self, capsys, tmp_path):
         """Components {a, c} and {b, d} interleave in name order, so a peer
@@ -358,6 +404,31 @@ class TestComponents:
             "  b: d?v; stop\n"
             "  d: b?z; stop\n"
         )
+
+
+def _in_threads(work, count: int):
+    """Run `work(t)` on `count` threads, t = 0, 1, ..., switching between
+    them every microsecond, and fail if any of them raised or hung."""
+    errors = []
+
+    def run(t):
+        try:
+            work(t)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
 
 
 INTERLEAVED_TEXT = (
@@ -645,12 +716,12 @@ def test_results_hold_no_reference_cycles():
         gc.enable()
 
 
-def test_retained_heap_per_node():
-    """procedures-k7-r2 under `InteractionsFirst` (10,934 nodes, none
-    deleted): the heap a result retains, by tracemalloc, per node.  The
-    graph's id lists retain 327-338 B a node; an object per node, with an
-    edge list and a tuple per edge, retains 548-559 B, above the bound."""
-    net = epp(amend(generate(GenParams(size=20, processes=5, ifs=8, defs=7, seed=2))))
+def _retained(net):
+    """The result of extracting `net` under `InteractionsFirst`, and the
+    heap it retains, by tracemalloc: the graph, and the compile the
+    memo keeps.  A tiny network goes first, so the compile the memo drops
+    inside the measurement is negligible."""
+    extract(parse_network(N1_TEXT))
     gc.collect()
     started = not tracemalloc.is_tracing()
     if started:
@@ -662,9 +733,35 @@ def test_retained_heap_per_node():
     finally:
         if started:
             tracemalloc.stop()
+    return result, retained
+
+
+def test_retained_heap_per_node():
+    """procedures-k7-r2 under `InteractionsFirst` (10,934 nodes, none
+    deleted): the heap a result retains, per node.  With states as ints
+    over interned positions, it retains 282 B a node; with a tuple per
+    state, 327-338 B; an object per node, with an edge list and a tuple
+    per edge, retains 548-559 B, above the bound."""
+    net = epp(amend(generate(GenParams(size=20, processes=5, ifs=8, defs=7, seed=2))))
+    result, retained = _retained(net)
     assert result.ok
     assert (result.nodes_created, result.nodes_deleted) == (10934, 0)
     assert retained / result.nodes_created < 400
+
+
+def test_retained_heap_per_node_when_no_position_repeats():
+    """size-k42-r0 under `InteractionsFirst` (2,101 nodes): every node has
+    a position of its own, so each pays for its row in the position
+    tables and its (position, step) successor, and nothing is shared.
+    It retains 1,412 B a node, the compile included: 1,383 with a tuple
+    per state and no position tables, and 1,652 in a prototype with a
+    dict of successors per position."""
+    net = epp(amend(generate(GenParams(size=2100, processes=6, seed=0))))
+    result, retained = _retained(net)
+    assert result.ok
+    (comp,) = result.components
+    assert len(comp.seg.kernel.positions) == result.nodes_created == 2101
+    assert retained / result.nodes_created < 1500
 
 
 # A handshake whose conditional can re-enter either the opening phase or
@@ -820,9 +917,9 @@ def test_successors_are_built_only_when_tried(monkeypatch):
     built = []
     successor = Kernel.successor
 
-    def counted(self, state, live, step):
+    def counted(self, state, step):
         built.append(len(step.procs))
-        return successor(self, state, live, step)
+        return successor(self, state, step)
 
     monkeypatch.setattr(Kernel, "successor", counted)
     result = extract(net, strategy=Strategy("InteractionsFirst"))

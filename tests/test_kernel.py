@@ -40,6 +40,11 @@ from oracles import (
 from test_golden import FUZZ_GRID, POINTS
 
 
+def _live_mask(kernel, an) -> int:
+    """The mask of the live processes of `an`, by their terms."""
+    return sum(1 << i for i, p in enumerate(kernel.names) if p in an.live)
+
+
 class _Checked:
     """`extraction.enabled_steps`, checking each opened state against the
     reference and counting the states it checked."""
@@ -59,13 +64,13 @@ class _Checked:
         reference = _units(reference_steps(an))
         labels = [tuple(s.label for s in unit) for unit in units]
         assert labels == [tuple(r.label for r in unit) for unit in reference]
-        live = kernel.live(state)
+        assert kernel.live(state) == _live_mask(kernel, an)
         for unit, r_unit in zip(units, reference):
             for step, r in zip(unit, r_unit):
-                succ, succ_live = kernel.successor(state, live, step)
+                succ = kernel.successor(state, step)
                 assert kernel.network(succ) == r.successor.net
                 assert kernel.marked(succ) == r.successor.marked
-                assert succ_live == kernel.live(succ)
+                assert kernel.live(succ) == _live_mask(kernel, r.successor)
         self.opened += 1
         return units
 
@@ -79,12 +84,12 @@ class _CheckedTargets:
         find = extraction.Seg.find_loop_candidate
 
         def checked(seg, state, path):
-            frame = find(seg, state, path)
+            entry = find(seg, state, path)
             target = reference_loop_target(seg, state, path)
-            assert (None if frame is None else frame.node) == target
+            assert (None if entry is None else entry[0]) == target
             self.calls += 1
             self.found += target is not None
-            return frame
+            return entry
 
         monkeypatch.setattr(extraction.Seg, "find_loop_candidate", checked)
 
@@ -171,7 +176,7 @@ def test_states_with_the_same_heads_share_their_steps():
     # One turn of p and q's loop brings their heads back and marks them.
     kernel = Kernel(parse_network(TWO_LOOPS_TEXT))
     first = enabled_steps(kernel, kernel.root)
-    state, _ = kernel.successor(kernel.root, kernel.live(kernel.root), first[0][0])
+    state = kernel.successor(kernel.root, first[0][0])
     assert state != kernel.root and kernel.marked(state) == {"p", "q"}
     again = enabled_steps(kernel, state)
     assert len(first) == 2 and all(a is b for a, b in zip(first, again))  # the units
@@ -180,7 +185,7 @@ def test_states_with_the_same_heads_share_their_steps():
     # p's else branch brings its conditional back: the same (then, else) unit.
     kernel = Kernel(parse_network(UNDO_TEXT))
     (cond,) = [unit for unit in enabled_steps(kernel, kernel.root) if len(unit) == 2]
-    state, _ = kernel.successor(kernel.root, kernel.live(kernel.root), cond[1])
+    state = kernel.successor(kernel.root, cond[1])
     assert state != kernel.root and kernel.marked(state) == {"p"}
     assert [unit for unit in enabled_steps(kernel, state) if unit is cond] == [cond]
 
@@ -188,11 +193,14 @@ def test_states_with_the_same_heads_share_their_steps():
 def test_ids_are_shared_exactly_by_equal_subterms():
     """On the seeded draws, which hold offers, conditionals and
     procedures: two subterms of one process get one id exactly when they
-    are equal, and a re-parsed copy of the network, equal but built of
-    other objects, has the root's state and adds no id."""
+    are equal, interning them again after the compile (through the memo
+    `_memos` rebuilds) adds no id, and a re-parsed copy of the network,
+    equal but built of other objects, has the root's state and adds no
+    id."""
     kinds = set()
     for net in _seeded_draws():
         kernel = Kernel(net)
+        compiled = len(kernel.behaviour)
         for i, term in enumerate(kernel.terms):
             ids = {}  # subterm -> its ids; equal subterms land on one key
             for body in [term.main, *term.procedures.values()]:
@@ -203,6 +211,7 @@ def test_ids_are_shared_exactly_by_equal_subterms():
             assert len({x for xs in ids.values() for x in xs}) == len(ids)
             assert all(kernel.behaviour[x] == t for t, (x,) in ids.items())
         count = len(kernel.behaviour)
+        assert count == compiled
         copy = parse_network(pretty(net))
         assert all(copy[p].main is not net[p].main for p in kernel.names)
         assert kernel.state(copy) == kernel.root

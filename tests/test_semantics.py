@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chorex import equiv, sp
 from chorex.epp import epp
-from chorex.equiv import SimBudget, bisimilar
+from chorex.equiv import SimBudget, bisimilar, chor_enabled
 from chorex.extraction import extract
 from chorex.parser import parse_choreography, parse_network
 from chorex.semantics import (
@@ -16,7 +16,6 @@ from chorex.semantics import (
     Kernel,
     SelAction,
     ThenAction,
-    chor_enabled,
     enabled_steps,
     participants,
     pretty_action,
