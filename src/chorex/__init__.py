@@ -9,7 +9,7 @@ and benchmark test corpora.
 __version__ = "0.1.0"
 
 from .epp import MergeError, epp, merge
-from .equiv import SimBudget, bisimilar, can_simulate
+from .equiv import SimBudget, bisimilar
 from .extraction import extract
 from .parser import (
     ParseError,
@@ -29,7 +29,6 @@ __all__ = [
     "Strategy",
     "__version__",
     "bisimilar",
-    "can_simulate",
     "check_guardedness",
     "check_well_formed",
     "epp",

@@ -163,11 +163,6 @@ def project_each(body: cc.ChoreographyBody, universe) -> tuple:
     return fold(body, _projector(universe))
 
 
-def project_body(body: cc.ChoreographyBody, r: str) -> sp.Behaviour:
-    """Project one choreography body onto process r."""
-    return project_each(body, (r,))[0]
-
-
 def _collapse_call_cycles(procedures: dict, main: sp.Behaviour) -> sp.ProcessTerm:
     """Rewrite procedures whose bodies chase bare calls forever into stop.
 

@@ -1,5 +1,5 @@
-"""Budgeted similarity and bisimilarity checking for choreographies, over
-their transitions.
+"""Budgeted bisimilarity checking for choreographies, over their
+transitions.
 
 `chor_enabled` lists the actions of a choreography body executable up to
 the swap relation, computed with a blocked-set scan instead of rewriting:
@@ -20,13 +20,11 @@ are the choreography's, computed once per choreography.
 
 The checker runs a worklist over pairs of configurations.  A configuration
 is a tuple of bodies, one per parallel component, so a single choreography
-and a multi-component program can be compared directly.  `can_simulate`
-asks, for every action enabled on the left, that the right side enable
-the same action; `bisimilar` asks that both sides enable the same
-actions.  Successor pairs are enqueued until the set is exhausted (yes),
-an action goes unmatched (no), or the budget runs out (exhausted).  The
-budget counts the pairs the check explores; `bisimilar` is one pass, not
-one per direction.
+and a multi-component program can be compared directly.  `bisimilar`
+asks that both sides enable the same actions.  Successor pairs are
+enqueued until the set is exhausted (yes), an action goes unmatched
+(no), or the budget runs out (exhausted).  The budget counts the pairs
+the check explores; the check is one pass, not one per direction.
 
 Each side is a deterministic transition system: `chor_enabled` lists no
 label twice, and a program's components have disjoint processes, so a
@@ -47,7 +45,7 @@ Each rewrite preserves the verdict: a stripped head is enabled on both
 sides and has a unique successor, and the split conditional can only be
 matched by its own then/else actions.
 
-A check (one `_simulate` call) interns every pair it meets as a node of
+A check (one `bisimilar` call) interns every pair it meets as a node of
 its rewrite graph.  Each `_normalise` call of the check has its own
 stamp, marks every node it walks with it, follows each node's one
 rewrite step to the nodes that step leads to, and stops at three kinds
@@ -58,15 +56,14 @@ of node:
     (or a second path meets the first); it returns that node too;
   * a node an earlier call marked, which it drops.
 
-`_simulate` settles every node `_normalise` returns: it explores it
+`bisimilar` settles every node `_normalise` returns: it explores it
 (compares the actions of its two sides and enqueues the successor
-pairs), or skips it.  `can_simulate` skips a pair whose two sides are
-equal under equal procedure environments.  `bisimilar` keeps a
-union-find over configurations, each tagged by its side unless the two
-sides' procedure environments are equal: it skips a pair whose two
-configurations are in one class already, and merges the classes of any
-other pair before it explores it.  So a pair equal on both sides under
-equal environments is skipped there too.
+pairs), or skips it.  It keeps a union-find over configurations, each
+tagged by its side unless the two sides' procedure environments are
+equal: it skips a pair whose two configurations are in one class
+already, and merges the classes of any other pair before it explores
+it.  So a pair equal on both sides under equal environments is
+skipped.
 
 Dropping and skipping are bisimulation up-to techniques (Pous &
 Sangiorgi, *Enhancements of the bisimulation proof method*, 2011):
@@ -108,14 +105,9 @@ directly:
   * So the initial pair has the same traces on both sides, and for
     deterministic systems trace equivalence is bisimilarity.
 
-For `can_simulate` the argument is the one-directional half of this
-with no union-find: R matches each left action by a right one, and the
-closure is a simulation up to rewriting.  Similarity is not symmetric,
-so no equivalence over configurations may be used there.
-
 A "no" needs no up-to argument.  Every explored pair is reached from
 the initial pair by matched actions and rewrite steps, and if a pair is
-bisimilar (or simulated) then so is each pair one of these leads to:
+bisimilar then so is each pair one of these leads to:
 by determinism, the successors by a matched action, the kids of a strip
 (each side takes the stripped head) and of a split (each side takes the
 same branch).  So an unmatched action anywhere refutes the initial
@@ -253,7 +245,7 @@ def chor_enabled(c: cc.Choreography, body=None) -> list:
 
 @dataclass(frozen=True)
 class SimBudget:
-    """Resource cap for a similarity check.
+    """Resource cap for a bisimilarity check.
 
     max_pairs bounds the number of (normalised) pairs explored;
     max_millis, when not None, bounds wall-clock time.  Both must be
@@ -271,7 +263,7 @@ class SimBudget:
 
 
 class SimResult:
-    """Outcome of a similarity or bisimilarity check.
+    """Outcome of a bisimilarity check.
 
     A "no" carries a witness `(action, left, right, side)`: `left` is the
     first argument's configuration and `right` the second's, and `side`
@@ -369,9 +361,9 @@ class _Node:
     """One (left, right) configuration pair of a check, interned.
 
     `stamp` is 0 until a `_normalise` call walks the node, then the
-    stamp of that call.  `settled` is set once `_simulate` has met the
-    node as a normal form: it is then explored or skipped as trivially
-    equal, and never looked at again.
+    stamp of that call.  `settled` is set once `bisimilar` has met the
+    node as a normal form: it is then explored or skipped as equated
+    already, and never looked at again.
     """
 
     __slots__ = ("lconf", "rconf", "stamp", "settled")
@@ -384,7 +376,7 @@ class _Node:
 
 
 class _Graph:
-    """The rewrite graph of one `_simulate` call: its two sides, every
+    """The rewrite graph of one `bisimilar` call: its two sides, every
     pair met so far, each interned as one `_Node`, and the number of
     `_normalise` calls and rewrite steps made so far."""
 
@@ -489,11 +481,10 @@ def _normalise(graph: _Graph, node: _Node) -> list:
     return out
 
 
-def _simulate(left: _Side, right: _Side, budget: SimBudget, symmetric: bool) -> SimResult:
-    """Does the right side simulate the left side?  With `symmetric`:
-    are the two sides bisimilar?"""
-    envs_equal = left.chors == right.chors
-    classes = _Classes(envs_equal) if symmetric else None
+def bisimilar(c1, c2, budget: SimBudget = SimBudget()) -> SimResult:
+    """Check whether c1 and c2 are bisimilar, in one pass over pairs."""
+    left, right = _Side(_components(c1)), _Side(_components(c2))
+    classes = _Classes(left.chors == right.chors)
     started = time.perf_counter()
     graph = _Graph(left, right)
     work = deque([(left.initial, right.initial)])
@@ -511,11 +502,8 @@ def _simulate(left: _Side, right: _Side, budget: SimBudget, symmetric: bool) -> 
                 continue
             node.settled = True
             lconf, rconf = node.lconf, node.rconf
-            if symmetric:
-                if not classes.merge(lconf, rconf):
-                    equated += 1
-                    continue
-            elif envs_equal and lconf == rconf:
+            if not classes.merge(lconf, rconf):
+                equated += 1
                 continue
             if explored >= budget.max_pairs:
                 return result("exhausted")
@@ -529,18 +517,6 @@ def _simulate(left: _Side, right: _Side, budget: SimBudget, symmetric: bool) -> 
                 if rsucc is None:
                     return result("no", (label, lconf, rconf, "left"))
                 work.append((lsucc, rsucc))
-            if symmetric and rsteps:
+            if rsteps:
                 return result("no", (next(iter(rsteps)), lconf, rconf, "right"))
     return result("yes")
-
-
-def can_simulate(c1, c2, budget: SimBudget = SimBudget()) -> SimResult:
-    """Check whether c2 can simulate c1 (every behaviour of c1 is matched).
-
-    A "no" witness always has the action enabled on the left."""
-    return _simulate(_Side(_components(c1)), _Side(_components(c2)), budget, False)
-
-
-def bisimilar(c1, c2, budget: SimBudget = SimBudget()) -> SimResult:
-    """Check whether c1 and c2 are bisimilar, in one pass over pairs."""
-    return _simulate(_Side(_components(c1)), _Side(_components(c2)), budget, True)

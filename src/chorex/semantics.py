@@ -71,16 +71,6 @@ class ElseAction:
     expr: str
 
 
-def participants(action) -> tuple:
-    """Processes taking part in an action, actor first."""
-    match action:
-        case ComAction(p, _, q, _) | SelAction(p, q, _):
-            return (p, q)
-        case ThenAction(p, _) | ElseAction(p, _):
-            return (p,)
-    raise TypeError(f"not an action: {action!r}")
-
-
 def pretty_action(action) -> str:
     match action:
         case ComAction(p, e, q, x):
@@ -148,9 +138,7 @@ class Kernel:
     `peer`, whose indices are local to each component.  Neither the
     tables nor the steps depend on services: `serving` gives a view of a
     kernel with its services, and the whole kernel and its split parts
-    stay usable for any number of searches.  The interning memo is
-    dropped once the compile is done; `_memos` rebuilds it from the
-    tables if `state` interns again.
+    stay usable for any number of searches.
 
     A search state is one int, `position << n | marking`.  Its *position*
     is the tuple of each process's main behaviour id, in name order,
@@ -158,7 +146,7 @@ class Kernel:
     `positions` maps it back to the tuple.  Its marking is a bit mask
     (bit i for process i) that holds only live processes, and always
     every live service.  A process is live unless its head is Nil; each
-    position's live mask is tabulated when it is interned (`live`).
+    position's live mask is tabulated when it is interned (`_live`).
 
     Each index space, the whole kernel and each split part, has its own
     position tables and its own units (`_pairs`, `_conds`, built once per
@@ -183,9 +171,9 @@ class Kernel:
     # fast as those of the object `__init__` built.
     __slots__ = (
         "names", "n", "_index", "terms", "services", "behaviour", "size", "head",
-        "kind", "peer", "cont", "ifs", "unresolved", "_memo", "_first", "_procedures",
-        "_calls", "_pairs", "_conds", "_numbers", "positions", "_position_of", "_live",
-        "_units", "_next", "_lock", "root",
+        "kind", "peer", "cont", "ifs", "unresolved", "_first", "_procedures", "_pairs",
+        "_conds", "_numbers", "positions", "_position_of", "_live", "_units", "_next",
+        "_lock", "root",
     )
 
     def __init__(self, net: sp.Network):
@@ -196,26 +184,25 @@ class Kernel:
         self.services = 0  # a mask, set by `serving`
         self.behaviour = []  # id -> a behaviour with that id
         self.size = []
-        self.head = []
         self.kind = []
         self.peer = []
         self.cont = []
         self.ifs = {}  # id of each body interned -> the conditionals in its tree
         self.unresolved = {}  # id -> the error its unfolding raises
-        self._memo = [{} for _ in self.names]  # per process: key -> id (`_intern`)
         self._first = []  # process i compiles to the ids from _first[i] to _first[i + 1]
         self._procedures = []  # per process: procedure name -> id
-        self._calls = []  # (process, id) of calls still to chase
+        calls = []  # (process, id) of every call, for `_resolve`
         mains = []
         for i, term in enumerate(self.terms):
+            memo = {}  # key -> id, for this process (`_intern`)
             self._first.append(len(self.behaviour))
-            self._procedures.append({x: self._intern(i, b) for x, b in term.procedures.items()})
-            mains.append(self._intern(i, term.main))
+            procedures = term.procedures.items()
+            self._procedures.append({x: self._intern(i, b, memo, calls) for x, b in procedures})
+            mains.append(self._intern(i, term.main, memo, calls))
         self._first.append(len(self.behaviour))
-        self._resolve()
-        self._memo.clear()  # its keys are dead weight to a search; `_memos` rebuilds it
+        self._resolve(calls)
         self._index_space()
-        self.root = self._state(mains, 0)
+        self.root = self._root(mains)
 
     def _index_space(self):
         """Give this kernel new, empty unit and position tables."""
@@ -231,18 +218,20 @@ class Kernel:
 
     # -- compiling
 
-    def _intern(self, i: int, root: sp.Behaviour) -> int:
-        """The id of `root` in process `i`, interning its subterms first.
+    def _intern(self, i: int, root: sp.Behaviour, memo: dict, calls: list) -> int:
+        """The id of `root` in process `i`, interning its subterms first
+        in `memo`, the process's map from key to id.
 
         One walk in post-order, children left to right (as `term.fold`),
         keys each subterm by a plain tuple of its kind, its label fields
         and its kids' ids, which hashes and compares in C.  Kids are
         interned first, so two subterms of one process get one key, and
         one id, exactly when they are equal.  A new key gets the next id
-        and its entries in the tables; `_resolve` then fills in `head`.
-        The walk also counts the tree's conditionals, for `node_bound`.
+        and its entries in the tables, and a new call goes on `calls`
+        for `_resolve` to fill in its `head`.  The walk also counts the
+        tree's conditionals, for `node_bound`.
         """
-        memo, index, behaviour = self._memos()[i], self._index, self.behaviour
+        index, behaviour = self._index, self.behaviour
         size, kind, peer, cont = self.size, self.kind, self.peer, self.cont
         ifs = 0
         order = []
@@ -287,47 +276,18 @@ class Kernel:
                     cont.append(key[3] if len(key) == 4 else None)
                 peer.append(index.get(key[1], -1) if SEND <= k <= OFFER else -1)
                 if k == UNRESOLVED:  # a call, until `_resolve` chases it
-                    self._calls.append((i, x))
+                    calls.append((i, x))
             ids.append(x)
         self.ifs[ids[0]] = ifs  # the walk met every node of the tree, shared or not
         return ids[0]
 
-    def _memos(self) -> list:
-        """The per-process memos of `_intern`, rebuilt after the compile
-        dropped them: each id the compile gave a process gets back the key
-        `_intern` made for it, from its term and its `cont`."""
-        if not self._memo:
-            behaviour, cont = self.behaviour, self.cont
-            for lo, hi in zip(self._first, self._first[1:]):
-                memo = {}
-                for x in range(lo, hi):
-                    t, c = behaviour[x], cont[x]
-                    typ = type(t)
-                    if typ is sp.Send:
-                        key = (SEND, t.to, t.expr, c)
-                    elif typ is sp.Receive:
-                        key = (RECEIVE, t.frm, t.var, c)
-                    elif typ is sp.Select:
-                        key = (SELECT, t.to, t.label, c)
-                    elif typ is sp.Cond:
-                        key = (COND, t.expr, *c)
-                    elif typ is sp.Offer:
-                        key = (OFFER, t.frm, tuple(c), *c.values())
-                    elif typ is sp.Call:
-                        key = (UNRESOLVED, t.name)
-                    else:
-                        key = (NIL,)
-                    memo[key] = x
-                self._memo.append(memo)
-        return self._memo
-
-    def _resolve(self):
-        """Chase every new call to its head, as `ProcessTerm.head_behaviour`
-        does: at most one hop per procedure of the process.  Every other
-        new id is its own head."""
+    def _resolve(self, calls: list):
+        """Chase every call, a (process, id) of `calls`, to its head, as
+        `ProcessTerm.head_behaviour` does: at most one hop per procedure of
+        the process.  Every other id is its own head."""
         behaviour = self.behaviour
-        self.head.extend(range(len(self.head), len(behaviour)))
-        for i, x in self._calls:
+        self.head = list(range(len(behaviour)))
+        for i, x in calls:
             procedures = self._procedures[i]
             b = x
             hops = 0
@@ -347,7 +307,6 @@ class Kernel:
                 self.head[x] = b
                 self.kind[x] = self.kind[b]
                 self.peer[x] = self.peer[b]
-        self._calls.clear()
 
     def node_bound(self) -> int:
         """Upper bound on the distinct node identities of a search from
@@ -385,8 +344,7 @@ class Kernel:
         in name order, services, root, unit memos and position tables.
         With two or more groups, the parts read a new `peer` list of
         indices within each group, and this kernel keeps its own: it stays
-        whole.  Only the whole kernel interns (`state`); the parts read the
-        ids it compiled."""
+        whole."""
         if len(groups) == 1:
             return [self]
         local = {self._index[p]: li for names in groups for li, p in enumerate(names)}
@@ -400,12 +358,12 @@ class Kernel:
             part.names, part.n = tuple(names), len(names)
             part._index = {p: li for li, p in enumerate(names)}
             part.terms = [self.terms[g] for g in at]
-            part._memo = part._first = None
+            part._first = None
             part._procedures = [self._procedures[g] for g in at]
             part.peer = peer
             part._index_space()
             part.services = sum((self.services >> g & 1) << li for li, g in enumerate(at))
-            part.root = part._state([root[g] for g in at], 0)
+            part.root = part._root([root[g] for g in at])
             parts.append(part)
         return parts
 
@@ -415,7 +373,7 @@ class Kernel:
         and root, sharing every table and memo, the positions too."""
         view = copy.copy(self)
         view.services = sum(1 << i for i, p in enumerate(self.names) if p in services)
-        view.root = view._state(self.ids(self.root), 0)
+        view.root = view._root(self.ids(self.root))
         return view
 
     # -- states
@@ -444,26 +402,16 @@ class Kernel:
             lock.release()
         return position
 
-    def _state(self, ids, marked: int) -> int:
+    def _root(self, ids) -> int:
+        """The state of the main ids `ids` with only the live services
+        marked."""
         kind = self.kind
         live = sum(1 << i for i, x in enumerate(ids) if kind[x] != NIL)
-        return self._position(tuple(ids), live) << self.n | (marked | self.services) & live
-
-    def state(self, net: sp.Network, marked=frozenset()) -> int:
-        """The state of `net`, a network over the same processes and
-        procedures, with the processes `marked` marked (and the live
-        services)."""
-        ids = [self._intern(i, net[p].main) for i, p in enumerate(self.names)]
-        self._resolve()
-        return self._state(ids, sum(1 << self._index[p] for p in marked))
+        return self._position(tuple(ids), live) << self.n | self.services & live
 
     def ids(self, state: int) -> tuple:
         """The main behaviour id of each process in a state."""
         return self.positions[state >> self.n]
-
-    def live(self, state: int) -> int:
-        """The mask of live processes of a state."""
-        return self._live[state >> self.n]
 
     def terminal(self, state: int) -> bool:
         """True iff every non-service process has terminated.

@@ -121,15 +121,6 @@ class Offer(Behaviour):
     def rebuild(self, children):
         return Offer(self.frm, zip([l for l, _ in self.branches], children))
 
-    def branch(self, label: str) -> Behaviour:
-        for l, b in self.branches:
-            if l == label:
-                return b
-        raise KeyError(label)
-
-    def has_label(self, label: str) -> bool:
-        return any(l == label for l, _ in self.branches)
-
 
 class Cond(Behaviour):
     """Conditional on an opaque expression."""
@@ -191,9 +182,6 @@ class ProcessTerm:
         return f"ProcessTerm({self.procedures!r}, {self.main!r})"
 
 
-TERMINATED = ProcessTerm({}, NIL)
-
-
 class Network:
     """A nonempty map from process names to process terms.
 
@@ -228,10 +216,6 @@ class Network:
     def replace(self, updates: dict) -> "Network":
         """New network with some terms swapped out (or added)."""
         return Network({**self.processes, **updates})
-
-    def restrict(self, names) -> "Network":
-        """Sub-network over the given process names."""
-        return Network({p: t for p, t in self.processes.items() if p in names})
 
     def __repr__(self):
         return f"Network({self.processes!r})"

@@ -19,7 +19,9 @@ off its peer table, and `reference_loop_target` finds a loop target by
 the definition, among all the graph's nodes, where the engine looks
 among the open ones.  `reference_read_off` names loop nodes by a walk
 from the root and reads the graph off by folds, where the engine sweeps
-the nodes in creation order.
+the nodes in creation order.  Two small helpers serve the tests that
+step a kernel by hand: `marked_root` marks processes in a kernel's root
+state, and `participants` lists the processes of an action.
 """
 
 from __future__ import annotations
@@ -31,13 +33,7 @@ from chorex import cc, sp
 from chorex.cc import Call, Com, Cond, Sel
 from chorex.epp import epp
 from chorex.equiv import chor_enabled
-from chorex.semantics import (
-    ComAction,
-    ElseAction,
-    SelAction,
-    ThenAction,
-    participants,
-)
+from chorex.semantics import ComAction, ElseAction, SelAction, ThenAction
 from chorex.term import fold
 
 
@@ -84,9 +80,25 @@ class AnnotatedNetwork:
         return f"AnnotatedNetwork({self.net!r}, marked={sorted(self.marked)})"
 
 
+def marked_root(kernel, marked) -> int:
+    """`kernel`'s root state with the live processes of `marked` marked too."""
+    bits = sum(1 << kernel.names.index(p) for p in marked)
+    return kernel.root | bits & kernel._live[kernel.root >> kernel.n]
+
+
 def annotate(net: sp.Network, services=frozenset()) -> AnnotatedNetwork:
     """Initial annotation: everything unmarked except services."""
     return AnnotatedNetwork(net, frozenset(), frozenset(services))
+
+
+def participants(action) -> tuple:
+    """Processes taking part in an action, actor first."""
+    match action:
+        case ComAction(p, _, q, _) | SelAction(p, q, _):
+            return (p, q)
+        case ThenAction(p, _) | ElseAction(p, _):
+            return (p,)
+    raise TypeError(f"not an action: {action!r}")
 
 
 class ReferenceStep:

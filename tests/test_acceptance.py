@@ -87,7 +87,10 @@ def round_trip_corpus():
         result = extract(net)
         assert result.ok, f"corpus instance {i} failed to extract"
         bound_pairs = tuple(
-            (comp.seg.identities, oracles.node_bound(net.restrict(comp.processes)))
+            (
+                comp.seg.identities,
+                oracles.node_bound(sp.Network({p: net[p] for p in comp.processes})),
+            )
             for comp in result.components
         )
         program = result.program

@@ -431,7 +431,7 @@ class TestCorpusCommands:
         network, intern, clock = cli._bench_network, Kernel._intern, cli.time.perf_counter
         monkeypatch.setattr(cli, "_bench_network", lambda p: nets.append(network(p)) or nets[-1])
         monkeypatch.setattr(
-            Kernel, "_intern", lambda k, i, b: events.append(b) or intern(k, i, b)
+            Kernel, "_intern", lambda k, i, b, *rest: events.append(b) or intern(k, i, b, *rest)
         )
         monkeypatch.setattr(cli.time, "perf_counter", lambda: events.append(None) or clock())
         rc, _, _ = run("bench", "ifs", "--out", str(tmp_path / "bench"), "--scale", "0.1")

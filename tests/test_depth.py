@@ -18,6 +18,7 @@ from chorex import extraction
 from chorex.parser import parse_network
 
 SRC = Path(extraction.__file__).parents[1]
+TESTS = Path(__file__).resolve().parent
 
 PIPELINE = """
 import sys
@@ -26,10 +27,9 @@ from chorex.epp import epp
 from chorex.equiv import SimBudget, bisimilar
 from chorex.extraction import extract
 from chorex.parser import parse_network, parse_program, pretty
-from chorex.testgen import (
-    FuzzParams, GenParams, amend, fuzz, generate, inject_inefficiency, unroll,
-)
+from chorex.testgen import FuzzParams, GenParams, amend, fuzz, generate, unroll
 from chorex.wellformed import check_guardedness, check_well_formed
+from inefficiency import inject_inefficiency
 
 limit = sys.getrecursionlimit()
 
@@ -127,7 +127,7 @@ def _run(script: str, *args) -> str:
         [sys.executable, "-c", textwrap.dedent(script), *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join((str(SRC), str(TESTS)))},
         timeout=300,
     )
     assert done.returncode == 0, done.stderr[-3000:]

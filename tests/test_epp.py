@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chorex import sp
-from chorex.epp import MergeError, describe_head, epp, merge, project_body, project_process
+from chorex.epp import MergeError, describe_head, epp, merge, project_each, project_process
 from chorex.parser import parse_choreography, parse_network
 
 from chorex.testgen import GenParams, amend, generate
@@ -20,31 +20,31 @@ def test_projecting_the_signon_choreography_recovers_the_network(signon_chor):
 
 def test_projection_roles():
     c = parse_choreography("main { p.e -> q.x; p -> q[go]; stop }")
-    assert project_body(c.main, "p") == sp.Send("q", "e", sp.Select("q", "go", sp.NIL))
-    assert project_body(c.main, "q") == sp.Receive(
+    assert project_each(c.main, ("p",))[0] == sp.Send("q", "e", sp.Select("q", "go", sp.NIL))
+    assert project_each(c.main, ("q",))[0] == sp.Receive(
         "p", "x", sp.Offer("p", {"go": sp.NIL})
     )
     # Uninvolved processes see nothing.
-    assert project_body(c.main, "r") == sp.NIL
+    assert project_each(c.main, ("r",))[0] == sp.NIL
 
 
 def test_decider_keeps_conditional_others_merge():
     c = parse_choreography(
         "main { if p.e then p -> q[l]; q.a -> r.x; stop else p -> q[m]; stop }"
     )
-    p = project_body(c.main, "p")
+    p = project_each(c.main, ("p",))[0]
     assert isinstance(p, sp.Cond)
-    q = project_body(c.main, "q")
+    q = project_each(c.main, ("q",))[0]
     assert q == sp.Offer("p", {"l": sp.Send("r", "a", sp.NIL), "m": sp.NIL})
     with pytest.raises(MergeError):
         # r hears nothing about the choice but behaves differently.
-        project_body(c.main, "r")
+        project_each(c.main, ("r",))[0]
 
 
 def test_deadlock_cannot_be_projected():
     c = parse_choreography("main { deadlock }")
     with pytest.raises(ValueError, match="deadlock"):
-        project_body(c.main, "p")
+        project_each(c.main, ("p",))[0]
 
 
 def test_unprojectable_conditional_reports_location():

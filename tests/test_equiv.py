@@ -1,4 +1,4 @@
-"""Bounded similarity / bisimilarity checking between choreographies."""
+"""Bounded bisimilarity checking between choreographies."""
 
 import random
 
@@ -7,7 +7,7 @@ import pytest
 from chorex import equiv
 from chorex.cc import Call
 from chorex.epp import epp
-from chorex.equiv import SimBudget, SimResult, bisimilar, can_simulate
+from chorex.equiv import SimBudget, SimResult, bisimilar
 from chorex.extraction import extract
 from chorex.parser import parse_choreography, parse_network
 from chorex.strategies import Strategy
@@ -63,9 +63,8 @@ class TestVerdicts:
         assert result.verdict == "yes"
         assert result.pairs_explored == 0
         # Under one procedure environment the union-find equates a pair
-        # whose sides are equal; `can_simulate` has no union-find.
+        # whose sides are equal.
         assert result.equated == 1
-        assert can_simulate(c, c, SimBudget()).equated == 0
 
     def test_swapped_independent_actions_are_bisimilar(self):
         a = parse_choreography(TWO_LOOPS_VARIANT_A)
@@ -80,25 +79,6 @@ class TestVerdicts:
         result = bisimilar(extracted, displayed, SimBudget())
         assert result.verdict == "yes"
         assert result.pairs_explored == 1
-
-    def test_prefix_simulation_is_one_directional(self):
-        shorter = parse_choreography("main { p.e -> q.x; stop }")
-        longer = parse_choreography("main { p.e -> q.x; p.f -> q.y; stop }")
-        forward = can_simulate(shorter, longer, SimBudget())
-        assert forward.verdict == "yes"
-        assert forward.pairs_explored == 1
-        backward = can_simulate(longer, shorter, SimBudget())
-        assert backward.verdict == "no"
-        assert backward.to_json() == {
-            "verdict": "no",
-            "pairsExplored": 1,
-            "witness": {
-                "action": "p.f -> q.y",
-                "enabledOn": "left",
-                "left": ["p.f -> q.y; stop"],
-                "right": ["stop"],
-            },
-        }
 
     def test_asymmetric_pair_is_not_bisimilar(self):
         shorter = parse_choreography("main { p.e -> q.x; stop }")
@@ -159,11 +139,7 @@ class TestExhaustion:
         for i, chor in _corpus_roundtrip(range(14)):
             program = extract(epp(chor)).program
             for budget in (SimBudget(max_pairs=7), SimBudget(max_pairs=20)):
-                for sim in (
-                    bisimilar(chor, program, budget),
-                    bisimilar(program, chor, budget),
-                    can_simulate(chor, program, budget),
-                ):
+                for sim in (bisimilar(chor, program, budget), bisimilar(program, chor, budget)):
                     assert sim.pairs_explored <= budget.max_pairs, i
                     if sim.verdict == "exhausted":
                         assert sim.pairs_explored == budget.max_pairs, i
@@ -421,9 +397,9 @@ class TestReferenceVerdicts:
     def test_fixtures(self):
         terms = _fixture_terms()
         # Some pairs have infinitely many successor pairs in one direction
-        # (one side keeps actions the other never takes): `can_simulate`
-        # runs that direction to the budget, but a bisimilarity check
-        # meets an action the other side lacks and decides "no".
+        # (one side keeps actions the other never takes): a simulation
+        # check would run that direction to the budget, but a bisimilarity
+        # check meets an action the other side lacks and decides "no".
         verdicts = [
             _assert_judged(c1, c2, SimBudget(max_pairs=300)) for c1 in terms for c2 in terms
         ]

@@ -55,8 +55,8 @@ class TestSegJournal:
         terminated."""
         net = parse_network("p { main { q!<e>; stop } } | q { main { p?x; stop } }")
         kernel = Kernel(net)
-        done = net.replace({p: sp.TERMINATED for p in net.names()})
-        return kernel, kernel.root, kernel.state(done)
+        ((step,),) = enabled_steps(kernel, kernel.root)
+        return kernel, kernel.root, kernel.successor(kernel.root, step)
 
     def test_rollback_undoes_nodes_and_edges(self):
         kernel, a, b = self._root()
@@ -234,7 +234,9 @@ class TestComponents:
             interned = []
             original = Kernel._intern
             monkeypatch.setattr(
-                Kernel, "_intern", lambda k, i, b: interned.append(b) or original(k, i, b)
+                Kernel,
+                "_intern",
+                lambda k, i, b, *rest: interned.append(b) or original(k, i, b, *rest),
             )
             result = extract(net)
             bodies = sum(1 + len(t.procedures) for t in net.processes.values())
@@ -502,7 +504,8 @@ class TestNodeBound:
             assert Kernel(net).node_bound() == oracles.node_bound(net)
             kernel = Kernel(net)
             for part in kernel.split(connected_components(kernel.communication_graph())):
-                assert part.node_bound() == oracles.node_bound(net.restrict(part.names))
+                restricted = sp.Network({p: net[p] for p in part.names})
+                assert part.node_bound() == oracles.node_bound(restricted)
 
 
 class _RecordingApi(workloads.Api):
@@ -819,7 +822,7 @@ class TestGraphShape:
         net = parse_network("p { main { q!<e>; stop } } | q { main { p?x; stop } }")
         kernel = Kernel(net)
         seg = Seg(kernel)
-        marked = kernel.state(net, frozenset({"p"}))
+        marked = oracles.marked_root(kernel, {"p"})
         x, y = seg.add_node(marked, "0"), seg.add_node(marked, "1")
         com = ComAction("p", "e", "q", "x")
         seg.add_edge(0, com, x)

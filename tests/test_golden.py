@@ -28,10 +28,11 @@ from chorex.testgen import (
     amend,
     fuzz,
     generate,
-    inject_inefficiency,
     unroll,
 )
 from chorex.wellformed import check_guardedness, check_well_formed
+
+from inefficiency import inject_inefficiency
 
 POINTS = {
     "size-k5-r0": GenParams(size=250, processes=6, seed=0),

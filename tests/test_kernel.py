@@ -64,13 +64,13 @@ class _Checked:
         reference = _units(reference_steps(an))
         labels = [tuple(s.label for s in unit) for unit in units]
         assert labels == [tuple(r.label for r in unit) for unit in reference]
-        assert kernel.live(state) == _live_mask(kernel, an)
+        assert kernel._live[state >> kernel.n] == _live_mask(kernel, an)
         for unit, r_unit in zip(units, reference):
             for step, r in zip(unit, r_unit):
                 succ = kernel.successor(state, step)
                 assert kernel.network(succ) == r.successor.net
                 assert kernel.marked(succ) == r.successor.marked
-                assert kernel.live(succ) == _live_mask(kernel, r.successor)
+                assert kernel._live[succ >> kernel.n] == _live_mask(kernel, r.successor)
         self.opened += 1
         return units
 
@@ -192,29 +192,23 @@ def test_states_with_the_same_heads_share_their_steps():
 
 def test_ids_are_shared_exactly_by_equal_subterms():
     """On the seeded draws, which hold offers, conditionals and
-    procedures: two subterms of one process get one id exactly when they
-    are equal, interning them again after the compile (through the memo
-    `_memos` rebuilds) adds no id, and a re-parsed copy of the network,
-    equal but built of other objects, has the root's state and adds no
-    id."""
+    procedures: within each process's id range no two `behaviour`
+    entries are equal, and every subterm of its bodies equals one of
+    them.  A re-parsed copy of the network, equal but built of other
+    objects, compiles to the same root ids and the same number of ids."""
     kinds = set()
     for net in _seeded_draws():
         kernel = Kernel(net)
-        compiled = len(kernel.behaviour)
+        first = kernel._first
         for i, term in enumerate(kernel.terms):
-            ids = {}  # subterm -> its ids; equal subterms land on one key
-            for body in [term.main, *term.procedures.values()]:
-                for t in subterms(body):
-                    kinds.add(type(t))
-                    ids.setdefault(t, set()).add(kernel._intern(i, t))
-            assert all(len(xs) == 1 for xs in ids.values())
-            assert len({x for xs in ids.values() for x in xs}) == len(ids)
-            assert all(kernel.behaviour[x] == t for t, (x,) in ids.items())
-        count = len(kernel.behaviour)
-        assert count == compiled
-        copy = parse_network(pretty(net))
-        assert all(copy[p].main is not net[p].main for p in kernel.names)
-        assert kernel.state(copy) == kernel.root
-        assert len(kernel.behaviour) == count
+            entries = kernel.behaviour[first[i] : first[i + 1]]
+            found = {t for body in [term.main, *term.procedures.values()] for t in subterms(body)}
+            kinds |= {type(t) for t in found}
+            assert len(set(entries)) == len(entries)
+            assert set(entries) == found
+        copy = Kernel(parse_network(pretty(net)))
+        assert all(copy.terms[i].main is not t.main for i, t in enumerate(kernel.terms))
+        assert copy.ids(copy.root) == kernel.ids(kernel.root)
+        assert len(copy.behaviour) == len(kernel.behaviour)
         assert kernel.node_bound() == node_bound(net)
     assert {sp.Offer, sp.Cond, sp.Call} <= kinds

@@ -17,13 +17,12 @@ from chorex.semantics import (
     SelAction,
     ThenAction,
     enabled_steps,
-    participants,
     pretty_action,
 )
 from chorex.testgen import GenParams, amend, generate
 
 import oracles
-from oracles import AnnotatedNetwork, annotate, reference_steps
+from oracles import AnnotatedNetwork, annotate, marked_root, participants, reference_steps
 
 
 def _labels(an):
@@ -31,8 +30,7 @@ def _labels(an):
     kernel lists too, in the same order."""
     want = [pretty_action(s.label) for s in reference_steps(an)]
     kernel = Kernel(an.net).serving(an.services)
-    state = kernel.state(an.net, an.marked)
-    units = enabled_steps(kernel, state)
+    units = enabled_steps(kernel, marked_root(kernel, an.marked))
     assert [pretty_action(s.label) for unit in units for s in unit] == want
     return want
 

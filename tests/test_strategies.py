@@ -8,7 +8,7 @@ from chorex.parser import parse_network
 from chorex.semantics import Kernel, enabled_steps, pretty_action
 from chorex.strategies import STRATEGY_NAMES, Strategy, order_steps
 
-from oracles import AnnotatedNetwork, annotate
+from oracles import AnnotatedNetwork, annotate, marked_root
 
 # One communication, one selection, one conditional, with main sizes
 # 3 (p/q), 2 (r/s), 3 (t) to give the size-based strategies a spread.
@@ -24,7 +24,7 @@ t { main { if c then stop else stop } }
 def _units(an):
     """The kernel of `an`'s network, the state of `an`, and its units."""
     kernel = Kernel(an.net).serving(an.services)
-    state = kernel.state(an.net, an.marked)
+    state = marked_root(kernel, an.marked)
     return kernel, state, enabled_steps(kernel, state)
 
 

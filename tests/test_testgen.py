@@ -21,7 +21,6 @@ from chorex.testgen import (
     amend,
     fuzz,
     generate,
-    inject_inefficiency,
     unroll,
     _delete_at,
     _rotate_loop,
@@ -29,6 +28,7 @@ from chorex.testgen import (
 )
 
 from conftest import RANKED_LOOP_CHOR_TEXT, SHIFTED_LOOP_NET_TEXT
+from inefficiency import inject_inefficiency
 
 
 def _counts(c):
