@@ -10,12 +10,12 @@ A program is a parallel composition of choreographies over pairwise
 disjoint sets of process names.  Body constructors derive from
 `term.Term` and declare only their fields; the kernel writes the rest
 (see `term`).  `Com` and `Sel` add a guard against a process talking to
-itself, and the leaves `Nil` and `Deadlock` are written by hand.
+itself.
 """
 
 from __future__ import annotations
 
-from .term import Term, sorted_procedures, subterms
+from .term import Definitions, Term, subterms
 
 
 class ChoreographyBody(Term):
@@ -26,10 +26,7 @@ class Nil(ChoreographyBody):
     """Successful termination."""
 
     __slots__ = ()
-
-    def __init__(self):
-        self._hash = hash(("cc.Nil",))
-        self.size = 1
+    KIDS = ()
 
 
 NIL = Nil()
@@ -39,10 +36,7 @@ class Deadlock(ChoreographyBody):
     """A group of processes that can never reduce again."""
 
     __slots__ = ()
-
-    def __init__(self):
-        self._hash = hash(("cc.Deadlock",))
-        self.size = 1
+    KIDS = ()
 
 
 DEADLOCK = Deadlock()
@@ -84,36 +78,20 @@ class Cond(ChoreographyBody):
     KIDS = ("then", "orelse")
 
 
-class Choreography:
+class Choreography(Definitions):
     """Procedure definitions plus a main body."""
 
-    __slots__ = ("procedures", "main", "_hash", "_process_names")
+    __slots__ = ("_process_names",)
 
     def __init__(self, procedures, main):
-        items = sorted_procedures(procedures)
-        for x, body in items:
+        super().__init__(procedures, main)
+        for x, body in self.procedures.items():
             if isinstance(body, Call):
                 raise ValueError(
                     f"procedure {x} is a bare call to {body.name}; "
                     "calls must be guarded by at least one action"
                 )
-        self.procedures = dict(items)
-        self.main = main
-        self._hash = hash(tuple((x, b._hash) for x, b in items) + (main._hash,))
         self._process_names = None  # filled by `choreography_process_names`
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not Choreography or self._hash != other._hash:
-            return False
-        return self.main == other.main and self.procedures == other.procedures
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Choreography({self.procedures!r}, {self.main!r})"
 
 
 class Program:

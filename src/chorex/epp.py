@@ -164,22 +164,19 @@ def project_each(body: cc.ChoreographyBody, universe) -> tuple:
 
 
 def _collapse_call_cycles(procedures: dict, main: sp.Behaviour) -> sp.ProcessTerm:
-    """Rewrite procedures whose bodies chase bare calls forever into stop.
+    """Rewrite procedures on a cycle of bare calls into stop.
 
     Projection for an uninvolved process turns a looping procedure into a
     bare self-call; such a procedure can never expose an action, so its
-    body is equivalent to termination.
+    body is equivalent to termination.  A procedure whose `sp.call_chain`
+    only leads into a cycle keeps its call.
     """
     dead = set()
     for name in procedures:
-        seen = []
-        cur = name
-        while isinstance(procedures.get(cur), sp.Call):
-            if cur in seen:
-                dead.update(seen[seen.index(cur):])
-                break
-            seen.append(cur)
-            cur = procedures[cur].name
+        chain = sp.call_chain(procedures, name)
+        body = procedures.get(chain[-1])
+        if type(body) is sp.Call:
+            dead.update(chain[chain.index(body.name):])
     if dead:
         procedures = {
             x: (sp.NIL if x in dead else b) for x, b in procedures.items()

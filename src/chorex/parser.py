@@ -48,6 +48,7 @@ from functools import partial
 from string import ascii_letters, digits
 
 from . import cc, sp
+from .term import Definitions
 from .wellformed import process_violations
 
 KEYWORDS = {"stop", "deadlock", "main", "def", "if", "then", "else", "continue"}
@@ -436,21 +437,21 @@ def pretty_body(body: cc.ChoreographyBody) -> str:
     return _render(body, _BODY_PIECES)
 
 
-def _pretty_procedures(procedures, main, pieces) -> str:
+def _pretty_definitions(defs: Definitions, pieces) -> str:
     """`def X { .. } .. main { .. }`, procedures in name order."""
-    parts = [f"def {x} {{ {_render(procedures[x], pieces)} }}" for x in sorted(procedures)]
-    parts.append(f"main {{ {_render(main, pieces)} }}")
+    parts = [f"def {x} {{ {_render(b, pieces)} }}" for x, b in defs.procedures.items()]
+    parts.append(f"main {{ {_render(defs.main, pieces)} }}")
     return " ".join(parts)
 
 
 def pretty(value) -> str:
     if isinstance(value, sp.Network):
         return " | ".join(
-            f"{p} {{ {_pretty_procedures(t.procedures, t.main, _BEHAVIOUR_PIECES)} }}"
+            f"{p} {{ {_pretty_definitions(t, _BEHAVIOUR_PIECES)} }}"
             for p, t in value.processes.items()
         )
     if isinstance(value, cc.Choreography):
-        return _pretty_procedures(value.procedures, value.main, _BODY_PIECES)
+        return _pretty_definitions(value, _BODY_PIECES)
     if isinstance(value, cc.Program):
         return " || ".join(map(pretty, value.components))
     raise TypeError(f"cannot pretty-print {type(value).__name__}")

@@ -160,10 +160,10 @@ class Kernel:
     positions under a lock (`_position`); every other table entry is
     written whole, and one thread's entry serves as well as another's.
 
-    Heads are chased once every body is interned, a bounded number of
-    hops: a call that unfolds to no head (a cycle of bare calls, or an
-    undefined procedure) is marked UNRESOLVED, and `enabled_steps`
-    raises its error only if a state's main reaches it.
+    Heads are chased once every body is interned, along each call's
+    `sp.call_chain`: a call that unfolds to no head (a cycle of bare
+    calls, or an undefined procedure) is marked UNRESOLVED, and
+    `enabled_steps` raises its error only if a state's main reaches it.
     """
 
     # Slots, not a dict: a split part and a view are copies, and CPython
@@ -282,29 +282,23 @@ class Kernel:
         return ids[0]
 
     def _resolve(self, calls: list):
-        """Chase every call, a (process, id) of `calls`, to its head, as
-        `ProcessTerm.head_behaviour` does: at most one hop per procedure of
-        the process.  Every other id is its own head."""
+        """Chase every call, a (process, id) of `calls`, along its
+        `sp.call_chain` to its head, as `ProcessTerm.head_behaviour` does;
+        a call with no head keeps the error that method raises.  Every
+        other id is its own head."""
         behaviour = self.behaviour
         self.head = list(range(len(behaviour)))
         for i, x in calls:
-            procedures = self._procedures[i]
-            b = x
-            hops = 0
-            while type(behaviour[b]) is sp.Call:
-                hops += 1
-                name = behaviour[b].name
-                if hops > len(procedures):
-                    self.unresolved[x] = AssertionError(
-                        f"unguarded recursion while unfolding {behaviour[x]!r}"
-                    )
-                    break
-                if name not in procedures:
-                    self.unresolved[x] = KeyError(name)
-                    break
-                b = procedures[name]
+            procedures = self.terms[i].procedures
+            last = sp.call_chain(procedures, behaviour[x].name)[-1]
+            if last not in procedures:
+                self.unresolved[x] = KeyError(last)
+            elif type(procedures[last]) is sp.Call:
+                self.unresolved[x] = AssertionError(
+                    f"unguarded recursion while unfolding {behaviour[x]!r}"
+                )
             else:
-                self.head[x] = b
+                b = self.head[x] = self._procedures[i][last]
                 self.kind[x] = self.kind[b]
                 self.peer[x] = self.peer[b]
 

@@ -7,13 +7,15 @@ a binary conditional, procedure calls, and the terminated behaviour.
 
 Behaviour constructors derive from `term.Term`.  Each declares its fields
 and which of them are subterms, and the kernel writes its initialiser,
-label, children and rebuild (see `term`).  `Offer`, whose branches are
-sorted (label, behaviour) pairs, and the leaf `Nil` are written by hand.
+label, children and rebuild (see `term`); only `Offer`, whose branches
+are sorted (label, behaviour) pairs, is written by hand.  A procedure
+call unfolds along its `call_chain`, the one place that chases bare
+calls to procedure bodies.
 
 Expressions are never evaluated here: they are carried around as opaque
 token strings and compared by string equality.  All terms are immutable,
-cache their hash and node count at construction, and are safe to share
-between threads.
+cache their hash at construction (behaviours their node count too), and
+are safe to share between threads.
 
 The extraction search does not step these terms: it compiles each
 network to integer ids once (`semantics.Kernel`) and builds terms and
@@ -22,7 +24,7 @@ networks again only to print or report a state.
 
 from __future__ import annotations
 
-from .term import Term, sorted_procedures
+from .term import Definitions, Term
 
 
 class Behaviour(Term):
@@ -37,10 +39,7 @@ class Nil(Behaviour):
     """Terminated behaviour."""
 
     __slots__ = ()
-
-    def __init__(self):
-        self._hash = hash(("sp.Nil",))
-        self.size = 1
+    KIDS = ()
 
 
 NIL = Nil()
@@ -129,35 +128,30 @@ class Cond(Behaviour):
     KIDS = ("then", "orelse")
 
 
-class ProcessTerm:
+class ProcessTerm(Definitions):
     """A set of procedure definitions together with a main behaviour."""
 
-    __slots__ = ("procedures", "main", "_hash", "size", "_head")
+    __slots__ = ("_head",)
 
     def __init__(self, procedures, main: Behaviour):
-        items = sorted_procedures(procedures)
-        self.procedures = dict(items)
-        self.main = main
-        self._hash = hash((tuple((x, b._hash) for x, b in items), main._hash))
-        self.size = sum(b.size for _, b in items) + main.size
+        super().__init__(procedures, main)
         self._head = None
 
     def head_behaviour(self) -> Behaviour:
-        """Main behaviour with leading procedure calls chased away.
+        """Main behaviour with leading procedure calls chased away along
+        its `call_chain`; the result is cached.
 
-        Requires guardedness: the chase must leave the call layer within
-        |procedures| hops (asserted).  The result is cached.
+        A chain that ends at an undefined procedure raises its KeyError,
+        and one that ends in a cycle of bare calls (unguarded recursion)
+        an AssertionError.
         """
         head = self._head
         if head is None:
             head = self.main
-            hops = 0
-            while isinstance(head, Call):
-                hops += 1
-                assert hops <= len(self.procedures), (
-                    f"unguarded recursion while unfolding {self.main!r}"
-                )
-                head = self.procedures[head.name]
+            if type(head) is Call:
+                head = self.procedures[call_chain(self.procedures, head.name)[-1]]
+                if type(head) is Call:
+                    raise AssertionError(f"unguarded recursion while unfolding {self.main!r}")
             self._head = head
         return head
 
@@ -165,21 +159,24 @@ class ProcessTerm:
         """True unless the process has terminated (head is Nil)."""
         return not isinstance(self.head_behaviour(), Nil)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not ProcessTerm or self._hash != other._hash:
-            return False
-        return self.main == other.main and (
-            self.procedures is other.procedures
-            or self.procedures == other.procedures
-        )
 
-    def __hash__(self):
-        return self._hash
+def call_chain(procedures: dict, name: str) -> list:
+    """The procedure names a call of `name` passes through, in order.
 
-    def __repr__(self):
-        return f"ProcessTerm({self.procedures!r}, {self.main!r})"
+    The chain starts at `name` and follows each body that is a bare call.
+    It stops at the first name that is undefined, whose body is not a
+    bare call (the head the call unfolds to), or whose body calls a name
+    already in the chain (a cycle of bare calls, which never reaches an
+    action).  So the verdict is read off the last name: undefined, an
+    action, or a bare call back into the chain.
+    """
+    chain = [name]
+    body = procedures.get(name)
+    while type(body) is Call and body.name not in chain:
+        name = body.name
+        chain.append(name)
+        body = procedures.get(name)
+    return chain
 
 
 class Network:

@@ -21,6 +21,10 @@ Python's default recursion limit.
 Equality is structural and iterative too.  Terms cache their hash, so
 `==` first tries identity, then the type and the hash, before it walks
 the pairs of subterms.
+
+`Definitions` is the container of procedure definitions and a main term
+that both languages build their programs from (`sp.ProcessTerm`,
+`cc.Choreography`).
 """
 
 from __future__ import annotations
@@ -124,15 +128,40 @@ def _declare(cls) -> None:
     cls.__match_args__ = fields
 
 
-def sorted_procedures(procedures) -> list:
-    """The (name, body) pairs of a procedure dict or pair list, by name;
-    a name given twice is a ValueError."""
-    items = procedures.items() if isinstance(procedures, dict) else procedures
-    items = sorted(items, key=lambda item: item[0])
-    names = [x for x, _ in items]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate procedure names: {names}")
-    return items
+class Definitions:
+    """Named procedure definitions plus a main term, the container that
+    process terms (`sp`) and choreographies (`cc`) share.
+
+    `procedures` is a dict or a list of (name, body) pairs, kept as a
+    dict in name order; a name given twice is a ValueError.  The hash is
+    cached at construction.
+    """
+
+    __slots__ = ("procedures", "main", "_hash")
+
+    def __init__(self, procedures, main: Term):
+        items = procedures.items() if isinstance(procedures, dict) else procedures
+        items = sorted(items, key=lambda item: item[0])
+        self.procedures = dict(items)
+        if len(self.procedures) != len(items):
+            raise ValueError(f"duplicate procedure names: {[x for x, _ in items]}")
+        self.main = main
+        self._hash = hash((tuple((x, b._hash) for x, b in items), main._hash))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self) or self._hash != other._hash:
+            return False
+        return self.main == other.main and (
+            self.procedures is other.procedures or self.procedures == other.procedures
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.procedures!r}, {self.main!r})"
 
 
 def _repr(term: Term, children) -> str:
@@ -181,25 +210,22 @@ def replace_at(term: Term, path, new: Term) -> Term:
     return new
 
 
-def fold(root, f, children=None):
+def fold(root: Term, f):
     """Bottom-up: `f(node, results)` for every node, where `results` are
     the values of its children, left to right; returns the root's value.
 
     Nodes are visited in post-order, children left to right, which is
-    the order a recursive walk would visit them in.  `children` maps a
-    node to its children; it defaults to the terms' own, and other graphs
-    that are trees below the root can pass theirs.
-
-    A pre-order walk that takes the right child first, reversed, is that
-    post-order; the results of a node's children are then the topmost
-    values on the result stack.
+    the order a recursive walk would visit them in.  A pre-order walk
+    that takes the right child first, reversed, is that post-order; the
+    results of a node's children are then the topmost values on the
+    result stack.
     """
     order = []
     arities = []
     stack = [root]
     while stack:
         node = stack.pop()
-        kids = node.children() if children is None else children(node)
+        kids = node.children()
         order.append(node)
         arities.append(len(kids))
         stack.extend(kids)

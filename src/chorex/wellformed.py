@@ -71,26 +71,17 @@ def _reachable_procedures(term: sp.ProcessTerm):
 
 
 def check_guardedness(n: sp.Network) -> CheckReport:
+    """A violation for each reachable procedure whose `sp.call_chain`
+    ends in a cycle of bare calls: unfolding it never exposes an action.
+    A chain that ends at an undefined procedure is left to
+    `check_well_formed`."""
     violations = []
     for name, term in n.processes.items():
         for x in sorted(_reachable_procedures(term)):
-            # Chase bodies that are bare calls; a cycle means unfolding
-            # this procedure can never expose an action.
-            chain = set()
-            cur = x
-            while True:
-                if cur in chain:
-                    violations.append(
-                        ("unguarded-recursion", f"{name}/def {x}",
-                         f"procedure {x} unfolds to a bare self-call")
-                    )
-                    break
-                chain.add(cur)
-                body = term.procedures.get(cur)
-                if isinstance(body, sp.Call):
-                    cur = body.name
-                    if cur not in term.procedures:
-                        break  # unresolved; reported by check_well_formed
-                else:
-                    break
+            last = sp.call_chain(term.procedures, x)[-1]
+            if type(term.procedures.get(last)) is sp.Call:
+                violations.append(
+                    ("unguarded-recursion", f"{name}/def {x}",
+                     f"procedure {x} unfolds to a bare self-call")
+                )
     return CheckReport(violations)

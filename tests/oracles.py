@@ -18,10 +18,11 @@ walking every subterm for the peers `Kernel.communication_graph` reads
 off its peer table, and `reference_loop_target` finds a loop target by
 the definition, among all the graph's nodes, where the engine looks
 among the open ones.  `reference_read_off` names loop nodes by a walk
-from the root and reads the graph off by folds, where the engine sweeps
-the nodes in creation order.  Two small helpers serve the tests that
-step a kernel by hand: `marked_root` marks processes in a kernel's root
-state, and `participants` lists the processes of an action.
+from the root and reads the graph off by post-order walks of its own,
+where the engine sweeps the nodes in creation order.  Two small helpers
+serve the tests that step a kernel by hand: `marked_root` marks
+processes in a kernel's root state, and `participants` lists the
+processes of an action.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from chorex.cc import Call, Com, Cond, Sel
 from chorex.epp import epp
 from chorex.equiv import chor_enabled
 from chorex.semantics import ComAction, ElseAction, SelAction, ThenAction
-from chorex.term import fold
 
 
 class AnnotatedNetwork:
@@ -217,11 +217,11 @@ def reference_read_off(seg) -> tuple:
 
     Loop nodes (more than one incoming edge, or the root with any) are
     named X1, X2, … in depth-first discovery order from the root, edges
-    left to right.  Each loop node's body, and the root's, is then one
-    fold over the graph below it, with the edges into loop nodes cut
-    into calls; the walk asserts that every node is reachable.  The
-    engine names loop nodes in creation order and reads the graph off in
-    one sweep, newest first.
+    left to right.  Each loop node's body, and the root's, is then read
+    off by one post-order walk over the graph below it, with the edges
+    into loop nodes cut into calls; the walk from the root asserts that
+    every node is reachable.  The engine names loop nodes in creation
+    order and reads the graph off in one sweep, newest first.
     """
     indegree = {}
     for node in range(len(seg.state)):
@@ -260,8 +260,24 @@ def reference_read_off(seg) -> tuple:
                 return Cond(p, e, *conts)
         raise AssertionError(f"unexpected edge label {es[0][0]!r}")
 
-    procedures = {name: fold(node, read, children) for node, name in names.items()}
-    main = fold(names.get(0, 0), read, children)
+    def body(root):
+        # Post-order, children left to right: a walk that takes the last
+        # edge first, reversed.
+        order, stack = [], [root]
+        while stack:
+            target = stack.pop()
+            kids = children(target)
+            order.append((target, len(kids)))
+            stack.extend(kids)
+        out = []
+        for target, arity in reversed(order):
+            conts = out[len(out) - arity :]
+            del out[len(out) - arity :]
+            out.append(read(target, conts))
+        return out[0]
+
+    procedures = {name: body(node) for node, name in names.items()}
+    main = body(names.get(0, 0))
     return names, cc.Choreography(procedures, main)
 
 
@@ -632,8 +648,9 @@ def node_bound(net: sp.Network) -> int:
     conds = 0
     product = 1
     for term in net.processes.values():
-        product *= term.size
-        for body in [term.main, *term.procedures.values()]:
+        bodies = [term.main, *term.procedures.values()]
+        product *= sum(body.size for body in bodies)
+        for body in bodies:
             conds += sum(type(node) is sp.Cond for node in _nodes(body))
     return 2 ** len(net.processes) * product * 2**conds
 

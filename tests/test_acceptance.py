@@ -228,7 +228,8 @@ def _small_network(seed):
 def test_engine_verdicts_match_exhaustive_search():
     for seed in range(100):
         net = _small_network(seed)
-        assert max(t.size for t in net.processes.values()) <= 8
+        for t in net.processes.values():
+            assert sum(b.size for b in (t.main, *t.procedures.values())) <= 8
         engine = extract(net, parallel=False).ok
         oracle = oracles.valid_graph_exists(net)
         assert engine == oracle, f"seed {seed}: engine {engine}, exhaustive {oracle}"

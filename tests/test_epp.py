@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from chorex import sp
 from chorex.epp import MergeError, describe_head, epp, merge, project_each, project_process
-from chorex.parser import parse_choreography, parse_network
+from chorex.parser import parse_choreography, parse_network, pretty
 
 from chorex.testgen import GenParams, amend, generate
 
@@ -135,6 +135,15 @@ def test_uninvolved_looping_procedure_collapses_to_stop():
     assert term.procedures == {"X": sp.NIL}
     assert term.main == sp.Call("X")
     assert not term.is_live()
+    # Only the members of a cycle collapse: Z leads into the X-Y cycle
+    # and keeps its call.
+    c = parse_choreography(
+        "def X { p -> q[l]; Y } def Y { p.e -> q.y; X } def Z { p.e -> q.x; X } main { Z }"
+    )
+    net = epp(c, processes=("r",))
+    assert pretty(sp.Network({"r": net["r"]})) == (
+        "r { def X { stop } def Y { stop } def Z { X } main { Z } }"
+    )
 
 
 class TestMerge:

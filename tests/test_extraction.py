@@ -638,6 +638,14 @@ class TestFixtures:
         with pytest.raises(AssertionError, match="unguarded recursion"):
             extract(net)
 
+    @pytest.mark.parametrize("extra", [{}, {"Y": sp.NIL}], ids=["alone", "beside-Y"])
+    def test_main_that_reaches_an_undefined_procedure_names_it(self, extra):
+        term = sp.ProcessTerm({"X": sp.Call("Z"), **extra}, sp.Call("X"))
+        net = sp.Network({"p": term, "q": sp.ProcessTerm({}, sp.NIL)})
+        with pytest.raises(KeyError) as info:
+            extract(net)
+        assert info.value.args == ("Z",)
+
 
 # `UNDO_TEXT` as one component, per strategy: (nodes created, deleted,
 # rejected closures), the program and the `to_dot` digest.  A strategy

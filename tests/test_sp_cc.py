@@ -71,15 +71,18 @@ class TestProcessTerm:
         with pytest.raises(AssertionError, match="unguarded recursion"):
             t.head_behaviour()
 
+    @pytest.mark.parametrize("extra", [{}, {"Y": sp.NIL}], ids=["alone", "beside-Y"])
+    def test_head_behaviour_names_an_undefined_end_of_chain(self, extra):
+        # X is a bare call to an undefined Z: nothing cycles, so the
+        # chase reports the missing procedure, whatever else is defined.
+        t = sp.ProcessTerm({"X": sp.Call("Z"), **extra}, sp.Call("X"))
+        with pytest.raises(KeyError) as info:
+            t.head_behaviour()
+        assert info.value.args == ("Z",)
+
     def test_terminated_term_is_not_live(self):
         assert not TERMINATED.is_live()
         assert sp.ProcessTerm({"X": sp.NIL}, sp.Call("X")).is_live() is False
-
-    def test_size_sums_main_and_procedures(self):
-        t = sp.ProcessTerm(
-            {"X": sp.Send("q", "e", sp.NIL)}, sp.Receive("q", "x", sp.Call("X"))
-        )
-        assert t.size == 2 + 2  # procedure body + main
 
     def test_duplicate_procedure_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate procedure"):

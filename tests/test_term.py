@@ -96,6 +96,17 @@ def test_the_terms_below_use_every_constructor(module):
     assert _constructors(module) - {type(module.NIL), cc.Deadlock} <= FIELDS.keys()
 
 
+@pytest.mark.parametrize("module", [sp, cc], ids=["sp", "cc"])
+def test_every_constructor_is_declared(module):
+    # A hand-written initialiser would have to repeat what the kernel
+    # writes; only `Offer`, whose branches are sorted, keeps its own.
+    classes = {
+        c for c in vars(module).values() if isinstance(c, type) and issubclass(c, Term)
+    }
+    bases = {Term, sp.Behaviour, cc.ChoreographyBody, sp.Offer}
+    assert [c.__name__ for c in classes - bases if "KIDS" not in c.__dict__] == []
+
+
 @EVERY
 def test_positional_patterns_bind_fields_in_declaration_order(make):
     for node in subterms(make()):

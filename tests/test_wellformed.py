@@ -60,6 +60,15 @@ class TestGuardedness:
         report = check_guardedness(_net(p=term))
         assert not report.ok
         assert {where for _, where, _ in report.violations} == {"p/def X", "p/def Y"}
+        # X leads into the Y-Z cycle without being on it, and is reported
+        # too, before the members.
+        term = sp.ProcessTerm(
+            {"X": sp.Call("Y"), "Y": sp.Call("Z"), "Z": sp.Call("Y")}, sp.Call("X")
+        )
+        report = check_guardedness(_net(p=term))
+        assert [where for _, where, _ in report.violations] == [
+            "p/def X", "p/def Y", "p/def Z",
+        ]
 
     def test_guarded_mutual_recursion_is_fine(self):
         term = sp.ProcessTerm(
