@@ -27,7 +27,8 @@ branches apart; that node is the open ancestor with the same state.
 The search runs over the network compiled once (`semantics.Kernel`),
 and compiled again only when another network comes (`compiled`), so
 strategies run on one network one call after another share one compile,
-its split into components, the steps built and the positions met.  A
+its split into components, the steps built and the positions met.  Each
+thread keeps its own compile, so no kernel is written by two threads.  A
 node's state is one int, `position << n | marking`, where the position
 stands for the tuple of the processes' behaviour ids: the kernel lists
 a position's units and makes its successors once, so a state met again,
@@ -54,6 +55,7 @@ thread, then recomposed as a parallel program.
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -457,12 +459,13 @@ def connected_components(adjacency: dict) -> list:
     return out
 
 
-# The network compiled last and its kernels, for `compiled`: (network,
-# whole kernel, components or None until asked for).  It holds at most
-# one network, and a caller's result usually holds that network anyway,
-# as its kernels do.  `compiled` reads the entry into a local once, so
-# two threads extracting at once at worst compile twice.
-_last = None
+# Per thread, the network that thread compiled last and its kernels, for
+# `compiled`: `_last.entry` is (network, whole kernel, components or None
+# until asked for).  It holds at most one network a thread, and a caller's
+# result usually holds that network anyway, as its kernels do.  A compile
+# belongs to the thread that built it, so no kernel's tables are ever
+# written by two threads and the kernel needs no lock.
+_last = threading.local()
 
 
 def compiled(n: sp.Network, parallel: bool = True) -> list:
@@ -470,20 +473,20 @@ def compiled(n: sp.Network, parallel: bool = True) -> list:
     communication-graph components with `parallel`, else the whole
     network as one.
 
-    The network extracted last (the same object, not an equal one) keeps
-    its compile, so a run of extractions of one network, under every
-    strategy, compiles and splits it once.
+    The network this thread extracted last (the same object, not an
+    equal one) keeps its compile, so a run of extractions of one network
+    on one thread, under every strategy, compiles and splits it once.
+    Another thread compiles it again, into kernels of its own.
     """
-    global _last
-    entry = _last
+    entry = getattr(_last, "entry", None)
     if entry is None or entry[0] is not n:
-        _last = None  # let the last network's kernels go before compiling
+        _last.entry = None  # let the last network's kernels go before compiling
         entry = (n, Kernel(n), None)
     _, kernel, parts = entry
     if parallel and parts is None:
         parts = kernel.split(connected_components(kernel.communication_graph()))
         entry = (n, kernel, parts)
-    _last = entry
+    _last.entry = entry
     return parts if parallel else [kernel]
 
 

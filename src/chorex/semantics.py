@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import threading
 from dataclasses import dataclass
 
 from . import sp
@@ -156,9 +155,9 @@ class Kernel:
     they are listed (`enabled_steps`), and per (position, step) tried,
     the successor position (`successor`).  So every marking of a
     position, in every search over the index space under any strategy,
-    lists and steps by lookups.  Threads may share a compile; they intern
-    positions under a lock (`_position`); every other table entry is
-    written whole, and one thread's entry serves as well as another's.
+    lists and steps by lookups.  A compile belongs to the thread that
+    built it (`extraction.compiled`), so no table is written by two
+    threads.
 
     Heads are chased once every body is interned, along each call's
     `sp.call_chain`: a call that unfolds to no head (a cycle of bare
@@ -173,7 +172,7 @@ class Kernel:
         "names", "n", "_index", "terms", "services", "behaviour", "size", "head",
         "kind", "peer", "cont", "ifs", "unresolved", "_first", "_procedures", "_pairs",
         "_conds", "_numbers", "positions", "_position_of", "_live", "_units", "_next",
-        "_lock", "root",
+        "root",
     )
 
     def __init__(self, net: sp.Network):
@@ -214,7 +213,6 @@ class Kernel:
         self._live = []  # position -> its live mask
         self._units = []  # position -> its units, None until listed
         self._next = {}  # position << _STEP_BITS | step number -> the successor position
-        self._lock = threading.Lock()  # held to intern a position
 
     # -- compiling
 
@@ -374,26 +372,15 @@ class Kernel:
 
     def _position(self, ids: tuple, live: int) -> int:
         """The position of the main ids `ids`, whose live mask is `live`;
-        a new tuple gets the next one.
-
-        Threads may share a compile, so the table is read and written under
-        the lock: two threads that intern the same ids get one position,
-        and no position leaves here before its entries in `positions`,
-        `_live` and `_units` exist.  `successor` asks only on a miss in
-        `_next`, so the lock is taken the first time a step is tried from
-        a position."""
-        lock = self._lock
-        lock.acquire()  # not `with`: this runs at every node of a search with no repeats
-        try:
-            positions = self.positions
-            new = len(positions)
-            position = self._position_of.setdefault(ids, new)
-            if position == new:
-                positions.append(ids)
-                self._live.append(live)
-                self._units.append(None)
-        finally:
-            lock.release()
+        a new tuple gets the next one, and its entries in `positions`,
+        `_live` and `_units`."""
+        positions = self.positions
+        new = len(positions)
+        position = self._position_of.setdefault(ids, new)
+        if position == new:
+            positions.append(ids)
+            self._live.append(live)
+            self._units.append(None)
         return position
 
     def _root(self, ids) -> int:

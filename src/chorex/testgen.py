@@ -335,13 +335,23 @@ def amend(c: Choreography) -> Choreography:
 # --- network fuzzing -----------------------------------------------------
 
 
-def _occurrences(b):
-    """Preorder paths of every action constructor in a behaviour.
+def _places(term: ProcessTerm, keep):
+    """(owner, path) of every subterm that `keep` accepts: main first,
+    then the procedures in name order, each body in preorder."""
+    return [
+        (owner, path)
+        for owner, body in [("main", term.main), *sorted(term.procedures.items())]
+        for path, node in positions(body)
+        if keep(node)
+    ]
 
-    An action here is anything that is not Nil and not a bare call:
-    sends, receives, selections, offers, and conditionals all count.
-    """
-    return [path for path, node in positions(b) if node.children()]
+
+def _term_edit(term: ProcessTerm, where, op):
+    """`term` with the body `where` names replaced by `op(body, path)`."""
+    name, path = where
+    if name == "main":
+        return ProcessTerm(term.procedures, op(term.main, path))
+    return ProcessTerm({**term.procedures, name: op(term.procedures[name], path)}, term.main)
 
 
 def _delete_at(b, path):
@@ -389,52 +399,21 @@ def _swap_at(b, path):
     return b
 
 
-def _term_paths(term: ProcessTerm):
-    """Occurrences across main and all procedure bodies, main first."""
-    out = [("main", p) for p in _occurrences(term.main)]
-    for name in sorted(term.procedures):
-        out.extend((name, p) for p in _occurrences(term.procedures[name]))
-    return out
-
-
-def _term_edit(term: ProcessTerm, where, op):
-    name, path = where
-    if name == "main":
-        return ProcessTerm(term.procedures, op(term.main, path))
-    procs = dict(term.procedures)
-    procs[name] = op(procs[name], path)
-    return ProcessTerm(procs, term.main)
-
-
 def fuzz(n: Network, params: FuzzParams) -> Network:
     """Damage one uniformly chosen process of the network."""
     rng = random.Random(f"fuzz:{params.seed}")
     victim = rng.choice(sorted(n.processes))
     term = n.processes[victim]
-    for _ in range(params.deletions):
-        places = _term_paths(term)
+    for op in [_delete_at] * params.deletions + [_swap_at] * params.swaps:
+        # An action is any subterm but nil and a bare call.
+        places = _places(term, lambda node: node.children())
         if not places:
-            break
-        term = _term_edit(term, rng.choice(places), _delete_at)
-    for _ in range(params.swaps):
-        places = _term_paths(term)
-        if not places:
-            break
-        term = _term_edit(term, rng.choice(places), _swap_at)
+            break  # no action left, so no swap either
+        term = _term_edit(term, rng.choice(places), op)
     return n.replace({victim: term})
 
 
 # --- unrolling -----------------------------------------------------------
-
-
-def _call_sites(term: ProcessTerm):
-    """(owner, path) of every call, main first, each body in preorder."""
-    return [
-        (owner, path)
-        for owner, body in [("main", term.main), *sorted(term.procedures.items())]
-        for path, node in positions(body)
-        if isinstance(node, sp.Call)
-    ]
 
 
 def _action_chain(body):
@@ -503,15 +482,14 @@ def unroll(n: Network, seed=0) -> Network:
     victim = rng.choice(candidates)
     term = n.processes[victim]
     for _ in range(rng.randint(1, 3)):
-        sites = _call_sites(term)
+        sites = _places(term, lambda node: isinstance(node, sp.Call))
         if not sites:
             break
-        owner, path = sites[rng.randrange(len(sites))]
-        host = term.main if owner == "main" else term.procedures[owner]
-        unfolded = replace_at(host, path, term.procedures[subterm_at(host, path).name])
-        if owner == "main":
-            term = ProcessTerm(term.procedures, unfolded)
-        else:
-            term = ProcessTerm({**term.procedures, owner: unfolded}, term.main)
+        procedures = term.procedures
+        term = _term_edit(
+            term,
+            sites[rng.randrange(len(sites))],
+            lambda b, path: replace_at(b, path, procedures[subterm_at(b, path).name]),
+        )
     term = _rotate_loop(term, rng)
     return n.replace({victim: term})

@@ -73,15 +73,21 @@ def _reachable_procedures(term: sp.ProcessTerm):
 def check_guardedness(n: sp.Network) -> CheckReport:
     """A violation for each reachable procedure whose `sp.call_chain`
     ends in a cycle of bare calls: unfolding it never exposes an action.
-    A chain that ends at an undefined procedure is left to
-    `check_well_formed`."""
+    The message names the cycle, from where the chain enters it, unless
+    the procedure calls itself.  A chain that ends at an undefined
+    procedure is left to `check_well_formed`."""
     violations = []
     for name, term in n.processes.items():
         for x in sorted(_reachable_procedures(term)):
-            last = sp.call_chain(term.procedures, x)[-1]
-            if type(term.procedures.get(last)) is sp.Call:
+            chain = sp.call_chain(term.procedures, x)
+            back = term.procedures.get(chain[-1])
+            if type(back) is sp.Call:
+                cycle = chain[chain.index(back.name):] + [back.name]
+                if cycle == [x, x]:
+                    what = "a bare self-call"
+                else:
+                    what = "the bare-call cycle " + " -> ".join(cycle)
                 violations.append(
-                    ("unguarded-recursion", f"{name}/def {x}",
-                     f"procedure {x} unfolds to a bare self-call")
+                    ("unguarded-recursion", f"{name}/def {x}", f"procedure {x} unfolds to {what}")
                 )
     return CheckReport(violations)

@@ -296,11 +296,12 @@ class TestComponents:
                 fresh = extract(parse_network(pretty(net)), svc, strategy, parallel)
                 assert _shown(fresh) == shown, (pretty(net), strategy.name, svc, parallel)
 
-    def test_threads_sharing_the_compile_extract_as_one_thread_does(self, n1):
-        """Four threads extract three networks, each under every strategy,
-        whole and split, and switch every microsecond, so they replace the
-        compile under each other and share its units: every call shows
-        what it shows on one thread."""
+    def test_threads_extracting_one_network_extract_as_one_thread_does(self, n1):
+        """Four threads extract three network objects, each under every
+        strategy, whole and split, and switch every microsecond, so each
+        thread compiles a network while another is searching its own
+        compile of the same object: every call shows what it shows on one
+        thread."""
         nets = [n1, parse_network(INTERLEAVED_TEXT), parse_network(TWO_LOOPS_TEXT)]
         calls = [
             (net, Strategy(name, 0), i % 2 == 0)
@@ -321,10 +322,10 @@ class TestComponents:
 
     def test_threads_intern_each_position_once(self):
         """Six threads, each under its own strategy, extract one network
-        object whole and split, and switch every microsecond, so they
-        intern positions into one table under each other: every position
-        maps back to its own number, and every call shows what it shows on
-        one thread."""
+        object whole and split, and switch every microsecond: no positions
+        table serves components of two threads, every position maps back
+        to its own number, and every call shows what it shows on one
+        thread."""
         loops = [epp(amend(generate(p))) for p in workloads.variant_params(0, 1)]
         nets = [
             epp(amend(generate(GOLDEN_POINTS["ifs-k2-r0"]))),
@@ -344,17 +345,36 @@ class TestComponents:
             def work(t):
                 for parallel in (t % 2 == 0, t % 2 == 1):
                     result = extract(net, strategy=Strategy(names[t], 0), parallel=parallel)
-                    results.append(result)
+                    results.append((t, result))
                     got[names[t], parallel] = _shown(result)
 
             _in_threads(work, len(names))
             assert got == want
-            components = [c for r in results for c in r.components]
-            kernels = {id(c.seg.kernel.positions): c.seg.kernel for c in components}
-            assert len(kernels) < len(components)  # tables were shared
+            kernels, owners = {}, {}
+            for t, result in results:
+                for c in result.components:
+                    kernels[id(c.seg.kernel.positions)] = c.seg.kernel
+                    owners.setdefault(id(c.seg.kernel.positions), set()).add(t)
+            assert all(len(threads) == 1 for threads in owners.values())
             for kernel in kernels.values():
                 assert len(kernel._position_of) == len(kernel.positions)
                 assert all(kernel._position_of[ids] == p for p, ids in enumerate(kernel.positions))
+
+    def test_each_thread_compiles_a_network_for_itself(self, n1):
+        """One network object extracted on this thread, then on another,
+        then here again: the other thread gets a compile of its own and
+        leaves this thread's in place, and both show the same extraction."""
+
+        def tables(result):
+            return {id(c.seg.kernel.behaviour) for c in result.components}
+
+        here = extract(n1)
+        there = []
+        _in_threads(lambda t: there.append(extract(n1)), 1)
+        again = extract(n1)
+        assert tables(here) == tables(again)
+        assert not tables(here) & tables(there[0])
+        assert _shown(here) == _shown(there[0]) == _shown(again)
 
     def test_strategies_on_one_network_share_its_positions(self, n1):
         """A second strategy on one network object interns no position that

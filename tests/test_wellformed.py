@@ -61,13 +61,16 @@ class TestGuardedness:
         assert not report.ok
         assert {where for _, where, _ in report.violations} == {"p/def X", "p/def Y"}
         # X leads into the Y-Z cycle without being on it, and is reported
-        # too, before the members.
+        # too, before the members; each message names the cycle from
+        # where its chain enters it.
         term = sp.ProcessTerm(
             {"X": sp.Call("Y"), "Y": sp.Call("Z"), "Z": sp.Call("Y")}, sp.Call("X")
         )
         report = check_guardedness(_net(p=term))
-        assert [where for _, where, _ in report.violations] == [
-            "p/def X", "p/def Y", "p/def Z",
+        assert report.violations == [
+            ("unguarded-recursion", "p/def X", "procedure X unfolds to the bare-call cycle Y -> Z -> Y"),
+            ("unguarded-recursion", "p/def Y", "procedure Y unfolds to the bare-call cycle Y -> Z -> Y"),
+            ("unguarded-recursion", "p/def Z", "procedure Z unfolds to the bare-call cycle Z -> Y -> Z"),
         ]
 
     def test_guarded_mutual_recursion_is_fine(self):
