@@ -45,11 +45,12 @@ When the search succeeds, nodes with more than one incoming edge (and a
 root with any) become recursive procedure definitions, named in creation
 order, and their incoming edges become calls.  Every other edge runs
 from an older node to a newer one, so one sweep over the nodes, newest
-first, reads the graph off into a choreography.  Networks whose
-communication graph, read off the compiled peers, is disconnected are
-split into component kernels that share the compiled tables, each with
-process indices of its own, extracted one after another on the caller's
-thread, then recomposed as a parallel program.
+first, reads the graph off into a choreography.  The compiled network
+finds its own components (`Kernel.split`, over the process indices of
+its peer table) and splits into component kernels that share the
+compiled tables, each with process indices of its own, extracted one
+after another on the caller's thread, then recomposed as a parallel
+program.
 """
 
 from __future__ import annotations
@@ -439,39 +440,19 @@ def build_choreography(seg: Seg, names: dict) -> cc.Choreography:
 # ------------------------------------------------- components and top level
 
 
-def connected_components(adjacency: dict) -> list:
-    """Components as sorted name lists, ordered by smallest member.
-
-    Each component starts from the smallest name not yet seen, so the
-    components come out in that order, and sorting each one makes the
-    order its neighbours were visited in immaterial.  `adjacency` maps
-    each name to the set of its neighbours."""
-    seen, out = set(), []
-    for start in sorted(adjacency):
-        if start not in seen:
-            comp, frontier = {start}, [start]
-            while frontier:
-                new = adjacency[frontier.pop()] - comp
-                comp |= new
-                frontier.extend(new)
-            seen |= comp
-            out.append(sorted(comp))
-    return out
-
-
 # Per thread, the network that thread compiled last and its kernels, for
-# `compiled`: `_last.entry` is (network, whole kernel, components or None
-# until asked for).  It holds at most one network a thread, and a caller's
-# result usually holds that network anyway, as its kernels do.  A compile
-# belongs to the thread that built it, so no kernel's tables are ever
-# written by two threads and the kernel needs no lock.
+# `compiled`: `_last.entry` is (network, whole kernel, its split).  It
+# holds at most one network a thread, and a caller's result usually holds
+# that network anyway, as its kernels do.  A compile belongs to the thread
+# that built it, so no kernel's tables are ever written by two threads and
+# the kernel needs no lock.
 _last = threading.local()
 
 
 def compiled(n: sp.Network, parallel: bool = True) -> list:
     """The kernels `extract` searches for `n`, without services: its
-    communication-graph components with `parallel`, else the whole
-    network as one.
+    components (`Kernel.split`) with `parallel`, else the whole network
+    as one.
 
     The network this thread extracted last (the same object, not an
     equal one) keeps its compile, so a run of extractions of one network
@@ -481,13 +462,9 @@ def compiled(n: sp.Network, parallel: bool = True) -> list:
     entry = getattr(_last, "entry", None)
     if entry is None or entry[0] is not n:
         _last.entry = None  # let the last network's kernels go before compiling
-        entry = (n, Kernel(n), None)
-    _, kernel, parts = entry
-    if parallel and parts is None:
-        parts = kernel.split(connected_components(kernel.communication_graph()))
-        entry = (n, kernel, parts)
-    _last.entry = entry
-    return parts if parallel else [kernel]
+        kernel = Kernel(n)
+        entry = _last.entry = (n, kernel, kernel.split())
+    return entry[2] if parallel else [entry[1]]
 
 
 @dataclass

@@ -133,11 +133,12 @@ class Kernel:
     in the kernel), its node count (`size`) and, for a head, its
     continuation ids (`cont`: one id, the (then, else) pair, or an
     offer's label -> id dict).  A network is compiled whole, once, and
-    `split` into component kernels that share these tables, all but
-    `peer`, whose indices are local to each component.  Neither the
-    tables nor the steps depend on services: `serving` gives a view of a
-    kernel with its services, and the whole kernel and its split parts
-    stay usable for any number of searches.
+    `split` finds its components from `peer` and the id range of each
+    process (`_first`), into component kernels that share these tables,
+    all but `peer`, whose indices are local to each component.  Neither
+    the tables nor the steps depend on services: `serving` gives a view
+    of a kernel with its services, and the whole kernel and its split
+    parts stay usable for any number of searches.
 
     A search state is one int, `position << n | marking`.  Its *position*
     is the tuple of each process's main behaviour id, in name order,
@@ -282,18 +283,20 @@ class Kernel:
     def _resolve(self, calls: list):
         """Chase every call, a (process, id) of `calls`, along its
         `sp.call_chain` to its head, as `ProcessTerm.head_behaviour` does;
-        a call with no head keeps the error that method raises.  Every
-        other id is its own head."""
+        a call with no head keeps the error that method raises, a KeyError
+        or an AssertionError, with a message naming the process and the
+        chain.  Every other id is its own head."""
         behaviour = self.behaviour
         self.head = list(range(len(behaviour)))
         for i, x in calls:
             procedures = self.terms[i].procedures
-            last = sp.call_chain(procedures, behaviour[x].name)[-1]
+            chain = sp.call_chain(procedures, behaviour[x].name)
+            last, along = chain[-1], f"process {self.names[i]} along {' -> '.join(chain)}"
             if last not in procedures:
-                self.unresolved[x] = KeyError(last)
+                self.unresolved[x] = KeyError(f"undefined procedure {last} in {along}")
             elif type(procedures[last]) is sp.Call:
                 self.unresolved[x] = AssertionError(
-                    f"unguarded recursion while unfolding {behaviour[x]!r}"
+                    f"unguarded recursion in {along} -> {procedures[last].name}"
                 )
             else:
                 b = self.head[x] = self._procedures[i][last]
@@ -314,48 +317,52 @@ class Kernel:
 
     # -- components
 
-    def communication_graph(self) -> dict:
-        """Undirected adjacency over the names of the network compiled:
-        p—q iff a body of either communicates with the other, read off the
-        `peer` of the ids the compile gave each process."""
-        names, peer, first = self.names, self.peer, self._first
-        adjacency = {p: set() for p in names}
-        for i in range(self.n):
-            for j in set(peer[first[i] : first[i + 1]]):
-                if j >= 0 and j != i:
-                    adjacency[names[i]].add(names[j])
-                    adjacency[names[j]].add(names[i])
-        return adjacency
+    def split(self) -> list:
+        """A kernel per component of the communication graph, where
+        processes are linked iff a body of either communicates with the
+        other, read off the `peer` of the ids each process compiled to.
 
-    def split(self, groups: list) -> list:
-        """A kernel per group of names, for the components of
-        `communication_graph` in name order.
+        Components come by smallest process index, members in index (name)
+        order; `extract` seeds a component's shuffles with its place in
+        this list.  Each part shares the interned tables, as ids are
+        disjoint per process and a step's processes lie in one component,
+        and has its own processes, services, root, unit memos and position
+        tables.  With two or more components, the parts read a new `peer`
+        list of indices within each component, and this kernel keeps its
+        own: it stays whole."""
+        n, peer, first = self.n, self.peer, self._first
+        leader = list(range(n))  # union-find; a link hangs the larger root under the smaller
 
-        Each shares the interned tables, as ids are disjoint per process
-        and a step's processes lie in one group, and has its own processes
-        in name order, services, root, unit memos and position tables.
-        With two or more groups, the parts read a new `peer` list of
-        indices within each group, and this kernel keeps its own: it stays
-        whole."""
+        def root(i):
+            while leader[i] != i:
+                i = leader[i]
+            return i
+
+        for i in range(n):
+            for j in set(peer[first[i] : first[i + 1]]) - {-1}:
+                a, b = sorted((root(i), root(j)))
+                leader[b] = a
+        groups = {}  # root -> members; a root is met first, as its smallest member
+        local = [-1] * (n + 1)  # index -> index within its component; local[-1] stays -1
+        for i in range(n):
+            group = groups.setdefault(root(i), [])
+            local[i] = len(group)
+            group.append(i)
         if len(groups) == 1:
             return [self]
-        local = {self._index[p]: li for names in groups for li, p in enumerate(names)}
-        local[-1] = -1  # no peer stays no peer
-        peer = [local[j] for j in self.peer]
-        root = self.ids(self.root)
+        peer = [local[j] for j in peer]
+        ids = self.ids(self.root)
         parts = []
-        for names in groups:
-            at = [self._index[p] for p in names]
+        for at in groups.values():
             part = copy.copy(self)
-            part.names, part.n = tuple(names), len(names)
-            part._index = {p: li for li, p in enumerate(names)}
-            part.terms = [self.terms[g] for g in at]
-            part._first = None
-            part._procedures = [self._procedures[g] for g in at]
+            part.names, part.n = tuple(self.names[i] for i in at), len(at)
+            part.terms = [self.terms[i] for i in at]
+            part._index = part._first = None  # compile tables of the whole network
+            part._procedures = [self._procedures[i] for i in at]
             part.peer = peer
             part._index_space()
-            part.services = sum((self.services >> g & 1) << li for li, g in enumerate(at))
-            part.root = part._root([root[g] for g in at])
+            part.services = sum((self.services >> i & 1) << li for li, i in enumerate(at))
+            part.root = part._root([ids[i] for i in at])
             parts.append(part)
         return parts
 

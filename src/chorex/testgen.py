@@ -9,10 +9,11 @@ the body calls, and reachability from main is tested on those call sets.
 Terms and fresh names are built for the accepted draw alone, so the
 hundreds of draws that dense procedure budgets reject cost no terms.
 Generated choreographies are not necessarily projectable; amend()
-inserts selections at conditionals until projection succeeds.  fuzz()
-damages one process of a network by deleting and swapping actions;
-unroll() unfolds procedure calls and rotates the closing point of simple
-loops, both of which keep the network's behaviour intact.
+inserts selections at conditionals, in one pass, so that projection
+succeeds.  fuzz() damages one process of a network by deleting and
+swapping actions; unroll() unfolds procedure calls and rotates the
+closing point of simple loops, both of which keep the network's
+behaviour intact.
 """
 
 from __future__ import annotations
@@ -316,20 +317,27 @@ def _amend_body(body, universe):
 
 
 def amend(c: Choreography) -> Choreography:
-    """Insert selections at conditionals until the choreography projects."""
+    """Insert selections at conditionals so that the choreography
+    projects; `c` itself if it already does.
+
+    One bottom-up pass of `_amend_body` suffices.  A selection from a
+    conditional's process p to r changes only p's projection, a
+    conditional that needs no merge, and r's, whose two branches then
+    start with offers from p of distinct labels, which always merge.
+    Other merges are untouched, and one further out is checked after
+    this one is amended.  A call projects to a call, so each body
+    projects on its own.
+    """
+    try:
+        epp(c)
+        return c
+    except MergeError:
+        pass
     universe = tuple(sorted(choreography_process_names(c)))
-    for _ in range(50):
-        try:
-            epp(c)
-            return c
-        except MergeError:
-            pass
-        c = Choreography(
-            {x: _amend_body(b, universe) for x, b in c.procedures.items()},
-            _amend_body(c.main, universe),
-        )
-    epp(c)  # surface the residual failure
-    return c
+    return Choreography(
+        {x: _amend_body(b, universe) for x, b in c.procedures.items()},
+        _amend_body(c.main, universe),
+    )
 
 
 # --- network fuzzing -----------------------------------------------------

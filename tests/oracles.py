@@ -14,8 +14,8 @@ pass per direction, with no union-find.  `reference_epp`
 projects one process at a time by plain recursion, with its own merge.
 `node_bound` counts by walking every subterm what `Kernel.node_bound`
 reads off its tables, `reference_components` splits a network by
-walking every subterm for the peers `Kernel.communication_graph` reads
-off its peer table, and `reference_loop_target` finds a loop target by
+walking every subterm for the peers `Kernel.split` reads off its peer
+table, and `reference_loop_target` finds a loop target by
 the definition, among all the graph's nodes, where the engine looks
 among the open ones.  `reference_read_off` names loop nodes by a walk
 from the root and reads the graph off by post-order walks of its own,

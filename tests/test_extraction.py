@@ -15,7 +15,6 @@ from chorex.extraction import (
     Seg,
     Strategy,
     build_choreography,
-    connected_components,
     extract,
     unroll_graph,
     verify_seg,
@@ -184,17 +183,53 @@ class TestLoopClosure:
 
 class TestComponents:
     def test_communication_graph_links_mentioned_peers(self, n1):
-        graph = Kernel(n1).communication_graph()
-        assert graph["p"] == {"q"} and graph["r"] == {"s"}
+        parts = Kernel(n1).split()
+        assert [part.names for part in parts] == [("p", "q"), ("r", "s")]
+        for part in parts:  # each main's peer, as an index within its part
+            assert [part.peer[x] for x in part.ids(part.root)] == [1, 0]
 
-    def test_components_sorted_by_smallest_member(self, n1):
-        comps = connected_components(Kernel(n1).communication_graph())
-        assert comps == [["p", "q"], ["r", "s"]]
+    def test_components_sorted_by_smallest_member(self):
+        # Components {a, d}, {b, e} and {c}: their members interleave.
+        net = parse_network(
+            "a { main { d!<x>; stop } } | b { main { e!<y>; stop } } | c { main { stop } } |"
+            " d { main { a?u; stop } } | e { main { b?v; stop } }"
+        )
+        parts = Kernel(net).split()
+        assert [part.names for part in parts] == [("a", "d"), ("b", "e"), ("c",)]
+        assert [list(part.names) for part in parts] == oracles.reference_components(net)
 
     def test_components_do_not_depend_on_discovery_order(self):
-        # The walk from a meets d before b, and the names come unsorted.
-        adjacency = {"d": {"a", "b"}, "c": set(), "b": {"d"}, "a": {"d"}}
-        assert connected_components(adjacency) == [["a", "b", "d"], ["c"]]
+        # d receives from a, b and c, in either order, and b sends to c
+        # too: a walk from a meets d before b and c.
+        for order in ("b?u; c?v; a?w", "a?w; c?v; b?u"):
+            net = parse_network(
+                "a { main { d!<x>; stop } } | b { main { c!<y>; d!<y>; stop } } |"
+                " c { main { b?t; d!<z>; stop } } | d { main { %s; stop } } | e { main { stop } }"
+                % order
+            )
+            parts = Kernel(net).split()
+            assert [part.names for part in parts] == [("a", "b", "c", "d"), ("e",)]
+            assert [list(part.names) for part in parts] == oracles.reference_components(net)
+
+    @pytest.mark.parametrize("name", ["Random", "UnmarkedThenRandom"])
+    def test_component_order_is_pinned_under_shuffling_strategies(self, n1, name):
+        """Components are printed in split order, and each one's shuffles
+        are seeded with its place in it: the two copies of one diamond
+        in TWO_DIAMONDS_TEXT take their two opening exchanges in orders
+        that differ under Random."""
+        shown = [
+            pretty(extract(net, strategy=Strategy(name, 0)).program)
+            for net in (n1, parse_network(INTERLEAVED_TEXT), parse_network(TWO_DIAMONDS_TEXT))
+        ]
+        diamonds = {
+            "Random": "c.3 -> d.z; a.1 -> b.x; b.2 -> c.y; stop",
+            "UnmarkedThenRandom": "a.1 -> b.x; c.3 -> d.z; b.2 -> c.y; stop",
+        }[name]
+        assert shown == [
+            "main { p.e -> q.x; stop } || main { r.e' -> s.y; stop }",
+            "main { a -> c[go]; a.e -> c.x; c.f -> a.y; stop } || main { b.u -> d.w; deadlock }",
+            f"main {{ {diamonds} }} || main {{ e.1 -> f.x; g.3 -> h.z; f.2 -> g.y; stop }}",
+        ]
 
     def test_single_component_when_disabled(self, n1):
         result = extract(n1, parallel=False)
@@ -259,15 +294,14 @@ class TestComponents:
         index differs between the whole network and its component."""
         for net in (n1, parse_network(INTERLEAVED_TEXT)):
             whole = Kernel(net)
-            groups = connected_components(whole.communication_graph())
 
             def labels(kernel):
                 return [[s.label for s in unit] for unit in enabled_steps(kernel, kernel.root)]
 
             before = labels(whole)
-            parts = [labels(part) for part in whole.split(groups)]
+            parts = [labels(part) for part in whole.split()]
             assert labels(whole) == before
-            assert [labels(part) for part in whole.split(groups)] == parts
+            assert [labels(part) for part in whole.split()] == parts
             assert sorted(map(repr, before)) == sorted(map(repr, sum(parts, [])))
 
     def test_a_reused_compile_extracts_as_a_fresh_one(self, n1):
@@ -396,7 +430,7 @@ class TestComponents:
             whole = Kernel(net)
             assert whole.serving({min(net.names())}).positions is whole.positions
         whole = Kernel(n1)
-        parts = whole.split(connected_components(whole.communication_graph()))
+        parts = whole.split()
         tables = {id(k.positions) for k in [whole, *parts]}
         assert len(parts) == 2 and len(tables) == 3
 
@@ -456,6 +490,15 @@ def _in_threads(work, count: int):
 INTERLEAVED_TEXT = (
     "a { main { c+go; c!<e>; c?y; stop } } | b { main { d!<u>; d?v; stop } } | "
     "c { main { a&{ go: a?x; a!<f>; stop } } } | d { main { b?w; b?z; stop } }"
+)
+
+# Two copies of one connected network whose first two exchanges, a with b
+# and c with d, are both enabled at the root.
+TWO_DIAMONDS_TEXT = (
+    "a { main { b!<1>; stop } } | b { main { a?x; c!<2>; stop } } | "
+    "c { main { d!<3>; b?y; stop } } | d { main { c?z; stop } } | "
+    "e { main { f!<1>; stop } } | f { main { e?x; g!<2>; stop } } | "
+    "g { main { h!<3>; f?y; stop } } | h { main { g?z; stop } }"
 )
 
 INTERLEAVED_DOT = r"""digraph seg {
@@ -523,7 +566,7 @@ class TestNodeBound:
         for net in nets:
             assert Kernel(net).node_bound() == oracles.node_bound(net)
             kernel = Kernel(net)
-            for part in kernel.split(connected_components(kernel.communication_graph())):
+            for part in kernel.split():
                 restricted = sp.Network({p: net[p] for p in part.names})
                 assert part.node_bound() == oracles.node_bound(restricted)
 
@@ -655,7 +698,7 @@ class TestFixtures:
 
     def test_main_that_reaches_a_bare_self_call_is_refused(self):
         net = parse_network("p { def X { X } main { q!<e>; X } } | q { main { p?x; stop } }")
-        with pytest.raises(AssertionError, match="unguarded recursion"):
+        with pytest.raises(AssertionError, match="unguarded recursion in process p along X -> X"):
             extract(net)
 
     @pytest.mark.parametrize("extra", [{}, {"Y": sp.NIL}], ids=["alone", "beside-Y"])
@@ -664,7 +707,7 @@ class TestFixtures:
         net = sp.Network({"p": term, "q": sp.ProcessTerm({}, sp.NIL)})
         with pytest.raises(KeyError) as info:
             extract(net)
-        assert info.value.args == ("Z",)
+        assert info.value.args == ("undefined procedure Z in process p along X -> Z",)
 
 
 # `UNDO_TEXT` as one component, per strategy: (nodes created, deleted,
