@@ -23,16 +23,24 @@ character.  A name is a word that starts with a letter and has no `'`.
 Spaces are needed only between two words.  Expressions are opaque: words
 and balanced parenthesized groups, captured verbatim (a group with
 everything inside it, `#` included) and joined without what lies between
-them; they are never interpreted.  One `findall` reads the tokens of a
-text up to its first `(` outside comments into a list that the parser
-reads at an integer cursor; a group is read from the text, up to its
-matching `)`, and one more `findall` reads on from there.  Where a token
-lies in the text is worked out only to report an error.
+them; they are never interpreted.
+
+The scanner reads the text at a character cursor.  One match of its
+language's head pattern (`_NETWORK_HEAD`, `_BODY_HEAD`) reads a whole
+behaviour head, gaps and comments included: an action such as `q!<e>;`
+or `p.e -> q.x;`, the `p&{ l:` that opens an offer, `if e then`, or a
+leaf.  A head the pattern does not read (an expression of several words
+or with a group, a keyword where a name goes, a process that talks to
+itself, or a malformed head) is read again token by token, one `_TOKEN`
+match a token, and that path raises every error in a head.  Any other
+token costs one `_TOKEN` match too.  An error is reported at the start
+or the end of a token.
 
 `parse_network` raises the first well-formedness violation of each
 process (`wellformed.process_violations`) at the start of its definition.
-It collects each definition's peers and calls as it reads them, and walks
-again only a process that names itself or calls an undefined procedure.
+It collects each definition's peers and calls as it reads them and hands
+them to the process term, so only a process that names itself or calls
+an undefined procedure is walked again.
 
 Both branches of a conditional are complete behaviours; there is no
 joined continuation (the optional trailing `continue` keyword is accepted
@@ -53,11 +61,42 @@ from .wellformed import process_violations
 
 KEYWORDS = {"stop", "deadlock", "main", "def", "if", "then", "else", "continue"}
 
-# Whitespace and comments, then one token: a word, or `->`, `||` or any
-# other single character.  The token is optional, so a match never
-# backtracks into a comment, and the end of the input reads as "" (once
-# or twice).
-_TOKEN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*([A-Za-z0-9_']+|->|\|\||.)?")
+# Whitespace and `#` line comments.  A comment runs to the end of its
+# line, so a pattern that fails never ends a gap inside a comment; a gap
+# cut short ends at whitespace, which nothing after a gap accepts.
+_GAP = r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*"
+# A gap, then one token: a word, or `->`, `||` or any other single
+# character; at the end of the input the token is "".
+_TOKEN = re.compile(_GAP + r"([A-Za-z0-9_']+|->|\|\||.|)")
+
+# Whole words, by the token rule: a word ends where `[A-Za-z0-9_']` does.
+# A name slot takes no keyword, and a guard is not `then`.
+_END = r"(?![A-Za-z0-9_'])"
+_WORD = r"([A-Za-z0-9_']+)" + _END
+_GUARD = rf"(?!then{_END}){_WORD}"
+_NAME = rf"(?!(?:{'|'.join(sorted(KEYWORDS))}){_END})([A-Za-z][A-Za-z0-9_]*){_END}"
+
+# A gap, then a whole behaviour head.  The last group that matched
+# (`lastindex`) tells which head it is: 1 `stop`, 2 the guard of
+# `if e then`, 3 a procedure call, or the peer of 4 `q!<e>;`, 5 `p?x;`,
+# 6 `q+l;` or 7 `p&{ l:`, with that group holding e, x, l or l.
+_NETWORK_HEAD = re.compile(
+    _GAP
+    + rf"(?:(stop){_END}|if{_END}{_GAP}{_GUARD}{_GAP}then{_END}|{_NAME}{_GAP}(?:"
+    + rf"!{_GAP}<{_GAP}{_WORD}{_GAP}>{_GAP};|\?{_GAP}{_NAME}{_GAP};"
+    + rf"|\+{_GAP}{_NAME}{_GAP};|&{_GAP}\{{{_GAP}{_NAME}{_GAP}:|(?!{_GAP}[!?+&])))"
+)
+# The same for a choreography body: 1 `stop` or `deadlock`, 3 the guard
+# of `if p.e then` (p in 2), 4 a procedure call, or the sender of
+# `p.e -> q.x;` (e, q, x in 5, 6, 7) or of `p -> q[l];` (q, l in 8, 9),
+# where q is not the sender.
+_OTHER = rf"(?!\4{_END})"
+_BODY_HEAD = re.compile(
+    _GAP
+    + rf"(?:(stop|deadlock){_END}|if{_END}{_GAP}{_NAME}{_GAP}\.{_GAP}{_GUARD}{_GAP}then{_END}"
+    + rf"|{_NAME}{_GAP}(?:\.{_GAP}{_WORD}{_GAP}->{_GAP}{_OTHER}{_NAME}{_GAP}\.{_GAP}{_NAME}{_GAP};"
+    + rf"|->{_GAP}{_OTHER}{_NAME}{_GAP}\[{_GAP}{_NAME}{_GAP}\]{_GAP};|(?!{_GAP}(?:\.|->))))"
+)
 _LETTERS = frozenset(ascii_letters)
 _WORD_START = _LETTERS | frozenset(digits + "_'")
 _PREFIXES = frozenset("!?+&")  # after a name: it is a peer, not a call
@@ -83,51 +122,47 @@ class ParseError(Exception):
 
 
 class _Scanner:
-    """The tokens of a text in a list `toks`, read at the cursor `i`, up
-    to the first `(` outside comments (see `_group`).  `_runs` holds the
-    (index, offset) at which each run of tokens starts.
+    """A text read at the character cursor `pos`, which stands at the end
+    of the last token read.  `_m` is the `_TOKEN` match of the last token
+    looked at, so that looking twice reads it once.
     `_procedures_and_main` sets `peers` and `calls`: the names that the
     definition being read communicates with and calls."""
 
     def __init__(self, text: str):
         self.text = text
-        self.i = 0
-        self._runs = []
-        self.toks = self._read(0, 0)
+        self.pos = 0
+        self._m = _TOKEN.match(text, 0)
 
-    def _read(self, pos: int, at: int) -> list:
-        """The tokens from `pos`, a gap, to the next `(` (`_open`, or -1),
-        to stand in the list from index `at` on."""
+    def _next(self) -> re.Match:
+        """The match of the token after the cursor."""
+        m = self._m
+        if m.pos != self.pos:
+            m = self._m = _TOKEN.match(self.text, self.pos)
+        return m
+
+    def peek(self) -> str:
+        """The token after the cursor, "" at the end of the input."""
+        return self._next()[1]
+
+    def here(self) -> int:
+        """Where the token after the cursor starts."""
+        return self._next().start(1)
+
+    def error(self, message: str, at=None, found=False):
+        """Raise at offset `at` (by default the start of the next token),
+        quoting the text there if `found`."""
         text = self.text
-        self._runs.append((at, pos))
-        p = text.find("(", pos)
-        while p >= 0 and text.find("#", max(pos, text.rfind("\n", pos, p)), p) >= 0:
-            e = text.find("\n", p)  # a comment hides that `(`: go on after it
-            p = text.find("(", e) if e >= 0 else -1
-        self._open = p
-        return _TOKEN.findall(text, pos, p + 1 if p >= 0 else len(text))
-
-    def _offset(self, k: int, after=False) -> int:
-        """Where token `k` starts or, with `after`, ends."""
-        at, pos = max(run for run in self._runs if run[0] <= k)
-        for m in _TOKEN.finditer(self.text, pos):
-            if at == k:
-                return m.end() if after or m[1] is None else m.start(1)
-            at += 1
-
-    def error(self, message: str, k=None, after=False, found=False):
-        """Raise at token `k` (by default the current one), quoting the text there if `found`."""
-        text = self.text
-        pos = self._offset(self.i if k is None else k, after)
+        pos = self.here() if at is None else at
         if found:
             message += f", found {text[pos : pos + 12] or 'end of input'!r}"
         line = text.count("\n", 0, pos) + 1
         raise ParseError(message, SourceSpan(line, pos - text.rfind("\n", 0, pos), pos))
 
     def try_take(self, tok: str) -> bool:
-        if self.toks[self.i] != tok:
+        m = self._next()
+        if m[1] != tok:
             return False
-        self.i += 1
+        self.pos = m.end()
         return True
 
     def expect(self, tok: str):
@@ -136,12 +171,13 @@ class _Scanner:
 
     def ident(self, what: str, then=None) -> str:
         """Read a name, and then the token `then` if one is given."""
-        tok = self.toks[self.i]
+        m = self._next()
+        tok = m[1]
         if tok in KEYWORDS:
             self.error(f"expected {what}, found keyword {tok!r}")
         if tok[:1] not in _LETTERS or "'" in tok:
             self.error(f"expected {what}", found=True)
-        self.i += 1
+        self.pos = m.end()
         if then:
             self.expect(then)
         return tok
@@ -150,35 +186,35 @@ class _Scanner:
         """Read an opaque expression and the `stop` token after it: ">"
         (send argument), "then" (conditional guard) or "->" (communication
         arrow)."""
-        start = self.i
+        start = self.here()
         parts = []
-        while (tok := self.toks[self.i]) != stop:
+        while (tok := (m := self._next())[1]) != stop:
             if tok[:1] in _WORD_START:
                 parts.append(tok)
+                self.pos = m.end()
             elif tok == "(":
-                parts.append(self._group())
+                parts.append(self._group(m.start(1)))
             elif not tok:
                 self.error(f"unterminated expression (expected {stop!r})", start)
             else:
                 self.error(f"unexpected character {tok[0]!r} in expression")
-            self.i += 1
         if not parts:
             self.error("empty expression", start)
-        self.i += 1
+        self.pos = m.end()
         return "".join(parts)
 
-    def _group(self) -> str:
-        """The group opened at the cursor, read from the text, `#` and all;
-        the tokens after it replace the rest of the list."""
-        text, a = self.text, self._open
+    def _group(self, a: int) -> str:
+        """The group opened at offset `a`, read from the text up to its
+        matching `)`, `#` and all; the cursor moves past it."""
+        text = self.text
         depth, j = 1, a + 1
         while depth:
             close = text.find(")", j)
             if close < 0:
-                self.error("unbalanced parentheses in expression")
+                self.error("unbalanced parentheses in expression", a)
             depth += text.count("(", j, close) - 1
             j = close + 1
-        self.toks[self.i + 1 :] = self._read(j, self.i + 1)
+        self.pos = j
         return text[a:j]
 
 
@@ -235,10 +271,10 @@ def _parse_term(sc: _Scanner, head):
 
 
 def _branch_label(sc: _Scanner, branches) -> str:
-    at = sc.i - 1
+    at = sc.pos
     label = sc.ident("label")
     if any(l == label for l, _ in branches):
-        sc.error(f"duplicate branch label {label!r}", at, after=True)
+        sc.error(f"duplicate branch label {label!r}", at)
     sc.expect(":")
     return label
 
@@ -252,16 +288,16 @@ def _procedures_and_main(sc: _Scanner, head):
     sc.peers, sc.calls = set(), set()
     procedures = {}
     while sc.try_take("def"):
-        x_at = sc.i - 1
+        x_at = sc.pos
         x = sc.ident("procedure name")
         if x in procedures:
-            sc.error(f"duplicate procedure {x!r}", x_at, after=True)
+            sc.error(f"duplicate procedure {x!r}", x_at)
         sc.expect("{")
         procedures[x] = body = _parse_term(sc, head)
         sc.expect("}")
         if type(body) is cc.Call:
             message = f"procedure {x!r} is an unguarded call to {body.name!r}"
-            sc.error(message, x_at, after=True)
+            sc.error(message, x_at)
     if not sc.try_take("main"):
         sc.error("expected 'def' or 'main'")
     sc.expect("{")
@@ -272,14 +308,37 @@ def _procedures_and_main(sc: _Scanner, head):
 
 # ---------------------------------------------------------------- networks
 
+_PREFIX_BUILDERS = {4: sp.Send, 5: sp.Receive, 6: sp.Select}
+
 
 def _behaviour_head(sc: _Scanner):
+    """One `_NETWORK_HEAD` match, or the tokens of a head it does not read."""
+    m = _NETWORK_HEAD.match(sc.text, sc.pos)
+    if m is None:
+        return _behaviour_head_by_tokens(sc)
+    sc.pos = m.end()
+    k = m.lastindex
+    if k > 3:
+        name = m[3]
+        sc.peers.add(name)
+        if k == 7:
+            return "offer", (name, m[7])
+        return "prefix", partial(_PREFIX_BUILDERS[k], name, m[k])
+    if k == 3:
+        sc.calls.add(m[3])
+        return "leaf", sp.Call(m[3])
+    if k == 2:
+        return "cond", partial(sp.Cond, m[2])
+    return "leaf", sp.NIL
+
+
+def _behaviour_head_by_tokens(sc: _Scanner):
     if sc.try_take("stop"):
         return "leaf", sp.NIL
     if sc.try_take("if"):
         return "cond", partial(sp.Cond, sc.expression("then"))
     name = sc.ident("process or procedure name")
-    (sc.peers if sc.toks[sc.i] in _PREFIXES else sc.calls).add(name)
+    (sc.peers if sc.peek() in _PREFIXES else sc.calls).add(name)
     if sc.try_take("!"):
         sc.expect("<")
         expr = sc.expression(">")
@@ -299,19 +358,19 @@ def parse_network(text: str) -> sp.Network:
     sc = _Scanner(text)
     processes = {}
     while True:
-        at = sc.i
+        at = sc.here()
         name = sc.ident("process name", "{")
-        term = sp.ProcessTerm(*_procedures_and_main(sc, _behaviour_head))
+        procedures, main = _procedures_and_main(sc, _behaviour_head)
+        term = sp.ProcessTerm(procedures, main, (tuple(sc.peers), tuple(sc.calls)))
         sc.expect("}")
-        if name in sc.peers or not sc.calls <= term.procedures.keys():
-            for _, _, description in process_violations(name, term):
-                sc.error(description, at)  # the first violation
+        for _, _, description in process_violations(name, term):
+            sc.error(description, at)  # the first violation
         if name in processes:
             sc.error(f"duplicate process {name!r}", at)
         processes[name] = term
-        if not sc.toks[sc.i]:
+        if not sc.peek():
             return sp.Network(processes)
-        if sc.toks[sc.i] == "||":
+        if sc.peek() == "||":
             sc.error("'||' joins programs; use '|' between processes")
         sc.expect("|")
 
@@ -320,6 +379,25 @@ def parse_network(text: str) -> sp.Network:
 
 
 def _body_head(sc: _Scanner):
+    """One `_BODY_HEAD` match, or the tokens of a head it does not read."""
+    m = _BODY_HEAD.match(sc.text, sc.pos)
+    if m is None:
+        return _body_head_by_tokens(sc)
+    sc.pos = m.end()
+    k = m.lastindex
+    if k == 7:
+        return "prefix", partial(cc.Com, m[4], m[5], m[6], m[7])
+    if k == 9:
+        return "prefix", partial(cc.Sel, m[4], m[8], m[9])
+    if k == 4:
+        sc.calls.add(m[4])
+        return "leaf", cc.Call(m[4])
+    if k == 3:
+        return "cond", partial(cc.Cond, m[2], m[3])
+    return "leaf", cc.NIL if m[1] == "stop" else cc.DEADLOCK
+
+
+def _body_head_by_tokens(sc: _Scanner):
     if sc.try_take("stop"):
         return "leaf", cc.NIL
     if sc.try_take("deadlock"):
@@ -327,7 +405,7 @@ def _body_head(sc: _Scanner):
     if sc.try_take("if"):
         p = sc.ident("process name", ".")
         return "cond", partial(cc.Cond, p, sc.expression("then"))
-    at = sc.i
+    at = sc.here()
     name = sc.ident("process or procedure name")
     if sc.try_take("."):
         expr = sc.expression("->")
@@ -348,7 +426,7 @@ def _body_head(sc: _Scanner):
 
 
 def _parse_one_choreography(sc: _Scanner) -> cc.Choreography:
-    start = sc.i
+    start = sc.here()
     procedures, main = _procedures_and_main(sc, _body_head)
     for x in sorted(sc.calls - procedures.keys()):
         sc.error(f"call to undefined procedure {x!r}", start)
@@ -358,7 +436,7 @@ def _parse_one_choreography(sc: _Scanner) -> cc.Choreography:
 def parse_choreography(text: str) -> cc.Choreography:
     sc = _Scanner(text)
     out = _parse_one_choreography(sc)
-    if sc.toks[sc.i]:
+    if sc.peek():
         sc.error("trailing input after choreography (use parse_program for '||')")
     return out
 
@@ -368,14 +446,14 @@ def parse_program(text: str) -> cc.Program:
     components = []
     seen = set()
     while True:
-        at = sc.i
+        at = sc.here()
         c = _parse_one_choreography(sc)
         names = cc.choreography_process_names(c)
         if seen & names:
             sc.error(f"components share process names: {sorted(seen & names)}", at)
         seen |= names
         components.append(c)
-        if not sc.toks[sc.i]:
+        if not sc.peek():
             return cc.Program(components)
         sc.expect("||")
 

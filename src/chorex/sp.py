@@ -24,7 +24,7 @@ networks again only to print or report a state.
 
 from __future__ import annotations
 
-from .term import Definitions, Term
+from .term import Definitions, Term, subterms
 
 
 class Behaviour(Term):
@@ -129,13 +129,36 @@ class Cond(Behaviour):
 
 
 class ProcessTerm(Definitions):
-    """A set of procedure definitions together with a main behaviour."""
+    """A set of procedure definitions together with a main behaviour.
 
-    __slots__ = ("_head",)
+    The parser, which collects the peers and calls of a process as it
+    reads it, hands them in (`peers_and_calls`); a term built any other
+    way has none, and `peers_and_calls()` finds them by a walk.
+    """
 
-    def __init__(self, procedures, main: Behaviour):
+    __slots__ = ("_head", "_peers_and_calls")
+
+    def __init__(self, procedures, main: Behaviour, peers_and_calls=None):
         super().__init__(procedures, main)
         self._head = None
+        self._peers_and_calls = peers_and_calls
+
+    def peers_and_calls(self) -> tuple:
+        """(peers, calls), each a tuple of distinct names: the processes
+        that main and the procedure bodies communicate with, and the
+        procedures they call.  A walk's result is not kept: no caller
+        asks twice, and a network kept after its check would keep two
+        tuples a process."""
+        if self._peers_and_calls is not None:
+            return self._peers_and_calls
+        peers, calls = set(), set()
+        for body in (self.main, *self.procedures.values()):
+            for node in subterms(body):
+                if node.peer is not None:
+                    peers.add(node.peer)
+                elif type(node) is Call:
+                    calls.add(node.name)
+        return tuple(peers), tuple(calls)
 
     def head_behaviour(self) -> Behaviour:
         """Main behaviour with leading procedure calls chased away along

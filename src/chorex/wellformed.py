@@ -7,6 +7,12 @@ caller can report all of them at once.  `parse_network` raises the first
 well-formedness violation of each process it reads, so a parsed network
 is always well formed.
 
+Each pass skips, without a walk, a process that cannot have a violation
+of its kind: `process_violations` one whose peers and calls
+(`sp.ProcessTerm.peers_and_calls`, which the parser collects as it reads)
+include neither its own name nor an undefined procedure, and
+`check_guardedness` one with no procedure body that is a bare call.
+
 Guard expressions are opaque strings and are never evaluated, so there is
 nothing to validate about them; that check is intentionally skipped.
 """
@@ -35,7 +41,14 @@ class CheckReport:
 
 def process_violations(name: str, term: sp.ProcessTerm):
     """Yield the well-formedness violations of process `name`, main first
-    and then each definition in order, as (kind, where, description)."""
+    and then each definition in order, as (kind, where, description).
+
+    Every violation is a node whose peer is `name` or a call to a name
+    that `term` does not define, so a process that names no such peer or
+    call (`ProcessTerm.peers_and_calls`) has none, and is not walked."""
+    peers, calls = term.peers_and_calls()
+    if name not in peers and all(x in term.procedures for x in calls):
+        return
     bodies = [("main", term.main)]
     bodies.extend((f"def {x}", b) for x, b in term.procedures.items())
     for where, body in bodies:
@@ -75,9 +88,15 @@ def check_guardedness(n: sp.Network) -> CheckReport:
     ends in a cycle of bare calls: unfolding it never exposes an action.
     The message names the cycle, from where the chain enters it, unless
     the procedure calls itself.  A chain that ends at an undefined
-    procedure is left to `check_well_formed`."""
+    procedure is left to `check_well_formed`.
+
+    A chain ends in a cycle only where the body of its last name is a
+    bare `sp.Call`, so a process none of whose procedure bodies is one
+    has no violation, and its procedures are not walked."""
     violations = []
     for name, term in n.processes.items():
+        if not any(type(b) is sp.Call for b in term.procedures.values()):
+            continue
         for x in sorted(_reachable_procedures(term)):
             chain = sp.call_chain(term.procedures, x)
             back = term.procedures.get(chain[-1])

@@ -179,9 +179,14 @@ def regex_calls(monkeypatch, parse, text: str) -> int:
     return sum(c.calls for c in counters)
 
 
-def test_regex_calls_do_not_grow_with_tokens(monkeypatch):
-    """One `findall` per text: a 1-action text and the 2,100-action grid
-    point size-k42 cost the same."""
+def test_regex_calls_count_heads_and_structural_tokens(monkeypatch):
+    """One match per behaviour head and one per other token, a token
+    looked at twice matched once.  The small network has 4 heads and 14
+    other tokens (`p { main {`, `} }`, `|`, the same for q, and the end);
+    the small choreography 2 heads and 4 (`main {`, `}`, the end).  The
+    2,100-action grid point size-k42 projects to 6 processes with 4,206
+    heads, 1,059 offers that each end in a `}`, and 7 tokens a process
+    around them; its choreography has 2,101 heads."""
     params = dict(workloads.grid_points())["size-k42-r0"]
     chor = amend(generate(params))
     big = {parse_network: pretty(epp(chor)), parse_choreography: pretty(chor)}
@@ -190,15 +195,23 @@ def test_regex_calls_do_not_grow_with_tokens(monkeypatch):
         parse_choreography: "main { p.e -> q.x; stop }",
     }
     assert len(big[parse_network]) > 40_000
-    for parse in small:
-        assert regex_calls(monkeypatch, parse, small[parse]) == 1
-        assert regex_calls(monkeypatch, parse, big[parse]) == 1
+    assert regex_calls(monkeypatch, parse_network, small[parse_network]) == 4 + 14
+    assert regex_calls(monkeypatch, parse_choreography, small[parse_choreography]) == 2 + 4
+    assert regex_calls(monkeypatch, parse_network, big[parse_network]) == 4_206 + 1_059 + 42
+    assert regex_calls(monkeypatch, parse_choreography, big[parse_choreography]) == 2_101 + 4
     program = f"{small[parse_choreography]} || {big[parse_choreography]}"
-    assert regex_calls(monkeypatch, parse_program, program) == 1
+    assert regex_calls(monkeypatch, parse_program, program) == 5 + 1 + 2_105
 
 
-def test_each_group_costs_one_more_regex_call(monkeypatch):
+def test_a_head_with_a_group_is_read_token_by_token(monkeypatch):
+    """A send whose expression holds a group takes 8 matches: the failed
+    head pattern, then `q`, `!`, `<`, `f0`, `(` (the group itself is read
+    by `str.find`), `>` and `;`.  The same send without the group is one
+    head."""
     sends = " ".join(f"q!<f{i}(x, (y # {i}\n))>;" for i in range(50))
     text = f"p {{ main {{ {sends} stop }} }} | q {{ main {{ stop }} }}"
     assert parse_network(text)["p"].main.expr == "f0(x, (y # 0\n))"
-    assert regex_calls(monkeypatch, parse_network, text) == 51
+    assert regex_calls(monkeypatch, parse_network, text) == 50 * 8 + 16
+    plain = " ".join(f"q!<f{i}>;" for i in range(50))
+    text = f"p {{ main {{ {plain} stop }} }} | q {{ main {{ stop }} }}"
+    assert regex_calls(monkeypatch, parse_network, text) == 50 + 16

@@ -1,11 +1,13 @@
 """Grammar coverage, error reporting, and print/parse round-trips."""
 
+import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chorex import cc, sp
+from chorex.epp import epp
 from chorex.parser import (
     ParseError,
     parse_choreography,
@@ -15,6 +17,7 @@ from chorex.parser import (
     pretty_behaviour,
     pretty_body,
 )
+from chorex.testgen import GenParams, amend, generate
 
 from conftest import N1_TEXT, SIGNON_CHOR_TEXT, SIGNON_NET_TEXT
 
@@ -114,6 +117,98 @@ class TestLexer:
     def test_arrow_without_spaces(self):
         c = parse_choreography("main { p.e->q.x; stop }")
         assert c.main == cc.Com("p", "e", "q", "x", cc.NIL)
+
+
+class TestHeadPatterns:
+    """A behaviour head is read by one pattern match where it can be, and
+    token by token where it cannot; the two readings must agree."""
+
+    _TOKENS = re.compile(r"->|\|\||[A-Za-z0-9_']+|\S")
+    _WORD_CHARS = re.compile(r"[A-Za-z0-9_']")
+    # What may stand between two tokens: nothing, spaces, tabs, CRLF line
+    # ends and comments, one of which holds the text of whole actions.
+    _GAPS = ("", " ", " \t ", "\r\n", "# comment\n", " # q!<e>; p?x; q+l;\n", "\n#\n\t")
+
+    def _regapped(self, text, rng):
+        """`text` with a random gap between every pair of tokens."""
+        tokens = self._TOKENS.findall(text)
+        out = [tokens[0]]
+        for before, token in zip(tokens, tokens[1:]):
+            gap = rng.choice(self._GAPS)
+            if not gap and self._WORD_CHARS.match(before[-1]) and self._WORD_CHARS.match(token):
+                gap = " "  # two words need a gap between them
+            out += (gap, token)
+        out.append(rng.choice(("", "\n", " # trailing")))
+        return "".join(out)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_gaps_parse_to_the_same_terms(self, seed):
+        params = GenParams(size=30, processes=4, ifs=3, defs=2, seed=seed)
+        chor = amend(generate(params))
+        net = epp(chor)
+        rng = random.Random(f"gaps:{seed}")
+        for _ in range(5):
+            assert parse_network(self._regapped(pretty(net), rng)) == net
+            assert parse_choreography(self._regapped(pretty(chor), rng)) == chor
+
+    # Heads the patterns do not read whole: multi-word expressions, groups,
+    # a primed `then`, keywords in name slots, self-communication, and a
+    # name whose action a comment holds.  Each outcome is the one the
+    # token-by-token scanner gave.
+    TOKEN_PATH_CASES = (
+        (parse_network, "p { main { q!<a b>; stop } } | q { main { p?x; stop } }",
+         "ok p { main { q!<ab>; stop } } | q { main { p?x; stop } }"),
+        (parse_network, "p { main { q!<f(x)>; stop } } | q { main { p?x; stop } }",
+         "ok p { main { q!<f(x)>; stop } } | q { main { p?x; stop } }"),
+        (parse_network, "p { main { if e then' stop else stop } }",
+         "\"unexpected character '}' in expression\" 1:38:37"),
+        (parse_network, "p { main { if e then'x then stop else stop } }",
+         "ok p { main { if ethen'x then stop else stop } }"),
+        (parse_network, "p { main { if then then stop else stop } }",
+         "'empty expression' 1:15:14"),
+        (parse_network, "p { main { q?stop; stop } }",
+         "\"expected variable name, found keyword 'stop'\" 1:14:13"),
+        (parse_network, "p { main { q+else; stop } }",
+         "\"expected label, found keyword 'else'\" 1:14:13"),
+        (parse_network, "p { main { q&{ main: stop } } }",
+         "\"expected label, found keyword 'main'\" 1:16:15"),
+        (parse_network, "p { main { q!<stop>; stop } }", "ok p { main { q!<stop>; stop } }"),
+        (parse_network, "p { main { def!<e>; stop } }",
+         "\"expected process or procedure name, found keyword 'def'\" 1:12:11"),
+        (parse_network, "p { main { q!<e>;X' } }",
+         "'expected process or procedure name, found \"X\\' } }\"' 1:18:17"),
+        (parse_network, "p { main { q #!<e>;\n?x; stop } }", "ok p { main { q?x; stop } }"),
+        # A comment that holds the rest of an action is not part of it.
+        (parse_network, "p { main { q #!<e>;\n! } }", "\"expected '<', found '} }'\" 2:3:22"),
+        (parse_network, "p { main { q #?x;\n? } }",
+         "\"expected variable name, found '} }'\" 2:3:20"),
+        (parse_choreography, "main { p.a b -> q.x; stop }", "ok main { p.ab -> q.x; stop }"),
+        (parse_choreography, "main { p.e -> q.then; stop }",
+         "\"expected variable name, found keyword 'then'\" 1:17:16"),
+        (parse_choreography, "main { p -> q[def]; stop }",
+         "\"expected label, found keyword 'def'\" 1:15:14"),
+        (parse_choreography, "main { p.e -> p.x; stop }",
+         "\"process 'p' communicates with itself\" 1:8:7"),
+        (parse_choreography, "main { p -> p[l]; stop }", "\"process 'p' selects at itself\" 1:8:7"),
+        (parse_choreography, "main { if p.e then' stop else stop }",
+         "\"unexpected character '}' in expression\" 1:36:35"),
+        (parse_choreography, "main { if main.e then stop else stop }",
+         "\"expected process name, found keyword 'main'\" 1:11:10"),
+        (parse_choreography, "main { p.stop -> q.x; deadlock }",
+         "ok main { p.stop -> q.x; deadlock }"),
+        (parse_choreography, "main { p #.e -> q.x;\n. }",
+         "\"unexpected character '}' in expression\" 2:3:23"),
+        (parse_choreography, "main { p #-> q[l];\n-> }", "\"expected process name, found '}'\" 2:4:22"),
+    )
+
+    @pytest.mark.parametrize("parse, text, expected", TOKEN_PATH_CASES)
+    def test_token_path_outcomes(self, parse, text, expected):
+        try:
+            outcome = f"ok {pretty(parse(text))}"
+        except ParseError as exc:
+            span = exc.span
+            outcome = f"{exc.message!r} {span.line}:{span.column}:{span.offset}"
+        assert outcome == expected
 
 
 class TestErrors:
