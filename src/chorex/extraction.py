@@ -93,7 +93,9 @@ class Seg:
     graph makes no reference cycle and leaves nothing for the cyclic
     collector.
 
-    `rollback` deletes nodes, newest first, by truncating every list.
+    `add_node` adds the root; `build_graph` appends the other nodes and
+    writes their edges.  `rollback` deletes nodes, newest first, by
+    truncating every list.
     `created`/`deleted` count events (a node created, deleted, and
     recreated counts twice in both).
     """
@@ -109,7 +111,6 @@ class Seg:
         self.label1 = []
         self.target1 = []
         self.deadlocks = set()
-        self.created = 0
         self.deleted = 0
         self.badloops = 0
         self._deleted_keys = set()  # the (state, path) of every deleted node
@@ -126,20 +127,11 @@ class Seg:
         self.target0.append(-1)
         self.label1.append(None)
         self.target1.append(-1)
-        self.created += 1
         return len(self.state) - 1
 
-    def add_edge(self, src: int, label, dst: int):
-        """Give `src` an edge labelled `label` to `dst`, in its first free
-        slot; a node has at most two."""
-        if self.target0[src] < 0:
-            self.label0[src] = label
-            self.target0[src] = dst
-        elif self.target1[src] < 0:
-            self.label1[src] = label
-            self.target1[src] = dst
-        else:
-            raise AssertionError("out-degree above 2")
+    @property
+    def created(self) -> int:
+        return len(self.state) + self.deleted
 
     def edges(self, src: int) -> list:
         """The out-edges of `src`, as [(label, dst)]."""
@@ -160,14 +152,6 @@ class Seg:
             del column[count:]
         if self.deadlocks:
             self.deadlocks = {u for u in self.deadlocks if u < count}
-
-    @property
-    def identities(self) -> int:
-        """How many distinct (state, path) identities nodes were ever
-        created with, surviving or deleted."""
-        live = set(zip(self.state, self.path))
-        assert len(live) == len(self.state), "node identity created twice"
-        return len(live | self._deleted_keys)
 
     def find_loop_candidate(self, state: int, path: str):
         """The entry in `open`, (node, whites), of the node that a step to
@@ -241,7 +225,8 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
     kernel = seg.kernel
     successor, terminal = kernel.successor, kernel.terminal
     states, paths, white = seg.state, seg.path, seg.white  # truncated in place
-    add_node, add_edge, opened = seg.add_node, seg.add_edge, seg.open
+    label0, target0, label1, target1 = seg.label0, seg.target0, seg.label1, seg.target1
+    clients, opened = seg._clients, seg.open
     stack = []  # a `_Frame` per open node with a choice
     forced = []  # the state of each open node stepped in place, oldest first
     saw_deadlock = False
@@ -262,6 +247,7 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
             if len(units) == 1 and len(units[0]) == 1:
                 forced.append(state)
                 top, step, path = None, units[0][0], paths[node]
+                labels, targets = label0, target0
             else:
                 units = order_steps(units, strategy, kernel, state, rng)
                 top = _Frame(node, units, whites, len(forced))
@@ -276,16 +262,24 @@ def build_graph(seg: Seg, strategy: Strategy, rng) -> tuple[Outcome, bool]:
                     step = unit[j]
                     path = paths[node] if len(unit) == 1 else paths[node] + "01"[j]
                     state, whites = states[node], top.whites
+                    # A step's edge goes in the slot of its place in the unit.
+                    labels, targets = (label1, target1) if j else (label0, target0)
                 after = successor(state, step)
                 target = seg.find_loop_candidate(after, path)
-                if target is None:
-                    fresh = add_node(after, path)
-                    add_edge(node, step.label, fresh)
-                    node = fresh
+                if target is None:  # a new node, as `Seg.add_node` adds the root
+                    labels[node], targets[node] = step.label, len(states)
+                    node = len(states)
+                    states.append(after)
+                    paths.append(path)
+                    white.append(not after & clients)
+                    label0.append(None)
+                    target0.append(-1)
+                    label1.append(None)
+                    target1.append(-1)
                     break  # open it
                 at, above = target
                 if whites - above + white[at] >= 1:
-                    add_edge(node, step.label, at)
+                    labels[node], targets[node] = step.label, at
                     result = Outcome.OK
                 else:
                     seg.badloops += 1
@@ -326,7 +320,7 @@ def verify_seg(seg: Seg):
     """Independent whole-graph check of the accepted result.
 
     Out-degrees must be 0 (leaves), 1 (an interaction) or 2 (a then/else
-    pair over the same guard); `Seg.add_edge` refuses a third edge.  The
+    pair over the same guard); a node has two edge slots.  The
     subgraph induced by non-white nodes must be acyclic, which is
     equivalent to every cycle containing a white node.  That every node
     is reachable from the root is checked by `unroll_graph`, in its pass
@@ -600,7 +594,6 @@ def extract(
         seg = Seg(part)
         rng = random.Random(f"{strategy.seed}:{strategy.name}:{i}") if shuffles else None
         outcome, saw_deadlock = build_graph(seg, strategy, rng)
-        assert seg.identities <= part.node_bound(), "node bound exceeded"
         choreography = None
         if outcome is Outcome.OK:
             verify_seg(seg)

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
 from string import ascii_letters, digits
 
 from . import cc, sp
@@ -61,10 +60,10 @@ from .wellformed import process_violations
 
 KEYWORDS = {"stop", "deadlock", "main", "def", "if", "then", "else", "continue"}
 
-# Whitespace and `#` line comments.  A comment runs to the end of its
-# line, so a pattern that fails never ends a gap inside a comment; a gap
-# cut short ends at whitespace, which nothing after a gap accepts.
-_GAP = r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*"
+# Whitespace and `#` line comments, read possessively: a comment runs to
+# the end of its line, and a pattern that fails never backtracks into a
+# gap, as nothing after a gap accepts whitespace or a comment.
+_GAP = r"[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)*+"
 # A gap, then one token: a word, or `->`, `||` or any other single
 # character; at the end of the input the token is "".
 _TOKEN = re.compile(_GAP + r"([A-Za-z0-9_']+|->|\|\||.|)")
@@ -225,13 +224,14 @@ def _parse_term(sc: _Scanner, head):
     """Parse one behaviour or choreography body, without recursion.
 
     `head(sc)` reads the tokens that open one constructor and returns
-    ("prefix", build) for a prefix whose continuation follows,
-    ("cond", build) after `if .. then`, ("offer", (name, label)) after
-    `name&{ label:`, or ("leaf", term).  Prefixes collect in a list until
-    a leaf closes them; conditionals and offers wait on a stack of frames
-    for their branches.
+    ("prefix", make) for a prefix whose continuation follows, ("cond",
+    make) after `if .. then`, where `make` is the constructor and its
+    fields before the subterms, ("offer", (name, label)) after `name&{
+    label:`, or ("leaf", term).  Prefixes collect in a list until a leaf
+    closes them; conditionals and offers wait on a stack of frames for
+    their branches.
     """
-    # A frame: [outer prefixes, kind, build or (offer name, label), branches]
+    # A frame: [outer prefixes, kind, make or (offer name, label), branches]
     frames = []
     prefixes = []
     while True:
@@ -245,8 +245,8 @@ def _parse_term(sc: _Scanner, head):
             continue
         term = value
         while True:
-            for build in reversed(prefixes):
-                term = build(term)
+            for make, fields in reversed(prefixes):
+                term = make(*fields, term)
             if not frames:
                 return term
             frame = frames[-1]
@@ -257,7 +257,8 @@ def _parse_term(sc: _Scanner, head):
                     sc.expect("else")
                     break
                 sc.try_take("continue")  # optional, carries no meaning
-                term = value(*branches)
+                make, fields = value
+                term = make(*fields, *branches)
             else:
                 name, label = value
                 branches.append((label, term))
@@ -323,12 +324,12 @@ def _behaviour_head(sc: _Scanner):
         sc.peers.add(name)
         if k == 7:
             return "offer", (name, m[7])
-        return "prefix", partial(_PREFIX_BUILDERS[k], name, m[k])
+        return "prefix", (_PREFIX_BUILDERS[k], (name, m[k]))
     if k == 3:
         sc.calls.add(m[3])
         return "leaf", sp.Call(m[3])
     if k == 2:
-        return "cond", partial(sp.Cond, m[2])
+        return "cond", (sp.Cond, (m[2],))
     return "leaf", sp.NIL
 
 
@@ -336,18 +337,18 @@ def _behaviour_head_by_tokens(sc: _Scanner):
     if sc.try_take("stop"):
         return "leaf", sp.NIL
     if sc.try_take("if"):
-        return "cond", partial(sp.Cond, sc.expression("then"))
+        return "cond", (sp.Cond, (sc.expression("then"),))
     name = sc.ident("process or procedure name")
     (sc.peers if sc.peek() in _PREFIXES else sc.calls).add(name)
     if sc.try_take("!"):
         sc.expect("<")
         expr = sc.expression(">")
         sc.expect(";")
-        return "prefix", partial(sp.Send, name, expr)
+        return "prefix", (sp.Send, (name, expr))
     if sc.try_take("?"):
-        return "prefix", partial(sp.Receive, name, sc.ident("variable name", ";"))
+        return "prefix", (sp.Receive, (name, sc.ident("variable name", ";")))
     if sc.try_take("+"):
-        return "prefix", partial(sp.Select, name, sc.ident("label", ";"))
+        return "prefix", (sp.Select, (name, sc.ident("label", ";")))
     if sc.try_take("&"):
         sc.expect("{")
         return "offer", (name, _branch_label(sc, ()))
@@ -386,14 +387,14 @@ def _body_head(sc: _Scanner):
     sc.pos = m.end()
     k = m.lastindex
     if k == 7:
-        return "prefix", partial(cc.Com, m[4], m[5], m[6], m[7])
+        return "prefix", (cc.Com, (m[4], m[5], m[6], m[7]))
     if k == 9:
-        return "prefix", partial(cc.Sel, m[4], m[8], m[9])
+        return "prefix", (cc.Sel, (m[4], m[8], m[9]))
     if k == 4:
         sc.calls.add(m[4])
         return "leaf", cc.Call(m[4])
     if k == 3:
-        return "cond", partial(cc.Cond, m[2], m[3])
+        return "cond", (cc.Cond, (m[2], m[3]))
     return "leaf", cc.NIL if m[1] == "stop" else cc.DEADLOCK
 
 
@@ -404,7 +405,7 @@ def _body_head_by_tokens(sc: _Scanner):
         return "leaf", cc.DEADLOCK
     if sc.try_take("if"):
         p = sc.ident("process name", ".")
-        return "cond", partial(cc.Cond, p, sc.expression("then"))
+        return "cond", (cc.Cond, (p, sc.expression("then")))
     at = sc.here()
     name = sc.ident("process or procedure name")
     if sc.try_take("."):
@@ -413,14 +414,14 @@ def _body_head_by_tokens(sc: _Scanner):
         var = sc.ident("variable name", ";")
         if name == q:
             sc.error(f"process {name!r} communicates with itself", at)
-        return "prefix", partial(cc.Com, name, expr, q, var)
+        return "prefix", (cc.Com, (name, expr, q, var))
     if sc.try_take("->"):
         q = sc.ident("process name", "[")
         label = sc.ident("label", "]")
         sc.expect(";")
         if name == q:
             sc.error(f"process {name!r} selects at itself", at)
-        return "prefix", partial(cc.Sel, name, q, label)
+        return "prefix", (cc.Sel, (name, q, label))
     sc.calls.add(name)
     return "leaf", cc.Call(name)
 

@@ -15,14 +15,16 @@ whole marking is erased (services stay marked forever).
 
 Steps are listed in the units the search tries: `(step,)` for an
 interaction, `(then, else)` for a conditional.  Units are built once
-per pair of heads, and listed once per position: every marking of a
-position, in every search over the same kernel, looks them up.
-Successors are lazy: a step holds its label and the continuation ids
-of its participants, and the search asks for its successor state
+per pair of heads, and listed once per position, in a tuple that every
+marking of the position, in every search over the same kernel, gets
+back.  Successors are lazy: a step holds its label and the continuation
+ids of its participants, and the search asks for its successor state
 (`Kernel.successor`) only when it tries the step.  The successor
 position is made once per (position, step), by replacing one or two
 entries of the tuple, and looked up after that; the marking follows
-from the participants' bit masks.
+from the participants' bit masks.  A new position's units are derived
+from its parent's: the units the step leaves alone, and at most one new
+unit per participant.  A root, and a position left unlisted, is scanned.
 
 Markings quantify over live processes only: a process that has terminated
 can never take part in any action again, so it is exempt both from the
@@ -33,9 +35,9 @@ its marking again.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import itertools
-from dataclasses import dataclass
 
 from . import sp
 
@@ -43,31 +45,48 @@ from . import sp
 # ------------------------------------------------------------- action labels
 
 
-@dataclass(frozen=True, slots=True)
-class ComAction:
-    sender: str
-    expr: str
-    receiver: str
-    var: str
+class _Label:
+    """An action label: a subclass lists its fields in `__slots__`, and
+    this base writes its initialiser, equality (same class, equal fields)
+    and hash, each reading the fields directly, as `namedtuple` does;
+    `repr` and `__match_args__` are a dataclass's."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = cls.__match_args__ = cls.__slots__
+        args = ", ".join(fields)
+        mine, theirs = (", ".join(f"{who}.{f}" for f in fields) for who in ("self", "other"))
+        methods = {}
+        exec(
+            f"def __init__(self, {args}):\n    {mine} = {args}\n"
+            f"def __eq__(self, other):\n"
+            f"    return type(other) is type(self) and ({mine}) == ({theirs})\n"
+            f"def __hash__(self):\n    return hash(({mine}))\n", {}, methods
+        )
+        for name, method in methods.items():
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True, slots=True)
-class SelAction:
-    sender: str
-    receiver: str
-    label: str
+class ComAction(_Label):
+    __slots__ = ("sender", "expr", "receiver", "var")
 
 
-@dataclass(frozen=True, slots=True)
-class ThenAction:
-    process: str
-    expr: str
+class SelAction(_Label):
+    __slots__ = ("sender", "receiver", "label")
 
 
-@dataclass(frozen=True, slots=True)
-class ElseAction:
-    process: str
-    expr: str
+class ThenAction(_Label):
+    __slots__ = ("process", "expr")
+
+
+class ElseAction(_Label):
+    __slots__ = ("process", "expr")
 
 
 def pretty_action(action) -> str:
@@ -152,9 +171,9 @@ class Kernel:
     position tables and its own units (`_pairs`, `_conds`, built once per
     pair of heads), and shares them with its views: a step and a position
     hold process indices, so neither crosses from one index space to
-    another.  Per position, the kernel tabulates its units the first time
-    they are listed (`enabled_steps`), and per (position, step) tried,
-    the successor position (`successor`).  So every marking of a
+    another.  Per position, the kernel tabulates its units (`_derived`
+    from its parent's, or else `_scan`ned), and per (position, step)
+    tried, the successor position (`successor`).  So every marking of a
     position, in every search over the index space under any strategy,
     lists and steps by lookups.  A compile belongs to the thread that
     built it (`extraction.compiled`), so no table is written by two
@@ -171,7 +190,7 @@ class Kernel:
     # fast as those of the object `__init__` built.
     __slots__ = (
         "names", "n", "_index", "terms", "services", "behaviour", "size", "head",
-        "kind", "peer", "cont", "ifs", "unresolved", "_first", "_procedures", "_pairs",
+        "kind", "peer", "cont", "unresolved", "_first", "_procedures", "_pairs",
         "_conds", "_numbers", "positions", "_position_of", "_live", "_units", "_next",
         "root",
     )
@@ -187,7 +206,6 @@ class Kernel:
         self.kind = []
         self.peer = []
         self.cont = []
-        self.ifs = {}  # id of each body interned -> the conditionals in its tree
         self.unresolved = {}  # id -> the error its unfolding raises
         self._first = []  # process i compiles to the ids from _first[i] to _first[i + 1]
         self._procedures = []  # per process: procedure name -> id
@@ -206,7 +224,7 @@ class Kernel:
 
     def _index_space(self):
         """Give this kernel new, empty unit and position tables."""
-        self._pairs = {}  # (actor head, partner head) -> (Step,) or None
+        self._pairs = {}  # actor head << _STEP_BITS | partner head -> (Step,) or None
         self._conds = {}  # conditional head -> (then Step, else Step)
         self._numbers = itertools.count()  # numbers the steps
         self.positions = []  # position -> its tuple of main ids
@@ -227,12 +245,10 @@ class Kernel:
         interned first, so two subterms of one process get one key, and
         one id, exactly when they are equal.  A new key gets the next id
         and its entries in the tables, and a new call goes on `calls`
-        for `_resolve` to fill in its `head`.  The walk also counts the
-        tree's conditionals, for `node_bound`.
+        for `_resolve` to fill in its `head`.
         """
         index, behaviour = self._index, self.behaviour
         size, kind, peer, cont = self.size, self.kind, self.peer, self.cont
-        ifs = 0
         order = []
         stack = [root]
         while stack:
@@ -251,7 +267,6 @@ class Kernel:
             elif typ is sp.Cond:
                 orelse = ids.pop()
                 key = (COND, t.expr, ids.pop(), orelse)
-                ifs += 1
             elif typ is sp.Offer:
                 n = len(t.branches)
                 key = (OFFER, t.frm, tuple([l for l, _ in t.branches]), *ids[-n:])
@@ -277,7 +292,6 @@ class Kernel:
                 if k == UNRESOLVED:  # a call, until `_resolve` chases it
                     calls.append((i, x))
             ids.append(x)
-        self.ifs[ids[0]] = ifs  # the walk met every node of the tree, shared or not
         return ids[0]
 
     def _resolve(self, calls: list):
@@ -302,18 +316,6 @@ class Kernel:
                 b = self.head[x] = self._procedures[i][last]
                 self.kind[x] = self.kind[b]
                 self.peer[x] = self.peer[b]
-
-    def node_bound(self) -> int:
-        """Upper bound on the distinct node identities of a search from
-        the root: 2^processes times the product of the process terms'
-        sizes times 2^conditionals, over all main and procedure bodies,
-        read off the `size` and `ifs` of their ids."""
-        product, total = 1, 0
-        for i, main in enumerate(self.ids(self.root)):
-            ids = [main, *self._procedures[i].values()]
-            product *= sum(self.size[x] for x in ids)
-            total += sum(self.ifs[x] for x in ids)
-        return 2**self.n * product * 2**total
 
     # -- components
 
@@ -413,7 +415,8 @@ class Kernel:
         """The state after `step`.
 
         The successor position is looked up, or made once per (position,
-        step) by replacing the participants' entries.  The marking is
+        step) by replacing the participants' entries; a new one gets its
+        units from this position's, if they are listed.  The marking is
         erased when the participants are all the live, unmarked processes
         there are (the marking holds every live service, so those are
         never waiting); otherwise the participants join it.  Terminated
@@ -428,7 +431,10 @@ class Kernel:
             ids = list(self.positions[position])
             for p, c in zip(step.procs, step.conts):
                 ids[p] = c
-            after = self._next[key] = self._position(tuple(ids), live & ~step.dead)
+            ids, new, units = tuple(ids), len(self.positions), self._units[position]
+            after = self._next[key] = self._position(ids, live & ~step.dead)
+            if after == new and units is not None:
+                self._units[after] = self._derived(units, step, ids)
         marked = (state | step.bits) & ((1 << n) - 1)
         if live & ~marked:
             return after << n | marked & live & ~step.dead
@@ -449,6 +455,65 @@ class Kernel:
 
     # -- steps
 
+    def _unit(self, i: int, ids: tuple):
+        """The unit whose actor is process `i` at the main ids `ids`: its
+        conditional, or its send or selection with the peer that waits on
+        it; None if it has neither, or if an offer lacks the label."""
+        x = ids[i]
+        k = self.kind[x]
+        if k == COND:
+            h = self.head[x]
+            return self._conds.get(h) or self._conditional(i, h)
+        if k != SEND and k != SELECT:
+            return None
+        j = self.peer[x]
+        if j < 0:
+            return None
+        y = ids[j]
+        # RECEIVE and OFFER follow SEND and SELECT.
+        if self.peer[y] != i or self.kind[y] != k + 1:
+            return None
+        hx, hy = self.head[x], self.head[y]
+        unit = self._pairs.get(hx << _STEP_BITS | hy, _UNSEEN)
+        return self._interaction(i, j, hx, hy) if unit is _UNSEEN else unit
+
+    def _scan(self, ids: tuple) -> tuple:
+        """The units of the main ids `ids`: each process's own, by index."""
+        units = []
+        for i, x in enumerate(ids):
+            unit = self._unit(i, ids)
+            if unit is not None:
+                units.append(unit)
+            elif self.kind[x] == UNRESOLVED:
+                raise self.unresolved[x]
+        return tuple(units)
+
+    def _derived(self, units: tuple, step: Step, ids: tuple):
+        """The units of the new position with main ids `ids`, reached by
+        `step` from a position whose units are `units`; None, to be
+        scanned, if a participant's new head is unresolved.  A unit with
+        no participant of the step stays, as its processes' heads do.  A
+        new unit has a participant as its actor, or as the partner of the
+        sender or selector waiting on its new receive or offer."""
+        kind, peer, bits = self.kind, self.peer, step.bits
+        kept = []  # a loop, not a comprehension: on a few units it takes half the time
+        for unit in units:
+            if not unit[0].bits & bits:
+                kept.append(unit)
+        done = -1
+        for p in step.procs:
+            x = ids[p]
+            k = kind[x]
+            if k == UNRESOLVED:
+                return None
+            actor = peer[x] if k == RECEIVE or k == OFFER else p
+            if actor >= 0 and actor != done:
+                done = actor
+                unit = self._unit(actor, ids)
+                if unit is not None and unit[0].bits & bits:
+                    bisect.insort(kept, unit, key=_actor)
+        return tuple(kept)
+
     def _interaction(self, i: int, j: int, hx: int, hy: int):
         """The unit of the step of process `i` with head `hx`, a send or a
         selection, and process `j` with head `hy`, the matching receive or
@@ -464,7 +529,7 @@ class Kernel:
             kx = self.cont[hx]
             dead = (self.kind[kx] == NIL) << i | (self.kind[k] == NIL) << j
             unit = (Step(label, (i, j), (kx, k), 1 << i | 1 << j, dead, next(self._numbers)),)
-        self._pairs[hx, hy] = unit
+        self._pairs[hx << _STEP_BITS | hy] = unit
         return unit
 
     def _conditional(self, i: int, h: int) -> tuple:
@@ -483,45 +548,24 @@ class Kernel:
 _UNSEEN = object()
 
 
-def enabled_steps(kernel: Kernel, state: int) -> list:
+def _actor(unit: tuple) -> int:
+    return unit[0].procs[0]
+
+
+def enabled_steps(kernel: Kernel, state: int) -> tuple:
     """All abstract reductions available from a state, as the units the
     search tries: `(step,)` for an interaction, `(then, else)` for a
     conditional.
 
     Units are listed by actor in name order (the sender or selector of an
-    interaction, the process of a conditional), in a new list each call.
-    They depend only on the state's position, so they are listed once per
-    position and kept in the kernel's `_units`.  No successor is built
-    here: see `Kernel.successor`.
+    interaction, the process of a conditional).  They depend only on the
+    state's position, so they are listed once per position, in a tuple
+    the kernel keeps in `_units` and returns to every caller: derived
+    from its parent's by `Kernel.successor`, or scanned here the first
+    time.  No successor is built here: see `Kernel.successor`.
     """
     position = state >> kernel.n
     units = kernel._units[position]
-    if units is not None:
-        return list(units)
-    ids = kernel.positions[position]
-    kind, peer, head = kernel.kind, kernel.peer, kernel.head
-    pairs, conds = kernel._pairs, kernel._conds
-    units = []
-    for i, x in enumerate(ids):
-        k = kind[x]
-        if k == SEND or k == SELECT:
-            j = peer[x]
-            if j < 0:
-                continue
-            y = ids[j]
-            # RECEIVE and OFFER follow SEND and SELECT.
-            if peer[y] != i or kind[y] != k + 1:
-                continue
-            key = (head[x], head[y])
-            unit = pairs.get(key, _UNSEEN)
-            if unit is _UNSEEN:
-                unit = kernel._interaction(i, j, *key)
-            if unit is not None:
-                units.append(unit)
-        elif k == COND:
-            h = head[x]
-            units.append(conds.get(h) or kernel._conditional(i, h))
-        elif k == UNRESOLVED:
-            raise kernel.unresolved[x]
-    kernel._units[position] = tuple(units)
+    if units is None:
+        units = kernel._units[position] = kernel._scan(kernel.positions[position])
     return units

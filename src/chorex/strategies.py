@@ -92,18 +92,20 @@ _SORT_KEYS = {
 
 
 def order_steps(
-    units: list,
+    units: tuple,
     strategy: Strategy,
     kernel: Kernel,
     state: int,
     rng: random.Random | None,
-) -> list:
+):
     """`units`, enabled in `state`, in the order the strategy wants them
     tried: shuffled first by `rng` for the random strategies (`SHUFFLED`;
-    the others may pass None), then stably sorted by the strategy's key.  Orders the list in place and returns
-    it."""
+    the others may pass None), then stably sorted by the strategy's key.
+    `units` is left as it is: one unit comes back as given, and more come
+    back in a new list."""
     if len(units) == 1:  # nothing to order, and a shuffle draws nothing
         return units
+    units = list(units)
     if strategy.name in SHUFFLED:
         rng.shuffle(units)
     key = _SORT_KEYS[strategy.name]

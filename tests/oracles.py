@@ -12,8 +12,9 @@ every pair from scratch, and `reference_bisimilar` judges verdicts the
 way the checker did before it stopped at settled pairs: one simulation
 pass per direction, with no union-find.  `reference_epp`
 projects one process at a time by plain recursion, with its own merge.
-`node_bound` counts by walking every subterm what `Kernel.node_bound`
-reads off its tables, `reference_components` splits a network by
+`node_bound` bounds a search's node identities by walking every
+subterm, and `identities` counts a finished search's from its graph's
+columns and deleted keys.  `reference_components` splits a network by
 walking every subterm for the peers `Kernel.split` reads off its peer
 table, and `reference_loop_target` finds a loop target by
 the definition, among all the graph's nodes, where the engine looks
@@ -653,6 +654,14 @@ def node_bound(net: sp.Network) -> int:
         for body in bodies:
             conds += sum(type(node) is sp.Cond for node in _nodes(body))
     return 2 ** len(net.processes) * product * 2**conds
+
+
+def identities(seg) -> int:
+    """How many distinct (state, path) identities the nodes of `seg`, an
+    `extraction.Seg`, were ever created with, surviving or deleted."""
+    live = set(zip(seg.state, seg.path))
+    assert len(live) == len(seg.state), "node identity created twice"
+    return len(live | seg._deleted_keys)
 
 
 def reference_components(net: sp.Network) -> list:

@@ -88,7 +88,7 @@ def round_trip_corpus():
         assert result.ok, f"corpus instance {i} failed to extract"
         bound_pairs = tuple(
             (
-                comp.seg.identities,
+                oracles.identities(comp.seg),
                 oracles.node_bound(sp.Network({p: net[p] for p in comp.processes})),
             )
             for comp in result.components
@@ -350,7 +350,7 @@ def test_node_counts_respect_state_space_bound(round_trip_corpus):
         net = parse_network(net_text)
         result = extract(net, parallel=False)
         (component,) = result.components
-        assert component.seg.identities <= oracles.node_bound(net)
+        assert oracles.identities(component.seg) <= oracles.node_bound(net)
 
 
 # --- 9: everything is reproducible under a fixed seed --------------------

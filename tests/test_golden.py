@@ -33,6 +33,7 @@ from chorex.testgen import (
 from chorex.wellformed import check_guardedness, check_well_formed
 
 from inefficiency import inject_inefficiency
+from oracles import identities
 
 POINTS = {
     "size-k5-r0": GenParams(size=250, processes=6, seed=0),
@@ -343,7 +344,7 @@ def sweep_digest() -> tuple:
                     result.badloops,
                     pretty(result.program) if result.ok else str(result.failure),
                     [pretty(sp.Network(leaf)) for leaf in result.deadlock_remainders],
-                    [c.seg.identities for c in result.components],
+                    [identities(c.seg) for c in result.components],
                     result.to_dot() if result.nodes_deleted else "",
                 )
                 h.update(repr(record).encode())

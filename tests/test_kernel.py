@@ -33,7 +33,6 @@ from conftest import (
 from oracles import (
     AnnotatedNetwork,
     _units,
-    node_bound,
     reference_loop_target,
     reference_steps,
 )
@@ -210,5 +209,111 @@ def test_ids_are_shared_exactly_by_equal_subterms():
         assert all(copy.terms[i].main is not t.main for i, t in enumerate(kernel.terms))
         assert copy.ids(copy.root) == kernel.ids(kernel.root)
         assert len(copy.behaviour) == len(kernel.behaviour)
-        assert kernel.node_bound() == node_bound(net)
     assert {sp.Offer, sp.Cond, sp.Call} <= kinds
+
+
+# -- a new position's units, derived from its parent's
+
+
+def _index_spaces(kernels) -> int:
+    """How many index spaces `kernels` hold: a kernel and the views of it
+    share one, and so one position table."""
+    return len({id(kernel.positions) for kernel in kernels})
+
+
+def test_derived_units_equal_a_scan(monkeypatch):
+    """On the golden points, their fuzz and unroll variants and
+    processes-k20-r0, split and whole: every position a search lists has
+    the units a fresh scan of it lists, the same unit objects in the same
+    order, and only each index space's root is scanned; every other
+    position got its units from its parent's when `successor` made it."""
+    scans = []
+    scan = Kernel._scan
+
+    def counted(kernel, ids):
+        scans.append(ids)
+        return scan(kernel, ids)
+
+    monkeypatch.setattr(Kernel, "_scan", counted)
+    nets = [net for params in POINTS.values() for net in _variants(params)]
+    nets.append(epp(amend(generate(GenParams(size=500, processes=100, seed=0)))))
+    listed = spaces = 0
+    for net in nets:
+        for parallel in (True, False):
+            extraction.extract(net, parallel=parallel)
+            kernels = extraction.compiled(net, parallel)
+            for kernel in kernels:
+                for ids, units in zip(kernel.positions, kernel._units):
+                    if units is not None:
+                        assert units == scan(kernel, ids), ids
+                        listed += 1
+        spaces += _index_spaces(extraction.compiled(net) + extraction.compiled(net, False))
+    assert len(scans) == spaces
+    assert listed > 50 * spaces
+
+
+def _stepped(text: str, *labels):
+    """The kernel of the network `text`, and its state after the steps
+    labelled `labels` from the root, each the only step of its label."""
+    kernel = Kernel(parse_network(text))
+    state = kernel.root
+    for label in labels:
+        (step,) = [s for unit in enabled_steps(kernel, state) for s in unit if str(s) == label]
+        state = kernel.successor(state, step)
+    return kernel, state
+
+
+def _derived(kernel, state) -> list:
+    """The labels of the units `successor` derived for `state`, which must
+    be those a scan lists."""
+    units = kernel._units[state >> kernel.n]
+    assert units is not None, "not derived"
+    assert units == kernel._scan(kernel.ids(state))
+    return [str(s) for unit in units for s in unit]
+
+
+class TestDerivedUnits:
+    def test_a_receivers_new_head_enables_a_waiting_sender(self):
+        kernel, state = _stepped(
+            "p { main { r!<a>; stop } } | r { main { s?y; p?z; stop } }"
+            " | s { main { r!<b>; stop } }",
+            "Step(s.b -> r.y)",
+        )
+        assert _derived(kernel, state) == ["Step(p.a -> r.z)"]
+
+    def test_both_participants_enable_the_same_third_actor_once(self):
+        kernel, state = _stepped(
+            "p { main { q!<a>; r?x; stop } } | q { main { p?y; r?z; stop } }"
+            " | r { main { p!<b>; q!<c>; stop } }",
+            "Step(p.a -> q.y)",
+        )
+        assert _derived(kernel, state) == ["Step(r.b -> p.x)"]
+
+    def test_a_participant_that_acts_again_with_the_other_is_listed_once(self):
+        kernel, state = _stepped(
+            "p { main { q!<a>; q!<b>; stop } } | q { main { p?x; p?y; stop } }"
+            " | r { main { if e then stop else stop } }",
+            "Step(p.a -> q.x)",
+        )
+        assert _derived(kernel, state) == [
+            "Step(p.b -> q.y)",
+            "Step(if r.e then)",
+            "Step(if r.e else)",
+        ]
+
+    def test_an_offer_that_lacks_the_selected_label_enables_nothing(self):
+        kernel, state = _stepped(
+            "p { main { q!<a>; q+go; stop } } | q { main { p?x; p&{ halt: stop } } }"
+            " | r { main { s!<c>; stop } } | s { main { r?z; stop } }",
+            "Step(p.a -> q.x)",
+        )
+        assert _derived(kernel, state) == ["Step(r.c -> s.z)"]
+
+    def test_an_unresolved_call_raises_on_open(self):
+        kernel, state = _stepped(
+            "p { def X { X } main { q!<e>; X } } | q { main { p?x; stop } }",
+            "Step(p.e -> q.x)",
+        )
+        assert kernel._units[state >> kernel.n] is None  # left for a scan
+        with pytest.raises(AssertionError, match="unguarded recursion in process p along X -> X"):
+            enabled_steps(kernel, state)

@@ -281,3 +281,58 @@ def test_action_helpers():
     assert pretty_action(ElseAction("p", "e")) == "if p.e else"
     with pytest.raises(TypeError):
         participants("not an action")
+
+
+class TestLabels:
+    """The action labels compare, hash, print and match as the frozen
+    dataclasses they replace did."""
+
+    LABELS = (
+        ComAction("p", "e", "q", "x"),
+        SelAction("p", "q", "l"),
+        ThenAction("p", "e"),
+        ElseAction("p", "e"),
+    )
+
+    def test_then_and_else_of_one_guard_differ(self):
+        then, orelse = ThenAction("p", "e"), ElseAction("p", "e")
+        assert then != orelse and not then == orelse
+        assert len({then, orelse}) == 2
+
+    def test_equal_labels_hash_equal(self):
+        for label in self.LABELS:
+            copy = type(label)(*(getattr(label, f) for f in type(label).__match_args__))
+            assert copy is not label and copy == label and hash(copy) == hash(label)
+        assert ComAction("p", "e", "q", "x") != ComAction("p", "e", "q", "y")
+        assert ComAction("p", "e", "q", "x") != ("p", "e", "q", "x")
+        assert {SelAction("p", "q", "l"): 1}[SelAction("p", "q", "l")] == 1
+
+    def test_repr_is_a_dataclass_repr(self):
+        assert [repr(label) for label in self.LABELS] == [
+            "ComAction(sender='p', expr='e', receiver='q', var='x')",
+            "SelAction(sender='p', receiver='q', label='l')",
+            "ThenAction(process='p', expr='e')",
+            "ElseAction(process='p', expr='e')",
+        ]
+
+    def test_match_reads_the_fields_in_order(self):
+        assert ComAction.__match_args__ == ("sender", "expr", "receiver", "var")
+        assert SelAction.__match_args__ == ("sender", "receiver", "label")
+        assert ThenAction.__match_args__ == ElseAction.__match_args__ == ("process", "expr")
+        matched = []
+        for label in self.LABELS:
+            match label:
+                case ComAction(p, e, q, x):
+                    matched.append(("com", p, e, q, x))
+                case SelAction(p, q, l):
+                    matched.append(("sel", p, q, l))
+                case ThenAction(p, e):
+                    matched.append(("then", p, e))
+                case ElseAction(process=p, expr=e):
+                    matched.append(("else", p, e))
+        assert matched == [
+            ("com", "p", "e", "q", "x"),
+            ("sel", "p", "q", "l"),
+            ("then", "p", "e"),
+            ("else", "p", "e"),
+        ]
