@@ -404,31 +404,33 @@ def build_choreography(seg: Seg, names: dict) -> cc.Choreography:
     """Read the graph off into a choreography, in one sweep over the
     nodes, newest first.
 
-    An edge into a loop node reads as a call of its procedure.  Any other
-    edge is the only one into a newer node (`unroll_graph`), whose body is
-    built by then and is taken here, once.  A root that is a loop node
-    reads as a call of its procedure.
+    `bodies` lists what an edge into each node reads as: for a loop node,
+    put in before the sweep, a call of its procedure, and for any other
+    node its body, which the sweep builds before the node's one incoming
+    edge, from an older node (`unroll_graph`), is read.  A loop node's
+    body is its procedure's.  The root reads as its entry of `bodies`.
     """
-    bodies = {}
-
-    def kid(dst):
-        return cc.Call(names[dst]) if dst in names else bodies.pop(dst)
-
     label0, target0, target1 = seg.label0, seg.target0, seg.target1
-    for node in reversed(range(len(seg.state))):
+    bodies = [None] * len(label0)
+    for node, name in names.items():
+        bodies[node] = cc.Call(name)
+    procedures = {}
+    for node in reversed(range(len(label0))):
         label = label0[node]
         if label is None:
             body = cc.DEADLOCK if node in seg.deadlocks else cc.NIL
         elif type(label) is ComAction:
-            body = cc.Com(label.sender, label.expr, label.receiver, label.var, kid(target0[node]))
+            kid = bodies[target0[node]]
+            body = cc.Com(label.sender, label.expr, label.receiver, label.var, kid)
         elif type(label) is SelAction:
-            body = cc.Sel(label.sender, label.receiver, label.label, kid(target0[node]))
+            body = cc.Sel(label.sender, label.receiver, label.label, bodies[target0[node]])
         else:  # a then/else pair (`verify_seg`)
-            body = cc.Cond(label.process, label.expr, kid(target0[node]), kid(target1[node]))
-        bodies[node] = body
-    procedures = {name: bodies.pop(node) for node, name in names.items()}
-    main = cc.Call(names[0]) if 0 in names else bodies.pop(0)
-    return cc.Choreography(procedures, main)
+            body = cc.Cond(label.process, label.expr, bodies[target0[node]], bodies[target1[node]])
+        if bodies[node] is None:
+            bodies[node] = body
+        else:
+            procedures[bodies[node].name] = body
+    return cc.Choreography(procedures, bodies[0])
 
 
 # ------------------------------------------------- components and top level
@@ -472,16 +474,20 @@ class ComponentResult:
 
     @property
     def deadlock_remainders(self) -> list:
-        """For each deadlock leaf: the stuck processes and their terms."""
-        seg = self.seg
-        return [
-            {
-                p: t
-                for p, t in seg.kernel.network(seg.state[node]).processes.items()
-                if t.is_live() and p not in self.services
-            }
-            for node in sorted(seg.deadlocks)
-        ]
+        """For each deadlock leaf, oldest first: the stuck processes, in
+        name order, and their terms: the leaf position's live processes
+        less the services, the only terms built."""
+        seg, kernel = self.seg, self.seg.kernel
+        remainders = []
+        for node in sorted(seg.deadlocks):
+            state = seg.state[node]
+            stuck, ids = kernel._live[state >> kernel.n] & ~kernel.services, kernel.ids(state)
+            remainders.append({
+                p: sp.ProcessTerm(kernel.terms[i].procedures, kernel.behaviour[ids[i]])
+                for i, p in enumerate(kernel.names)
+                if stuck >> i & 1
+            })
+        return remainders
 
 
 @dataclass

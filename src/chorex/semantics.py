@@ -155,9 +155,9 @@ class Kernel:
     `split` finds its components from `peer` and the id range of each
     process (`_first`), into component kernels that share these tables,
     all but `peer`, whose indices are local to each component.  Neither
-    the tables nor the steps depend on services: `serving` gives a view
-    of a kernel with its services, and the whole kernel and its split
-    parts stay usable for any number of searches.
+    the tables nor the steps depend on services: `serving` gives the
+    kernel itself, or a view of it with other services, and the whole
+    kernel and its split parts stay usable for any number of searches.
 
     A search state is one int, `position << n | marking`.  Its *position*
     is the tuple of each process's main behaviour id, in name order,
@@ -239,42 +239,56 @@ class Kernel:
         """The id of `root` in process `i`, interning its subterms first
         in `memo`, the process's map from key to id.
 
-        One walk in post-order, children left to right (as `term.fold`),
-        keys each subterm by a plain tuple of its kind, its label fields
-        and its kids' ids, which hashes and compares in C.  Kids are
-        interned first, so two subterms of one process get one key, and
-        one id, exactly when they are equal.  A new key gets the next id
-        and its entries in the tables, and a new call goes on `calls`
-        for `_resolve` to fill in its `head`.
+        A walk pre-order by constructor type, into a conditional's else
+        and an offer's last branch, reversed, is post-order, children
+        left to right (as `term.fold`).  Each subterm is keyed by a plain
+        tuple of its kind, label fields and kids' ids, which hashes and
+        compares in C: a one-kid subterm's kid is the one just before it,
+        and a leaf puts the one before it on `ids` for its conditional or
+        offer.  Kids come first, so two subterms of one process get one
+        key, and one id, exactly when they are equal.  A new key gets the
+        next id and its table entries, and a new call goes on `calls`.
         """
         index, behaviour = self._index, self.behaviour
         size, kind, peer, cont = self.size, self.kind, self.peer, self.cont
         order = []
-        stack = [root]
-        while stack:
-            t = stack.pop()
+        stack = []  # the subterms still to walk: each a then, or an offer's earlier branches
+        t = root
+        while True:
             order.append(t)
-            stack.extend(t.children())
-        ids = []  # the ids of the subterms walked whose parent is still to come
+            typ = type(t)
+            if typ is sp.Send or typ is sp.Receive or typ is sp.Select:
+                t = t.cont
+            elif typ is sp.Cond:
+                stack.append(t.then)
+                t = t.orelse
+            elif typ is sp.Offer:
+                stack.extend([b for _, b in t.branches])
+                t = stack.pop()
+            elif stack:
+                t = stack.pop()
+            else:
+                break
+        ids = []  # the ids of finished subterms whose parent is not next
+        x = -1  # the id of the subterm before
         for t in reversed(order):
             typ = type(t)
             if typ is sp.Send:
-                key = (SEND, t.to, t.expr, ids.pop())
+                key = (SEND, t.to, t.expr, x)
             elif typ is sp.Receive:
-                key = (RECEIVE, t.frm, t.var, ids.pop())
+                key = (RECEIVE, t.frm, t.var, x)
             elif typ is sp.Select:
-                key = (SELECT, t.to, t.label, ids.pop())
+                key = (SELECT, t.to, t.label, x)
             elif typ is sp.Cond:
-                orelse = ids.pop()
-                key = (COND, t.expr, ids.pop(), orelse)
+                key = (COND, t.expr, ids.pop(), x)
             elif typ is sp.Offer:
-                n = len(t.branches)
-                key = (OFFER, t.frm, tuple([l for l, _ in t.branches]), *ids[-n:])
-                del ids[-n:]
-            elif typ is sp.Call:
-                key = (UNRESOLVED, t.name)
+                n = len(ids) + 1 - len(t.branches)
+                key = (OFFER, t.frm, tuple([l for l, _ in t.branches]), *ids[n:], x)
+                del ids[n:]
             else:
-                key = (NIL,)
+                if x >= 0:  # a leaf starts a subterm: the one before waits for its parent
+                    ids.append(x)
+                key = (UNRESOLVED, t.name) if typ is sp.Call else (NIL,)
             x = memo.get(key)
             if x is None:
                 x = memo[key] = len(behaviour)
@@ -291,8 +305,7 @@ class Kernel:
                 peer.append(index.get(key[1], -1) if SEND <= k <= OFFER else -1)
                 if k == UNRESOLVED:  # a call, until `_resolve` chases it
                     calls.append((i, x))
-            ids.append(x)
-        return ids[0]
+        return x
 
     def _resolve(self, calls: list):
         """Chase every call, a (process, id) of `calls`, along its
@@ -369,11 +382,15 @@ class Kernel:
         return parts
 
     def serving(self, services) -> Kernel:
-        """A view of this kernel with the processes `services`, those of
-        them it has, as its services: a copy with its own services mask
-        and root, sharing every table and memo, the positions too."""
+        """This kernel with the processes `services`, those of them it
+        has, as its services: itself if it has those (every call with no
+        services in this component), else a view, a copy with its own
+        services mask and root sharing every table and memo."""
+        mask = sum(1 << i for i, p in enumerate(self.names) if p in services)
+        if mask == self.services:
+            return self
         view = copy.copy(self)
-        view.services = sum(1 << i for i, p in enumerate(self.names) if p in services)
+        view.services = mask
         view.root = view._root(self.ids(self.root))
         return view
 

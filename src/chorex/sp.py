@@ -178,10 +178,6 @@ class ProcessTerm(Definitions):
             self._head = head
         return head
 
-    def is_live(self) -> bool:
-        """True unless the process has terminated (head is Nil)."""
-        return not isinstance(self.head_behaviour(), Nil)
-
 
 def call_chain(procedures: dict, name: str) -> list:
     """The procedure names a call of `name` passes through, in order.

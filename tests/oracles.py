@@ -20,10 +20,15 @@ table, and `reference_loop_target` finds a loop target by
 the definition, among all the graph's nodes, where the engine looks
 among the open ones.  `reference_read_off` names loop nodes by a walk
 from the root and reads the graph off by post-order walks of its own,
-where the engine sweeps the nodes in creation order.  Two small helpers
-serve the tests that step a kernel by hand: `marked_root` marks
-processes in a kernel's root state, and `participants` lists the
-processes of an action.
+where the engine sweeps the nodes in creation order.
+`reference_deadlock_remainders` rebuilds each deadlock leaf's whole
+network and keeps the terms that are `live`, where the engine reads the
+stuck set off the kernel's live mask.  `reference_compile` interns a
+network by `term.fold`, keyed by each subterm's type, label and kids'
+ids, where the kernel walks each body once with a hand-written stack.
+Two small helpers serve the tests that step a kernel by hand:
+`marked_root` marks processes in a kernel's root state, and
+`participants` lists the processes of an action.
 """
 
 from __future__ import annotations
@@ -35,7 +40,17 @@ from chorex import cc, sp
 from chorex.cc import Call, Com, Cond, Sel
 from chorex.epp import epp
 from chorex.equiv import chor_enabled
-from chorex.semantics import ComAction, ElseAction, SelAction, ThenAction
+from chorex.semantics import (
+    COND, NIL, OFFER, RECEIVE, SELECT, SEND, UNRESOLVED,
+    ComAction, ElseAction, SelAction, ThenAction,
+)
+from chorex.term import fold
+
+
+def live(term: sp.ProcessTerm) -> bool:
+    """True unless the process has terminated: its head, calls chased,
+    is Nil."""
+    return not isinstance(term.head_behaviour(), sp.Nil)
 
 
 class AnnotatedNetwork:
@@ -52,7 +67,7 @@ class AnnotatedNetwork:
 
     def __init__(self, net: sp.Network, marked: frozenset, services: frozenset):
         self.net = net
-        self.live = frozenset(p for p, t in net.processes.items() if t.is_live())
+        self.live = frozenset(p for p, t in net.processes.items() if live(t))
         self.marked = frozenset((marked | services) & self.live)
         self.services = services
 
@@ -689,3 +704,71 @@ def reference_components(net: sp.Network) -> list:
             seen |= comp
             out.append(sorted(comp))
     return out
+
+
+def reference_deadlock_remainders(result) -> list:
+    """`ExtractionResult.deadlock_remainders` by the definition: for each
+    deadlock leaf of each component, oldest first, its whole network
+    rebuilt, less the terms that have terminated and the services."""
+    return [
+        {
+            p: t
+            for p, t in c.seg.kernel.network(c.seg.state[node]).processes.items()
+            if live(t) and p not in c.services
+        }
+        for c in result.components
+        for node in sorted(c.seg.deadlocks)
+    ]
+
+
+_KINDS = {sp.Nil: NIL, sp.Send: SEND, sp.Receive: RECEIVE, sp.Select: SELECT,
+          sp.Offer: OFFER, sp.Cond: COND, sp.Call: UNRESOLVED}
+
+
+def reference_compile(net: sp.Network) -> dict:
+    """The tables `semantics.Kernel` compiles `net` to, by `term.fold`:
+    per process, in name order, its procedure bodies in name order and
+    then its main are folded, and each subterm, keyed by its type, its
+    label and its kids' ids, gets the next id if its key is new to the
+    process.  A call's head is the body its `sp.call_chain` ends at, if
+    that is defined and no call, and the call itself otherwise; its kind
+    and peer are its head's, or UNRESOLVED and -1 with no head.  Returns
+    the name -> list of `behaviour`, `size`, `kind`, `peer`, `cont` and
+    `head`, and `mains`, each process's main id."""
+    names = list(net.processes)
+    behaviour, kids, mains, heads = [], [], [], []
+    for term in net.processes.values():
+        memo = {}
+
+        def intern(t, results):
+            key = (type(t), t._label(), tuple(results))
+            if key not in memo:
+                memo[key] = len(behaviour)
+                behaviour.append(t)
+                kids.append(key[2])
+            return memo[key]
+
+        procedures = {x: fold(body, intern) for x, body in term.procedures.items()}
+        mains.append(fold(term.main, intern))
+        for x in range(len(heads), len(behaviour)):
+            head = x
+            if type(behaviour[x]) is sp.Call:
+                last = sp.call_chain(term.procedures, behaviour[x].name)[-1]
+                if last in procedures and type(term.procedures[last]) is not sp.Call:
+                    head = procedures[last]
+            heads.append(head)
+    kind, peer, cont = [], [], []
+    for x, t in enumerate(behaviour):
+        h = behaviour[heads[x]]
+        kind.append(_KINDS[type(h)])
+        peer.append(names.index(h.peer) if h.peer in names else -1)
+        if type(t) is sp.Offer:
+            cont.append(dict(zip([l for l, _ in t.branches], kids[x])))
+        elif type(t) is sp.Cond:
+            cont.append(kids[x])
+        else:
+            cont.append(kids[x][0] if kids[x] else None)
+    return {
+        "behaviour": behaviour, "size": [t.size for t in behaviour], "kind": kind,
+        "peer": peer, "cont": cont, "head": heads, "mains": mains,
+    }

@@ -1,6 +1,7 @@
 """The execution-graph search: undo by rollback, loop validity, read-off,
 and whole-network extraction against hand-checked results."""
 
+import copy
 import gc
 import sys
 import threading
@@ -24,7 +25,7 @@ from chorex.epp import epp
 from chorex.parser import parse_network, pretty
 from chorex.semantics import ComAction, Kernel, enabled_steps
 from chorex.strategies import STRATEGY_NAMES
-from chorex.testgen import GenParams, amend, generate
+from chorex.testgen import FuzzParams, GenParams, amend, fuzz, generate
 from chorex.wellformed import check_guardedness, check_well_formed
 
 import oracles
@@ -537,6 +538,92 @@ def _shown(result) -> tuple:
         result.deadlock_remainders,
         result.failure,
     )
+
+
+def _copied_view(kernel, services):
+    """`Kernel.serving` as a copy whatever the services: a view with its
+    own services mask and root, sharing every table."""
+    view = copy.copy(kernel)
+    view.services = sum(1 << i for i, p in enumerate(kernel.names) if p in services)
+    view.root = view._root(kernel.ids(kernel.root))
+    return view
+
+
+VIEW_CASES = [N1_TEXT, N3_TEXT, SIGNON_NET_TEXT, RANKED_LOOP_NET_TEXT, TWO_LOOPS_TEXT, UNDO_TEXT]
+
+
+class TestServingViews:
+    """`Kernel.serving` gives the kernel itself when the services are the
+    ones it has, and a view of it otherwise."""
+
+    def test_no_services_is_the_kernel_itself(self):
+        for text in VIEW_CASES:
+            whole = Kernel(parse_network(text))
+            for kernel in [whole, *whole.split()]:
+                assert kernel.serving(frozenset()) is kernel
+
+    def test_a_service_gives_a_view_and_leaves_the_kernel(self):
+        for text in VIEW_CASES:
+            whole = Kernel(parse_network(text))
+            for kernel in [whole, *whole.split()]:
+                root, service = kernel.root, kernel.names[-1]
+                view = kernel.serving({service})
+                assert view is not kernel and view.positions is kernel.positions
+                assert view.marked(view.root) == {service}  # live at every root here
+                assert view.ids(view.root) == kernel.ids(root)
+                assert (kernel.services, kernel.root) == (0, root)
+                assert view.serving({service}) is view
+
+    @pytest.mark.parametrize(
+        "text", VIEW_CASES, ids=["N1", "N3", "signon", "ranked", "two-loops", "undo"]
+    )
+    def test_extractions_match_a_copied_views(self, text, monkeypatch):
+        """Under every strategy, with no service and with each process as
+        the one service, whole and split: the same as with a copy."""
+        net = parse_network(text)
+        cases = [
+            (services, Strategy(name, 0), parallel)
+            for services in [(), *((p,) for p in net.names())]
+            for name in STRATEGY_NAMES
+            for parallel in (True, False)
+        ]
+        shown = [_shown(extract(net, *case)) for case in cases]
+        monkeypatch.setattr(Kernel, "serving", _copied_view)
+        assert [_shown(extract(net, *case)) for case in cases] == shown
+
+
+def _fuzz_variants():
+    """The fuzz variants of the `variants` workload's bases that pass the
+    input checks, as the workload builds them."""
+    for params in workloads.variant_params(workloads.VARIANT_BASES, 0):
+        net = epp(amend(generate(params)))
+        for d, s in workloads.FUZZ_GRID:
+            fuzzed = fuzz(net, FuzzParams(deletions=d, swaps=s, seed=params.seed))
+            if check_well_formed(fuzzed).ok and check_guardedness(fuzzed).ok:
+                yield fuzzed
+
+
+class TestDeadlockRemainders:
+    """`deadlock_remainders`, read off the kernel, against
+    `oracles.reference_deadlock_remainders`, which rebuilds each leaf's
+    network, under every strategy, with no service and with one."""
+
+    def _leaves(self, net) -> int:
+        leaves = 0
+        for services in ((), (min(net.names()),), (max(net.names()),)):
+            for name in STRATEGY_NAMES:
+                result = extract(net, services, Strategy(name, 0))
+                remainders = result.deadlock_remainders
+                assert remainders == oracles.reference_deadlock_remainders(result)
+                assert [list(leaf) for leaf in remainders] == [sorted(leaf) for leaf in remainders]
+                leaves += len(remainders)
+        return leaves
+
+    def test_on_the_fuzz_variants(self):
+        assert sum(self._leaves(net) for net in _fuzz_variants()) > 4000
+
+    def test_on_n3(self, n3):
+        assert self._leaves(n3) >= 40
 
 
 class TestNodeBound:

@@ -33,6 +33,7 @@ from conftest import (
 from oracles import (
     AnnotatedNetwork,
     _units,
+    reference_compile,
     reference_loop_target,
     reference_steps,
 )
@@ -210,6 +211,23 @@ def test_ids_are_shared_exactly_by_equal_subterms():
         assert copy.ids(copy.root) == kernel.ids(kernel.root)
         assert len(copy.behaviour) == len(kernel.behaviour)
     assert {sp.Offer, sp.Cond, sp.Call} <= kinds
+
+
+def test_compile_matches_a_fold():
+    """On the golden points, their fuzz and unroll variants and the
+    seeded draws: the kernel interns the same behaviour objects, in the
+    same id order, as `oracles.reference_compile`, and tabulates the same
+    size, kind, peer, continuations and head of each id, and the same
+    main ids."""
+    nets = [net for params in POINTS.values() for net in _variants(params)]
+    nets += list(_seeded_draws())
+    for net in nets:
+        kernel, reference = Kernel(net), reference_compile(net)
+        assert [id(t) for t in kernel.behaviour] == [id(t) for t in reference["behaviour"]]
+        for table in ("size", "kind", "peer", "cont", "head"):
+            assert getattr(kernel, table) == reference[table], table
+        assert list(kernel.ids(kernel.root)) == reference["mains"]
+    assert sum(len(Kernel(net).behaviour) for net in nets) > 10_000
 
 
 # -- a new position's units, derived from its parent's

@@ -56,7 +56,7 @@ def test_primed_names_allowed_in_expressions():
 
 def test_comments_are_skipped():
     net = parse_network("# leading note\np { main { stop } } # trailing\n")
-    assert not net["p"].is_live()
+    assert net["p"].head_behaviour() == sp.NIL
 
 
 def test_optional_continue_keyword_is_ignored():

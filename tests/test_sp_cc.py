@@ -65,7 +65,6 @@ class TestProcessTerm:
         body = sp.Send("q", "e", sp.Call("X"))
         t = sp.ProcessTerm({"X": sp.Call("Y"), "Y": body}, sp.Call("X"))
         assert t.head_behaviour() == body
-        assert t.is_live()
 
     def test_head_behaviour_rejects_bare_call_cycles(self):
         t = sp.ProcessTerm({"X": sp.Call("X")}, sp.Call("X"))
@@ -82,8 +81,13 @@ class TestProcessTerm:
         assert info.value.args == ("Z",)
 
     def test_terminated_term_is_not_live(self):
-        assert not TERMINATED.is_live()
-        assert sp.ProcessTerm({"X": sp.NIL}, sp.Call("X")).is_live() is False
+        # A process is live unless its head, calls chased, is Nil.
+        acting = sp.ProcessTerm({"X": sp.Send("p", "e", sp.Call("X"))}, sp.Call("X"))
+        net = sp.Network(
+            {"p": TERMINATED, "q": sp.ProcessTerm({"X": sp.NIL}, sp.Call("X")), "r": acting}
+        )
+        kernel = Kernel(net)
+        assert kernel._live[kernel.root >> kernel.n] == 0b100
 
     def test_duplicate_procedure_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate procedure"):
@@ -170,11 +174,7 @@ def _eager_successor(an, label):
     updates = {p: sp.ProcessTerm(dict(net[p].procedures), b) for p, b in after.items()}
     succ_net = sp.Network({**net.processes, **updates})
     touched = frozenset(participants(label))
-    waiting = {
-        p
-        for p, t in net.processes.items()
-        if t.is_live() and p not in an.marked and p not in an.services
-    }
+    waiting = an.live - an.marked - an.services
     marked = frozenset() if waiting <= touched else an.marked | touched
     return AnnotatedNetwork(succ_net, marked, an.services)
 
